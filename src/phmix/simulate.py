@@ -3,16 +3,23 @@ system with energy and entropy bookkeeping.
 
 Each step solves the nonlinear midpoint system over (solid entropy, channel
 state) with the ports eliminated inside the residual: the channel temperature
-is embedded onto the wall through the surface mass system, the wall trace is
-constrained to it through the entropy variable, the wall output flux is
-recovered from the constrained boundary rows, and its azimuthal integral
-drives the channel entropy equation.  Power conjugacy of the eliminated
-relations makes the per-step coupling powers cancel to round-off and the
-total-entropy increment a sum of squares, independent of the step size.
+is embedded onto the wall, the wall trace is constrained to it through the
+entropy variable, the wall output flux is recovered from the constrained
+boundary rows, and its azimuthal integral drives the channel entropy
+equation.  On the tensor-product wall the embed/integrate pair is nodal:
+m_psi^-1 d_psi y = repeat(y, n_az) and d_chi m_psi^-1 f = azimuthal row sums
+of f, so the residual needs no surface solve.  Power conjugacy of the
+eliminated relations makes the per-step coupling powers cancel to round-off
+and the total-entropy increment a sum of squares, independent of the step
+size.
 
-Newton uses a finite-difference Jacobian that is factorized once and reused
-(chord iterations) until convergence degrades, then rebuilt.  Everything is
-deterministic: same inputs give a bit-identical ledger.
+The closed-form ports leave the midpoint Jacobian with a fixed local
+sparsity pattern, built from the mesh.  Newton builds the Jacobian by
+column-colored finite differences (Curtis, Powell & Reid 1974; greedy
+coloring after Coleman & More 1983), one residual per color, factorizes it
+with a sparse LU and reuses it (chord iterations) until convergence
+degrades, then rebuilds.  Everything is deterministic: same inputs give a
+bit-identical ledger.
 """
 
 from __future__ import annotations
@@ -22,12 +29,13 @@ import time as _time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .coupling import CoupledPorts
 from .dirac import LineField, SurfaceField
-from .errors import ConfigurationError, MeshCompatibilityError, StateValidityError, \
-    StepFailureError
+from .errors import ConfigurationError, MeshCompatibilityError, PhmixError, \
+    StateValidityError, StepFailureError
 from .fem import CouplingOperators
 from .fluid import FluidState, FluidSystem, eos
 from .heat import HeatState, HeatSystem, entropy_of_temperature, \
@@ -192,6 +200,29 @@ def build_scenario(name: str, heat_sys: HeatSystem, fluid_sys: FluidSystem,
     return setup
 
 
+def greedy_column_coloring(pattern: sp.spmatrix) -> np.ndarray:
+    """Color the columns of a sparsity pattern so that no two columns of one
+    color share a row (greedy in column order, after Coleman & More 1983).
+
+    Returns the color index of every column; one finite-difference residual
+    per color then recovers every column of that color.
+    """
+    pat = sp.csc_matrix(pattern, dtype=np.int32)
+    pat.data[:] = 1
+    conflicts = (pat.T @ pat).tocsr()  # columns that share at least one row
+    n = pat.shape[1]
+    colors = np.full(n, -1)
+    taken = np.zeros(n + 1, dtype=bool)
+    for j in range(n):
+        used = colors[conflicts.indices[conflicts.indptr[j]:
+                                        conflicts.indptr[j + 1]]]
+        used = used[used >= 0]
+        taken[used] = True
+        colors[j] = int(np.argmin(taken))  # smallest color not taken
+        taken[used] = False
+    return colors
+
+
 class CoupledSimulation:
     """Implicit-midpoint stepper for the coupled (or channel-only) system."""
 
@@ -238,6 +269,8 @@ class CoupledSimulation:
             self._s_ext_target = float(entropy_of_temperature(
                 ext_temperature, heat_sys.material))
 
+        self._n_az = ops.surface.eta.n_dofs
+        self._sparsity = None  # (pattern, colors), built on first use
         self._lu = None
         self.newton_iterations = 0
         self.jacobian_builds = 0
@@ -261,10 +294,14 @@ class CoupledSimulation:
     def _residual(self, x: np.ndarray, with_aux: bool = False):
         """Residual of the midpoint system at the trial end-of-step state.
 
-        Ports are eliminated: the trial channel midpoint temperature fixes
-        the wall input and the wall trace entropy; the constrained boundary
-        rows of the solid define the recovered wall output, whose azimuthal
-        integral feeds the channel entropy rows.
+        Ports are eliminated in nodal form: the trial channel midpoint
+        temperature, repeated along the azimuth, is the wall input and fixes
+        the wall trace entropy; the constrained boundary rows of the solid
+        define the wall output flux, whose azimuthal row sums feed the
+        channel entropy rows.  These are the embed and integrate operators
+        m_psi^-1 d_psi and d_chi m_psi^-1 on the tensor-product wall.  Only
+        with_aux (once per accepted step) recovers the surface output fields
+        v and v_ext through the surface mass solve.
         """
         dt = self.cfg.dt
         s0, fl0 = self._s_old, self._fluid_old
@@ -277,7 +314,7 @@ class CoupledSimulation:
         aux = {}
         if self.coupled:
             heat = self.heat
-            u = self.ops.solve_psi(self.ops.d_psi @ t_m)
+            u = np.repeat(t_m, self._n_az)
             if np.any(~(u > 0)):
                 node = int(np.argmax(~(u > 0)))
                 raise StateValidityError("wall temperature", node,
@@ -294,13 +331,12 @@ class CoupledSimulation:
             loads = heat.assemble_loads(s_mid)
             flux_rhs = heat.mass[cdofs] * (s1[cdofs] - s0[cdofs]) / dt \
                 - loads[cdofs]
-            v = self.ops.solve_psi(flux_rhs)
-            w_load = -self.coupling_scale * (self.ops.d_chi @ v)
+            w_load = -self.coupling_scale * flux_rhs.reshape(
+                -1, self._n_az).sum(axis=1)
             r_solid = heat.mass[self._free] * (s1 - s0)[self._free] \
                 - dt * loads[self._free]
         else:
             s1 = s0
-            v = None
             w_load = 0.0
             r_solid = np.empty(0)
 
@@ -321,7 +357,7 @@ class CoupledSimulation:
             aux["fluid1"] = FluidState(phi1, vel1, sf1)
             if self.coupled:
                 aux["u"] = u
-                aux["v"] = v
+                aux["v"] = self.ops.solve_psi(flux_rhs)
                 aux["y"] = t_m
                 aux["w_load"] = w_load
                 if self.ext_temperature is not None:
@@ -334,17 +370,103 @@ class CoupledSimulation:
 
     # ---- Newton ----------------------------------------------------------
 
-    def _build_jacobian(self, x: np.ndarray):
+    def _jacobian_pattern(self) -> sp.csc_matrix:
+        """Boolean sparsity pattern of the midpoint Jacobian, from the mesh.
+
+        Unknowns are (free solid entropy, phi, vel, s).  The solid end state
+        depends on the free entropies and, through the wall trace, on
+        (phi, s) at the channel node of each coupling dof; the loads spread
+        that over the cell neighbours; the wall flux rows reach the channel
+        entropy rows through the azimuthal reduction; the channel rows
+        couple through grad_pairing, and the sealed-end velocity rows
+        depend on their own velocity only.
+        """
+        nf, nfree = self._nf, self._nfree
+        eye = sp.identity(nf, format="csr")
+        grad = sp.csr_matrix(self.fluid.grad_pairing != 0)
+        inner = np.ones(nf)
+        inner[[0, -1]] = 0.0
+        sealed = sp.diags(inner) @ grad
+        # channel rows (phi, vel, s) against channel columns (phi, vel, s)
+        pattern = sp.bmat([[eye, grad, None],
+                           [sealed, eye, sealed],
+                           [eye, eye, eye]], format="csr")
+        if self.coupled:
+            heat = self.heat
+            n_solid = heat.n_dofs
+            cells = heat.dofmap
+            incidence = sp.csr_matrix(
+                (np.ones(cells.size), cells.ravel(),
+                 np.arange(0, cells.size + 1, cells.shape[1])),
+                shape=(len(cells), n_solid))
+            cdofs = heat.coupling_dofs
+            trace = sp.csr_matrix(
+                (np.ones(len(cdofs)),
+                 (cdofs, np.arange(len(cdofs)) // self._n_az)),
+                shape=(n_solid, nf))
+            select = sp.csr_matrix(
+                (np.ones(nfree), (self._free, np.arange(nfree))),
+                shape=(n_solid, nfree))
+            # solid end state against (s_free, phi, vel, s), then the loads
+            state = sp.hstack([select, trace, sp.csr_matrix((n_solid, nf)),
+                               trace])
+            loads = (incidence.T @ (incidence @ state)).tocsr()
+            wall = sp.vstack([sp.csr_matrix((2 * nf, self._nx)),
+                              trace.T @ loads])
+            channel = sp.hstack([sp.csr_matrix((3 * nf, nfree)), pattern])
+            pattern = sp.vstack([loads[self._free], channel + wall])
+        pattern = sp.csc_matrix(pattern, dtype=bool)
+        pattern.eliminate_zeros()
+        pattern.sort_indices()
+        return pattern
+
+    def _fd_jacobian(self, x: np.ndarray) -> sp.csc_matrix:
+        """Column-colored forward-difference Jacobian at x: one residual per
+        color, with the step h_j = eps * max(|x_j|, typ_j) of column j."""
+        if self._sparsity is None:
+            pattern = self._jacobian_pattern()
+            self._sparsity = (pattern, greedy_column_coloring(pattern))
+        pattern, colors = self._sparsity
+        h = self._FD_EPS * np.maximum(np.abs(x), self._typ)
         r0 = self._residual(x)
-        n = len(x)
-        jac = np.empty((n, n))
-        for j in range(n):
-            h = self._FD_EPS * max(abs(x[j]), self._typ[j])
-            xp = x.copy()
-            xp[j] += h
-            jac[:, j] = (self._residual(xp) - r0) / h
-        self._lu = sla.lu_factor(jac)
+        x_h = x + h
+        diffs = np.empty((int(colors.max()) + 1, len(x)))
+        for c in range(len(diffs)):
+            diffs[c] = self._residual(np.where(colors == c, x_h, x)) - r0
+        rows = pattern.indices
+        cols = np.repeat(np.arange(len(x)), np.diff(pattern.indptr))
+        return sp.csc_matrix((diffs[colors[cols], rows] / h[cols], rows,
+                              pattern.indptr), shape=pattern.shape)
+
+    def _build_jacobian(self, x: np.ndarray):
+        """Build the colored FD Jacobian at x and factorize it for the
+        chord solves."""
+        self._lu = spla.splu(self._fd_jacobian(x))
         self.jacobian_builds += 1
+
+    def _newton(self, x: np.ndarray):
+        """Chord-Newton iterations from x until the scaled residual is at
+        most newton_tol or newton_max_iters are spent; returns (x, norm).
+
+        The factorization is rebuilt when there is none or when an
+        iteration fails to halve the residual.  A StateValidityError from a
+        trial iterate propagates to the caller.
+        """
+        r = self._residual(x)
+        norm = self._scaled_norm(r)
+        stale = self._lu is None
+        for _ in range(self.cfg.newton_max_iters):
+            if norm <= self.cfg.newton_tol:
+                break
+            if stale:
+                self._build_jacobian(x)
+            x = x - self._lu.solve(r)
+            self.newton_iterations += 1
+            r = self._residual(x)
+            new_norm = self._scaled_norm(r)
+            stale = new_norm > 0.5 * norm  # chord Jacobian not contracting
+            norm = new_norm
+        return x, norm
 
     def _scaled_norm(self, r: np.ndarray) -> float:
         return float(np.max(np.abs(r) / self._row_scale))
@@ -368,47 +490,39 @@ class CoupledSimulation:
              x_pred: np.ndarray | None = None):
         """One implicit-midpoint step.
 
-        Returns (heat', fluid', ports, powers, p_ext, newton_iters); ports
-        and powers are the converged midpoint quantities entering the ledger.
+        Newton starts from x_pred (default: the old state).  If it does not
+        converge, or a trial iterate is not a valid state, it is retried once
+        from the old state with a fresh factorization; a second failure
+        raises StepFailureError.
+
+        Returns (heat', fluid', ports, powers, p_ext, x); ports and powers
+        are the converged midpoint quantities entering the ledger, x the
+        packed end-of-step unknowns.
         """
         self._s_old = heat_state.s
         self._fluid_old = fluid_state
         if not hasattr(self, "_row_scale"):
             self._prepare(heat_state, fluid_state)
         x0 = self._pack(heat_state.s, fluid_state)
-        x = x0.copy() if x_pred is None else x_pred.copy()
 
-        tol = self.cfg.newton_tol
-        max_iters = self.cfg.newton_max_iters
-        iters = 0
-        for attempt in range(2):
-            r = self._residual(x)
-            norm = self._scaled_norm(r)
-            stale = self._lu is None
-            converged = norm <= tol
-            while not converged and iters < max_iters:
-                if stale:
-                    self._build_jacobian(x)
-                    stale = False
-                x = x - sla.lu_solve(self._lu, r)
-                iters += 1
-                r = self._residual(x)
-                new_norm = self._scaled_norm(r)
-                if new_norm <= tol:
-                    converged = True
-                elif new_norm > 0.5 * norm:
-                    stale = True  # chord Jacobian no longer contracting
-                norm = new_norm
-            if converged:
+        start = self.newton_iterations
+        for x_start in (x0 if x_pred is None else x_pred, x0):
+            try:
+                x, norm = self._newton(x_start)
+                failure = None
+            except StateValidityError as exc:
+                norm, failure = np.inf, exc  # an invalid trial iterate
+            if norm <= self.cfg.newton_tol:
                 break
-            if attempt == 0:
-                self._lu = None  # retry once with a fresh factorization
-            else:
-                raise StepFailureError("implicit midpoint step did not converge",
-                                       residual=norm, iterations=iters)
-        self.newton_iterations += iters
+            self._lu = None  # retry once from x0 with a fresh factorization
+        else:
+            reason = "did not converge" if failure is None \
+                else f"failed: {failure}"
+            raise StepFailureError(
+                f"implicit midpoint step {reason}", residual=norm,
+                iterations=self.newton_iterations - start) from failure
 
-        r, aux = self._residual(x, with_aux=True)
+        _, aux = self._residual(x, with_aux=True)
         heat_new = HeatState(aux["s1"])
         fluid_new = aux["fluid1"]
         if self.coupled:
@@ -431,7 +545,12 @@ class CoupledSimulation:
 
     def run(self, setup: ScenarioSetup, output_dir=None) -> SimResult:
         """Integrate to t_end, recording one ledger row per step (plus the
-        initial row) and optionally writing snapshots and the ledger CSV."""
+        initial row) and optionally writing snapshots and the ledger CSV.
+
+        Counters and the chord factorization start afresh on every call, so
+        the result reports this run only.  An error raised by a step carries
+        the step index (`step`) and the ledger so far (`ledger`).
+        """
         t_start = _time.perf_counter()
         cfg = self.cfg
         if setup.coupled != self.coupled or \
@@ -445,6 +564,9 @@ class CoupledSimulation:
         heat_state = setup.heat_state.copy()
         fluid_state = setup.fluid_state.copy()
         self._prepare(heat_state, fluid_state)
+        self._lu = None
+        self.newton_iterations = 0
+        self.jacobian_builds = 0
 
         ledger = EnergyLedger()
         q0 = self.heat.hamiltonian(heat_state)
@@ -465,8 +587,9 @@ class CoupledSimulation:
             try:
                 heat_state, fluid_state, ports, powers, p_ext, x_new = \
                     self.step(heat_state, fluid_state, x_pred=pred)
-            except StepFailureError as exc:
-                exc.ledger = ledger  # partial record for diagnostics
+            except PhmixError as exc:
+                exc.step = k  # partial record for diagnostics
+                exc.ledger = ledger
                 raise
             x_prev, x_curr = x_curr, x_new
             q = self.heat.hamiltonian(heat_state)

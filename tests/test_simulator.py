@@ -5,7 +5,7 @@ import pytest
 
 from phmix.config import default_config
 from phmix.driver import build_problem, drift_per_time, make_simulation
-from phmix.errors import ConfigurationError, StepFailureError
+from phmix.errors import ConfigurationError, PhmixError, StepFailureError
 from phmix.fluid import eos
 from phmix.simulate import CoupledSimulation, LEDGER_HEADER, SCENARIOS, \
     SimConfig, build_scenario, measure_pulse_speed
@@ -25,6 +25,81 @@ def run_scenario(cfg, name, params=None):
     setup = build_scenario(name, problem.heat, problem.fluid, params or {})
     sim = make_simulation(problem, cfg, setup)
     return problem, sim.run(setup)
+
+
+def newton_point(name, geometry):
+    """A simulation of one step on a small mesh and an unknown vector near
+    its converged iterate, nudged so that no Jacobian entry vanishes by
+    symmetry (rest, uniform temperature)."""
+    cfg = default_config(geometry=geometry, sim={"dt": 2.5e-4, "t_end": 2.5e-4})
+    problem = build_problem(cfg)
+    setup = build_scenario(name, problem.heat, problem.fluid, {})
+    sim = make_simulation(problem, cfg, setup)
+    *_, x = sim.step(setup.heat_state, setup.fluid_state)
+    x = x + 1e-6 * sim._typ * np.sin(np.arange(len(x)))
+    return problem, sim, x
+
+
+def dense_fd_jacobian(sim, x):
+    """Reference: one forward difference per column, same steps h_j."""
+    r0 = sim._residual(x)
+    jac = np.empty((len(x), len(x)))
+    for j in range(len(x)):
+        h = sim._FD_EPS * max(abs(x[j]), sim._typ[j])
+        xp = x.copy()
+        xp[j] += h
+        jac[:, j] = (sim._residual(xp) - r0) / h
+    return jac
+
+
+NEWTON_CASES = [
+    pytest.param(name, {"n_ax": 6, "n_az": n_az, "n_th": 3, "n_fluid": 6},
+                 id=f"{name}-6x{n_az}x3")
+    for name in ("hot-wall-cooldown", "heated-ext-face", "acoustic-pulse")
+    for n_az in (4, 5)]
+
+
+@pytest.mark.parametrize("name,geometry", NEWTON_CASES)
+class TestColoredNewton:
+    def test_dense_jacobian_inside_pattern(self, name, geometry):
+        _, sim, x = newton_point(name, geometry)
+        dense = dense_fd_jacobian(sim, x)
+        pattern = sim._jacobian_pattern().toarray()
+        assert pattern.shape == dense.shape
+        assert np.all(dense[~pattern] == 0.0)
+
+    def test_colored_jacobian_matches_dense(self, name, geometry):
+        _, sim, x = newton_point(name, geometry)
+        dense = dense_fd_jacobian(sim, x)
+        colored = sim._fd_jacobian(x).toarray()
+        col_err = np.abs(colored - dense).max(axis=0)
+        assert np.all(col_err <= 1e-12 * np.abs(dense).max(axis=0))
+
+    def test_colors_share_no_row(self, name, geometry):
+        _, sim, x = newton_point(name, geometry)
+        sim._build_jacobian(x)
+        pattern, colors = sim._sparsity
+        assert colors.min() == 0
+        for c in range(colors.max() + 1):
+            rows_hit = pattern[:, colors == c].sum(axis=1)
+            assert rows_hit.max() <= 1
+
+
+@pytest.mark.parametrize("n_az", [4, 5])
+def test_closed_form_ports_match_surface_solves(n_az):
+    cfg = default_config(geometry={"n_ax": 6, "n_az": n_az, "n_th": 3,
+                                   "n_fluid": 6})
+    ops = build_problem(cfg).ops
+    rng = np.random.default_rng(7)
+    t = rng.uniform(250.0, 400.0, ops.n_chi)
+    f = rng.standard_normal(ops.n_psi)
+    embed = ops.solve_psi(ops.d_psi @ t)
+    assert np.abs(np.repeat(t, n_az) - embed).max() <= \
+        1e-13 * np.abs(embed).max()
+    integrate = ops.d_chi @ ops.solve_psi(f)
+    row_sums = f.reshape(ops.n_chi, n_az).sum(axis=1)
+    assert np.abs(row_sums - integrate).max() <= \
+        1e-13 * np.abs(integrate).max()
 
 
 class TestSimConfig:
@@ -221,7 +296,48 @@ class TestFailureModes:
         with pytest.raises(StepFailureError) as err:
             sim.run(setup)
         assert err.value.residual > 0
-        assert hasattr(err.value, "ledger")
+        assert err.value.step == 1
+        assert len(err.value.ledger) == 1
+
+    def test_invalid_predictor_is_retried_from_old_state(self):
+        cfg = small_cfg()
+        problem = build_problem(cfg)
+        setup = build_scenario("hot-wall-cooldown", problem.heat,
+                               problem.fluid, {})
+        sim = make_simulation(problem, cfg, setup)
+        heat0, fluid0 = setup.heat_state, setup.fluid_state
+        *_, x_ref = sim.step(heat0, fluid0)
+        # negative specific volume: the first trial iterate is not a state
+        *_, x = sim.step(heat0, fluid0, x_pred=-x_ref)
+        assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
+
+    def test_large_pulse_fails_with_step_and_ledger(self):
+        cfg = default_config(sim={"dt": 1e-3}, scenario="acoustic-pulse")
+        problem = build_problem(cfg)
+        setup = build_scenario("acoustic-pulse", problem.heat, problem.fluid,
+                               {"amplitude": 3.0})
+        sim = make_simulation(problem, cfg, setup)
+        try:
+            result = sim.run(setup)
+        except PhmixError as exc:
+            assert exc.step >= 1
+            assert len(exc.ledger) == exc.step  # initial row + steps done
+        else:
+            assert len(result.ledger) == result.steps + 1
+
+    def test_second_run_matches_fresh_object(self):
+        cfg = small_cfg()
+        problem = build_problem(cfg)
+        setup = build_scenario("hot-wall-cooldown", problem.heat,
+                               problem.fluid, {})
+        sim = make_simulation(problem, cfg, setup)
+        runs = [sim.run(setup), sim.run(setup)]
+        fresh = make_simulation(problem, cfg, setup).run(setup)
+        rows = [r.csv_row() for r in fresh.ledger.records]
+        for res in runs:
+            assert res.newton_iterations == fresh.newton_iterations
+            assert res.jacobian_builds == fresh.jacobian_builds == 1
+            assert [r.csv_row() for r in res.ledger.records] == rows
 
     def test_coupling_scale_shifts_fluid_power(self):
         cfg = dataclasses.replace(small_cfg(), coupling_scale=0.5)
