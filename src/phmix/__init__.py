@@ -21,12 +21,11 @@ from .fem import BasisSet, CollapsedBasis, CouplingOperators, LineBasis, \
     SurfaceBasis, VolumeBasis, assemble_coupling, assemble_mass, \
     assemble_stiffness, collapse_basis, dump_matrix, lumped_mass
 from .fluid import FluidMaterial, FluidPorts, FluidState, FluidSystem, eos, \
-    fluid_hamiltonian, fluid_rhs, sound_speed
+    sound_speed
 from .geometry import IntervalMesh, QuadratureRule, SolidDomain, \
     TensorBoundary, build_solid_domain, quadrature_rule
 from .heat import HeatEffortFlow, HeatMaterial, HeatPorts, HeatState, \
-    HeatSystem, apply_closure, energy_density, entropy_of_temperature, \
-    heat_hamiltonian, heat_rhs, temperature_of_entropy
+    HeatSystem, energy_density, entropy_of_temperature, temperature_of_entropy
 from .simulate import CoupledSimulation, EnergyLedger, LedgerRecord, \
     SCENARIOS, ScenarioSetup, SimConfig, SimResult, build_scenario, \
     measure_pulse_speed, write_fluid_snapshot, write_heat_snapshot

@@ -202,8 +202,12 @@ def check_adjointness(ops: CouplingOperators, trials: int = 100,
 def check_dirac_pairing(ops: CouplingOperators, trials: int = 100,
                         seed: int = 0) -> VerificationReport:
     """Verify the graph of the structure map is isotropic for the symmetric
-    pairing, and that its dimension is half of the total effort-flow space
-    (maximality of the discrete structure)."""
+    pairing.
+
+    Maximality holds by construction: the graph of a linear map on the
+    n-dimensional effort space has dimension n, half of the effort-flow
+    space, so an isotropic graph is a Dirac structure.  The isotropy
+    bracket is the whole gate."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -229,15 +233,9 @@ def check_dirac_pairing(ops: CouplingOperators, trials: int = 100,
         np.einsum("ti,ti->t", e1p, (ops.m_chi @ e1p.T).T)
         + np.einsum("ti,ti->t", e2p, (ops.m_psi @ e2p.T).T))
     worst = float(np.max(np.abs(bracket) / scale))
-
-    n_total = ops.n_chi + ops.n_psi
-    graph = np.vstack([np.eye(n_total), j_matrix(ops)])
-    rank = int(np.linalg.matrix_rank(graph))
-    passed = worst <= STRUCT_TOL and rank == n_total
     return VerificationReport(
-        name="dirac_pairing", passed=bool(passed), max_residual=worst,
-        tolerance=STRUCT_TOL, trials=trials, seed=seed,
-        details={"graph_rank": rank, "expected_rank": n_total})
+        name="dirac_pairing", passed=bool(worst <= STRUCT_TOL),
+        max_residual=worst, tolerance=STRUCT_TOL, trials=trials, seed=seed)
 
 
 def operator_norm_bound_check(ops: CouplingOperators, trials: int = 100,

@@ -176,12 +176,3 @@ class FluidSystem:
         """Total friction production sum_i m_i f v_i^2 / T_i >= 0."""
         _, t, _ = eos(state.phi, state.s, self.material)
         return float(self.mass @ (self.material.friction * state.vel ** 2 / t))
-
-
-def fluid_rhs(system: FluidSystem, state: FluidState,
-              w_in: LineField | None = None):
-    return system.rhs(state, w_in)
-
-
-def fluid_hamiltonian(system: FluidSystem, state: FluidState) -> float:
-    return system.hamiltonian(state)

@@ -11,6 +11,12 @@ sum_i m_i T_i ds_i/dt reduces exactly to the boundary port power: interior
 flux work and production cancel pointwise at the quadrature points.  The
 discrete Hamiltonian is the matching nodal quadrature sum_i m_i q(s_i).
 
+The load kernel is two matrix products on precomputed reference tables:
+the gathered cell temperatures times an interpolation table give T and
+grad T at the points, and the pointwise flux and production times the
+weighted test tables give the local loads, which are scattered to the
+nodes.  All cells share one table because the mesh is uniform.
+
 The coupling face takes a temperature input (enforced nodally on the trace
 through the entropy variable); the conjugate output, the negative normal
 entropy flux, is recovered variationally from the boundary-row residuals.
@@ -118,10 +124,19 @@ class HeatSystem:
         self.basis = VolumeBasis(domain)
         tab = self.basis.tables(self.quad)
         self.dofmap = self.basis.cell_dofs()
-        self._values_w = tab.values * tab.wdet[:, None]
-        self._grads_w = tab.gradients * tab.wdet[:, None, None]
-        self._values = tab.values
-        self._grads = tab.gradients
+        # The kernel works point-major: every array is (point row, cell), so
+        # the pointwise steps run along contiguous rows of n_cells values.
+        # _interp maps the (8, n_cells) nodal gather to the rows T(q) and
+        # dT/dx_d(q) (q-major, d-minor); the test tables map flux and
+        # production rows back to the 8 local loads.
+        nq, nb, dim = tab.gradients.shape
+        self._gather = np.ascontiguousarray(self.dofmap.T)
+        self._interp = np.vstack([
+            tab.values, tab.gradients.transpose(0, 2, 1).reshape(nq * dim, nb)])
+        self._flux_test = np.ascontiguousarray(
+            (tab.gradients * tab.wdet[:, None, None])
+            .transpose(1, 0, 2).reshape(nb, nq * dim))
+        self._prod_test = np.ascontiguousarray((tab.values * tab.wdet[:, None]).T)
         self._wdet = tab.wdet
         self.mass = lumped_mass(self.basis, self.quad)
 
@@ -150,15 +165,23 @@ class HeatSystem:
         return float(self.mass @ state.s)
 
     def _quad_fields(self, s: np.ndarray):
-        """Temperature and its gradient at every quadrature point."""
+        """Temperature (nq, n_cells) and its gradient (nq, 3, n_cells) at
+        every quadrature point: one gather and one GEMM."""
         if not np.all(np.isfinite(s)):
             node = int(np.argmax(~np.isfinite(s)))
             raise StateValidityError("entropy", node, float(s[node]))
         t_nodal = temperature_of_entropy(s, self.material)
-        tc = t_nodal[self.dofmap]
-        tq = tc @ self._values.T
-        gq = np.einsum("qbd,cb->cqd", self._grads, tc)
-        return tq, gq
+        q = self._interp @ t_nodal[self._gather]
+        nq = self._wdet.size
+        return q[:nq], q[nq:].reshape(nq, -1, q.shape[1])
+
+    def _flux_production(self, s: np.ndarray):
+        """Entropy flux -lambda grad T / T (nq, 3, n_cells) and production
+        lambda |grad T|^2 / T^2 = |flux|^2 / lambda (nq, n_cells)."""
+        lam = self.material.conductivity
+        tq, gq = self._quad_fields(s)
+        flux = gq * (-lam / tq)[:, None, :]
+        return flux, (flux * flux).sum(axis=1) / lam
 
     def assemble_loads(self, s: np.ndarray) -> np.ndarray:
         """Galerkin load vector: flux work plus entropy production.
@@ -166,40 +189,42 @@ class HeatSystem:
         Both terms use the interpolated temperature at the same quadrature
         points, which makes the temperature-weighted sum of the loads vanish
         identically (the flux work against the temperature gradient equals
-        minus the production heating).
+        minus the production heating).  Gather, GEMM to the points,
+        pointwise flux and production, GEMM back to the 8 local loads of
+        every cell, scatter.
         """
-        lam = self.material.conductivity
-        tq, gq = self._quad_fields(s)
-        flux = -lam * gq / tq[:, :, None]
-        prod = lam * np.einsum("cqd,cqd->cq", gq, gq) / tq ** 2
-        local = np.einsum("qbd,cqd->cb", self._grads_w, flux) \
-            + prod @ self._values_w
-        return np.bincount(self.dofmap.ravel(), weights=local.ravel(),
+        flux, prod = self._flux_production(s)
+        local = self._flux_test @ flux.reshape(-1, flux.shape[2]) \
+            + self._prod_test @ prod
+        return np.bincount(self._gather.ravel(), weights=local.ravel(),
                            minlength=self.n_dofs)
 
     def entropy_production(self, state: HeatState) -> float:
         """Total production integral(lambda |grad T|^2 / T^2) >= 0."""
-        lam = self.material.conductivity
-        tq, gq = self._quad_fields(state.s)
-        prod = lam * np.einsum("cqd,cqd->cq", gq, gq) / tq ** 2
-        return float(np.einsum("q,cq->", self._wdet, prod))
+        _, prod = self._flux_production(state.s)
+        return float(self._wdet @ prod.sum(axis=1))
 
     def apply_closure(self, state: HeatState) -> HeatEffortFlow:
         """Evaluate all efforts and flows at the quadrature points.
 
         Fourier's law enters as e_phi = lambda f_phi / e_s and the heat-flux
         pair as phi_q = e_s * e_phi, so both closure relations hold to
-        round-off at every point.
+        round-off at every point.  Fields are returned as (n_cells, nq) and
+        (n_cells, nq, 3) views of the point-major kernel arrays.
         """
         lam = self.material.conductivity
         tq, gq = self._quad_fields(state.s)
+        tb = tq[:, None, :]
         f_phi = -gq
-        e_phi = lam * f_phi / tq[:, :, None]
-        phi_q = tq[:, :, None] * e_phi
+        e_phi = lam * f_phi / tb
+        phi_q = tb * e_phi
         # e_sigma = -grad(1/T) . phi_q = (grad T / T^2) . phi_q
-        e_sigma = np.einsum("cqd,cqd->cq", gq / tq[:, :, None] ** 2, phi_q)
-        return HeatEffortFlow(e_s=tq, e_phi=e_phi, f_phi=f_phi,
-                              f_sigma=tq, e_sigma=e_sigma, phi_q=phi_q)
+        e_sigma = (gq / tb ** 2 * phi_q).sum(axis=1)
+        cells = (2, 0, 1)
+        return HeatEffortFlow(e_s=tq.T, e_phi=e_phi.transpose(cells),
+                              f_phi=f_phi.transpose(cells),
+                              f_sigma=tq.T, e_sigma=e_sigma.T,
+                              phi_q=phi_q.transpose(cells))
 
     def solve_surface(self, b: np.ndarray) -> np.ndarray:
         return self._surface_lu.solve(b)
@@ -241,17 +266,3 @@ class HeatSystem:
         """Temperature of the coupling-face nodes as a surface field."""
         t = temperature_of_entropy(state.s[self.coupling_dofs], self.material)
         return SurfaceField(t, self.boundary)
-
-
-def heat_rhs(system: HeatSystem, state: HeatState,
-             u_T: SurfaceField | None = None,
-             ext_temperature: float | None = None):
-    return system.rhs(state, u_T, ext_temperature)
-
-
-def heat_hamiltonian(system: HeatSystem, state: HeatState) -> float:
-    return system.hamiltonian(state)
-
-
-def apply_closure(system: HeatSystem, state: HeatState) -> HeatEffortFlow:
-    return system.apply_closure(state)

@@ -618,25 +618,25 @@ class CoupledSimulation:
             self.fluid, fluid_state)
 
 
+def _write_nodal_csv(path, header: str, columns) -> None:
+    """One row per node: its index, then every column at full precision."""
+    rows = np.column_stack(columns).tolist()
+    fmt = "%d" + ",%r" * len(rows[0]) + "\n"
+    text = "".join(fmt % (i, *row) for i, row in enumerate(rows))
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + text)
+
+
 def write_heat_snapshot(path, system: HeatSystem, state: HeatState) -> None:
     coords = system.domain.node_coordinates()
     t = temperature_of_entropy(state.s, system.material)
-    with open(path, "w") as fh:
-        fh.write("node,x,y,z,s,T\n")
-        for i in range(system.n_dofs):
-            cells = (coords[i, 0], coords[i, 1], coords[i, 2],
-                     state.s[i], t[i])
-            fh.write(f"{i}," + ",".join(repr(float(v)) for v in cells) + "\n")
+    _write_nodal_csv(path, "node,x,y,z,s,T", (coords, state.s, t))
 
 
 def write_fluid_snapshot(path, system: FluidSystem, state: FluidState) -> None:
-    z = system.mesh.nodes
     p, t, _ = eos(state.phi, state.s, system.material)
-    with open(path, "w") as fh:
-        fh.write("node,z,phi,vel,s,T,p\n")
-        for i in range(system.n_dofs):
-            cells = (z[i], state.phi[i], state.vel[i], state.s[i], t[i], p[i])
-            fh.write(f"{i}," + ",".join(repr(float(v)) for v in cells) + "\n")
+    _write_nodal_csv(path, "node,z,phi,vel,s,T,p",
+                     (system.mesh.nodes, state.phi, state.vel, state.s, t, p))
 
 
 def measure_pulse_speed(system: FluidSystem, initial: FluidState,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -199,12 +201,18 @@ class TestDiracPairing:
                        + ops.surface_inner(e2.values, f2.values))
         assert abs(bracket) <= 1e-11
 
-    def test_randomized_check_and_rank(self):
+    def test_randomized_check_passes(self):
         ops = make_ops(n_ax=3, n_az=4)
         report = check_dirac_pairing(ops, trials=100, seed=5)
         assert report.passed
-        n_expected = ops.n_chi + ops.n_psi
-        assert report.details["graph_rank"] == n_expected
+
+    def test_non_adjoint_pair_fails(self):
+        # integrating 1 % too much breaks the skew pairing with the embedding
+        ops = make_ops(n_ax=3, n_az=4)
+        bad = dataclasses.replace(ops, d_chi=1.01 * ops.d_chi)
+        report = check_dirac_pairing(bad, trials=100, seed=5)
+        assert not report.passed
+        assert report.max_residual > 1e3 * report.tolerance
 
     def test_off_graph_perturbation_detected(self):
         ops = make_ops()

@@ -101,6 +101,62 @@ class TestClosure:
             sys.apply_closure(bad)
 
 
+def einsum_kernel(sys, s):
+    """The contraction form of the Q1 kernel, straight from the reference
+    tables: loads, total production and the closure fields."""
+    tab = sys.basis.tables(sys.quad)
+    lam = sys.material.conductivity
+    tc = temperature_of_entropy(s, sys.material)[sys.dofmap]
+    tq = tc @ tab.values.T
+    gq = np.einsum("qbd,cb->cqd", tab.gradients, tc)
+    flux = -lam * gq / tq[:, :, None]
+    prod = lam * np.einsum("cqd,cqd->cq", gq, gq) / tq ** 2
+    local = np.einsum("qbd,cqd->cb",
+                      tab.gradients * tab.wdet[:, None, None], flux) \
+        + prod @ (tab.values * tab.wdet[:, None])
+    loads = np.bincount(sys.dofmap.ravel(), weights=local.ravel(),
+                        minlength=sys.n_dofs)
+    phi_q = tq[:, :, None] * flux
+    e_sigma = np.einsum("cqd,cqd->cq", gq / tq[:, :, None] ** 2, phi_q)
+    fields = {"e_s": tq, "e_phi": flux, "f_phi": -gq, "f_sigma": tq,
+              "e_sigma": e_sigma, "phi_q": phi_q}
+    return loads, float(np.einsum("q,cq->", tab.wdet, prod)), fields
+
+
+def rel_gap(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestKernelOracle:
+    """The GEMM kernel reproduces the einsum contractions."""
+
+    @pytest.mark.parametrize("mesh", [(16, 8, 4), (6, 5, 3)])
+    def test_matches_einsum_contractions(self, mesh):
+        sys = small_system(*mesh)
+        rng = np.random.default_rng(sum(mesh))
+        for _ in range(5):
+            state = HeatState(MAT.rho_c * rng.uniform(-0.3, 0.3, sys.n_dofs))
+            loads, production, fields = einsum_kernel(sys, state.s)
+            assert rel_gap(sys.assemble_loads(state.s), loads) <= 1e-13
+            assert sys.entropy_production(state) \
+                == pytest.approx(production, rel=1e-13)
+            ef = sys.apply_closure(state)
+            for name, ref in fields.items():
+                got = getattr(ef, name)
+                assert got.shape == ref.shape, name
+                assert rel_gap(got, ref) <= 1e-13, name
+
+    @pytest.mark.parametrize("mesh", [(16, 8, 4), (6, 5, 3)])
+    def test_temperature_weighted_loads_cancel(self, mesh):
+        # flux work and production cancel at every quadrature point
+        sys = small_system(*mesh)
+        rng = np.random.default_rng(7)
+        state = HeatState(MAT.rho_c * rng.uniform(-0.3, 0.3, sys.n_dofs))
+        t = sys.temperature(state)
+        weighted = t * sys.assemble_loads(state.s)
+        assert abs(weighted.sum()) <= 1e-14 * np.abs(weighted).sum()
+
+
 class TestRhs:
     def test_equilibrium_fixed_point(self):
         sys = small_system()

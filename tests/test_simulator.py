@@ -8,7 +8,8 @@ from phmix.driver import build_problem, drift_per_time, make_simulation
 from phmix.errors import ConfigurationError, PhmixError, StepFailureError
 from phmix.fluid import eos
 from phmix.simulate import CoupledSimulation, LEDGER_HEADER, SCENARIOS, \
-    SimConfig, build_scenario, measure_pulse_speed
+    SimConfig, build_scenario, measure_pulse_speed, write_fluid_snapshot, \
+    write_heat_snapshot
 
 import oracles
 
@@ -253,6 +254,34 @@ class TestLedgerAndSnapshots:
         for line in (heat_lines[1], fluid_lines[-1], lines[1]):
             cells = line.split(",")
             assert all(np.isfinite(float(c)) for c in cells)
+
+    def test_snapshots_match_per_value_formatting(self, tmp_path):
+        problem = build_problem(small_cfg())
+        heat, fluid = problem.heat, problem.fluid
+        setup = build_scenario("hot-wall-cooldown", heat, fluid, {})
+        rng = np.random.default_rng(3)
+        hs = setup.heat_state.copy()
+        hs.s = hs.s + rng.standard_normal(heat.n_dofs)
+        fs = setup.fluid_state.copy()
+        fs.vel = fs.vel + rng.standard_normal(fluid.n_dofs)
+
+        def per_value(header, columns):
+            lines = [header + "\n"]
+            for i in range(len(columns[0])):
+                lines.append(f"{i}," + ",".join(
+                    repr(float(col[i])) for col in columns) + "\n")
+            return "".join(lines).encode()
+
+        xyz = heat.domain.node_coordinates()
+        t = heat.temperature(hs)
+        write_heat_snapshot(tmp_path / "heat.csv", heat, hs)
+        assert (tmp_path / "heat.csv").read_bytes() == per_value(
+            "node,x,y,z,s,T", [xyz[:, 0], xyz[:, 1], xyz[:, 2], hs.s, t])
+        p, t, _ = eos(fs.phi, fs.s, fluid.material)
+        write_fluid_snapshot(tmp_path / "fluid.csv", fluid, fs)
+        assert (tmp_path / "fluid.csv").read_bytes() == per_value(
+            "node,z,phi,vel,s,T,p",
+            [fluid.mesh.nodes, fs.phi, fs.vel, fs.s, t, p])
 
     def test_ledger_bit_identical_across_runs(self, tmp_path):
         cfg = small_cfg()
