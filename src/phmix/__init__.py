@@ -20,12 +20,11 @@ from .errors import ConfigurationError, GeometryError, MaterialError, \
 from .fem import BasisSet, CollapsedBasis, CouplingOperators, LineBasis, \
     SurfaceBasis, VolumeBasis, assemble_coupling, assemble_mass, \
     assemble_stiffness, collapse_basis, dump_matrix, lumped_mass
-from .fluid import FluidMaterial, FluidPorts, FluidState, FluidSystem, eos, \
-    sound_speed
+from .fluid import FluidMaterial, FluidState, FluidSystem, eos, sound_speed
 from .geometry import IntervalMesh, QuadratureRule, SolidDomain, \
     TensorBoundary, build_solid_domain, quadrature_rule
-from .heat import HeatEffortFlow, HeatMaterial, HeatPorts, HeatState, \
-    HeatSystem, energy_density, entropy_of_temperature, temperature_of_entropy
+from .heat import HeatEffortFlow, HeatMaterial, HeatState, HeatSystem, \
+    energy_density, entropy_of_temperature, temperature_of_entropy
 from .simulate import CoupledSimulation, EnergyLedger, LedgerRecord, \
     SCENARIOS, ScenarioSetup, SimConfig, SimResult, build_scenario, \
     measure_pulse_speed, write_fluid_snapshot, write_heat_snapshot

@@ -39,7 +39,6 @@ class RunConfig:
     scenario: str = "hot-wall-cooldown"
     seed: int = 0
     output_dir: str = "out"
-    coupling_scale: float = 1.0
     quad_degree: int = 3
     scenario_params: dict = field(default_factory=dict)
 
@@ -56,9 +55,6 @@ class RunConfig:
         if self.quad_degree < 2:
             raise ConfigurationError(
                 f"quad_degree must be >= 2, got {self.quad_degree}")
-        if self.coupling_scale <= 0:
-            raise ConfigurationError(
-                f"coupling_scale must be positive, got {self.coupling_scale}")
 
 
 # JSON key "lambda" is friendlier than the dataclass field name
@@ -87,7 +83,7 @@ def _block_from_dict(cls, data: dict, section: str, base, key_map=None):
 
 
 _TOP_LEVEL = ("geometry", "heat", "fluid", "sim", "scenario", "seed",
-              "output_dir", "coupling_scale", "quad_degree", "scenario_params")
+              "output_dir", "quad_degree", "scenario_params")
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -113,8 +109,8 @@ def config_from_dict(data: dict) -> RunConfig:
     if "sim" in data:
         kwargs["sim"] = _block_from_dict(SimConfig, data["sim"], "sim",
                                          base.sim)
-    for key in ("scenario", "seed", "output_dir", "coupling_scale",
-                "quad_degree", "scenario_params"):
+    for key in ("scenario", "seed", "output_dir", "quad_degree",
+                "scenario_params"):
         if key in data:
             kwargs[key] = data[key]
     try:

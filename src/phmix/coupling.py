@@ -7,7 +7,10 @@ Discretely the relations are the two mass-system solves
     m_psi u = d_psi y        (embed the channel temperature)
     m_chi w = -d_chi v       (integrate the wall output)
 and because d_psi is the exact transpose of d_chi, the two port powers
-u' m_psi v + y' m_chi w cancel identically, independent of the mesh.
+u' m_psi v + y' m_chi w cancel identically, independent of the mesh.  On
+the tensor-product wall the first solve is the nodal embedding u = B y, so
+resolve_ports uses `CouplingOperators.embed` and `integrate`, the operators
+the stepper uses.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ def resolve_ports(v_out: SurfaceField, y_out: LineField,
     """Solve the discrete interconnection for the two inputs."""
     _check_surface(ops, v_out)
     _check_line(ops, y_out)
-    u = ops.solve_psi(ops.d_psi @ y_out.values)
-    w = -ops.solve_chi(ops.d_chi @ v_out.values)
+    u = ops.embed(y_out.values)
+    w = -ops.integrate(v_out.values)
     return CoupledPorts(
         u_T=SurfaceField(u, ops.surface.boundary),
         v_out=v_out,

@@ -8,8 +8,11 @@ Discrete realization: the integration operator is the mass-consistent form
 (solve the line mass system for the azimuthally integrated load), which is
 the unique choice that keeps the discrete adjointness identity exact; the
 embedding replicates nodal values along the azimuthal index, which is exact
-for nodal bases.  Verification routines draw seeded random fields and report
-worst-case residuals instead of raising.
+for nodal bases.  Both are array operators of CouplingOperators:
+`integrate`, and `embed` with its transpose `embed_t`, the pair the stepper
+applies.  The functions here wrap them for typed fields and check them.
+Verification routines draw seeded random fields and report worst-case
+residuals instead of raising.
 """
 
 from __future__ import annotations
@@ -108,14 +111,13 @@ def integrate_out(ops: CouplingOperators, u: SurfaceField) -> LineField:
     that integral already lies in the line space.
     """
     _check_surface(ops, u)
-    return LineField(ops.solve_chi(ops.d_chi @ u.values), ops.line.mesh)
+    return LineField(ops.integrate(u.values), ops.line.mesh)
 
 
 def embed(ops: CouplingOperators, v: LineField) -> SurfaceField:
     """Extend a line field to the surface, constant along the azimuth."""
     _check_line(ops, v)
-    n2 = ops.surface.eta.n_dofs
-    return SurfaceField(np.repeat(v.values, n2), ops.surface.boundary)
+    return SurfaceField(ops.embed(v.values), ops.surface.boundary)
 
 
 def apply_j(ops: CouplingOperators, e1: LineField,
@@ -130,11 +132,9 @@ def apply_j(ops: CouplingOperators, e1: LineField,
 def j_matrix(ops: CouplingOperators) -> np.ndarray:
     """Dense matrix of the structure map on stacked (line, surface) dofs."""
     n1, n2 = ops.n_chi, ops.n_psi
-    a_hat = ops.solve_chi(ops.d_chi.toarray())
-    b_hat = np.repeat(np.eye(n1), ops.surface.eta.n_dofs, axis=0)
     out = np.zeros((n1 + n2, n1 + n2))
-    out[:n1, n1:] = -a_hat
-    out[n1:, :n1] = b_hat
+    out[:n1, n1:] = -ops.integrate(np.eye(n2)).T
+    out[n1:, :n1] = ops.embed(np.eye(n1)).T
     return out
 
 
@@ -185,10 +185,8 @@ def check_adjointness(ops: CouplingOperators, trials: int = 100,
     rng = np.random.default_rng(seed)
     f = _random_fields(rng, trials, ops.n_psi)
     v = _random_fields(rng, trials, ops.n_chi)
-    n2 = ops.surface.eta.n_dofs
-    bv = np.repeat(v, n2, axis=1)
-    lhs = np.einsum("ti,ti->t", f, (ops.m_psi @ bv.T).T)
-    af = ops.solve_chi(ops.d_chi @ f.T).T
+    lhs = np.einsum("ti,ti->t", f, (ops.m_psi @ ops.embed(v).T).T)
+    af = ops.integrate(f)
     rhs = np.einsum("ti,ti->t", af, (ops.m_chi @ v.T).T)
     fnorm = np.sqrt(np.einsum("ti,ti->t", f, (ops.m_psi @ f.T).T))
     vnorm = np.sqrt(np.einsum("ti,ti->t", v, (ops.m_chi @ v.T).T))
@@ -211,16 +209,16 @@ def check_dirac_pairing(ops: CouplingOperators, trials: int = 100,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    n1, n2rep = ops.n_chi, ops.surface.eta.n_dofs
+    n1 = ops.n_chi
     e1 = _random_fields(rng, trials, n1)
     e2 = _random_fields(rng, trials, ops.n_psi)
     e1p = _random_fields(rng, trials, n1)
     e2p = _random_fields(rng, trials, ops.n_psi)
 
-    f1 = -ops.solve_chi(ops.d_chi @ e2.T).T
-    f2 = np.repeat(e1, n2rep, axis=1)
-    f1p = -ops.solve_chi(ops.d_chi @ e2p.T).T
-    f2p = np.repeat(e1p, n2rep, axis=1)
+    f1 = -ops.integrate(e2)
+    f2 = ops.embed(e1)
+    f1p = -ops.integrate(e2p)
+    f2p = ops.embed(e1p)
 
     def pair(a1, a2, b1, b2):
         return np.einsum("ti,ti->t", a1, (ops.m_chi @ b1.T).T) \
@@ -247,15 +245,13 @@ def operator_norm_bound_check(ops: CouplingOperators, trials: int = 100,
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     u = _random_fields(rng, trials, ops.n_psi)
-    au = ops.solve_chi(ops.d_chi @ u.T).T
+    au = ops.integrate(u)
     lhs = np.einsum("ti,ti->t", au, (ops.m_chi @ au.T).T)
     rhs = ops.measure2 * np.einsum("ti,ti->t", u, (ops.m_psi @ u.T).T)
     worst = float(np.max(lhs - rhs))
 
-    v = _random_fields(rng, trials, ops.n_chi)
-    n2 = ops.surface.eta.n_dofs
-    uc = np.repeat(v, n2, axis=1)
-    auc = ops.solve_chi(ops.d_chi @ uc.T).T
+    uc = ops.embed(_random_fields(rng, trials, ops.n_chi))
+    auc = ops.integrate(uc)
     lhs_c = np.einsum("ti,ti->t", auc, (ops.m_chi @ auc.T).T)
     rhs_c = ops.measure2 * np.einsum("ti,ti->t", uc, (ops.m_psi @ uc.T).T)
     eq_gap = float(np.max(np.abs(lhs_c - rhs_c) / np.maximum(rhs_c, 1e-300)))

@@ -47,8 +47,7 @@ def make_simulation(problem: Problem, cfg: RunConfig,
                     setup: ScenarioSetup) -> CoupledSimulation:
     return CoupledSimulation(
         problem.heat, problem.fluid, problem.ops, cfg.sim,
-        coupled=setup.coupled, ext_temperature=setup.ext_temperature,
-        coupling_scale=cfg.coupling_scale)
+        coupled=setup.coupled, ext_temperature=setup.ext_temperature)
 
 
 def run_from_config(cfg: RunConfig, output_dir=None) -> SimResult:

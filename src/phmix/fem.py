@@ -321,6 +321,14 @@ class CouplingOperators:
     m_psi: surface mass, m_chi: line mass (both SPD); d_chi maps surface
     coefficients to line load vectors through the collapsed basis, and
     d_psi is its exact transpose.
+
+    Surface dofs are axial-major, azimuthal-minor; past assembly, `embed`
+    and `embed_t` are the only code that relies on that layout.  `embed` is
+    the nodal embedding B (replicate along the azimuth), `embed_t` its
+    transpose (azimuthal row sums) and `integrate` the mass-consistent fiber
+    integral m_chi^-1 d_chi.  On the tensor-product wall B = m_psi^-1 d_psi
+    and d_chi m_psi^-1 = B^T, so B^T takes surface loads to line loads.  All
+    three take one field (dofs,) or a stack of them (trials, dofs).
     """
 
     m_psi: sp.csr_matrix
@@ -341,6 +349,21 @@ class CouplingOperators:
     @property
     def n_chi(self) -> int:
         return self.line.n_dofs
+
+    def embed(self, y: np.ndarray) -> np.ndarray:
+        """B y: line coefficients to azimuthally constant surface
+        coefficients."""
+        return y.repeat(self.surface.eta.n_dofs, axis=-1)
+
+    def embed_t(self, b: np.ndarray) -> np.ndarray:
+        """B^T b: azimuthal row sums of surface arrays."""
+        n_az = self.surface.eta.n_dofs
+        return b.reshape(*b.shape[:-1], -1, n_az).sum(axis=-1)
+
+    def integrate(self, u: np.ndarray) -> np.ndarray:
+        """m_chi^-1 d_chi u: fiber integral of surface coefficients, as
+        line coefficients."""
+        return self.solve_chi(self.d_chi @ u.T).T
 
     def solve_psi(self, b: np.ndarray) -> np.ndarray:
         if self._psi_lu is None:

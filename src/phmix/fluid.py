@@ -10,9 +10,12 @@ Discretization: collocated P1 fields with a lumped mass on the left.  The
 derivative pairing integral(phi_i dphi_j/dz) is assembled once; its symmetric
 part is supported on the two endpoints only, so with sealed ends (v = 0 at
 both) the semi-discrete energy rate reduces exactly to the distributed port
-power <T, w> taken with the consistent line mass.  Friction loss and heating
-cancel nodally.  The Hamiltonian is the matching nodal quadrature
-sum_i m_i (v_i^2 / 2 + c_v T_i).
+power T . w_load, where the port input enters the entropy rows as the line
+load w_load = m_chi w.  Friction loss and heating cancel nodally.  The
+Hamiltonian is the matching nodal quadrature sum_i m_i (v_i^2 / 2 + c_v T_i).
+
+`FluidSystem.loads` is the one definition of the semi-discrete operator, in
+load (mass-weighted) form; the midpoint stepper calls it.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import LineField
 from .errors import MaterialError, StateValidityError
-from .fem import LineBasis, assemble_mass, lumped_mass
+from .fem import LineBasis, lumped_mass
 from .geometry import IntervalMesh, quadrature_rule
 
 
@@ -91,14 +93,6 @@ class FluidState:
         return FluidState(self.phi.copy(), self.vel.copy(), self.s.copy())
 
 
-@dataclass
-class FluidPorts:
-    """Distributed port pair: entropy-rate input and temperature output."""
-
-    w_in: LineField
-    y_out: LineField
-
-
 class FluidSystem:
     """Semi-discrete channel operator with sealed ends."""
 
@@ -110,7 +104,6 @@ class FluidSystem:
         self.material = material
         self.quad = quadrature_rule(quad_degree)
         self.basis = LineBasis(mesh)
-        self.mass_consistent = assemble_mass(self.basis, self.quad)
         self.mass = lumped_mass(self.basis, self.quad)
         tab = self.basis.tables(self.quad)
         local = np.einsum("q,qa,qb->ab", tab.wdet, tab.values,
@@ -155,22 +148,23 @@ class FluidSystem:
     def total_entropy(self, state: FluidState) -> float:
         return float(self.mass @ state.s)
 
-    def rhs(self, state: FluidState, w_in: LineField | None = None
-            ) -> tuple[FluidState, LineField]:
-        """Semi-discrete rates (as a FluidState triple) and the temperature
-        output.  Ends are sealed: the endpoint velocity rows are held at
-        zero.  The entropy-rate input enters through the consistent mass so
-        its power contribution is exactly <y, w>."""
+    def loads(self, state: FluidState) -> tuple[FluidState, np.ndarray]:
+        """Semi-discrete rates in load form, M d(phi, vel, s)/dt, with the
+        port open, and the temperature output y.
+
+        Ends are sealed: the endpoint velocity rows carry no load.  The
+        distributed port's input is the line load w_load = m_chi w on the
+        entropy rows; it depends on y through the interconnection, so the
+        caller adds it once it is resolved, and its power is y . w_load.
+        """
         mat = self.material
         p, t, _ = eos(state.phi, state.s, mat)
-        dphi = (self.grad_pairing @ state.vel) / self.mass
-        dvel = -(self.grad_pairing @ p) / self.mass - mat.friction * state.vel
-        dvel[0] = 0.0
-        dvel[-1] = 0.0
-        ds = mat.friction * state.vel ** 2 / t
-        if w_in is not None:
-            ds = ds + (self.mass_consistent @ w_in.values) / self.mass
-        return FluidState(dphi, dvel, ds), LineField(t, self.mesh)
+        f_phi = self.grad_pairing @ state.vel
+        f_vel = -(self.grad_pairing @ p) \
+            - mat.friction * self.mass * state.vel
+        f_vel[0] = f_vel[-1] = 0.0
+        f_s = self.mass * mat.friction * state.vel ** 2 / t
+        return FluidState(f_phi, f_vel, f_s), t
 
     def entropy_production(self, state: FluidState) -> float:
         """Total friction production sum_i m_i f v_i^2 / T_i >= 0."""

@@ -19,8 +19,12 @@ nodes.  All cells share one table because the mesh is uniform.
 
 The coupling face takes a temperature input (enforced nodally on the trace
 through the entropy variable); the conjugate output, the negative normal
-entropy flux, is recovered variationally from the boundary-row residuals.
-All other faces are adiabatic unless the external face temperature is set.
+entropy flux, is recovered variationally from the boundary-row residuals
+and returned in load form, M_c ds_c/dt - loads_c, i.e. as m_psi times the
+nodal output (solve with the coupling operators' m_psi for the field).
+`port_loads` is the one definition of this constrained operator: the
+midpoint stepper and `rhs` both call it.  All other faces are adiabatic
+unless the external face temperature is set.
 """
 
 from __future__ import annotations
@@ -28,12 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .dirac import SurfaceField
 from .errors import MaterialError, StateValidityError
-from .fem import SurfaceBasis, VolumeBasis, assemble_mass, lumped_mass
+from .fem import VolumeBasis, lumped_mass
 from .geometry import SolidDomain, quadrature_rule
 
 
@@ -63,12 +64,17 @@ def temperature_of_entropy(s, mat: HeatMaterial):
     return mat.t_ref * np.exp(np.asarray(s, dtype=float) / mat.rho_c)
 
 
-def entropy_of_temperature(t, mat: HeatMaterial):
-    """Inverse constitutive law, s = rho c * log(T / t_ref)."""
+def entropy_of_temperature(t, mat: HeatMaterial, name: str = "temperature"):
+    """Inverse constitutive law, s = rho c * log(T / t_ref).
+
+    Every temperature must be finite and positive; the first one that is
+    not raises StateValidityError labelled `name`.
+    """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        node = int(np.argmax(~(t > 0)))
-        raise StateValidityError("temperature", node, float(t.flat[node]))
+    bad = ~((t > 0) & (t < np.inf))
+    if np.any(bad):
+        node = int(np.argmax(bad))
+        raise StateValidityError(name, node, float(t.flat[node]))
     return mat.rho_c * np.log(t / mat.t_ref)
 
 
@@ -88,15 +94,6 @@ class HeatState:
 
     def copy(self) -> "HeatState":
         return HeatState(self.s.copy())
-
-
-@dataclass
-class HeatPorts:
-    """Coupling-face port pair: temperature input and negative normal
-    entropy-flux output, both on the trace surface."""
-
-    u_T: SurfaceField
-    v_out: SurfaceField
 
 
 @dataclass
@@ -141,9 +138,6 @@ class HeatSystem:
         self.mass = lumped_mass(self.basis, self.quad)
 
         self.boundary = domain.coupling_boundary()
-        self.surface = SurfaceBasis(self.boundary)
-        self.surface_mass = assemble_mass(self.surface, self.quad)
-        self._surface_lu = spla.splu(sp.csc_matrix(self.surface_mass))
         self.coupling_dofs = domain.face_dofs("coupling")
         self.external_dofs = domain.face_dofs("external")
 
@@ -226,43 +220,56 @@ class HeatSystem:
                               f_sigma=tq.T, e_sigma=e_sigma.T,
                               phi_q=phi_q.transpose(cells))
 
-    def solve_surface(self, b: np.ndarray) -> np.ndarray:
-        return self._surface_lu.solve(b)
+    def port_loads(self, s: np.ndarray, wall_temperature=None,
+                   ext_temperature: float | None = None, *,
+                   s_old: np.ndarray | None = None, dt: float | None = None):
+        """Loads with the face ports pinned, and the port outputs.
 
-    def rhs(self, state: HeatState, u_T: SurfaceField | None = None,
+        Pins, in place, the coupling trace of s to the entropy of
+        wall_temperature (one value per wall node) and the external face to
+        that of ext_temperature, for each port given, and evaluates the loads
+        at the pinned state.  The output of a pinned face is its load-form
+        flux M ds/dt - loads on the face rows, where the face entropy is held
+        (ds/dt = 0) unless s_old and dt are given: then s is the midpoint of
+        a step of length dt from s_old and the pinned rows move at
+        2 (s - s_old) / dt.
+
+        Returns (loads, wall output, external output); an output is None for
+        a face without a port.  A wall temperature that is not finite and
+        positive raises StateValidityError.
+        """
+        faces = (
+            (self.coupling_dofs, wall_temperature, "boundary temperature"),
+            (self.external_dofs, ext_temperature, "external temperature"))
+        for dofs, t, name in faces:
+            if t is not None:
+                s[dofs] = entropy_of_temperature(t, self.material, name)
+        loads = self.assemble_loads(s)
+        outputs = []
+        for dofs, t, _ in faces:
+            out = None
+            if t is not None:
+                rate = 0.0 if s_old is None \
+                    else (s[dofs] - s_old[dofs]) * (2.0 / dt)
+                out = self.mass[dofs] * rate - loads[dofs]
+            outputs.append(out)
+        return loads, outputs[0], outputs[1]
+
+    def rhs(self, state: HeatState, wall_temperature=None,
             ext_temperature: float | None = None
-            ) -> tuple[np.ndarray, SurfaceField]:
-        """Semi-discrete rate of the entropy field and the recovered
-        coupling-face output.
+            ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Semi-discrete rate of the entropy field and the wall output.
 
-        With a temperature input the trace entropy is pinned to match it and
-        held (quasi-static port); the conjugate output -(entropy flux . n)
-        is recovered from the boundary-row residuals through the surface
-        mass matrix.  Faces without a port are adiabatic.
+        With a wall temperature the trace entropy is pinned to match it and
+        held (quasi-static port); the wall output, -(entropy flux . n) in
+        load form, is the negated trace-row loads (None without a port).
+        Faces without a port are adiabatic.
         """
         s = state.s.copy()
-        if u_T is not None:
-            if np.any(u_T.values <= 0):
-                node = int(np.argmax(~(u_T.values > 0)))
-                raise StateValidityError("boundary temperature", node,
-                                         float(u_T.values[node]))
-            s[self.coupling_dofs] = entropy_of_temperature(u_T.values,
-                                                           self.material)
-        if ext_temperature is not None:
-            s[self.external_dofs] = entropy_of_temperature(ext_temperature,
-                                                           self.material)
-        loads = self.assemble_loads(s)
+        loads, wall, _ = self.port_loads(s, wall_temperature, ext_temperature)
         ds_dt = loads / self.mass
-        if u_T is not None:
+        if wall_temperature is not None:
             ds_dt[self.coupling_dofs] = 0.0
-            v = self.solve_surface(-loads[self.coupling_dofs])
-        else:
-            v = np.zeros(self.boundary.n_nodes)
         if ext_temperature is not None:
             ds_dt[self.external_dofs] = 0.0
-        return ds_dt, SurfaceField(v, self.boundary)
-
-    def trace_temperature(self, state: HeatState) -> SurfaceField:
-        """Temperature of the coupling-face nodes as a surface field."""
-        t = temperature_of_entropy(state.s[self.coupling_dofs], self.material)
-        return SurfaceField(t, self.boundary)
+        return ds_dt, wall

@@ -2,16 +2,19 @@
 system with energy and entropy bookkeeping.
 
 Each step solves the nonlinear midpoint system over (solid entropy, channel
-state) with the ports eliminated inside the residual: the channel temperature
-is embedded onto the wall, the wall trace is constrained to it through the
-entropy variable, the wall output flux is recovered from the constrained
-boundary rows, and its azimuthal integral drives the channel entropy
-equation.  On the tensor-product wall the embed/integrate pair is nodal:
-m_psi^-1 d_psi y = repeat(y, n_az) and d_chi m_psi^-1 f = azimuthal row sums
-of f, so the residual needs no surface solve.  Power conjugacy of the
-eliminated relations makes the per-step coupling powers cancel to round-off
-and the total-entropy increment a sum of squares, independent of the step
-size.
+state) with the ports eliminated inside the residual, which is assembled from
+the subsystems' own operators: `FluidSystem.loads` gives the channel rates
+and the temperature output, `CouplingOperators.embed` puts that temperature
+on the wall, `HeatSystem.port_loads` pins the wall trace to it and returns
+the solid loads and the wall output in load form, and
+`CouplingOperators.embed_t` (azimuthal row sums) turns the wall output into
+the channel's entropy-row load.  On the tensor-product wall these are the
+paper's embed/integrate pair m_psi^-1 d_psi and d_chi m_psi^-1 in nodal form,
+so the residual needs no surface solve.  Power conjugacy of the eliminated
+relations makes the per-step coupling powers cancel to round-off and the
+total-entropy increment a sum of squares, independent of the step size.  The
+ledger takes the channel's coupling power from the assembled block d_chi, so
+its residual also checks that block against the nodal pair.
 
 The closed-form ports leave the midpoint Jacobian with a fixed local
 sparsity pattern, built from the mesh.  Newton builds the Jacobian by
@@ -32,8 +35,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coupling import CoupledPorts
-from .dirac import LineField, SurfaceField
 from .errors import ConfigurationError, MeshCompatibilityError, PhmixError, \
     StateValidityError, StepFailureError
 from .fem import CouplingOperators
@@ -230,15 +231,13 @@ class CoupledSimulation:
 
     def __init__(self, heat_sys: HeatSystem, fluid_sys: FluidSystem,
                  ops: CouplingOperators, cfg: SimConfig, *,
-                 coupled: bool = True, ext_temperature: float | None = None,
-                 coupling_scale: float = 1.0):
+                 coupled: bool = True, ext_temperature: float | None = None):
         self.heat = heat_sys
         self.fluid = fluid_sys
         self.ops = ops
         self.cfg = cfg
         self.coupled = coupled
         self.ext_temperature = ext_temperature
-        self.coupling_scale = coupling_scale
 
         if coupled:
             if not np.array_equal(fluid_sys.mesh.nodes,
@@ -265,11 +264,6 @@ class CoupledSimulation:
         self._nfree = len(self._free) if coupled else 0
         self._nx = self._nfree + 3 * self._nf
 
-        if ext_temperature is not None:
-            self._s_ext_target = float(entropy_of_temperature(
-                ext_temperature, heat_sys.material))
-
-        self._n_az = ops.surface.eta.n_dofs
         self._sparsity = None  # (pattern, colors), built on first use
         self._lu = None
         self.newton_iterations = 0
@@ -292,81 +286,58 @@ class CoupledSimulation:
     # ---- midpoint residual ----------------------------------------------
 
     def _residual(self, x: np.ndarray, with_aux: bool = False):
-        """Residual of the midpoint system at the trial end-of-step state.
+        """Residual M (x1 - x0) - dt F(x_mid) of the midpoint system at the
+        trial end-of-step state x.
 
-        Ports are eliminated in nodal form: the trial channel midpoint
-        temperature, repeated along the azimuth, is the wall input and fixes
-        the wall trace entropy; the constrained boundary rows of the solid
-        define the wall output flux, whose azimuthal row sums feed the
-        channel entropy rows.  These are the embed and integrate operators
-        m_psi^-1 d_psi and d_chi m_psi^-1 on the tensor-product wall.  Only
-        with_aux (once per accepted step) recovers the surface output fields
-        v and v_ext through the surface mass solve.
+        Ports are eliminated in nodal form: the channel's midpoint
+        temperature output, embedded along the azimuth, is the wall input
+        that pins the trace of the solid's midpoint state; the solid's wall
+        output, summed along the azimuth, is minus the channel's entropy-row
+        load.  The sealed-end velocity rows are the constraints vel1 = 0.
+        Only with_aux (once per accepted step) recovers the nodal outputs v
+        and v_ext through the surface mass solve.
         """
         dt = self.cfg.dt
         s0, fl0 = self._s_old, self._fluid_old
         phi1, vel1, sf1 = self._unpack_fluid(x)
-        phi_m = 0.5 * (fl0.phi + phi1)
-        vel_m = 0.5 * (fl0.vel + vel1)
-        sf_m = 0.5 * (fl0.s + sf1)
-        p_m, t_m, _ = eos(phi_m, sf_m, self.fluid.material)
+        f, t_m = self.fluid.loads(FluidState(0.5 * (fl0.phi + phi1),
+                                             0.5 * (fl0.vel + vel1),
+                                             0.5 * (fl0.s + sf1)))
 
-        aux = {}
         if self.coupled:
-            heat = self.heat
-            u = np.repeat(t_m, self._n_az)
-            if np.any(~(u > 0)):
-                node = int(np.argmax(~(u > 0)))
-                raise StateValidityError("wall temperature", node,
-                                         float(u[node]))
-            s1 = np.empty(heat.n_dofs)
-            s1[self._free] = x[:self._nfree]
-            cdofs = heat.coupling_dofs
-            sb_mid = entropy_of_temperature(u, heat.material)
-            s1[cdofs] = 2.0 * sb_mid - s0[cdofs]
-            if self.ext_temperature is not None:
-                edofs = heat.external_dofs
-                s1[edofs] = 2.0 * self._s_ext_target - s0[edofs]
-            s_mid = 0.5 * (s0 + s1)
-            loads = heat.assemble_loads(s_mid)
-            flux_rhs = heat.mass[cdofs] * (s1[cdofs] - s0[cdofs]) / dt \
-                - loads[cdofs]
-            w_load = -self.coupling_scale * flux_rhs.reshape(
-                -1, self._n_az).sum(axis=1)
-            r_solid = heat.mass[self._free] * (s1 - s0)[self._free] \
-                - dt * loads[self._free]
+            heat, free, s1_free = self.heat, self._free, x[:self._nfree]
+            s_mid = np.empty(heat.n_dofs)
+            s_mid[free] = 0.5 * (s0[free] + s1_free)
+            loads, wall, ext = heat.port_loads(
+                s_mid, self.ops.embed(t_m), self.ext_temperature,
+                s_old=s0, dt=dt)
+            w_load = -self.ops.embed_t(wall)
+            r_solid = heat.mass[free] * (s1_free - s0[free]) \
+                - dt * loads[free]
         else:
-            s1 = s0
             w_load = 0.0
             r_solid = np.empty(0)
 
-        mat = self.fluid.material
         mf = self.fluid.mass
-        grad = self.fluid.grad_pairing
-        r_phi = mf * (phi1 - fl0.phi) - dt * (grad @ vel_m)
-        r_vel = mf * (vel1 - fl0.vel) \
-            - dt * (-(grad @ p_m) - mat.friction * mf * vel_m)
+        r_phi = mf * (phi1 - fl0.phi) - dt * f.phi
+        r_vel = mf * (vel1 - fl0.vel) - dt * f.vel
         r_vel[0] = mf[0] * vel1[0]
         r_vel[-1] = mf[-1] * vel1[-1]
-        r_s = mf * (sf1 - fl0.s) \
-            - dt * (mf * mat.friction * vel_m ** 2 / t_m + w_load)
+        r_s = mf * (sf1 - fl0.s) - dt * (f.s + w_load)
         res = np.concatenate([r_solid, r_phi, r_vel, r_s])
+        if not with_aux:
+            return res
 
-        if with_aux:
-            aux["s1"] = s1
-            aux["fluid1"] = FluidState(phi1, vel1, sf1)
-            if self.coupled:
-                aux["u"] = u
-                aux["v"] = self.ops.solve_psi(flux_rhs)
-                aux["y"] = t_m
-                aux["w_load"] = w_load
-                if self.ext_temperature is not None:
-                    edofs = self.heat.external_dofs
-                    ext_rhs = self.heat.mass[edofs] * (s1 - s0)[edofs] / dt \
-                        - loads[edofs]
-                    aux["v_ext"] = self.ops.solve_psi(ext_rhs)
-            return res, aux
-        return res
+        aux = {"fluid1": FluidState(phi1, vel1, sf1)}
+        if self.coupled:
+            s1 = 2.0 * s_mid - s0  # the pinned rows; the free rows are x
+            s1[free] = s1_free
+            aux.update(s1=s1, y=t_m, v=self.ops.solve_psi(wall))
+            if ext is not None:
+                aux["v_ext"] = self.ops.solve_psi(ext)
+        else:
+            aux["s1"] = s0
+        return res, aux
 
     # ---- Newton ----------------------------------------------------------
 
@@ -401,8 +372,7 @@ class CoupledSimulation:
                 shape=(len(cells), n_solid))
             cdofs = heat.coupling_dofs
             trace = sp.csr_matrix(
-                (np.ones(len(cdofs)),
-                 (cdofs, np.arange(len(cdofs)) // self._n_az)),
+                (np.ones(len(cdofs)), (cdofs, self.ops.embed(np.arange(nf)))),
                 shape=(n_solid, nf))
             select = sp.csr_matrix(
                 (np.ones(nfree), (self._free, np.arange(nfree))),
@@ -495,9 +465,9 @@ class CoupledSimulation:
         from the old state with a fresh factorization; a second failure
         raises StepFailureError.
 
-        Returns (heat', fluid', ports, powers, p_ext, x); ports and powers
-        are the converged midpoint quantities entering the ledger, x the
-        packed end-of-step unknowns.
+        Returns (heat', fluid', powers, p_ext, x): the converged midpoint
+        coupling powers (p_heat, p_fluid) and external power entering the
+        ledger, and the packed end-of-step unknowns x.
         """
         self._s_old = heat_state.s
         self._fluid_old = fluid_state
@@ -525,23 +495,17 @@ class CoupledSimulation:
         _, aux = self._residual(x, with_aux=True)
         heat_new = HeatState(aux["s1"])
         fluid_new = aux["fluid1"]
+        p_heat = p_fluid = p_ext = 0.0
         if self.coupled:
-            ports = CoupledPorts(
-                u_T=SurfaceField(aux["u"], self.ops.surface.boundary),
-                v_out=SurfaceField(aux["v"], self.ops.surface.boundary),
-                w_in=LineField(self.ops.solve_chi(aux["w_load"]),
-                               self.ops.line.mesh),
-                y_out=LineField(aux["y"], self.ops.line.mesh))
-            p_heat = self.ops.surface_inner(aux["u"], aux["v"])
-            p_fluid = float(aux["y"] @ aux["w_load"])
-            p_ext = 0.0
+            ops, y, v = self.ops, aux["y"], aux["v"]
+            # from the assembled block, not from the row sums the residual
+            # applied, so that the power residual compares the two
+            p_heat = ops.surface_inner(ops.embed(y), v)
+            p_fluid = -float(y @ (ops.d_chi @ v))
             if self.ext_temperature is not None:
-                u_ext = np.full(self.ops.n_psi, self.ext_temperature)
-                p_ext = self.ops.surface_inner(u_ext, aux["v_ext"])
-        else:
-            ports = None
-            p_heat = p_fluid = p_ext = 0.0
-        return heat_new, fluid_new, ports, (p_heat, p_fluid), p_ext, x
+                u_ext = np.full(ops.n_psi, self.ext_temperature)
+                p_ext = ops.surface_inner(u_ext, aux["v_ext"])
+        return heat_new, fluid_new, (p_heat, p_fluid), p_ext, x
 
     def run(self, setup: ScenarioSetup, output_dir=None) -> SimResult:
         """Integrate to t_end, recording one ledger row per step (plus the
@@ -585,7 +549,7 @@ class CoupledSimulation:
             if x_prev is not None:
                 pred = 2.0 * x_curr - x_prev  # linear extrapolation
             try:
-                heat_state, fluid_state, ports, powers, p_ext, x_new = \
+                heat_state, fluid_state, powers, p_ext, x_new = \
                     self.step(heat_state, fluid_state, x_pred=pred)
             except PhmixError as exc:
                 exc.step = k  # partial record for diagnostics

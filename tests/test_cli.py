@@ -58,7 +58,7 @@ class TestConfig:
             load_config(path)
 
     def test_roundtrip(self, tmp_path):
-        cfg = default_config(seed=42, coupling_scale=2.0)
+        cfg = default_config(seed=42, quad_degree=4)
         path = write_cfg(tmp_path, config_to_dict(cfg))
         again = load_config(path)
         assert again == cfg

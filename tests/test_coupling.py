@@ -148,14 +148,15 @@ class TestPhysicalDirection:
         mat = HeatMaterial(rho=10.0, c=10.0, conductivity=5.0, t_ref=300.0)
         domain = build_solid_domain(0, 1, 0.5, 0.05, 4, 4, 3)
         sys = HeatSystem(domain, mat, 3)
-        ops = assemble_coupling(sys.surface, LineBasis(domain.axial), QUAD)
+        ops = assemble_coupling(SurfaceBasis(sys.boundary),
+                                LineBasis(domain.axial), QUAD)
 
         t_cold, t_hot = 300.0, 380.0
         zeta = domain.node_coordinates()[:, 2]
         t_profile = t_cold + (t_hot - t_cold) * zeta / 0.05
         state = HeatState(entropy_of_temperature(t_profile, mat))
-        u = SurfaceField.constant(sys.boundary, t_cold)
-        _, v_out = sys.rhs(state, u)
+        _, wall = sys.rhs(state, np.full(sys.boundary.n_nodes, t_cold))
+        v_out = SurfaceField(ops.solve_psi(wall), sys.boundary)
 
         # gradient oracle: temperature rises away from the wall
         t_nodal = sys.temperature(state)
