@@ -202,18 +202,6 @@ class VolumeBasis(BasisSet):
         return Tables(vals, grads, wdet, ref, origins, sizes)
 
 
-def line_basis(mesh: IntervalMesh) -> LineBasis:
-    return LineBasis(mesh)
-
-
-def surface_basis(boundary: TensorBoundary) -> SurfaceBasis:
-    return SurfaceBasis(boundary)
-
-
-def volume_basis(domain: SolidDomain) -> VolumeBasis:
-    return VolumeBasis(domain)
-
-
 def _check_quad(basis: BasisSet, quad: QuadratureRule):
     if quad.degree < 2:
         raise ConfigurationError(

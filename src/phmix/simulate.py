@@ -20,15 +20,19 @@ The closed-form ports leave the midpoint Jacobian with a fixed local
 sparsity pattern, built from the mesh.  Newton builds the Jacobian by
 column-colored finite differences (Curtis, Powell & Reid 1974; greedy
 coloring after Coleman & More 1983), one residual per color, factorizes it
-with a sparse LU and reuses it (chord iterations) until convergence
-degrades, then rebuilds.  Everything is deterministic: same inputs give a
-bit-identical ledger.
+with a sparse LU under a minimum-degree ordering of A^T + A and reuses it
+(chord iterations) until convergence degrades, then rebuilds.  Each step
+starts from the cubic through the last four accepted states, and takes its
+end state and port powers from the port fields of Newton's last residual,
+so an accepted step costs one residual per iteration plus one to start.
+Everything is deterministic: same inputs give a bit-identical ledger.
 """
 
 from __future__ import annotations
 
 import os
 import time as _time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +205,23 @@ def build_scenario(name: str, heat_sys: HeatSystem, fluid_sys: FluidSystem,
     return setup
 
 
+PREDICTOR_ORDER = 3  # cubic through the last four accepted steps
+
+
+def extrapolate(history) -> np.ndarray:
+    """Value at the next step of the polynomial through the vectors of
+    `history` (oldest first, one per step), in backward-difference form
+    x_n + del x_n + del^2 x_n + ..., up to the difference the history
+    allows.  A constant history gives x_n exactly.
+    """
+    diffs = list(history)
+    pred = diffs[-1].copy()
+    while len(diffs) > 1:
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        pred += diffs[-1]
+    return pred
+
+
 def greedy_column_coloring(pattern: sp.spmatrix) -> np.ndarray:
     """Color the columns of a sparsity pattern so that no two columns of one
     color share a row (greedy in column order, after Coleman & More 1983).
@@ -285,7 +306,7 @@ class CoupledSimulation:
 
     # ---- midpoint residual ----------------------------------------------
 
-    def _residual(self, x: np.ndarray, with_aux: bool = False):
+    def _residual(self, x: np.ndarray) -> np.ndarray:
         """Residual M (x1 - x0) - dt F(x_mid) of the midpoint system at the
         trial end-of-step state x.
 
@@ -294,8 +315,12 @@ class CoupledSimulation:
         that pins the trace of the solid's midpoint state; the solid's wall
         output, summed along the azimuth, is minus the channel's entropy-row
         load.  The sealed-end velocity rows are the constraints vel1 = 0.
-        Only with_aux (once per accepted step) recovers the nodal outputs v
-        and v_ext through the surface mass solve.
+
+        Leaves the port fields of this evaluation in `self._ports`: the
+        channel temperature output t_m, the solid midpoint entropy with its
+        pinned rows, and the load-form wall and external outputs (None for
+        a face without a port).  `step` builds the end-of-step state and
+        the powers from those of the residual at the converged x.
         """
         dt = self.cfg.dt
         s0, fl0 = self._s_old, self._fluid_old
@@ -315,8 +340,10 @@ class CoupledSimulation:
             r_solid = heat.mass[free] * (s1_free - s0[free]) \
                 - dt * loads[free]
         else:
+            s_mid = wall = ext = None
             w_load = 0.0
             r_solid = np.empty(0)
+        self._ports = (t_m, s_mid, wall, ext)
 
         mf = self.fluid.mass
         r_phi = mf * (phi1 - fl0.phi) - dt * f.phi
@@ -324,20 +351,7 @@ class CoupledSimulation:
         r_vel[0] = mf[0] * vel1[0]
         r_vel[-1] = mf[-1] * vel1[-1]
         r_s = mf * (sf1 - fl0.s) - dt * (f.s + w_load)
-        res = np.concatenate([r_solid, r_phi, r_vel, r_s])
-        if not with_aux:
-            return res
-
-        aux = {"fluid1": FluidState(phi1, vel1, sf1)}
-        if self.coupled:
-            s1 = 2.0 * s_mid - s0  # the pinned rows; the free rows are x
-            s1[free] = s1_free
-            aux.update(s1=s1, y=t_m, v=self.ops.solve_psi(wall))
-            if ext is not None:
-                aux["v_ext"] = self.ops.solve_psi(ext)
-        else:
-            aux["s1"] = s0
-        return res, aux
+        return np.concatenate([r_solid, r_phi, r_vel, r_s])
 
     # ---- Newton ----------------------------------------------------------
 
@@ -411,18 +425,21 @@ class CoupledSimulation:
     def _build_jacobian(self, x: np.ndarray):
         """Build the colored FD Jacobian at x and factorize it for the
         chord solves."""
-        self._lu = spla.splu(self._fd_jacobian(x))
+        self._lu = spla.splu(self._fd_jacobian(x),
+                             permc_spec="MMD_AT_PLUS_A")
         self.jacobian_builds += 1
 
     def _newton(self, x: np.ndarray):
         """Chord-Newton iterations from x until the scaled residual is at
-        most newton_tol or newton_max_iters are spent; returns (x, norm).
+        most newton_tol or newton_max_iters are spent; returns (x, norm,
+        ports), with the port fields of the residual at the returned x.
 
         The factorization is rebuilt when there is none or when an
         iteration fails to halve the residual.  A StateValidityError from a
         trial iterate propagates to the caller.
         """
         r = self._residual(x)
+        ports = self._ports  # before a Jacobian build overwrites them
         norm = self._scaled_norm(r)
         stale = self._lu is None
         for _ in range(self.cfg.newton_max_iters):
@@ -433,10 +450,11 @@ class CoupledSimulation:
             x = x - self._lu.solve(r)
             self.newton_iterations += 1
             r = self._residual(x)
+            ports = self._ports
             new_norm = self._scaled_norm(r)
             stale = new_norm > 0.5 * norm  # chord Jacobian not contracting
             norm = new_norm
-        return x, norm
+        return x, norm, ports
 
     def _scaled_norm(self, r: np.ndarray) -> float:
         return float(np.max(np.abs(r) / self._row_scale))
@@ -467,7 +485,10 @@ class CoupledSimulation:
 
         Returns (heat', fluid', powers, p_ext, x): the converged midpoint
         coupling powers (p_heat, p_fluid) and external power entering the
-        ledger, and the packed end-of-step unknowns x.
+        ledger, and the packed end-of-step unknowns x.  All of them come
+        from the port fields of Newton's last residual, the one at x; the
+        residual is not evaluated again, and only the nodal wall (and
+        external) outputs are recovered, by one surface mass solve each.
         """
         self._s_old = heat_state.s
         self._fluid_old = fluid_state
@@ -478,7 +499,7 @@ class CoupledSimulation:
         start = self.newton_iterations
         for x_start in (x0 if x_pred is None else x_pred, x0):
             try:
-                x, norm = self._newton(x_start)
+                x, norm, ports = self._newton(x_start)
                 failure = None
             except StateValidityError as exc:
                 norm, failure = np.inf, exc  # an invalid trial iterate
@@ -492,24 +513,36 @@ class CoupledSimulation:
                 f"implicit midpoint step {reason}", residual=norm,
                 iterations=self.newton_iterations - start) from failure
 
-        _, aux = self._residual(x, with_aux=True)
-        heat_new = HeatState(aux["s1"])
-        fluid_new = aux["fluid1"]
+        # the port fields of the residual at the converged x
+        t_m, s_mid, wall, ext = ports
+        fluid_new = FluidState(*self._unpack_fluid(x))
         p_heat = p_fluid = p_ext = 0.0
         if self.coupled:
-            ops, y, v = self.ops, aux["y"], aux["v"]
+            s1 = 2.0 * s_mid - self._s_old  # the pinned rows
+            s1[self._free] = x[:self._nfree]
+            heat_new = HeatState(s1)
+            ops = self.ops
+            v = ops.solve_psi(wall)
             # from the assembled block, not from the row sums the residual
             # applied, so that the power residual compares the two
-            p_heat = ops.surface_inner(ops.embed(y), v)
-            p_fluid = -float(y @ (ops.d_chi @ v))
-            if self.ext_temperature is not None:
+            p_heat = ops.surface_inner(ops.embed(t_m), v)
+            p_fluid = -float(t_m @ (ops.d_chi @ v))
+            if ext is not None:
                 u_ext = np.full(ops.n_psi, self.ext_temperature)
-                p_ext = ops.surface_inner(u_ext, aux["v_ext"])
+                p_ext = ops.surface_inner(u_ext, ops.solve_psi(ext))
+        else:
+            heat_new = HeatState(self._s_old)
         return heat_new, fluid_new, (p_heat, p_fluid), p_ext, x
 
     def run(self, setup: ScenarioSetup, output_dir=None) -> SimResult:
         """Integrate to t_end, recording one ledger row per step (plus the
         initial row) and optionally writing snapshots and the ledger CSV.
+
+        Step k starts Newton from `extrapolate` of the last min(k, 4)
+        accepted end-of-step vectors: the old state at step 1, then linear,
+        quadratic, and cubic (PREDICTOR_ORDER) from step 4 on.  A constant
+        history gives the old state exactly.  Snapshot coordinates are
+        formatted once per call.
 
         Counters and the chord factorization start afresh on every call, so
         the result reports this run only.  An error raised by a step carries
@@ -540,22 +573,23 @@ class CoupledSimulation:
             self.heat.total_entropy(heat_state),
             self.fluid.total_entropy(fluid_state)))
         if output_dir is not None:
-            self._snapshot(output_dir, setup.name, 0, heat_state, fluid_state)
+            # the coordinate fields of every snapshot row, formatted once
+            prefixes = (node_prefixes([self.heat.domain.node_coordinates()]),
+                        node_prefixes([self.fluid.mesh.nodes]))
+            self._snapshot(output_dir, setup.name, 0, heat_state, fluid_state,
+                           prefixes)
 
-        x_prev = None
-        x_curr = self._pack(heat_state.s, fluid_state)
+        history = deque([self._pack(heat_state.s, fluid_state)],
+                        maxlen=PREDICTOR_ORDER + 1)
         for k in range(1, n_steps + 1):
-            pred = None
-            if x_prev is not None:
-                pred = 2.0 * x_curr - x_prev  # linear extrapolation
             try:
-                heat_state, fluid_state, powers, p_ext, x_new = \
-                    self.step(heat_state, fluid_state, x_pred=pred)
+                heat_state, fluid_state, powers, p_ext, x_new = self.step(
+                    heat_state, fluid_state, x_pred=extrapolate(history))
             except PhmixError as exc:
                 exc.step = k  # partial record for diagnostics
                 exc.ledger = ledger
                 raise
-            x_prev, x_curr = x_curr, x_new
+            history.append(x_new)
             q = self.heat.hamiltonian(heat_state)
             h = self.fluid.hamiltonian(fluid_state)
             ledger.append(LedgerRecord(
@@ -566,41 +600,60 @@ class CoupledSimulation:
             if output_dir is not None and \
                     (k % cfg.output_every == 0 or k == n_steps):
                 self._snapshot(output_dir, setup.name, k, heat_state,
-                               fluid_state)
+                               fluid_state, prefixes)
         if output_dir is not None:
             ledger.write(os.path.join(output_dir, f"{setup.name}_ledger.csv"))
         return SimResult(ledger, heat_state, fluid_state, n_steps,
                          self.newton_iterations, self.jacobian_builds,
                          _time.perf_counter() - t_start)
 
-    def _snapshot(self, output_dir, scenario, step, heat_state, fluid_state):
+    def _snapshot(self, output_dir, scenario, step, heat_state, fluid_state,
+                  prefixes):
         write_heat_snapshot(
             os.path.join(output_dir, f"{scenario}_heat_{step}.csv"),
-            self.heat, heat_state)
+            self.heat, heat_state, prefixes[0])
         write_fluid_snapshot(
             os.path.join(output_dir, f"{scenario}_fluid_{step}.csv"),
-            self.fluid, fluid_state)
+            self.fluid, fluid_state, prefixes[1])
 
 
-def _write_nodal_csv(path, header: str, columns) -> None:
-    """One row per node: its index, then every column at full precision."""
+def node_prefixes(columns) -> list[str]:
+    """The constant leading fields `i,c0,c1,...,` of every row of a nodal
+    CSV: the node index, then each column (coordinates) at full precision."""
     rows = np.column_stack(columns).tolist()
-    fmt = "%d" + ",%r" * len(rows[0]) + "\n"
-    text = "".join(fmt % (i, *row) for i, row in enumerate(rows))
+    fmt = "%d" + ",%r" * len(rows[0]) + ","
+    return [fmt % (i, *row) for i, row in enumerate(rows)]
+
+
+def _write_nodal_csv(path, header: str, prefixes, columns) -> None:
+    """One row per node: its prefix, then every column at full precision."""
+    fmt = "%s" + ",".join(["%r"] * len(columns)) + "\n"
+    rows = zip(prefixes, *(col.tolist() for col in columns), strict=True)
+    text = "".join(map(fmt.__mod__, rows))
     with open(path, "w") as fh:
         fh.write(header + "\n" + text)
 
 
-def write_heat_snapshot(path, system: HeatSystem, state: HeatState) -> None:
-    coords = system.domain.node_coordinates()
+def write_heat_snapshot(path, system: HeatSystem, state: HeatState,
+                        prefixes=None) -> None:
+    """Nodal CSV of the solid: node, x, y, z, s, T.  `prefixes` are the
+    formatted `node,x,y,z,` fields (`node_prefixes` of the node
+    coordinates), which a run formats once for all its snapshots."""
+    if prefixes is None:
+        prefixes = node_prefixes([system.domain.node_coordinates()])
     t = temperature_of_entropy(state.s, system.material)
-    _write_nodal_csv(path, "node,x,y,z,s,T", (coords, state.s, t))
+    _write_nodal_csv(path, "node,x,y,z,s,T", prefixes, (state.s, t))
 
 
-def write_fluid_snapshot(path, system: FluidSystem, state: FluidState) -> None:
+def write_fluid_snapshot(path, system: FluidSystem, state: FluidState,
+                         prefixes=None) -> None:
+    """Nodal CSV of the channel: node, z, phi, vel, s, T, p.  `prefixes`
+    are the formatted `node,z,` fields (`node_prefixes` of the nodes)."""
+    if prefixes is None:
+        prefixes = node_prefixes([system.mesh.nodes])
     p, t, _ = eos(state.phi, state.s, system.material)
-    _write_nodal_csv(path, "node,z,phi,vel,s,T,p",
-                     (system.mesh.nodes, state.phi, state.vel, state.s, t, p))
+    _write_nodal_csv(path, "node,z,phi,vel,s,T,p", prefixes,
+                     (state.phi, state.vel, state.s, t, p))
 
 
 def measure_pulse_speed(system: FluidSystem, initial: FluidState,

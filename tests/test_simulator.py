@@ -6,10 +6,10 @@ import pytest
 from phmix.config import default_config
 from phmix.driver import build_problem, drift_per_time, make_simulation
 from phmix.errors import ConfigurationError, PhmixError, StepFailureError
-from phmix.fluid import eos
+from phmix.fluid import FluidState, eos
 from phmix.simulate import CoupledSimulation, LEDGER_HEADER, SCENARIOS, \
-    SimConfig, build_scenario, measure_pulse_speed, write_fluid_snapshot, \
-    write_heat_snapshot
+    SimConfig, build_scenario, extrapolate, measure_pulse_speed, \
+    write_fluid_snapshot, write_heat_snapshot
 
 import oracles
 
@@ -99,6 +99,103 @@ def test_closed_form_ports_match_surface_solves(n_az):
     integrate = ops.d_chi @ ops.solve_psi(f)
     assert np.abs(ops.embed_t(f) - integrate).max() <= \
         1e-13 * np.abs(integrate).max()
+
+
+class TestPredictor:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_reproduces_cubic_sequences(self, degree):
+        # a history of m vectors extrapolates every sequence of degree < m
+        rng = np.random.default_rng(degree)
+        coef = rng.standard_normal((degree + 1, 50))
+        k0 = int(rng.integers(0, 20))
+
+        def at(k):
+            return sum(c * float(k) ** j for j, c in enumerate(coef))
+
+        for m in range(degree + 1, 5):
+            history = [at(k0 + i) for i in range(m)]
+            want = at(k0 + m)
+            got = extrapolate(history)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_constant_history_is_bit_exact(self):
+        x = np.random.default_rng(1).uniform(-1e3, 1e3, 40)
+        for m in range(1, 5):
+            history = [x.copy() for _ in range(m)]
+            got = extrapolate(history)
+            assert np.array_equal(got, x) and got is not history[-1]
+            assert all(np.array_equal(h, x) for h in history)
+
+    def test_run_starts_each_step_from_the_cubic(self, monkeypatch):
+        cfg = small_cfg()
+        problem = build_problem(cfg)
+        setup = build_scenario("hot-wall-cooldown", problem.heat,
+                               problem.fluid, {})
+        sim = make_simulation(problem, cfg, setup)
+        preds, xs = [], [sim._pack(setup.heat_state.s, setup.fluid_state)]
+        step = sim.step
+
+        def recording_step(heat_state, fluid_state, x_pred=None):
+            preds.append(x_pred)
+            out = step(heat_state, fluid_state, x_pred=x_pred)
+            xs.append(out[-1])
+            return out
+
+        monkeypatch.setattr(sim, "step", recording_step)
+        sim.run(setup)
+        assert len(preds) == 10
+        # orders 0, 1, 2, then 3: Lagrange weights at the next unit step
+        weights = [[1], [-1, 2], [1, -3, 3], [-1, 4, -6, 4]]
+        for k, pred in enumerate(preds):
+            w = weights[min(k, 3)]
+            want = sum(c * x for c, x in zip(w, xs[k + 1 - len(w):k + 1]))
+            assert np.abs(pred - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["hot-wall-cooldown", "heated-ext-face",
+                                  "acoustic-pulse"])
+def test_step_outputs_match_fresh_residual_at_x(name):
+    # heat', fluid' and the powers of a step are those of the residual at
+    # the x it returns: the midpoint ports recomputed from the subsystems'
+    # own operators give the same bits
+    cfg = small_cfg()
+    problem = build_problem(cfg)
+    heat, fluid, ops = problem.heat, problem.fluid, problem.ops
+    setup = build_scenario(name, heat, fluid, {})
+    sim = make_simulation(problem, cfg, setup)
+    dt, nf = cfg.sim.dt, fluid.n_dofs
+    hs, fs = setup.heat_state, setup.fluid_state
+    for _ in range(4):
+        hs1, fs1, (p_heat, p_fluid), p_ext, x = sim.step(hs, fs)
+        n_free = len(x) - 3 * nf
+        phi1, vel1, sf1 = (x[n_free + i * nf:n_free + (i + 1) * nf]
+                           for i in range(3))
+        _, t_m = fluid.loads(FluidState(0.5 * (fs.phi + phi1),
+                                        0.5 * (fs.vel + vel1),
+                                        0.5 * (fs.s + sf1)))
+        for got, want in zip((fs1.phi, fs1.vel, fs1.s), (phi1, vel1, sf1)):
+            assert np.array_equal(got, want)
+        if not setup.coupled:
+            assert np.array_equal(hs1.s, hs.s)
+            assert (p_heat, p_fluid, p_ext) == (0.0, 0.0, 0.0)
+        else:
+            free = sim._free
+            s_mid = np.empty(heat.n_dofs)
+            s_mid[free] = 0.5 * (hs.s[free] + x[:n_free])
+            _, wall, ext = heat.port_loads(s_mid, ops.embed(t_m),
+                                           setup.ext_temperature,
+                                           s_old=hs.s, dt=dt)
+            s1 = 2.0 * s_mid - hs.s
+            s1[free] = x[:n_free]
+            assert np.array_equal(hs1.s, s1)
+            v = ops.solve_psi(wall)
+            assert p_heat == ops.surface_inner(ops.embed(t_m), v)
+            assert p_fluid == -float(t_m @ (ops.d_chi @ v))
+            if ext is not None:
+                u_ext = np.full(ops.n_psi, setup.ext_temperature)
+                assert p_ext == ops.surface_inner(u_ext, ops.solve_psi(ext))
+        hs, fs = hs1, fs1
+    assert sim.newton_iterations >= 4  # every step iterated past its start
 
 
 class TestSimConfig:
@@ -230,6 +327,26 @@ class TestAcousticPulse:
         assert abs(h_fluid[-1] - h_fluid[0]) <= 1e-9 * abs(h_fluid[0])
 
 
+def per_value(header, columns):
+    lines = [header + "\n"]
+    for i in range(len(columns[0])):
+        lines.append(f"{i}," + ",".join(
+            repr(float(col[i])) for col in columns) + "\n")
+    return "".join(lines).encode()
+
+
+def per_value_heat(heat, hs):
+    xyz = heat.domain.node_coordinates()
+    return per_value("node,x,y,z,s,T", [xyz[:, 0], xyz[:, 1], xyz[:, 2],
+                                        hs.s, heat.temperature(hs)])
+
+
+def per_value_fluid(fluid, fs):
+    p, t, _ = eos(fs.phi, fs.s, fluid.material)
+    return per_value("node,z,phi,vel,s,T,p",
+                     [fluid.mesh.nodes, fs.phi, fs.vel, fs.s, t, p])
+
+
 class TestLedgerAndSnapshots:
     def test_header_and_files(self, tmp_path):
         cfg = small_cfg(output_every=5)
@@ -263,23 +380,37 @@ class TestLedgerAndSnapshots:
         fs = setup.fluid_state.copy()
         fs.vel = fs.vel + rng.standard_normal(fluid.n_dofs)
 
-        def per_value(header, columns):
-            lines = [header + "\n"]
-            for i in range(len(columns[0])):
-                lines.append(f"{i}," + ",".join(
-                    repr(float(col[i])) for col in columns) + "\n")
-            return "".join(lines).encode()
-
-        xyz = heat.domain.node_coordinates()
-        t = heat.temperature(hs)
         write_heat_snapshot(tmp_path / "heat.csv", heat, hs)
-        assert (tmp_path / "heat.csv").read_bytes() == per_value(
-            "node,x,y,z,s,T", [xyz[:, 0], xyz[:, 1], xyz[:, 2], hs.s, t])
-        p, t, _ = eos(fs.phi, fs.s, fluid.material)
+        assert (tmp_path / "heat.csv").read_bytes() == \
+            per_value_heat(heat, hs)
         write_fluid_snapshot(tmp_path / "fluid.csv", fluid, fs)
-        assert (tmp_path / "fluid.csv").read_bytes() == per_value(
-            "node,z,phi,vel,s,T,p",
-            [fluid.mesh.nodes, fs.phi, fs.vel, fs.s, t, p])
+        assert (tmp_path / "fluid.csv").read_bytes() == \
+            per_value_fluid(fluid, fs)
+
+    def test_run_snapshots_match_per_value_formatting(self, tmp_path):
+        # two meshes with equal node counts and different coordinates, one
+        # after the other, and two runs on one object: nothing formatted
+        # for one mesh or run may reach the files of another
+        for depth in (0.05, 0.08):
+            cfg = small_cfg(t_end=2e-3, output_every=2)
+            cfg = dataclasses.replace(cfg, geometry=dataclasses.replace(
+                cfg.geometry, depth=depth, b=20 * depth))
+            problem = build_problem(cfg)
+            heat, fluid = problem.heat, problem.fluid
+            setup = build_scenario("hot-wall-cooldown", heat, fluid, {})
+            sim = make_simulation(problem, cfg, setup)
+            for run in ("a", "b"):
+                out = tmp_path / f"{depth}-{run}"
+                out.mkdir()
+                result = sim.run(setup, str(out))
+                for step, hs, fs in ((0, setup.heat_state, setup.fluid_state),
+                                     (result.steps, result.heat_state,
+                                      result.fluid_state)):
+                    name = f"hot-wall-cooldown_{{}}_{step}.csv"
+                    assert (out / name.format("heat")).read_bytes() == \
+                        per_value_heat(heat, hs)
+                    assert (out / name.format("fluid")).read_bytes() == \
+                        per_value_fluid(fluid, fs)
 
     def test_ledger_bit_identical_across_runs(self, tmp_path):
         cfg = small_cfg()
