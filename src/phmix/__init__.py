@@ -19,7 +19,7 @@ from .errors import ConfigurationError, GeometryError, MaterialError, \
     UnsupportedBasisError
 from .fem import BasisSet, CollapsedBasis, CouplingOperators, LineBasis, \
     SurfaceBasis, VolumeBasis, assemble_coupling, assemble_mass, \
-    assemble_stiffness, collapse_basis, dump_matrix, lumped_mass
+    assemble_stiffness, collapse_basis, lumped_mass
 from .fluid import FluidMaterial, FluidState, FluidSystem, eos, sound_speed
 from .geometry import IntervalMesh, QuadratureRule, SolidDomain, \
     TensorBoundary, build_solid_domain, quadrature_rule

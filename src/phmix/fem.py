@@ -412,12 +412,3 @@ def assemble_coupling(surface: SurfaceBasis, line: LineBasis,
         m_psi=m_psi, m_chi=m_chi, d_chi=d_chi, d_psi=d_psi,
         surface=surface, line=line, measure2=surface.boundary.measure2,
         eta_integrals=collapsed.weights)
-
-
-def dump_matrix(mat: sp.spmatrix, path) -> None:
-    """Write a sparse matrix as 'row col value' lines sorted by (row, col)."""
-    coo = sp.coo_matrix(mat)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for k in order:
-            fh.write(f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}\n")

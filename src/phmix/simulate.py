@@ -22,9 +22,11 @@ column-colored finite differences (Curtis, Powell & Reid 1974; greedy
 coloring after Coleman & More 1983), one residual per color, factorizes it
 with a sparse LU under a minimum-degree ordering of A^T + A and reuses it
 (chord iterations) until convergence degrades, then rebuilds.  Each step
-starts from the cubic through the last four accepted states, and takes its
-end state and port powers from the port fields of Newton's last residual,
-so an accepted step costs one residual per iteration plus one to start.
+starts from a prediction read off a backward-difference table of the
+accepted states, of the order the table's own terms support (up to
+PREDICTOR_ORDER), and takes its end state and port powers from the port
+fields of Newton's last residual, so an accepted step costs one residual per
+iteration plus one to start.
 Everything is deterministic: same inputs give a bit-identical ledger.
 """
 
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import os
 import time as _time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,21 +206,42 @@ def build_scenario(name: str, heat_sys: HeatSystem, fluid_sys: FluidSystem,
     return setup
 
 
-PREDICTOR_ORDER = 3  # cubic through the last four accepted steps
+PREDICTOR_ORDER = 7  # highest backward difference the predictor may add
 
 
-def extrapolate(history) -> np.ndarray:
-    """Value at the next step of the polynomial through the vectors of
-    `history` (oldest first, one per step), in backward-difference form
-    x_n + del x_n + del^2 x_n + ..., up to the difference the history
-    allows.  A constant history gives x_n exactly.
+def extrapolate(table: np.ndarray,
+                typ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prediction of the next state from a backward-difference table.
+
+    Row k of `table` is del^k x_n, k = 0..m-1, and the partial sums
+    P[k] = x_n + del x_n + ... + del^k x_n are the order-k predictions of
+    x_{n+1}.  The prediction adds del x_n whenever the table has it, then
+    del^k x_n, k >= 2, while its size max|del^k x_n| / typ is below that of
+    del^(k-1) x_n: the series is cut before its first term that does not
+    shrink, so a rough history falls back to a low order.  A constant
+    history gives x_n exactly.
+
+    Returns (prediction, P); `advance_table` takes P.
     """
-    diffs = list(history)
-    pred = diffs[-1].copy()
-    while len(diffs) > 1:
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        pred += diffs[-1]
-    return pred
+    sums = np.cumsum(table, axis=0)
+    order = min(len(table) - 1, 1)
+    if len(table) > 2:
+        sizes = np.max(np.abs(table[1:]) / typ, axis=1)  # del^1 .. del^(m-1)
+        while order < len(sizes) and sizes[order] < sizes[order - 1]:
+            order += 1
+    return sums[order], sums
+
+
+def advance_table(table: np.ndarray, sums: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """The backward-difference table once x = x_{n+1} is accepted: x, then
+    del^(k+1) x_{n+1} = x - P[k], the error the order-k prediction made,
+    up to del^PREDICTOR_ORDER."""
+    rows = min(len(table), PREDICTOR_ORDER) + 1
+    new = np.empty((rows, len(x)))
+    new[0] = x
+    np.subtract(x, sums[:rows - 1], out=new[1:])
+    return new
 
 
 def greedy_column_coloring(pattern: sp.spmatrix) -> np.ndarray:
@@ -460,7 +482,8 @@ class CoupledSimulation:
         return float(np.max(np.abs(r) / self._row_scale))
 
     def _prepare(self, heat_state: HeatState, fluid_state: FluidState):
-        """Typical magnitudes for FD steps and residual row scaling."""
+        """Typical magnitudes for FD steps, residual row scaling and the
+        predictor's term sizes."""
         typ = []
         if self.coupled:
             typ.append(np.full(self._nfree,
@@ -538,11 +561,14 @@ class CoupledSimulation:
         """Integrate to t_end, recording one ledger row per step (plus the
         initial row) and optionally writing snapshots and the ledger CSV.
 
-        Step k starts Newton from `extrapolate` of the last min(k, 4)
-        accepted end-of-step vectors: the old state at step 1, then linear,
-        quadratic, and cubic (PREDICTOR_ORDER) from step 4 on.  A constant
-        history gives the old state exactly.  Snapshot coordinates are
-        formatted once per call.
+        The run keeps the backward differences del^k x_n, k < m, of the
+        accepted end-of-step vectors as an (m, nx) table, m <= PREDICTOR_ORDER
+        + 1.  Step k starts Newton from `extrapolate` of it: the old state at
+        step 1, linear at step 2, then each higher difference while its size,
+        scaled by the typical magnitudes behind Newton's norm, keeps
+        shrinking.  `advance_table` then takes in the accepted vector, at
+        O(order) work per step.  A constant history gives the old state
+        exactly.  Snapshot coordinates are formatted once per call.
 
         Counters and the chord factorization start afresh on every call, so
         the result reports this run only.  An error raised by a step carries
@@ -579,17 +605,17 @@ class CoupledSimulation:
             self._snapshot(output_dir, setup.name, 0, heat_state, fluid_state,
                            prefixes)
 
-        history = deque([self._pack(heat_state.s, fluid_state)],
-                        maxlen=PREDICTOR_ORDER + 1)
+        table = self._pack(heat_state.s, fluid_state)[None, :]
         for k in range(1, n_steps + 1):
+            x_pred, sums = extrapolate(table, self._typ)
             try:
                 heat_state, fluid_state, powers, p_ext, x_new = self.step(
-                    heat_state, fluid_state, x_pred=extrapolate(history))
+                    heat_state, fluid_state, x_pred=x_pred)
             except PhmixError as exc:
                 exc.step = k  # partial record for diagnostics
                 exc.ledger = ledger
                 raise
-            history.append(x_new)
+            table = advance_table(table, sums, x_new)
             q = self.heat.hamiltonian(heat_state)
             h = self.fluid.hamiltonian(fluid_state)
             ledger.append(LedgerRecord(

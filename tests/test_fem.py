@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from phmix.errors import ConfigurationError, MaterialError, \
     MeshCompatibilityError, UnsupportedBasisError
 from phmix.fem import LineBasis, SurfaceBasis, VolumeBasis, assemble_coupling, \
-    assemble_mass, assemble_stiffness, collapse_basis, dump_matrix, lumped_mass
+    assemble_mass, assemble_stiffness, collapse_basis, lumped_mass
 from phmix.geometry import IntervalMesh, TensorBoundary, build_solid_domain, \
     quadrature_rule
 
@@ -282,23 +282,6 @@ class TestEmbedPair:
         expected = np.linalg.solve(ops.m_chi.toarray(), ops.d_chi @ u)
         assert np.abs(ops.integrate(u) - expected).max() \
             <= 1e-13 * np.abs(expected).max()
-
-
-class TestDump:
-    def test_coordinate_dump_sorted_and_parsable(self, tmp_path):
-        mesh = IntervalMesh(0, 1, 3)
-        m = assemble_mass(LineBasis(mesh), QUAD)
-        path = tmp_path / "mass.txt"
-        dump_matrix(m, path)
-        rows = []
-        for line in path.read_text().splitlines():
-            r, c, v = line.split()
-            rows.append((int(r), int(c), float(v)))
-        assert rows == sorted(rows, key=lambda t: (t[0], t[1]))
-        dense = np.zeros(m.shape)
-        for r, c, v in rows:
-            dense[r, c] = v
-        assert np.array_equal(dense, m.toarray())
 
 
 @given(st.integers(1, 6), st.floats(0.2, 5.0))

@@ -7,9 +7,10 @@ from phmix.config import default_config
 from phmix.driver import build_problem, drift_per_time, make_simulation
 from phmix.errors import ConfigurationError, PhmixError, StepFailureError
 from phmix.fluid import FluidState, eos
-from phmix.simulate import CoupledSimulation, LEDGER_HEADER, SCENARIOS, \
-    SimConfig, build_scenario, extrapolate, measure_pulse_speed, \
-    write_fluid_snapshot, write_heat_snapshot
+from phmix.simulate import CoupledSimulation, LEDGER_HEADER, \
+    PREDICTOR_ORDER, SCENARIOS, SimConfig, advance_table, build_scenario, \
+    extrapolate, measure_pulse_speed, write_fluid_snapshot, \
+    write_heat_snapshot
 
 import oracles
 
@@ -101,33 +102,105 @@ def test_closed_form_ports_match_surface_solves(n_az):
         1e-13 * np.abs(integrate).max()
 
 
+def table_of(history, typ):
+    """The backward-difference table `run` keeps after accepting the
+    vectors of `history` (oldest first)."""
+    table = history[0][None, :]
+    for x in history[1:]:
+        _, sums = extrapolate(table, typ)
+        table = advance_table(table, sums, x)
+    return table
+
+
+def reference_prediction(history, typ):
+    """The predictor written out: iterated backward differences of the last
+    PREDICTOR_ORDER + 1 vectors of `history`, summed through del x_n and
+    then while each term is smaller (max |.| / typ) than the one before.
+    Returns (prediction, order)."""
+    hist = np.array(history[-(PREDICTOR_ORDER + 1):])
+    diffs = [hist[-1]]
+    while len(hist) > 1:
+        hist = np.diff(hist, axis=0)
+        diffs.append(hist[-1])
+    order = min(len(diffs) - 1, 1)
+    pred = sum(diffs[:order + 1])
+    for prev, term in zip(diffs[1:], diffs[2:]):
+        if not np.max(np.abs(term) / typ) < np.max(np.abs(prev) / typ):
+            break
+        pred = pred + term
+        order += 1
+    return pred, order
+
+
+def polynomial_samples(degree, seed, h=1e-2, n=50):
+    """p(k h) for a random vector-valued polynomial p of the given degree."""
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal((degree + 1, n))
+    k0 = int(rng.integers(0, 20))
+    return lambda k: sum(c * ((k0 + k) * h) ** j for j, c in enumerate(coef))
+
+
+def assert_reproduces_polynomials(degree):
+    # small h: the differences shrink up to del^degree, so the rule keeps
+    # them, and the order-degree prediction is exact
+    at = polynomial_samples(degree, degree)
+    typ = np.ones(50)
+    for m in range(degree + 1, 13):
+        got, _ = extrapolate(table_of([at(k) for k in range(m)], typ), typ)
+        want = at(m)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestPredictor:
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     def test_reproduces_cubic_sequences(self, degree):
-        # a history of m vectors extrapolates every sequence of degree < m
-        rng = np.random.default_rng(degree)
-        coef = rng.standard_normal((degree + 1, 50))
-        k0 = int(rng.integers(0, 20))
+        assert_reproduces_polynomials(degree)
 
-        def at(k):
-            return sum(c * float(k) ** j for j, c in enumerate(coef))
-
-        for m in range(degree + 1, 5):
-            history = [at(k0 + i) for i in range(m)]
-            want = at(k0 + m)
-            got = extrapolate(history)
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    @pytest.mark.parametrize("degree", [4, 5, 6, 7])
+    def test_reproduces_higher_degree_sequences(self, degree):
+        assert_reproduces_polynomials(degree)
 
     def test_constant_history_is_bit_exact(self):
         x = np.random.default_rng(1).uniform(-1e3, 1e3, 40)
-        for m in range(1, 5):
-            history = [x.copy() for _ in range(m)]
-            got = extrapolate(history)
-            assert np.array_equal(got, x) and got is not history[-1]
-            assert all(np.array_equal(h, x) for h in history)
+        typ = np.ones(40)
+        for m in range(1, 12):
+            table = table_of([x.copy() for _ in range(m)], typ)
+            before = table.copy()
+            got, sums = extrapolate(table, typ)
+            assert np.array_equal(got, x)
+            assert not np.shares_memory(got, table)
+            assert np.array_equal(table, before)
+            # accepting x_n again adds only zero differences
+            new = advance_table(table, sums, x)
+            assert np.array_equal(new[:len(table)], table)
+            assert not np.any(new[len(table):])
 
-    def test_run_starts_each_step_from_the_cubic(self, monkeypatch):
-        cfg = small_cfg()
+    @pytest.mark.parametrize("degree", range(8))
+    @pytest.mark.parametrize("delta", [1e-2, 1e-1])
+    def test_rough_history_backs_off(self, degree, delta):
+        # alternating noise doubles with every difference: a fixed order k
+        # carries (2^(k+1) - 1) delta into the prediction (15 delta at
+        # order 3, 255 at order 7), the rule stops by order 2 (7 delta).
+        # A smooth block of large typical size rides along: its differences
+        # are large until scaled by typ, so only the scaled sizes cut
+        smooth = polynomial_samples(7, 20)
+        rough = polynomial_samples(degree, 10 + degree)
+        typ = np.concatenate([np.full(50, 1e6), np.ones(50)])
+
+        noise = np.concatenate([np.zeros(50), np.full(50, delta)])
+
+        def at(k):
+            return np.concatenate([1e6 * smooth(k), rough(k)])
+
+        for m in range(2, 13):
+            history = [at(k) + (-1) ** k * noise for k in range(m)]
+            got, _ = extrapolate(table_of(history, typ), typ)
+            assert np.max(np.abs(got - at(m)) / typ) <= 8 * delta
+
+    def test_run_starts_each_step_from_the_table(self, monkeypatch):
+        # at this dt the higher differences stop shrinking on early steps,
+        # so the rule cuts the series below the order the table allows
+        cfg = small_cfg(dt=2e-3, t_end=4e-2)
         problem = build_problem(cfg)
         setup = build_scenario("hot-wall-cooldown", problem.heat,
                                problem.fluid, {})
@@ -143,13 +216,23 @@ class TestPredictor:
 
         monkeypatch.setattr(sim, "step", recording_step)
         sim.run(setup)
-        assert len(preds) == 10
-        # orders 0, 1, 2, then 3: Lagrange weights at the next unit step
-        weights = [[1], [-1, 2], [1, -3, 3], [-1, 4, -6, 4]]
-        for k, pred in enumerate(preds):
-            w = weights[min(k, 3)]
-            want = sum(c * x for c, x in zip(w, xs[k + 1 - len(w):k + 1]))
+        assert len(preds) == 20
+        assert np.array_equal(preds[0], xs[0])
+        orders = []
+        for k, pred in enumerate(preds[1:], start=1):
+            want, order = reference_prediction(xs[:k + 1], sim._typ)
             assert np.abs(pred - want).max() <= 1e-13 * np.abs(want).max()
+            orders.append(order)
+        assert orders[0] == 1 and max(orders) == PREDICTOR_ORDER
+        assert any(order < min(k, PREDICTOR_ORDER)
+                   for k, order in enumerate(orders, start=1))
+
+    def test_default_cooldown_newton_count(self):
+        cfg = default_config()
+        _, result = run_scenario(cfg, "hot-wall-cooldown")
+        assert result.steps == 200
+        assert result.newton_iterations <= 240
+        assert result.jacobian_builds == 1
 
 
 @pytest.mark.parametrize("name", ["hot-wall-cooldown", "heated-ext-face",
