@@ -6,25 +6,23 @@ power balance, entropy production)."""
 
 from .config import GeometryConfig, RunConfig, config_from_dict, \
     config_to_dict, default_config, load_config
-from .coupling import CoupledPorts, PowerBalance, check_power_balance, \
-    check_transpose_identity, continuous_interconnect, coupling_power, \
-    resolve_ports
-from .dirac import EffortFlowPair, LineField, SurfaceField, \
-    VerificationReport, apply_j, check_adjointness, check_dirac_pairing, \
-    embed, integrate_out, j_matrix, operator_norm_bound_check
+from .coupling import CoupledPorts, check_power_balance, \
+    check_transpose_identity, continuous_interconnect, resolve_ports
+from .dirac import LineField, SurfaceField, VerificationReport, \
+    check_adjointness, check_dirac_pairing, embed, integrate_out, j_matrix, \
+    operator_norm_bound_check
 from .driver import Problem, build_problem, convergence_study, \
     make_simulation, run_from_config
 from .errors import ConfigurationError, GeometryError, MaterialError, \
-    MeshCompatibilityError, PhmixError, StateValidityError, StepFailureError, \
-    UnsupportedBasisError
-from .fem import BasisSet, CollapsedBasis, CouplingOperators, LineBasis, \
-    SurfaceBasis, VolumeBasis, assemble_coupling, assemble_mass, \
-    assemble_stiffness, collapse_basis, lumped_mass
+    MeshCompatibilityError, PhmixError, StateValidityError, StepFailureError
+from .fem import BasisSet, CouplingOperators, LineBasis, SurfaceBasis, \
+    VolumeBasis, assemble_coupling, assemble_mass, assemble_stiffness, \
+    lumped_mass
 from .fluid import FluidMaterial, FluidState, FluidSystem, eos, sound_speed
 from .geometry import IntervalMesh, QuadratureRule, SolidDomain, \
     TensorBoundary, build_solid_domain, quadrature_rule
-from .heat import HeatEffortFlow, HeatMaterial, HeatState, HeatSystem, \
-    energy_density, entropy_of_temperature, temperature_of_entropy
+from .heat import HeatMaterial, HeatState, HeatSystem, energy_density, \
+    entropy_of_temperature, temperature_of_entropy
 from .simulate import CoupledSimulation, EnergyLedger, LedgerRecord, \
     SCENARIOS, ScenarioSetup, SimConfig, SimResult, build_scenario, \
     measure_pulse_speed, write_fluid_snapshot, write_heat_snapshot

@@ -23,6 +23,17 @@ from .errors import PhmixError, StepFailureError
 from .simulate import build_scenario
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
@@ -67,7 +78,7 @@ def cmd_simulate(args) -> int:
                                cfg.scenario_params)
         sim = make_simulation(problem, cfg, setup)
         os.makedirs(cfg.output_dir, exist_ok=True)
-    except PhmixError as exc:
+    except (PhmixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -99,7 +110,8 @@ def cmd_simulate(args) -> int:
 def cmd_convergence(args) -> int:
     try:
         cfg = _load(args)
-    except PhmixError as exc:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except (PhmixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -111,7 +123,6 @@ def cmd_convergence(args) -> int:
     except PhmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "convergence.csv")
     write_convergence_csv(rows, path)
     for row in rows:
@@ -143,7 +154,7 @@ def main(argv=None) -> int:
         sp.add_argument("--config", help="JSON config file (defaults built in)")
         sp.add_argument("--output", help="output directory override")
         sp.add_argument("--seed", type=int, help="seed override")
-        sp.add_argument("--trials", type=int,
+        sp.add_argument("--trials", type=_positive_int,
                         help="random trials for verification checks")
         sp.set_defaults(func=fn)
     args = parser.parse_args(argv)

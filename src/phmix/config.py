@@ -61,6 +61,28 @@ class RunConfig:
 _HEAT_KEY_MAP = {"lambda": "conductivity"}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_type(key: str, value, default) -> None:
+    """Reject a value whose type does not fit the default's: an int field
+    takes an int but not a bool, a float field an int or a float, and
+    scenario_params an object of numbers."""
+    if isinstance(default, dict):
+        kind = "an object of numbers"
+        ok = isinstance(value, dict) and all(map(_is_number, value.values()))
+    elif isinstance(default, float):
+        kind, ok = "a number", _is_number(value)
+    elif isinstance(default, int):
+        kind = "an integer"
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        kind, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise ConfigurationError(f"{key} must be {kind}, got {value!r}")
+
+
 def _block_from_dict(cls, data: dict, section: str, base, key_map=None):
     """Build a config block, overriding the defaults field by field."""
     if not isinstance(data, dict):
@@ -73,6 +95,7 @@ def _block_from_dict(cls, data: dict, section: str, base, key_map=None):
             raise ConfigurationError(
                 f"unknown key {section}.{key} (valid: "
                 f"{', '.join(sorted(kwargs))})")
+        _check_type(f"{section}.{key}", value, kwargs[name])
         kwargs[name] = value
     try:
         return cls(**kwargs)
@@ -112,6 +135,7 @@ def config_from_dict(data: dict) -> RunConfig:
     for key in ("scenario", "seed", "output_dir", "quad_degree",
                 "scenario_params"):
         if key in data:
+            _check_type(key, data[key], getattr(base, key))
             kwargs[key] = data[key]
     try:
         return RunConfig(**kwargs)

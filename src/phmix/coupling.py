@@ -34,13 +34,6 @@ class CoupledPorts:
     y_out: LineField
 
 
-@dataclass(frozen=True)
-class PowerBalance:
-    p_heat: float
-    p_fluid: float
-    residual: float
-
-
 def resolve_ports(v_out: SurfaceField, y_out: LineField,
                   ops: CouplingOperators) -> CoupledPorts:
     """Solve the discrete interconnection for the two inputs."""
@@ -72,15 +65,6 @@ def continuous_interconnect(v_field: SurfaceField, y_field: LineField,
     v_grid = v_field.values.reshape(ops.n_chi, n2)
     w = -(v_grid @ ops.eta_integrals)
     return SurfaceField(u, ops.surface.boundary), LineField(w, ops.line.mesh)
-
-
-def coupling_power(ports: CoupledPorts, ops: CouplingOperators) -> PowerBalance:
-    """Port powers in the mass-weighted inner products and their sum, which
-    the transpose identity drives to round-off."""
-    p_heat = ops.surface_inner(ports.u_T.values, ports.v_out.values)
-    p_fluid = ops.line_inner(ports.y_out.values, ports.w_in.values)
-    return PowerBalance(p_heat=p_heat, p_fluid=p_fluid,
-                        residual=p_heat + p_fluid)
 
 
 def check_transpose_identity(ops: CouplingOperators) -> VerificationReport:

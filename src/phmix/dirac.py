@@ -76,16 +76,6 @@ class LineField:
         return cls(np.full(mesh.n_nodes, float(value)), mesh)
 
 
-@dataclass
-class EffortFlowPair:
-    """An effort (e1, e2) together with its flow (f1, f2) = J(e1, e2)."""
-
-    e1: LineField
-    e2: SurfaceField
-    f1: LineField
-    f2: SurfaceField
-
-
 def _check_surface(ops: CouplingOperators, u: SurfaceField):
     if u.boundary is not ops.surface.boundary and \
             not np.array_equal(u.boundary.node_coordinates(),
@@ -118,15 +108,6 @@ def embed(ops: CouplingOperators, v: LineField) -> SurfaceField:
     """Extend a line field to the surface, constant along the azimuth."""
     _check_line(ops, v)
     return SurfaceField(ops.embed(v.values), ops.surface.boundary)
-
-
-def apply_j(ops: CouplingOperators, e1: LineField,
-            e2: SurfaceField) -> tuple[LineField, SurfaceField]:
-    """Apply the block-skew structure map: f1 = -(integrate e2), f2 = embed e1."""
-    f1 = integrate_out(ops, e2)
-    f1.values = -f1.values
-    f2 = embed(ops, e1)
-    return f1, f2
 
 
 def j_matrix(ops: CouplingOperators) -> np.ndarray:

@@ -21,10 +21,6 @@ class MeshCompatibilityError(PhmixError):
     """Two meshes that must coincide node-for-node do not."""
 
 
-class UnsupportedBasisError(PhmixError):
-    """Operation requires a basis kind it does not support."""
-
-
 class StateValidityError(PhmixError):
     """A state violates positivity (temperature or specific volume)."""
 

@@ -19,8 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, MaterialError, MeshCompatibilityError, \
-    UnsupportedBasisError
+from .errors import ConfigurationError, MaterialError, MeshCompatibilityError
 from .geometry import IntervalMesh, QuadratureRule, SolidDomain, TensorBoundary, \
     quadrature_rule
 
@@ -97,19 +96,6 @@ class LineBasis(BasisSet):
         origins = (self.mesh.start + h * np.arange(self.n_cells))[:, None]
         return Tables(vals, grads, wdet, quad.points[:, None], origins,
                       np.array([h]))
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate every hat function at the given coordinates: (n_dofs, npts)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        mesh = self.mesh
-        xi = (x - mesh.start) / mesh.h
-        cell = np.clip(np.floor(xi).astype(int), 0, mesh.n_cells - 1)
-        local = xi - cell
-        dofs = mesh.cell_dofs()[cell]
-        out = np.zeros((self.n_dofs, len(x)))
-        np.add.at(out, (dofs[:, 0], np.arange(len(x))), 1.0 - local)
-        np.add.at(out, (dofs[:, 1], np.arange(len(x))), local)
-        return out
 
 
 class SurfaceBasis(BasisSet):
@@ -269,46 +255,15 @@ def assemble_stiffness(basis: BasisSet, coefficient: Coefficient,
     return _scatter(rows, cols, local, (basis.n_dofs, basis.n_dofs))
 
 
-@dataclass
-class CollapsedBasis:
-    """Surface basis functions integrated over the azimuthal factor.
-
-    The (i, j)-th collapsed function is chi_i(x1) * weights[j], so its axial
-    support coincides with that of chi_i.
-    """
-
-    chi: LineBasis
-    weights: np.ndarray  # integral of each azimuthal hat, length n_eta
-
-    @property
-    def n_functions(self) -> int:
-        return self.chi.n_dofs * len(self.weights)
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """(n_functions, npts) values, dof order matching the surface basis."""
-        chivals = self.chi.evaluate(x)
-        return (chivals[:, None, :] * self.weights[None, :, None]).reshape(
-            self.n_functions, -1)
-
-
-def collapse_basis(surface: BasisSet, quad: QuadratureRule) -> CollapsedBasis:
-    """Integrate each tensor-product surface basis function over the
-    azimuthal factor, leaving a 1D function with unchanged axial support."""
-    if surface.kind != "q1-tensor-surface":
-        raise UnsupportedBasisError(
-            f"collapse requires a tensor-product surface basis, got {surface.kind}")
-    weights = lumped_mass(surface.eta, quad)
-    return CollapsedBasis(chi=surface.chi, weights=weights)
-
-
 @dataclass(eq=False)
 class CouplingOperators:
     """Assembled interconnection matrices between the product surface and
     its axial factor.
 
     m_psi: surface mass, m_chi: line mass (both SPD); d_chi maps surface
-    coefficients to line load vectors through the collapsed basis, and
-    d_psi is its exact transpose.
+    coefficients to line load vectors through the surface basis integrated
+    over the azimuth (the line mass times `eta_integrals`, the integrals of
+    the azimuthal hats), and d_psi is its exact transpose.
 
     Surface dofs are axial-major, azimuthal-minor; past assembly, `embed`
     and `embed_t` are the only code that relies on that layout.  `embed` is
@@ -393,7 +348,7 @@ def assemble_coupling(surface: SurfaceBasis, line: LineBasis,
     _check_quad(surface, quad)
     m_chi = assemble_mass(line, quad)
     m_psi = assemble_mass(surface, quad)
-    collapsed = collapse_basis(surface, quad)
+    eta_integrals = lumped_mass(surface.eta, quad)
 
     t1 = line.tables(quad)
     local = np.einsum("q,qa,qb->ab", t1.wdet, t1.values, t1.values)
@@ -403,7 +358,7 @@ def assemble_coupling(surface: SurfaceBasis, line: LineBasis,
     jj = np.arange(n2)
     rows = np.broadcast_to(d1[:, :, None, None], (nc, 2, 2, n2))
     cols = np.broadcast_to(d1[:, None, :, None] * n2 + jj, (nc, 2, 2, n2))
-    data = np.broadcast_to(local[None, :, :, None] * collapsed.weights,
+    data = np.broadcast_to(local[None, :, :, None] * eta_integrals,
                            (nc, 2, 2, n2))
     d_chi = _scatter(rows, cols, data, (line.n_dofs, surface.n_dofs))
     d_psi = d_chi.transpose().tocsr()
@@ -411,4 +366,4 @@ def assemble_coupling(surface: SurfaceBasis, line: LineBasis,
     return CouplingOperators(
         m_psi=m_psi, m_chi=m_chi, d_chi=d_chi, d_psi=d_psi,
         surface=surface, line=line, measure2=surface.boundary.measure2,
-        eta_integrals=collapsed.weights)
+        eta_integrals=eta_integrals)

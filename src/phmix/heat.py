@@ -22,9 +22,9 @@ through the entropy variable); the conjugate output, the negative normal
 entropy flux, is recovered variationally from the boundary-row residuals
 and returned in load form, M_c ds_c/dt - loads_c, i.e. as m_psi times the
 nodal output (solve with the coupling operators' m_psi for the field).
-`port_loads` is the one definition of this constrained operator: the
-midpoint stepper and `rhs` both call it.  All other faces are adiabatic
-unless the external face temperature is set.
+`port_loads` is the one definition of this constrained operator, and the
+midpoint stepper calls it.  All other faces are adiabatic unless the
+external face temperature is set.
 """
 
 from __future__ import annotations
@@ -94,20 +94,6 @@ class HeatState:
 
     def copy(self) -> "HeatState":
         return HeatState(self.s.copy())
-
-
-@dataclass
-class HeatEffortFlow:
-    """Efforts and flows of the conduction structure at the quadrature
-    points: temperatures, entropy flux, temperature gradient and the
-    production pair.  Vector quantities have shape (n_cells, nq, 3)."""
-
-    e_s: np.ndarray      # temperature
-    e_phi: np.ndarray    # entropy flux
-    f_phi: np.ndarray    # negative temperature gradient
-    f_sigma: np.ndarray  # temperature (production flow)
-    e_sigma: np.ndarray  # -grad(1/T) . heat flux
-    phi_q: np.ndarray    # heat flux
 
 
 class HeatSystem:
@@ -198,41 +184,19 @@ class HeatSystem:
         _, prod = self._flux_production(state.s)
         return float(self._wdet @ prod.sum(axis=1))
 
-    def apply_closure(self, state: HeatState) -> HeatEffortFlow:
-        """Evaluate all efforts and flows at the quadrature points.
-
-        Fourier's law enters as e_phi = lambda f_phi / e_s and the heat-flux
-        pair as phi_q = e_s * e_phi, so both closure relations hold to
-        round-off at every point.  Fields are returned as (n_cells, nq) and
-        (n_cells, nq, 3) views of the point-major kernel arrays.
-        """
-        lam = self.material.conductivity
-        tq, gq = self._quad_fields(state.s)
-        tb = tq[:, None, :]
-        f_phi = -gq
-        e_phi = lam * f_phi / tb
-        phi_q = tb * e_phi
-        # e_sigma = -grad(1/T) . phi_q = (grad T / T^2) . phi_q
-        e_sigma = (gq / tb ** 2 * phi_q).sum(axis=1)
-        cells = (2, 0, 1)
-        return HeatEffortFlow(e_s=tq.T, e_phi=e_phi.transpose(cells),
-                              f_phi=f_phi.transpose(cells),
-                              f_sigma=tq.T, e_sigma=e_sigma.T,
-                              phi_q=phi_q.transpose(cells))
-
-    def port_loads(self, s: np.ndarray, wall_temperature=None,
-                   ext_temperature: float | None = None, *,
-                   s_old: np.ndarray | None = None, dt: float | None = None):
+    def port_loads(self, s: np.ndarray, wall_temperature,
+                   ext_temperature: float | None, *,
+                   s_old: np.ndarray, dt: float):
         """Loads with the face ports pinned, and the port outputs.
 
         Pins, in place, the coupling trace of s to the entropy of
         wall_temperature (one value per wall node) and the external face to
-        that of ext_temperature, for each port given, and evaluates the loads
-        at the pinned state.  The output of a pinned face is its load-form
-        flux M ds/dt - loads on the face rows, where the face entropy is held
-        (ds/dt = 0) unless s_old and dt are given: then s is the midpoint of
-        a step of length dt from s_old and the pinned rows move at
-        2 (s - s_old) / dt.
+        that of ext_temperature, for each port that is not None, and
+        evaluates the loads at the pinned state.  s is the midpoint of a step
+        of length dt from s_old, so the pinned rows move at
+        ds/dt = 2 (s - s_old) / dt, and the output of a pinned face is its
+        load-form flux M ds/dt - loads on the face rows.  Passing s itself as
+        s_old holds the faces (ds/dt = 0).
 
         Returns (loads, wall output, external output); an output is None for
         a face without a port.  A wall temperature that is not finite and
@@ -249,27 +213,7 @@ class HeatSystem:
         for dofs, t, _ in faces:
             out = None
             if t is not None:
-                rate = 0.0 if s_old is None \
-                    else (s[dofs] - s_old[dofs]) * (2.0 / dt)
+                rate = (s[dofs] - s_old[dofs]) * (2.0 / dt)
                 out = self.mass[dofs] * rate - loads[dofs]
             outputs.append(out)
         return loads, outputs[0], outputs[1]
-
-    def rhs(self, state: HeatState, wall_temperature=None,
-            ext_temperature: float | None = None
-            ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Semi-discrete rate of the entropy field and the wall output.
-
-        With a wall temperature the trace entropy is pinned to match it and
-        held (quasi-static port); the wall output, -(entropy flux . n) in
-        load form, is the negated trace-row loads (None without a port).
-        Faces without a port are adiabatic.
-        """
-        s = state.s.copy()
-        loads, wall, _ = self.port_loads(s, wall_temperature, ext_temperature)
-        ds_dt = loads / self.mass
-        if wall_temperature is not None:
-            ds_dt[self.coupling_dofs] = 0.0
-        if ext_temperature is not None:
-            ds_dt[self.external_dofs] = 0.0
-        return ds_dt, wall

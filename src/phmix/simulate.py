@@ -661,22 +661,18 @@ def _write_nodal_csv(path, header: str, prefixes, columns) -> None:
 
 
 def write_heat_snapshot(path, system: HeatSystem, state: HeatState,
-                        prefixes=None) -> None:
+                        prefixes) -> None:
     """Nodal CSV of the solid: node, x, y, z, s, T.  `prefixes` are the
     formatted `node,x,y,z,` fields (`node_prefixes` of the node
     coordinates), which a run formats once for all its snapshots."""
-    if prefixes is None:
-        prefixes = node_prefixes([system.domain.node_coordinates()])
     t = temperature_of_entropy(state.s, system.material)
     _write_nodal_csv(path, "node,x,y,z,s,T", prefixes, (state.s, t))
 
 
 def write_fluid_snapshot(path, system: FluidSystem, state: FluidState,
-                         prefixes=None) -> None:
+                         prefixes) -> None:
     """Nodal CSV of the channel: node, z, phi, vel, s, T, p.  `prefixes`
     are the formatted `node,z,` fields (`node_prefixes` of the nodes)."""
-    if prefixes is None:
-        prefixes = node_prefixes([system.mesh.nodes])
     p, t, _ = eos(state.phi, state.s, system.material)
     _write_nodal_csv(path, "node,z,phi,vel,s,T,p", prefixes,
                      (state.phi, state.vel, state.s, t, p))

@@ -57,6 +57,23 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="line 1"):
             load_config(path)
 
+    @pytest.mark.parametrize("data,key", [
+        ({"seed": "x"}, "seed"),
+        ({"quad_degree": 3.5}, "quad_degree"),
+        ({"geometry": {"n_az": "8"}}, "geometry.n_az"),
+        ({"geometry": {"n_az": 2.5}}, "geometry.n_az"),
+        ({"scenario_params": 5}, "scenario_params"),
+        ({"scenario_params": {"t_solid": "hot"}}, "scenario_params"),
+    ])
+    def test_malformed_value_exit_2_names_key(self, capsys, tmp_path, data,
+                                              key):
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_dict(data)
+        code = cli.main(["simulate", "--config", write_cfg(tmp_path, data),
+                         "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {key} must be" in capsys.readouterr().err
+
     def test_roundtrip(self, tmp_path):
         cfg = default_config(seed=42, quad_degree=4)
         path = write_cfg(tmp_path, config_to_dict(cfg))
@@ -86,6 +103,15 @@ class TestVerifyCommand:
         code = cli.main(["verify", "--config", cfg])
         assert code == 2
         assert "n_fluid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_2(self, capsys, trials):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--trials", trials])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: phmix verify")
+        assert "--trials: expected an integer >= 1" in err
 
     def test_failed_check_exit_1(self, capsys, monkeypatch, tmp_path):
         broken = VerificationReport(name="adjointness", passed=False,
@@ -172,3 +198,13 @@ class TestConvergenceCommand:
         out = capsys.readouterr().out
         assert "azimuthal_refinement_gap" in out
         assert "PASS" in out
+
+
+@pytest.mark.parametrize("command", ["simulate", "convergence"])
+def test_uncreatable_output_dir_exit_2(capsys, tmp_path, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = cli.main([command, "--config", write_cfg(tmp_path, TINY),
+                     "--output", str(blocker / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phmix.coupling import check_power_balance, check_transpose_identity, \
-    continuous_interconnect, coupling_power, resolve_ports
+    continuous_interconnect, resolve_ports
 from phmix.dirac import LineField, SurfaceField
 from phmix.errors import MeshCompatibilityError
 from phmix.fem import LineBasis, SurfaceBasis, assemble_coupling
@@ -58,17 +58,20 @@ class TestResolvePorts:
             v = SurfaceField(rng.standard_normal(ops.n_psi),
                              ops.surface.boundary)
             y = LineField(rng.standard_normal(ops.n_chi), ops.line.mesh)
-            power = coupling_power(resolve_ports(v, y, ops), ops)
-            scale = abs(power.p_heat) + abs(power.p_fluid) + 1.0
-            assert abs(power.residual) <= 1e-11 * scale
+            ports = resolve_ports(v, y, ops)
+            p_heat = ops.surface_inner(ports.u_T.values, v.values)
+            p_fluid = ops.line_inner(y.values, ports.w_in.values)
+            scale = abs(p_heat) + abs(p_fluid) + 1.0
+            assert abs(p_heat + p_fluid) <= 1e-11 * scale
 
     def test_zero_ports_zero_power(self):
         ops = make_ops()
         v = SurfaceField.constant(ops.surface.boundary, 0.0)
         y = LineField.constant(ops.line.mesh, 0.0)
-        power = coupling_power(resolve_ports(v, y, ops), ops)
-        assert power.p_heat == 0.0 and power.p_fluid == 0.0
-        assert power.residual == 0.0
+        ports = resolve_ports(v, y, ops)
+        p_heat = ops.surface_inner(ports.u_T.values, v.values)
+        p_fluid = ops.line_inner(y.values, ports.w_in.values)
+        assert p_heat == 0.0 and p_fluid == 0.0
 
 
 class TestContinuousInterconnect:
@@ -155,7 +158,9 @@ class TestPhysicalDirection:
         zeta = domain.node_coordinates()[:, 2]
         t_profile = t_cold + (t_hot - t_cold) * zeta / 0.05
         state = HeatState(entropy_of_temperature(t_profile, mat))
-        _, wall = sys.rhs(state, np.full(sys.boundary.n_nodes, t_cold))
+        s = state.s.copy()
+        _, wall, _ = sys.port_loads(s, np.full(sys.boundary.n_nodes, t_cold),
+                                    None, s_old=s, dt=1.0)  # held wall
         v_out = SurfaceField(ops.solve_psi(wall), sys.boundary)
 
         # gradient oracle: temperature rises away from the wall
@@ -167,8 +172,9 @@ class TestPhysicalDirection:
 
         y = LineField.constant(ops.line.mesh, t_cold)
         ports = resolve_ports(v_out, y, ops)
-        power = coupling_power(ports, ops)
-        assert power.p_heat < 0.0 and power.p_fluid > 0.0
+        p_heat = ops.surface_inner(ports.u_T.values, v_out.values)
+        p_fluid = ops.line_inner(y.values, ports.w_in.values)
+        assert p_heat < 0.0 and p_fluid > 0.0
         assert np.all(ports.w_in.values > 0.0)
 
 

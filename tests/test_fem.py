@@ -4,9 +4,9 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from phmix.errors import ConfigurationError, MaterialError, \
-    MeshCompatibilityError, UnsupportedBasisError
+    MeshCompatibilityError
 from phmix.fem import LineBasis, SurfaceBasis, VolumeBasis, assemble_coupling, \
-    assemble_mass, assemble_stiffness, collapse_basis, lumped_mass
+    assemble_mass, assemble_stiffness, lumped_mass
 from phmix.geometry import IntervalMesh, TensorBoundary, build_solid_domain, \
     quadrature_rule
 
@@ -93,13 +93,6 @@ class TestPartitionOfUnity:
         t = basis.tables(QUAD)
         assert np.abs(t.values.sum(axis=1) - 1.0).max() <= 1e-13
 
-    def test_hat_support_is_local(self):
-        basis = LineBasis(IntervalMesh(0, 1, 4))
-        vals = basis.evaluate(np.array([0.6]))
-        # x = 0.6 lies in cell 2; only nodes 2 and 3 may be active
-        assert np.all(vals[[0, 1, 4], 0] == 0.0)
-        assert vals[:, 0].sum() == pytest.approx(1.0, abs=1e-14)
-
 
 class TestStiffness:
     def test_two_cell_oracle(self):
@@ -142,36 +135,38 @@ class TestStiffness:
                                lambda pts: pts[..., 0] - 0.5, QUAD)
 
 
+def coupling_of(surface):
+    """assemble_coupling on the surface and its own axial factor."""
+    return assemble_coupling(surface, LineBasis(surface.boundary.gamma1), QUAD)
+
+
 class TestCollapse:
+    """The surface basis integrated over the azimuth: eta_integrals and the
+    rows of d_chi."""
+
     def test_sum_of_collapsed_is_azimuthal_measure(self):
-        surface = small_surface()
-        collapsed = collapse_basis(surface, QUAD)
-        x = np.linspace(0.0, 1.0, 17)
-        total = collapsed.evaluate(x).sum(axis=0)
-        assert np.abs(total - 2 * np.pi).max() <= 1e-12 * 2 * np.pi
+        ops = coupling_of(small_surface())
+        assert ops.eta_integrals.sum() == pytest.approx(ops.measure2,
+                                                        rel=1e-12)
+        assert ops.measure2 == pytest.approx(2 * np.pi, rel=1e-14)
 
     def test_periodic_hat_integrals(self):
-        surface = small_surface(circumference=2 * np.pi, n_az=4)
-        collapsed = collapse_basis(surface, QUAD)
+        ops = coupling_of(small_surface(circumference=2 * np.pi, n_az=4))
         oracle = oracles.eta_integrals_oracle(2 * np.pi, 4)
-        assert np.abs(collapsed.weights - oracle).max() <= 1e-13
-        assert np.allclose(collapsed.weights, np.pi / 2, rtol=1e-13)
+        assert np.abs(ops.eta_integrals - oracle).max() <= 1e-13
+        assert np.allclose(ops.eta_integrals, np.pi / 2, rtol=1e-13)
 
     def test_axial_support_unchanged(self):
-        surface = small_surface(n_ax=5, n_az=3)
-        collapsed = collapse_basis(surface, QUAD)
-        n2 = 3
-        # chi_2 peaks at 0.4 with support [0.2, 0.6]
-        vals = collapsed.evaluate(np.array([0.05, 0.25, 0.55, 0.85]))
-        row = vals[2 * n2 + 0]
-        assert row[0] == 0.0 and row[3] == 0.0
-        assert row[1] > 0.0 and row[2] > 0.0
-        chi_row = collapsed.chi.evaluate(np.array([0.05, 0.25, 0.55, 0.85]))[2]
-        assert np.array_equal(row > 0, chi_row > 0)
-
-    def test_non_tensor_basis_rejected(self):
-        with pytest.raises(UnsupportedBasisError):
-            collapse_basis(LineBasis(IntervalMesh(0, 1, 3)), QUAD)
+        # row k of d_chi pairs chi_k with every collapsed chi_i eta_j: it
+        # is nonzero exactly on the columns (i, j) with chi_i overlapping
+        # chi_k, i.e. |i - k| <= 1, for every azimuthal j
+        n_ax, n2 = 5, 3
+        ops = coupling_of(small_surface(n_ax=n_ax, n_az=n2))
+        pattern = ops.d_chi.toarray() != 0
+        for k in range(n_ax + 1):
+            near = [i for i in range(n_ax + 1) if abs(i - k) <= 1]
+            cols = [i * n2 + j for i in near for j in range(n2)]
+            assert np.flatnonzero(pattern[k]).tolist() == cols
 
 
 class TestCoupling:

@@ -58,14 +58,20 @@ class TestConstitutiveLaw:
 
 
 class TestClosure:
+    """Fourier's law and the production pair at the quadrature points, as
+    the load kernel forms them: T and grad T (nq, n_cells), (nq, 3,
+    n_cells), entropy flux (nq, 3, n_cells), production (nq, n_cells)."""
+
     def test_uniform_state_has_zero_fluxes(self):
         sys = small_system()
-        ef = sys.apply_closure(sys.uniform_state(350.0))
+        s = sys.uniform_state(350.0).s
+        _, gq = sys._quad_fields(s)
+        flux, prod = sys._flux_production(s)
         # gradients of a constant cancel to round-off of T/h
         tiny = 1e-12 * 350.0 / sys.domain.thickness.h
-        assert np.abs(ef.e_phi).max() <= tiny
-        assert np.abs(ef.f_phi).max() <= tiny
-        assert np.abs(ef.e_sigma).max() <= tiny
+        assert np.abs(flux).max() <= tiny
+        assert np.abs(gq).max() <= tiny
+        assert np.abs(prod).max() <= tiny
 
     def test_linear_profile_through_thickness(self):
         # closed-form oracle: nodal T linear in the thickness coordinate
@@ -74,27 +80,31 @@ class TestClosure:
         sys = small_system(n_ax=1, n_az=1, n_th=4, depth=1.0, material=mat)
         zeta = sys.domain.node_coordinates()[:, 2]
         t_nodal = 300.0 + 50.0 * zeta
-        state = HeatState(entropy_of_temperature(t_nodal, mat))
-        ef = sys.apply_closure(state)
-        assert np.abs(ef.phi_q[:, :, 0]).max() <= 1e-10
-        assert np.abs(ef.phi_q[:, :, 1]).max() <= 1e-10
-        assert np.abs(ef.phi_q[:, :, 2] + 50.0).max() <= 1e-9
-        expected_s = ef.phi_q[:, :, 2] / ef.e_s
-        assert np.abs(ef.e_phi[:, :, 2] - expected_s).max() <= 1e-12
+        s = entropy_of_temperature(t_nodal, mat)
+        tq, _ = sys._quad_fields(s)
+        flux, _ = sys._flux_production(s)
+        phi_q = tq[:, None, :] * flux
+        assert np.abs(phi_q[:, 0]).max() <= 1e-10
+        assert np.abs(phi_q[:, 1]).max() <= 1e-10
+        assert np.abs(phi_q[:, 2] + 50.0).max() <= 1e-9
+        expected_s = phi_q[:, 2] / tq
+        assert np.abs(flux[:, 2] - expected_s).max() <= 1e-12
 
     def test_closure_residuals_at_random_states(self):
         sys = small_system()
         rng = np.random.default_rng(1)
         lam = MAT.conductivity
         for _ in range(100):
-            state = HeatState(MAT.rho_c * rng.uniform(-0.3, 0.3, sys.n_dofs))
-            ef = sys.apply_closure(state)
-            r1 = ef.e_s[:, :, None] * ef.e_phi - lam * ef.f_phi
-            s1 = 1.0 + np.abs(lam * ef.f_phi).max()
+            s = MAT.rho_c * rng.uniform(-0.3, 0.3, sys.n_dofs)
+            tq, gq = sys._quad_fields(s)
+            flux, prod = sys._flux_production(s)
+            # flux T = -lam grad T
+            r1 = tq[:, None, :] * flux + lam * gq
+            s1 = 1.0 + np.abs(lam * gq).max()
             assert np.abs(r1).max() <= 1e-12 * s1
-            r2 = np.einsum("cqd,cqd->cq", ef.f_phi, ef.e_phi) \
-                + ef.f_sigma * ef.e_sigma
-            s2 = 1.0 + np.abs(ef.f_sigma * ef.e_sigma).max()
+            # prod T = -grad T . flux
+            r2 = prod * tq + (gq * flux).sum(axis=1)
+            s2 = 1.0 + np.abs(prod * tq).max()
             assert np.abs(r2).max() <= 1e-12 * s2
 
     def test_invalid_state_identified(self):
@@ -102,12 +112,12 @@ class TestClosure:
         bad = sys.uniform_state(320.0)
         bad.s[5] = np.nan
         with pytest.raises(StateValidityError, match=r"entropy\[5\]"):
-            sys.apply_closure(bad)
+            sys._quad_fields(bad.s)
 
 
 def einsum_kernel(sys, s):
     """The contraction form of the Q1 kernel, straight from the reference
-    tables: loads, total production and the closure fields."""
+    tables: loads, total production and the point fields, cell-major."""
     tab = sys.basis.tables(sys.quad)
     lam = sys.material.conductivity
     tc = temperature_of_entropy(s, sys.material)[sys.dofmap]
@@ -120,10 +130,7 @@ def einsum_kernel(sys, s):
         + prod @ (tab.values * tab.wdet[:, None])
     loads = np.bincount(sys.dofmap.ravel(), weights=local.ravel(),
                         minlength=sys.n_dofs)
-    phi_q = tq[:, :, None] * flux
-    e_sigma = np.einsum("cqd,cqd->cq", gq / tq[:, :, None] ** 2, phi_q)
-    fields = {"e_s": tq, "e_phi": flux, "f_phi": -gq, "f_sigma": tq,
-              "e_sigma": e_sigma, "phi_q": phi_q}
+    fields = {"T": tq, "grad_T": gq, "flux": flux, "production": prod}
     return loads, float(np.einsum("q,cq->", tab.wdet, prod)), fields
 
 
@@ -144,9 +151,12 @@ class TestKernelOracle:
             assert rel_gap(sys.assemble_loads(state.s), loads) <= 1e-13
             assert sys.entropy_production(state) \
                 == pytest.approx(production, rel=1e-13)
-            ef = sys.apply_closure(state)
+            tq, gq = sys._quad_fields(state.s)
+            flux, prod = sys._flux_production(state.s)
+            kernel = {"T": tq.T, "grad_T": gq.transpose(2, 0, 1),
+                      "flux": flux.transpose(2, 0, 1), "production": prod.T}
             for name, ref in fields.items():
-                got = getattr(ef, name)
+                got = kernel[name]
                 assert got.shape == ref.shape, name
                 assert rel_gap(got, ref) <= 1e-13, name
 
@@ -161,12 +171,27 @@ class TestKernelOracle:
         assert abs(weighted.sum()) <= 1e-14 * np.abs(weighted).sum()
 
 
+def held_rates(sys, s, wall_temperature=None, ext_temperature=None):
+    """Semi-discrete rate of the entropy field with each given face port
+    pinned and held (s_old = s makes the pinned rows' rate exactly 0), and
+    the load-form wall output (None without a wall port)."""
+    s = s.copy()
+    loads, wall, _ = sys.port_loads(s, wall_temperature, ext_temperature,
+                                    s_old=s, dt=1.0)
+    ds_dt = loads / sys.mass
+    if wall_temperature is not None:
+        ds_dt[sys.coupling_dofs] = 0.0
+    if ext_temperature is not None:
+        ds_dt[sys.external_dofs] = 0.0
+    return ds_dt, wall
+
+
 class TestRhs:
     def test_equilibrium_fixed_point(self):
         sys = small_system()
         state = sys.uniform_state(330.0)
         u = np.full(sys.boundary.n_nodes, 330.0)
-        ds, wall = sys.rhs(state, u)
+        ds, wall = held_rates(sys, state.s, u)
         assert np.abs(ds).max() <= 1e-12
         assert np.abs(wall).max() <= 1e-12
 
@@ -174,7 +199,7 @@ class TestRhs:
         sys = small_system()
         rng = np.random.default_rng(2)
         state = HeatState(MAT.rho_c * rng.uniform(-0.1, 0.1, sys.n_dofs))
-        ds, wall = sys.rhs(state)
+        ds, wall = held_rates(sys, state.s)
         assert wall is None
         t = sys.temperature(state)
         dq = float((sys.mass * t) @ ds)
@@ -192,10 +217,10 @@ class TestRhs:
         ent0 = sys.total_entropy(HeatState(s))
         dt = 2e-5
         for _ in range(200):
-            k1, _ = sys.rhs(HeatState(s))
-            k2, _ = sys.rhs(HeatState(s + 0.5 * dt * k1))
-            k3, _ = sys.rhs(HeatState(s + 0.5 * dt * k2))
-            k4, _ = sys.rhs(HeatState(s + dt * k3))
+            k1, _ = held_rates(sys, s)
+            k2, _ = held_rates(sys, s + 0.5 * dt * k1)
+            k3, _ = held_rates(sys, s + 0.5 * dt * k2)
+            k4, _ = held_rates(sys, s + dt * k3)
             s = s + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         q1 = sys.hamiltonian(HeatState(s))
         ent1 = sys.total_entropy(HeatState(s))
@@ -207,7 +232,7 @@ class TestRhs:
         rng = np.random.default_rng(4)
         state = HeatState(MAT.rho_c * rng.uniform(-0.1, 0.1, sys.n_dofs))
         u = 320.0 + 20.0 * rng.standard_normal(sys.boundary.n_nodes)
-        ds, wall = sys.rhs(state, u)
+        ds, wall = held_rates(sys, state.s, u)
         s_held = state.s.copy()
         s_held[sys.coupling_dofs] = entropy_of_temperature(u, MAT)
         t = temperature_of_entropy(s_held, MAT)
@@ -230,7 +255,7 @@ class TestRhs:
             u = np.full(sys.boundary.n_nodes, bad)
             with pytest.raises(StateValidityError,
                                match="boundary temperature"):
-                sys.rhs(state, u)
+                held_rates(sys, state.s, u)
 
 
 class TestHamiltonian:
@@ -270,7 +295,7 @@ class TestSteadyConduction:
         def residual(x):
             st_ = state.copy()
             st_.s[free] = x
-            ds, _ = sys.rhs(st_, u, ext_temperature=t_hot)
+            ds, _ = held_rates(sys, st_.s, u, ext_temperature=t_hot)
             return ds[free]
 
         x = state.s[free].copy()

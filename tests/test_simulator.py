@@ -9,7 +9,7 @@ from phmix.errors import ConfigurationError, PhmixError, StepFailureError
 from phmix.fluid import FluidState, eos
 from phmix.simulate import CoupledSimulation, LEDGER_HEADER, \
     PREDICTOR_ORDER, SCENARIOS, SimConfig, advance_table, build_scenario, \
-    extrapolate, measure_pulse_speed, write_fluid_snapshot, \
+    extrapolate, measure_pulse_speed, node_prefixes, write_fluid_snapshot, \
     write_heat_snapshot
 
 import oracles
@@ -463,10 +463,12 @@ class TestLedgerAndSnapshots:
         fs = setup.fluid_state.copy()
         fs.vel = fs.vel + rng.standard_normal(fluid.n_dofs)
 
-        write_heat_snapshot(tmp_path / "heat.csv", heat, hs)
+        write_heat_snapshot(tmp_path / "heat.csv", heat, hs,
+                            node_prefixes([heat.domain.node_coordinates()]))
         assert (tmp_path / "heat.csv").read_bytes() == \
             per_value_heat(heat, hs)
-        write_fluid_snapshot(tmp_path / "fluid.csv", fluid, fs)
+        write_fluid_snapshot(tmp_path / "fluid.csv", fluid, fs,
+                             node_prefixes([fluid.mesh.nodes]))
         assert (tmp_path / "fluid.csv").read_bytes() == \
             per_value_fluid(fluid, fs)
 
