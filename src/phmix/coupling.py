@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import LineField, SurfaceField, VerificationReport, STRUCT_TOL, \
-    _check_line, _check_surface, _random_fields
+    _check_line, _check_surface, _dots, _random_fields
 from .fem import CouplingOperators
 
 
@@ -92,8 +92,8 @@ def check_power_balance(ops: CouplingOperators, trials: int = 100,
     y = _random_fields(rng, trials, ops.n_chi)
     u = ops.embed(y)
     w = -ops.integrate(v)
-    p_heat = np.einsum("ti,ti->t", u, (ops.m_psi @ v.T).T)
-    p_fluid = np.einsum("ti,ti->t", y, (ops.m_chi @ w.T).T)
+    p_heat = _dots(u, ops.m_psi @ v)
+    p_fluid = _dots(y, ops.m_chi @ w)
     scale = np.abs(p_heat) + np.abs(p_fluid) + 1.0
     worst = float(np.max(np.abs(p_heat + p_fluid) / scale))
     return VerificationReport(

@@ -114,8 +114,8 @@ def j_matrix(ops: CouplingOperators) -> np.ndarray:
     """Dense matrix of the structure map on stacked (line, surface) dofs."""
     n1, n2 = ops.n_chi, ops.n_psi
     out = np.zeros((n1 + n2, n1 + n2))
-    out[:n1, n1:] = -ops.integrate(np.eye(n2)).T
-    out[n1:, :n1] = ops.embed(np.eye(n1)).T
+    out[:n1, n1:] = -ops.integrate(np.eye(n2))
+    out[n1:, :n1] = ops.embed(np.eye(n1))
     return out
 
 
@@ -153,7 +153,15 @@ class VerificationReport:
 
 
 def _random_fields(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
-    return rng.standard_normal((trials, n))
+    """A column stack (n, trials) of standard normal fields.  Each trial's
+    field is drawn as one row, then the stack is transposed once into C
+    order, which the sparse mass products take without a copy."""
+    return np.ascontiguousarray(rng.standard_normal((trials, n)).T)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient dot product of matching columns of two stacks."""
+    return np.einsum("it,it->t", a, b)
 
 
 def check_adjointness(ops: CouplingOperators, trials: int = 100,
@@ -166,11 +174,14 @@ def check_adjointness(ops: CouplingOperators, trials: int = 100,
     rng = np.random.default_rng(seed)
     f = _random_fields(rng, trials, ops.n_psi)
     v = _random_fields(rng, trials, ops.n_chi)
-    lhs = np.einsum("ti,ti->t", f, (ops.m_psi @ ops.embed(v).T).T)
-    af = ops.integrate(f)
-    rhs = np.einsum("ti,ti->t", af, (ops.m_chi @ v.T).T)
-    fnorm = np.sqrt(np.einsum("ti,ti->t", f, (ops.m_psi @ f.T).T))
-    vnorm = np.sqrt(np.einsum("ti,ti->t", v, (ops.m_chi @ v.T).T))
+    # one mass product per stack: m_psi and m_chi are symmetric, so each
+    # serves both the pairing and the norm of its stack
+    mf = ops.m_psi @ f
+    mv = ops.m_chi @ v
+    lhs = _dots(ops.embed(v), mf)
+    rhs = _dots(ops.integrate(f), mv)
+    fnorm = np.sqrt(_dots(f, mf))
+    vnorm = np.sqrt(_dots(v, mv))
     resid = np.abs(lhs - rhs) / (1.0 + fnorm * vnorm)
     worst = float(resid.max())
     return VerificationReport(
@@ -201,16 +212,16 @@ def check_dirac_pairing(ops: CouplingOperators, trials: int = 100,
     f1p = -ops.integrate(e2p)
     f2p = ops.embed(e1p)
 
-    def pair(a1, a2, b1, b2):
-        return np.einsum("ti,ti->t", a1, (ops.m_chi @ b1.T).T) \
-            + np.einsum("ti,ti->t", a2, (ops.m_psi @ b2.T).T)
+    # the mass products of the efforts, once each; by symmetry they pair
+    # the efforts with the flows and with themselves
+    m = (ops.m_chi @ e1, ops.m_psi @ e2)
+    mp = (ops.m_chi @ e1p, ops.m_psi @ e2p)
 
-    bracket = pair(e1, e2, f1p, f2p) + pair(e1p, e2p, f1, f2)
-    scale = 1.0 + np.sqrt(
-        np.einsum("ti,ti->t", e1, (ops.m_chi @ e1.T).T)
-        + np.einsum("ti,ti->t", e2, (ops.m_psi @ e2.T).T)) * np.sqrt(
-        np.einsum("ti,ti->t", e1p, (ops.m_chi @ e1p.T).T)
-        + np.einsum("ti,ti->t", e2p, (ops.m_psi @ e2p.T).T))
+    def pair(me, b1, b2):
+        return _dots(me[0], b1) + _dots(me[1], b2)
+
+    bracket = pair(m, f1p, f2p) + pair(mp, f1, f2)
+    scale = 1.0 + np.sqrt(pair(m, e1, e2)) * np.sqrt(pair(mp, e1p, e2p))
     worst = float(np.max(np.abs(bracket) / scale))
     return VerificationReport(
         name="dirac_pairing", passed=bool(worst <= STRUCT_TOL),
@@ -227,14 +238,14 @@ def operator_norm_bound_check(ops: CouplingOperators, trials: int = 100,
     rng = np.random.default_rng(seed)
     u = _random_fields(rng, trials, ops.n_psi)
     au = ops.integrate(u)
-    lhs = np.einsum("ti,ti->t", au, (ops.m_chi @ au.T).T)
-    rhs = ops.measure2 * np.einsum("ti,ti->t", u, (ops.m_psi @ u.T).T)
+    lhs = _dots(au, ops.m_chi @ au)
+    rhs = ops.measure2 * _dots(u, ops.m_psi @ u)
     worst = float(np.max(lhs - rhs))
 
     uc = ops.embed(_random_fields(rng, trials, ops.n_chi))
     auc = ops.integrate(uc)
-    lhs_c = np.einsum("ti,ti->t", auc, (ops.m_chi @ auc.T).T)
-    rhs_c = ops.measure2 * np.einsum("ti,ti->t", uc, (ops.m_psi @ uc.T).T)
+    lhs_c = _dots(auc, ops.m_chi @ auc)
+    rhs_c = ops.measure2 * _dots(uc, ops.m_psi @ uc)
     eq_gap = float(np.max(np.abs(lhs_c - rhs_c) / np.maximum(rhs_c, 1e-300)))
 
     passed = worst <= STRUCT_TOL and eq_gap <= QUAD_REL_TOL

@@ -271,7 +271,8 @@ class CouplingOperators:
     transpose (azimuthal row sums) and `integrate` the mass-consistent fiber
     integral m_chi^-1 d_chi.  On the tensor-product wall B = m_psi^-1 d_psi
     and d_chi m_psi^-1 = B^T, so B^T takes surface loads to line loads.  All
-    three take one field (dofs,) or a stack of them (trials, dofs).
+    three take one field (dofs,) or a column stack of them (dofs, trials),
+    so sparse products take the stack as it is, without a transposed copy.
     """
 
     m_psi: sp.csr_matrix
@@ -296,17 +297,17 @@ class CouplingOperators:
     def embed(self, y: np.ndarray) -> np.ndarray:
         """B y: line coefficients to azimuthally constant surface
         coefficients."""
-        return y.repeat(self.surface.eta.n_dofs, axis=-1)
+        return y.repeat(self.surface.eta.n_dofs, axis=0)
 
     def embed_t(self, b: np.ndarray) -> np.ndarray:
         """B^T b: azimuthal row sums of surface arrays."""
         n_az = self.surface.eta.n_dofs
-        return b.reshape(*b.shape[:-1], -1, n_az).sum(axis=-1)
+        return b.reshape(-1, n_az, *b.shape[1:]).sum(axis=1)
 
     def integrate(self, u: np.ndarray) -> np.ndarray:
         """m_chi^-1 d_chi u: fiber integral of surface coefficients, as
         line coefficients."""
-        return self.solve_chi(self.d_chi @ u.T).T
+        return self.solve_chi(self.d_chi @ u)
 
     def solve_psi(self, b: np.ndarray) -> np.ndarray:
         if self._psi_lu is None:

@@ -254,21 +254,21 @@ class TestCoupling:
 class TestEmbedPair:
     def test_embed_t_is_transpose_and_stacks(self):
         # B^T is the transpose of B in the coefficient dot product, and a
-        # stack of fields gives each field's result row by row
+        # column stack of fields gives each field's result column by column
         surface = small_surface(n_ax=4, n_az=5)
         ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)), QUAD)
         rng = np.random.default_rng(3)
-        y = rng.standard_normal((3, ops.n_chi))
-        b = rng.standard_normal((3, ops.n_psi))
+        y = rng.standard_normal((ops.n_chi, 3))
+        b = rng.standard_normal((ops.n_psi, 3))
         dense = np.zeros((ops.n_psi, ops.n_chi))
         dense[np.arange(ops.n_psi), np.arange(ops.n_psi) // 5] = 1.0
-        assert np.array_equal(ops.embed(y), y @ dense.T)
-        assert np.abs(ops.embed_t(b) - b @ dense).max() <= 1e-14
+        assert np.array_equal(ops.embed(y), dense @ y)
+        assert np.abs(ops.embed_t(b) - dense.T @ b).max() <= 1e-14
         for k in range(3):
-            assert np.array_equal(ops.embed(y[k]), ops.embed(y)[k])
-            assert np.array_equal(ops.embed_t(b[k]), ops.embed_t(b)[k])
-            assert np.abs(ops.integrate(b[k]) - ops.integrate(b)[k]).max() \
-                <= 1e-14 * np.abs(ops.integrate(b[k])).max()
+            assert np.array_equal(ops.embed(y[:, k]), ops.embed(y)[:, k])
+            assert np.array_equal(ops.embed_t(b[:, k]), ops.embed_t(b)[:, k])
+            assert np.abs(ops.integrate(b[:, k]) - ops.integrate(b)[:, k]).max() \
+                <= 1e-14 * np.abs(ops.integrate(b[:, k])).max()
 
     def test_integrate_is_the_mass_consistent_block(self):
         surface = small_surface(n_ax=3, n_az=4)
