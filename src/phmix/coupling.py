@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import LineField, SurfaceField, VerificationReport, STRUCT_TOL, \
-    _check_line, _check_surface, _dots, _random_fields
+    _check_line, _check_surface, _dots, _random_fields, _stream
 from .fem import CouplingOperators
 
 
@@ -87,7 +87,7 @@ def check_power_balance(ops: CouplingOperators, trials: int = 100,
     """Resolve random port outputs and verify the two powers cancel."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _stream(seed, "power_balance")
     v = _random_fields(rng, trials, ops.n_psi)
     y = _random_fields(rng, trials, ops.n_chi)
     u = ops.embed(y)

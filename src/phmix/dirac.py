@@ -152,6 +152,16 @@ class VerificationReport:
         return "\n".join(self.lines())
 
 
+# each randomized check draws from its own stream [seed, k] of one seed, so
+# no two checks test the same fields
+_STREAMS = {"adjointness": 1, "operator_norm_bound": 2, "dirac_pairing": 3,
+            "power_balance": 4}
+
+
+def _stream(seed: int, check: str) -> np.random.Generator:
+    return np.random.default_rng([seed, _STREAMS[check]])
+
+
 def _random_fields(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
     """A column stack (n, trials) of standard normal fields.  Each trial's
     field is drawn as one row, then the stack is transposed once into C
@@ -171,7 +181,7 @@ def check_adjointness(ops: CouplingOperators, trials: int = 100,
     structural tolerance."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _stream(seed, "adjointness")
     f = _random_fields(rng, trials, ops.n_psi)
     v = _random_fields(rng, trials, ops.n_chi)
     # one mass product per stack: m_psi and m_chi are symmetric, so each
@@ -200,7 +210,7 @@ def check_dirac_pairing(ops: CouplingOperators, trials: int = 100,
     bracket is the whole gate."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _stream(seed, "dirac_pairing")
     n1 = ops.n_chi
     e1 = _random_fields(rng, trials, n1)
     e2 = _random_fields(rng, trials, ops.n_psi)
@@ -235,7 +245,7 @@ def operator_norm_bound_check(ops: CouplingOperators, trials: int = 100,
     surface norm, with equality for azimuthally constant fields."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _stream(seed, "operator_norm_bound")
     u = _random_fields(rng, trials, ops.n_psi)
     au = ops.integrate(u)
     lhs = _dots(au, ops.m_chi @ au)

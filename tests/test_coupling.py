@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from phmix import coupling, dirac
 from phmix.coupling import check_power_balance, check_transpose_identity, \
     continuous_interconnect, resolve_ports
-from phmix.dirac import LineField, SurfaceField
+from phmix.dirac import LineField, SurfaceField, check_adjointness, \
+    check_dirac_pairing, operator_norm_bound_check
 from phmix.errors import MeshCompatibilityError
 from phmix.fem import LineBasis, SurfaceBasis, assemble_coupling
 from phmix.geometry import IntervalMesh, TensorBoundary, build_solid_domain, \
@@ -186,6 +190,37 @@ class TestChecks:
     def test_power_balance_report(self):
         rep = check_power_balance(make_ops(), trials=50, seed=4)
         assert rep.passed
+
+    def test_power_balance_fails_on_non_adjoint_pair(self):
+        # integrating 1 % too much leaves 1 % of the port power uncancelled
+        ops = make_ops()
+        bad = dataclasses.replace(ops, d_chi=1.01 * ops.d_chi)
+        rep = check_power_balance(bad, trials=50, seed=4)
+        assert not rep.passed
+        assert rep.max_residual > 1e3 * rep.tolerance
+
+    def test_checks_draw_their_own_fields(self, monkeypatch):
+        # one seed gives each randomized check its own stream, so the first
+        # field each check draws shares no value with another check's
+        ops = make_ops()
+        draw = dirac._random_fields
+        drawn = []
+
+        def recording(rng, trials, n):
+            drawn.append(draw(rng, trials, n))
+            return drawn[-1]
+
+        monkeypatch.setattr(dirac, "_random_fields", recording)
+        monkeypatch.setattr(coupling, "_random_fields", recording)
+        first = []
+        for check in (check_adjointness, operator_norm_bound_check,
+                      check_dirac_pairing, check_power_balance):
+            drawn.clear()
+            assert check(ops, trials=3, seed=5).passed
+            first.append(drawn[0][:ops.n_chi, 0])
+        for i in range(len(first)):
+            for j in range(i):
+                assert not np.isin(first[i], first[j]).any()
 
     def test_block_map_skew_adjoint_in_mass_inner_products(self):
         ops = make_ops(n_ax=3, n_az=3)

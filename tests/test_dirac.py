@@ -172,6 +172,14 @@ class TestAdjointness:
         assert report.passed
         assert report.max_residual <= 1e-11
 
+    def test_non_adjoint_pair_fails(self):
+        # integrating 1 % too much breaks <f, embed v> = <integrate f, v>
+        ops = make_ops(n_ax=6, n_az=5, circumference=3.0)
+        bad = dataclasses.replace(ops, d_chi=1.01 * ops.d_chi)
+        report = check_adjointness(bad, trials=100, seed=3)
+        assert not report.passed
+        assert report.max_residual > 1e3 * report.tolerance
+
     def test_embedded_field_saturates(self):
         ops = make_ops(circumference=2.0)
         rng = np.random.default_rng(2)
@@ -268,6 +276,16 @@ class TestNormBound:
         ops = make_ops(n_ax=5, n_az=6, circumference=1.7)
         report = operator_norm_bound_check(ops, trials=100, seed=8)
         assert report.passed
+
+    def test_non_adjoint_pair_fails(self):
+        # integrating 1 % too much scales the integrated norm of an
+        # azimuthally constant field by 1.0201, off the equality case
+        ops = make_ops(n_ax=5, n_az=6, circumference=1.7)
+        bad = dataclasses.replace(ops, d_chi=1.01 * ops.d_chi)
+        report = operator_norm_bound_check(bad, trials=100, seed=8)
+        assert not report.passed
+        gap = float(report.details["equality_rel_gap_constant_fields"])
+        assert gap == pytest.approx(0.0201, rel=1e-6)
 
 
 def test_tensor_input_integral_independent_of_azimuthal_mesh():
