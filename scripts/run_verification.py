@@ -20,7 +20,7 @@ reports = [
     operator_norm_bound_check(ops, trials, seed),
     check_dirac_pairing(ops, trials, seed),
     check_transpose_identity(ops),
-    check_power_balance(ops, min(trials, 500), seed),
+    check_power_balance(ops, trials, seed),
 ]
 for rep in reports:
     print(rep)
