@@ -15,9 +15,8 @@ from .driver import Problem, build_problem, convergence_study, \
     make_simulation, run_from_config
 from .errors import ConfigurationError, GeometryError, MaterialError, \
     MeshCompatibilityError, PhmixError, StateValidityError, StepFailureError
-from .fem import BasisSet, CouplingOperators, LineBasis, SurfaceBasis, \
-    VolumeBasis, assemble_coupling, assemble_mass, assemble_stiffness, \
-    lumped_mass
+from .fem import CouplingOperators, LineBasis, SurfaceBasis, VolumeBasis, \
+    assemble_coupling, assemble_mass, assemble_stiffness, lumped_mass
 from .fluid import FluidMaterial, FluidState, FluidSystem, eos, sound_speed
 from .geometry import IntervalMesh, QuadratureRule, SolidDomain, \
     TensorBoundary, build_solid_domain, quadrature_rule

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaterialError, StateValidityError
-from .fem import LineBasis, lumped_mass
+from .fem import LineBasis, line_matrix, lumped_mass
 from .geometry import IntervalMesh, quadrature_rule
 
 
@@ -54,6 +54,15 @@ class FluidMaterial:
         return 1.0 + self.r_gas / self.c_v
 
 
+def check_specific_volume(phi: np.ndarray) -> None:
+    """Raise StateValidityError at the first specific volume that is not
+    positive; a positive one makes every ideal-gas state valid."""
+    bad = ~(phi > 0)
+    if np.any(bad):
+        node = int(np.argmax(bad))
+        raise StateValidityError("specific volume", node, float(phi.flat[node]))
+
+
 def eos(phi, s, mat: FluidMaterial):
     """Pressure, temperature and internal energy of the ideal gas.
 
@@ -62,9 +71,7 @@ def eos(phi, s, mat: FluidMaterial):
     """
     phi = np.asarray(phi, dtype=float)
     s = np.asarray(s, dtype=float)
-    if np.any(~(phi > 0)):
-        node = int(np.argmax(~(phi > 0)))
-        raise StateValidityError("specific volume", node, float(phi.flat[node]))
+    check_specific_volume(phi)
     t = mat.t_ref * (mat.phi_ref / phi) ** (mat.r_gas / mat.c_v) \
         * np.exp((s - mat.s_ref) / mat.c_v)
     p = mat.r_gas * t / phi
@@ -105,18 +112,8 @@ class FluidSystem:
         self.quad = quadrature_rule(quad_degree)
         self.basis = LineBasis(mesh)
         self.mass = lumped_mass(self.basis, self.quad)
-        tab = self.basis.tables(self.quad)
-        local = np.einsum("q,qa,qb->ab", tab.wdet, tab.values,
-                          tab.gradients[:, :, 0])
-        dofs = self.basis.cell_dofs()
-        nc = dofs.shape[0]
-        rows = np.broadcast_to(dofs[:, :, None], (nc, 2, 2))
-        cols = np.broadcast_to(dofs[:, None, :], (nc, 2, 2))
-        data = np.broadcast_to(local, (nc, 2, 2))
-        n = self.n_dofs
-        pairing = np.bincount((rows * n + cols).ravel(), weights=data.ravel(),
-                              minlength=n * n).reshape(n, n)
-        self.grad_pairing = pairing  # integral(phi_i dphi_j/dz); dense is fine in 1D
+        # integral(phi_i dphi_j/dz), dense: a few dozen nodes
+        self.grad_pairing = line_matrix(self.basis, self.quad, 0, 1).toarray()
 
     @property
     def n_dofs(self) -> int:

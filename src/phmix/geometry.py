@@ -9,7 +9,7 @@ factors exactly into (axial interval) x (periodic azimuthal interval).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,30 +61,25 @@ class IntervalMesh:
             right = right % self.n_cells
         return np.stack([left, right], axis=1)
 
-    def refined(self, factor: int = 2) -> "IntervalMesh":
-        return IntervalMesh(self.start, self.end, self.n_cells * factor, self.periodic)
-
 
 @dataclass(frozen=True)
 class TensorBoundary:
     """Product surface gamma1 x gamma2: a non-periodic axial factor and a
-    periodic azimuthal factor.  measure2 is the total azimuthal length."""
+    periodic azimuthal factor."""
 
     gamma1: IntervalMesh
     gamma2: IntervalMesh
-    measure2: float = field(default=0.0)
 
     def __post_init__(self):
         if self.gamma1.periodic:
             raise GeometryError("gamma1 (axial factor) must be non-periodic")
         if not self.gamma2.periodic:
             raise GeometryError("gamma2 (azimuthal factor) must be periodic")
-        if self.measure2 == 0.0:
-            object.__setattr__(self, "measure2", self.gamma2.measure)
-        elif abs(self.measure2 - self.gamma2.measure) > 1e-12 * self.gamma2.measure:
-            raise GeometryError(
-                f"measure2={self.measure2} inconsistent with gamma2 extent "
-                f"{self.gamma2.measure}")
+
+    @property
+    def measure2(self) -> float:
+        """Total azimuthal length."""
+        return self.gamma2.measure
 
     @property
     def n_cells(self) -> int:

@@ -31,15 +31,14 @@ iteration plus one to start.
 
 The pattern and the coloring are the only per-run setup that grows with the
 mesh.  Both are built on the first Jacobian build, from index arrays and
-per-row color bitmasks, in 4.0 / 8.0 / 26 / 107 ms at 16x8x4 / 24x12x4 /
-48x24x4 / 64x32x8 (block-matrix composition and a conflict-graph greedy took
-12 / 19 / 60 / 206 ms for the same pattern and colors).  From n_az = 12 on
-the colors are one above the densest row's 3 n_az + 7 entries, so only
-speed is left to gain there.  Two other routes were tried on prototypes and
-rejected: a coloring from the grid indices needs at least 3 n_az + 9 colors
-and is invalid below n_az = 9, and differencing the unreduced wall output
-(27-36 colors at any n_az) moves the Jacobian 7e-10 to 1.2e-9 off the dense
-FD one, past the tests' 1e-12 gate.
+per-row color bitmasks rather than block-matrix composition and a
+conflict-graph greedy, which give the same pattern and colors more slowly.
+From n_az = 12 on the colors are one above the densest row's 3 n_az + 7
+entries, so only speed is left to gain there.  Two other routes were tried
+on prototypes and rejected: a coloring from the grid indices needs at least
+3 n_az + 9 colors and is invalid below n_az = 9, and differencing the
+unreduced wall output (27-36 colors at any n_az) moves the Jacobian 7e-10
+to 1.2e-9 off the dense FD one, past the tests' 1e-12 gate.
 
 Everything is deterministic: same inputs give a bit-identical ledger.
 """
@@ -57,7 +56,7 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError, MeshCompatibilityError, PhmixError, \
     StateValidityError, StepFailureError
 from .fem import CouplingOperators
-from .fluid import FluidState, FluidSystem, eos
+from .fluid import FluidState, FluidSystem, check_specific_volume, eos
 from .heat import HeatState, HeatSystem, entropy_of_temperature, \
     temperature_of_entropy
 
@@ -269,9 +268,7 @@ def greedy_column_coloring(pattern: sp.spmatrix) -> np.ndarray:
     the lowest bit clear in the OR of its rows' masks, the smallest color
     no earlier column sharing a row has, then sets that bit on its rows:
     the same colors as the greedy over the conflict graph pat^T pat,
-    without forming it.  At 16x8x4 / 24x12x4 / 48x24x4 / 64x32x8 (36 / 44
-    / 80 / 104 colors) that took 7.0 / 14.7 / 47 / 171 ms, this takes 2.5
-    / 5.5 / 18 / 79 ms.
+    without forming it.
 
     Returns the color index of every column; one finite-difference residual
     per color then recovers every column of that color.
@@ -417,9 +414,8 @@ class CoupledSimulation:
         one boolean map of the solid end state onto the unknowns, and one
         product incidence^T (incidence state) for the loads, whose rows go
         to the free rows or, for a coupling dof, to the entropy row of its
-        channel node.  At 16x8x4 / 24x12x4 / 48x24x4 / 64x32x8 that takes
-        1.5 / 2.5 / 7.6 / 29 ms; composing the same pattern from block
-        matrices took 4.8 / 4.6 / 12.8 / 35 ms.
+        channel node; composing the same pattern from block matrices is
+        slower.
         """
         nf, nfree, nx = self._nf, self._nfree, self._nx
         phi, vel, s = nfree + np.arange(3 * nf).reshape(3, nf)
@@ -535,9 +531,10 @@ class CoupledSimulation:
         """One implicit-midpoint step.
 
         Newton starts from x_pred (default: the old state).  If it does not
-        converge, or a trial iterate is not a valid state, it is retried once
-        from the old state with a fresh factorization; a second failure
-        raises StepFailureError.
+        converge, or a trial iterate or the converged end state is not a
+        valid state, it is retried once from the old state with a fresh
+        factorization; a second failure raises StepFailureError, chained to
+        the StateValidityError that names the field, if there is one.
 
         Returns (heat', fluid', powers, p_ext, x): the converged midpoint
         coupling powers (p_heat, p_fluid) and external power entering the
@@ -557,8 +554,12 @@ class CoupledSimulation:
             try:
                 x, norm, ports = self._newton(x_start)
                 failure = None
+                if norm <= self.cfg.newton_tol:
+                    # the residual saw the midpoint; the end state 2 mid - old
+                    # may still leave the ideal-gas states
+                    check_specific_volume(self._unpack_fluid(x)[0])
             except StateValidityError as exc:
-                norm, failure = np.inf, exc  # an invalid trial iterate
+                norm, failure = np.inf, exc  # an invalid iterate or end state
             if norm <= self.cfg.newton_tol:
                 break
             self._lu = None  # retry once from x0 with a fresh factorization

@@ -197,6 +197,18 @@ class TestSimulateCommand:
         assert "did not converge" in err
         assert "last ledger row" in err
 
+    def test_invalid_end_state_exit_1_with_last_row(self, capsys, tmp_path):
+        data = {"scenario": "acoustic-pulse",
+                "scenario_params": {"amplitude": 3.0},
+                "sim": {"dt": 0.001, "t_end": 0.05, "newton_max_iters": 80}}
+        cfg = write_cfg(tmp_path, data)
+        code = cli.main(["simulate", "--config", cfg,
+                         "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "invalid state: specific volume" in err
+        assert "last ledger row" in err
+
 
 class TestConvergenceCommand:
     def test_report_parses_and_orders_are_second(self, capsys, tmp_path):

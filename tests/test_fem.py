@@ -86,7 +86,6 @@ class TestPartitionOfUnity:
     @pytest.mark.parametrize("basis", [
         LineBasis(IntervalMesh(0, 1, 4)),
         LineBasis(IntervalMesh(0, 1, 1, periodic=True)),
-        small_surface(),
         VolumeBasis(build_solid_domain(0, 1, 0.5, 0.1, 2, 3, 2)),
     ])
     def test_shape_functions_sum_to_one(self, basis):
@@ -113,26 +112,62 @@ class TestStiffness:
                                QUAD).toarray()
         assert np.linalg.eigvalsh(k).min() >= -1e-12
 
-    def test_variable_coefficient_positive(self):
-        mesh = IntervalMesh(0, 1, 4)
-        coef = lambda pts: 1.0 + pts[..., 0]
-        k = assemble_stiffness(LineBasis(mesh), coef, QUAD).toarray()
-        # oracle: entrywise quadrature with the same coefficient
-        nodes = mesh.nodes
-        h = mesh.h
-        for i in range(5):
-            for j in range(5):
-                ref = oracles.integrate(
-                    lambda x: (1.0 + x) * oracles.hat_deriv(x, nodes[i], h)
-                    * oracles.hat_deriv(x, nodes[j], h), 0, 1, pieces=4)
-                assert k[i, j] == pytest.approx(ref, abs=1e-12)
-
     def test_non_positive_coefficient_rejected(self):
         with pytest.raises(MaterialError, match="coefficient"):
             assemble_stiffness(LineBasis(IntervalMesh(0, 1, 4)), 0.0, QUAD)
-        with pytest.raises(MaterialError, match="coefficient"):
-            assemble_stiffness(LineBasis(IntervalMesh(0, 1, 4)),
-                               lambda pts: pts[..., 0] - 0.5, QUAD)
+
+
+class TestTensorOperators:
+    """Q1 operators against products of 1D hat integrals from the oracle."""
+
+    def test_surface_mass_against_2d_hat_products(self):
+        n_ax, n_az, circ = 3, 3, 1.5
+        m = assemble_mass(small_surface(n_ax, n_az, circ), QUAD).toarray()
+        x1 = oracles.mesh_nodes(0.0, 1.0, n_ax)
+        x2 = oracles.mesh_nodes(0.0, circ, n_az, periodic=True)
+        h1, h2 = 1.0 / n_ax, circ / n_az
+
+        def phi(x, y, i, j):
+            return oracles.hat(x, x1[i], h1) \
+                * oracles.hat(y, x2[j], h2, periodic=True, length=circ)
+
+        dofs = [(i, j) for i in range(n_ax + 1) for j in range(n_az)]
+        for a, (i, j) in enumerate(dofs):
+            for b, (k, l) in enumerate(dofs):
+                ref = oracles.integrate_2d(
+                    lambda x, y: phi(x, y, i, j) * phi(x, y, k, l),
+                    0.0, 1.0, 0.0, circ, pieces=3, order=4)
+                assert m[a, b] == pytest.approx(ref, abs=1e-14)
+
+    def test_volume_mass_and_stiffness_against_1d_oracles(self):
+        dom = build_solid_domain(0, 1, 0.5, 0.1, 2, 3, 2)
+        extents = [(0.0, 1.0, 2, False), (0.0, 0.5, 3, True),
+                   (0.0, 0.1, 2, False)]
+        m1 = [oracles.mass_matrix_oracle(*e) for e in extents]
+        k1 = [oracles.stiffness_matrix_oracle(a, b, n, periodic=p)
+              for a, b, n, p in extents]
+        mass = np.kron(np.kron(m1[0], m1[1]), m1[2])
+        stiff = np.kron(np.kron(k1[0], m1[1]), m1[2]) \
+            + np.kron(np.kron(m1[0], k1[1]), m1[2]) \
+            + np.kron(np.kron(m1[0], m1[1]), k1[2])
+        basis = VolumeBasis(dom)
+        m = assemble_mass(basis, QUAD).toarray()
+        k = assemble_stiffness(basis, 2.5, QUAD).toarray()
+        assert np.abs(m - mass).max() <= 1e-13 * np.abs(mass).max()
+        assert np.abs(k - 2.5 * stiff).max() <= 1e-13 * np.abs(stiff).max()
+        lumped = np.kron(np.kron(*(m.sum(axis=1) for m in m1[:2])),
+                         m1[2].sum(axis=1))
+        assert np.abs(lumped_mass(basis, QUAD) - lumped).max() \
+            <= 1e-13 * lumped.max()
+
+    def test_coupling_blocks_are_bitwise_kronecker(self):
+        ops = coupling_of(small_surface(n_ax=6, n_az=5, circumference=1.3))
+        kron = sp.kron(ops.m_chi, ops.eta_integrals[None, :], format="csr")
+        kron_t = kron.transpose().tocsr().sorted_indices()
+        for mat, ref in ((ops.d_chi, kron), (ops.d_psi, kron_t)):
+            assert np.array_equal(mat.indptr, ref.indptr)
+            assert np.array_equal(mat.indices, ref.indices)
+            assert np.array_equal(mat.data, ref.data)
 
 
 def coupling_of(surface):

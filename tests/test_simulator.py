@@ -596,6 +596,23 @@ class TestFailureModes:
         else:
             assert len(result.ledger) == result.steps + 1
 
+    def test_invalid_end_state_fails_with_step_ledger_and_field(self):
+        # Newton converges on the midpoint, whose specific volume stays
+        # positive, while the end state 2 mid - old goes negative: the step
+        # must fail as a step, not leak the state to the ledger's eos
+        cfg = default_config(sim={"dt": 1e-3, "t_end": 0.05,
+                                  "newton_max_iters": 80},
+                             scenario="acoustic-pulse")
+        problem = build_problem(cfg)
+        setup = build_scenario("acoustic-pulse", problem.heat, problem.fluid,
+                               {"amplitude": 3.0})
+        sim = make_simulation(problem, cfg, setup)
+        with pytest.raises(StepFailureError, match="specific volume") as err:
+            sim.run(setup)
+        assert err.value.step >= 1
+        assert len(err.value.ledger) == err.value.step
+        assert err.value.__cause__.field == "specific volume"
+
     def test_second_run_matches_fresh_object(self):
         cfg = small_cfg()
         problem = build_problem(cfg)
