@@ -86,6 +86,7 @@ class TestPartitionOfUnity:
     @pytest.mark.parametrize("basis", [
         LineBasis(IntervalMesh(0, 1, 4)),
         LineBasis(IntervalMesh(0, 1, 1, periodic=True)),
+        LineBasis(IntervalMesh(0, 2, 3, periodic=True)),
         VolumeBasis(build_solid_domain(0, 1, 0.5, 0.1, 2, 3, 2)),
     ])
     def test_shape_functions_sum_to_one(self, basis):
