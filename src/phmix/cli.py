@@ -43,6 +43,12 @@ def _load(args) -> RunConfig:
     return cfg
 
 
+def _step_failure(exc: StepFailureError) -> str:
+    """The error line of a failed step, naming the step `run` attached."""
+    step = getattr(exc, "step", None)
+    return f"error: {exc}" if step is None else f"error: step {step}: {exc}"
+
+
 def cmd_verify(args) -> int:
     try:
         cfg = _load(args)
@@ -88,7 +94,7 @@ def cmd_simulate(args) -> int:
         if ledger is not None and len(ledger):
             print(f"last ledger row: {ledger.records[-1].csv_row()}",
                   file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
+        print(_step_failure(exc), file=sys.stderr)
         return 1
     except PhmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -118,7 +124,7 @@ def cmd_convergence(args) -> int:
         rows = convergence_study(cfg)
         gap = azimuthal_refinement_gap(cfg)
     except StepFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_step_failure(exc), file=sys.stderr)
         return 1
     except PhmixError as exc:
         print(f"error: {exc}", file=sys.stderr)

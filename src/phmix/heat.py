@@ -16,6 +16,8 @@ the gathered cell temperatures times an interpolation table give T and
 grad T at the points, and the pointwise flux and production times the
 weighted test tables give the local loads, which are scattered to the
 nodes.  All cells share one table because the mesh is uniform.
+`loads_tangent` is the kernel's exact tangent, one 8x8 block per cell from
+the same tables, which the stepper's Jacobian scatters itself.
 
 The coupling face takes a temperature input (enforced nodally on the trace
 through the entropy variable); the conjugate output, the negative normal
@@ -178,6 +180,44 @@ class HeatSystem:
             + self._prod_test @ prod
         return np.bincount(self._gather.ravel(), weights=local.ravel(),
                            minlength=self.n_dofs)
+
+    def loads_tangent(self, s: np.ndarray) -> np.ndarray:
+        """Exact tangent of `assemble_loads` at s, as one 8x8 block per cell.
+
+        Returns (8, 8, n_cells) `local`, local[a, b, c] = d(local load a of
+        cell c) / d(s at local node b of cell c); `assemble_loads`' scatter
+        sums these blocks into d loads / d s.  With dT = (T / rho c) ds at the
+        nodes, dT_q and dg_q from `_interp`, dflux = -lambda (dg / T_q -
+        g dT_q / T_q^2) and dprod = 2 flux . dflux / lambda, the block is
+        `_flux_test` dflux + `_prod_test` dprod.  Collecting the terms by
+        their pointwise factor makes it one GEMM, like the kernel: a 64-row
+        table of test x trial products against the point fields 1 / T_q,
+        prod / T_q and flux / T_q, then a scaling of column b by dT_b / ds_b.
+        """
+        nq, nb = self._wdet.size, self._gather.shape[0]
+        lam = self.material.conductivity
+        tq, gq = self._quad_fields(s)
+        inv = 1.0 / tq
+        flux = gq * (-lam * inv)[:, None, :]
+        prod = (flux * flux).sum(axis=1) / lam
+        points = np.concatenate([inv, prod * inv,
+                                 (flux * inv[:, None, :]).reshape(3 * nq, -1)])
+        vals = self._interp[:nq]                      # V[q, b]
+        grads = self._interp[nq:].reshape(nq, 3, nb)  # G[q, d, b]
+        ftest = self._flux_test.reshape(nb, nq, 3)    # F[a, q, d]
+        ptest = self._prod_test                       # P[a, q]
+        # dflux = -(lambda G_b + flux V_b) dT_b / T_q and
+        # dprod = -2 (flux . G_b + prod V_b) dT_b / T_q, per unit dT_b
+        table = np.concatenate([
+            -lam * np.einsum("aqd,qdb->abq", ftest, grads),
+            -2.0 * np.einsum("aq,qb->abq", ptest, vals),
+            -(np.einsum("aqd,qb->abqd", ftest, vals)
+              + 2.0 * np.einsum("aq,qdb->abqd", ptest, grads))
+            .reshape(nb, nb, 3 * nq)], axis=2).reshape(nb * nb, 5 * nq)
+        local = (table @ points).reshape(nb, nb, -1)
+        local *= temperature_of_entropy(s, self.material)[self._gather] \
+            / self.material.rho_c
+        return local
 
     def entropy_production(self, state: HeatState) -> float:
         """Total production integral(lambda |grad T|^2 / T^2) >= 0."""

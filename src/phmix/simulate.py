@@ -16,29 +16,24 @@ total-entropy increment a sum of squares, independent of the step size.  The
 ledger takes the channel's coupling power from the assembled block d_chi, so
 its residual also checks that block against the nodal pair.
 
-The closed-form ports leave the midpoint Jacobian with a fixed local
-sparsity pattern, built from the mesh.  Newton builds the Jacobian by
-column-colored finite differences (Curtis, Powell & Reid 1974; greedy
-coloring after Coleman & More 1983), one residual per color, factorizes it
-with a sparse LU under a minimum-degree ordering of A^T + A and reuses it
-(chord iterations) until convergence degrades, then rebuilds; a build
-differences against the residual Newton has just evaluated at its point.
+Newton factorizes the midpoint Jacobian with a sparse LU under a
+minimum-degree ordering of A^T + A and reuses it (chord iterations) until
+convergence degrades, then rebuilds.  The free solid columns of a build are
+exact: `HeatSystem.loads_tangent` gives the heat kernel's 8x8 tangent block
+of every cell, scattered into the free rows as mass - (dt/2) d loads and,
+for the coupling rows, into the entropy row of their channel node (the
+azimuthal sum `embed_t` applies to the wall output).  Only the 3 n_f channel
+columns are finite differences, taken against the residual Newton has just
+evaluated, one residual per color (Curtis, Powell & Reid 1974).  A channel
+column reaches only the rows of nodes j-1..j+1, so the stride coloring
+3 field + node mod 3 needs 9 colors at any mesh.  The index arrays of both
+blocks are fixed by the mesh and built on the first Jacobian build.
+
 Each step starts from a prediction read off a backward-difference table of
 the accepted states, of the order the table's own terms support (up to
 PREDICTOR_ORDER), and takes its end state and port powers from the port
 fields of Newton's last residual, so an accepted step costs one residual per
 iteration plus one to start.
-
-The pattern and the coloring are the only per-run setup that grows with the
-mesh.  Both are built on the first Jacobian build, from index arrays and
-per-row color bitmasks rather than block-matrix composition and a
-conflict-graph greedy, which give the same pattern and colors more slowly.
-From n_az = 12 on the colors are one above the densest row's 3 n_az + 7
-entries, so only speed is left to gain there.  Two other routes were tried
-on prototypes and rejected: a coloring from the grid indices needs at least
-3 n_az + 9 colors and is invalid below n_az = 9, and differencing the
-unreduced wall output (27-36 colors at any n_az) moves the Jacobian 7e-10
-to 1.2e-9 off the dense FD one, past the tests' 1e-12 gate.
 
 Everything is deterministic: same inputs give a bit-identical ledger.
 """
@@ -259,34 +254,29 @@ def advance_table(table: np.ndarray, sums: np.ndarray,
     return new
 
 
-def greedy_column_coloring(pattern: sp.spmatrix) -> np.ndarray:
-    """Color the columns of a sparsity pattern so that no two columns of one
-    color share a row (greedy in column order, after Coleman & More 1983).
+@dataclass(frozen=True)
+class JacobianLayout:
+    """Index arrays of the midpoint Jacobian, fixed by the mesh.
 
-    Each row keeps the colors of the columns already placed on it as the
-    bits of a Python int (so any number of colors fits).  A column takes
-    the lowest bit clear in the OR of its rows' masks, the smallest color
-    no earlier column sharing a row has, then sets that bit on its rows:
-    the same colors as the greedy over the conflict graph pat^T pat,
-    without forming it.
-
-    Returns the color index of every column; one finite-difference residual
-    per color then recovers every column of that color.
+    The CSC matrix (`indices`, `indptr`) holds the free solid columns, then
+    the channel columns.  Entry e of `HeatSystem.loads_tangent`'s raveled
+    blocks adds into data position pos[e] of the solid block, or past its
+    end when its row or column is held; `diag` are the positions of the free
+    diagonal.  The channel block has the entries of `pattern` (nx, 3 n_f),
+    whose columns `cols` lists, differenced in the colors `colors` of the
+    channel columns: 3 field + node mod 3.  A channel column at node j
+    reaches only the rows of channel nodes j-1..j+1 and of the solid dofs at
+    those axial nodes, so columns of one field three nodes apart share no
+    row, and 9 colors cover the channel at any mesh.
     """
-    pat = sp.csc_matrix(pattern)
-    indptr, indices = pat.indptr.tolist(), pat.indices.tolist()
-    masks = [0] * pat.shape[0]
-    colors = np.empty(pat.shape[1], dtype=np.intp)
-    for j in range(pat.shape[1]):
-        rows = indices[indptr[j]:indptr[j + 1]]
-        used = 0
-        for r in rows:
-            used |= masks[r]
-        bit = ~used & (used + 1)  # lowest clear bit
-        colors[j] = bit.bit_length() - 1
-        for r in rows:
-            masks[r] |= bit
-    return colors
+
+    pos: np.ndarray
+    diag: np.ndarray
+    pattern: sp.csc_matrix
+    cols: np.ndarray
+    colors: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
 
 
 class CoupledSimulation:
@@ -329,7 +319,7 @@ class CoupledSimulation:
         self._nfree = len(self._free) if coupled else 0
         self._nx = self._nfree + 3 * self._nf
 
-        self._sparsity = None  # (pattern, colors), built on first use
+        self._layout = None  # JacobianLayout, built on the first build
         self._lu = None
         self.newton_iterations = 0
         self.jacobian_builds = 0
@@ -364,7 +354,8 @@ class CoupledSimulation:
         channel temperature output t_m, the solid midpoint entropy with its
         pinned rows, and the load-form wall and external outputs (None for
         a face without a port).  `step` builds the end-of-step state and
-        the powers from those of the residual at the converged x.
+        the powers from those of the residual at the converged x, and a
+        Jacobian build takes the solid tangent at that midpoint entropy.
         """
         dt = self.cfg.dt
         s0, fl0 = self._s_old, self._fluid_old
@@ -400,30 +391,29 @@ class CoupledSimulation:
     # ---- Newton ----------------------------------------------------------
 
     def _jacobian_pattern(self) -> sp.csc_matrix:
-        """Boolean sparsity pattern of the midpoint Jacobian, from the mesh.
+        """Boolean sparsity pattern (nx, 3 n_f) of the channel columns of
+        the midpoint Jacobian, from the mesh.
 
-        Unknowns are (free solid entropy, phi, vel, s).  The solid end state
-        depends on the free entropies and, through the wall trace, on
-        (phi, s) at the channel node of each coupling dof; the loads spread
-        that over the cell neighbours; the wall flux rows reach the channel
-        entropy rows through the azimuthal reduction; the channel rows
-        couple through grad_pairing, and the sealed-end velocity rows
-        depend on their own velocity only.
+        Unknowns are (free solid entropy, phi, vel, s).  The channel rows
+        couple through grad_pairing, and the sealed-end velocity rows depend
+        on their own velocity only.  Through the wall trace, (phi, s) at a
+        channel node set the coupling dofs of that node; the loads spread
+        that over the cell neighbours, whose rows are free rows or, for a
+        coupling dof, the entropy row of its channel node (the wall output's
+        azimuthal sum).
 
-        The entries are listed as index arrays and summed into CSC once:
-        one boolean map of the solid end state onto the unknowns, and one
-        product incidence^T (incidence state) for the loads, whose rows go
-        to the free rows or, for a coupling dof, to the entropy row of its
-        channel node; composing the same pattern from block matrices is
-        slower.
+        The entries are listed as index arrays and summed into CSC once: one
+        boolean map of the wall trace onto the channel columns, and one
+        product incidence^T (incidence trace) for the loads.
         """
         nf, nfree, nx = self._nf, self._nfree, self._nx
-        phi, vel, s = nfree + np.arange(3 * nf).reshape(3, nf)
+        phi, vel, s = np.arange(3 * nf).reshape(3, nf)  # channel columns
         gi, gj = np.nonzero(self.fluid.grad_pairing)  # tridiagonal
         inner = (gi > 0) & (gi < nf - 1)  # all but the sealed-end rows
         si, sj = gi[inner], gj[inner]
         # channel rows (phi, vel, s) against channel columns (phi, vel, s)
         rows = [phi, phi[gi], vel, vel[si], vel[si], s, s, s]
+        rows = [nfree + r for r in rows]
         cols = [phi, vel[gj], vel, phi[sj], s[sj], phi, vel, s]
         if self.coupled:
             heat = self.heat
@@ -435,48 +425,119 @@ class CoupledSimulation:
                 shape=(len(cells), n_solid))
             cdofs = heat.coupling_dofs
             node = self.ops.embed(np.arange(nf))  # channel node of each cdof
-            # solid end state against its free entropy, or against (phi, s)
-            # at its channel node through the wall trace
-            state = sp.csr_matrix(
-                (np.ones(nfree + 2 * len(cdofs), dtype=bool),
-                 (np.concatenate([self._free, cdofs, cdofs]),
-                  np.concatenate([np.arange(nfree), phi[node], s[node]]))),
-                shape=(n_solid, nx))
-            loads = (incidence.T @ (incidence @ state)).tocoo()
-            row_of = np.full(n_solid, -1)  # -1: a held external dof
-            row_of[self._free] = np.arange(nfree)
-            row_of[cdofs] = s[node]  # the wall output's azimuthal sum
-            row = row_of[loads.row]
+            # the wall trace against (phi, s) at its channel node
+            trace = sp.csr_matrix(
+                (np.ones(2 * len(cdofs), dtype=bool),
+                 (np.concatenate([cdofs, cdofs]),
+                  np.concatenate([phi[node], s[node]]))),
+                shape=(n_solid, 3 * nf))
+            loads = (incidence.T @ (incidence @ trace)).tocoo()
+            row = self._solid_rows()[loads.row]
             keep = row >= 0
             rows.append(row[keep])
             cols.append(loads.col[keep])
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         # duplicates are summed (OR-ed) and the indices sorted
         return sp.csc_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
-                             shape=(nx, nx))
+                             shape=(nx, 3 * nf))
 
-    def _fd_jacobian(self, x: np.ndarray, r0: np.ndarray) -> sp.csc_matrix:
-        """Column-colored forward-difference Jacobian at x, where the
-        residual is r0: one residual per color, with the step
-        h_j = eps * max(|x_j|, typ_j) of column j."""
-        if self._sparsity is None:
-            pattern = self._jacobian_pattern()
-            self._sparsity = (pattern, greedy_column_coloring(pattern))
-        pattern, colors = self._sparsity
-        h = self._FD_EPS * np.maximum(np.abs(x), self._typ)
-        x_h = x + h
-        diffs = np.empty((int(colors.max()) + 1, len(x)))
+    def _solid_rows(self) -> np.ndarray:
+        """The residual row of each solid dof's load: its free row, the
+        entropy row of its channel node for a coupling dof (through the
+        wall output's azimuthal sum), or -1 for a held external dof."""
+        nf, nfree = self._nf, self._nfree
+        row_of = np.full(self.heat.n_dofs, -1)
+        row_of[self._free] = np.arange(nfree)
+        row_of[self.heat.coupling_dofs] = \
+            nfree + 2 * nf + self.ops.embed(np.arange(nf))
+        return row_of
+
+    def _jacobian_layout(self) -> JacobianLayout:
+        """The index arrays of every Jacobian build: the channel pattern and
+        its colors, and the solid block's structure with the data position
+        of every tangent entry, from one sort of the entries' (column, row)
+        keys."""
+        nf, nfree, nx = self._nf, self._nfree, self._nx
+        pattern = self._jacobian_pattern()
+        cols = np.repeat(np.arange(3 * nf), np.diff(pattern.indptr))
+        pos = diag = np.empty(0, dtype=np.intp)
+        indptr = np.zeros(1, dtype=np.intp)
+        indices = np.empty(0, dtype=np.intp)
+        if self.coupled:
+            col_of = np.full(self.heat.n_dofs, -1)
+            col_of[self._free] = np.arange(nfree)
+            gather = self.heat._gather
+            row = self._solid_rows()[gather][:, None, :]  # (a, ., cell)
+            col = col_of[gather][None, :, :]  # (., b, cell)
+            key = col * nx + row
+            key[(row < 0) | (col < 0)] = nx * nx  # held: past every kept key
+            # np.unique(key, return_inverse=True) by hand: the stable sort
+            # takes about half the time on the runs of the cell order, and
+            # fewer temporaries are alive at once
+            order = np.argsort(key, axis=None, kind="stable")
+            key = key.ravel()[order]
+            first = np.empty(key.size, dtype=bool)  # first of its key
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            keys = key[first]
+            del key
+            rank = np.cumsum(first)
+            rank -= 1
+            # int32 like scipy's index arrays: the layout lives for the run
+            pos = np.empty(rank.size, dtype=np.int32)
+            pos[order] = rank
+            keys = keys[keys < nx * nx]
+            indices = keys % nx
+            indptr = np.searchsorted(keys // nx, np.arange(nfree + 1))
+            diag = np.searchsorted(keys, np.arange(nfree) * (nx + 1))
+        return JacobianLayout(
+            pos=pos, diag=diag, pattern=pattern, cols=cols,
+            colors=(3 * np.arange(3)[:, None] + np.arange(nf) % 3).ravel(),
+            indices=np.concatenate([indices, pattern.indices], dtype=np.int32),
+            indptr=np.concatenate([indptr, indptr[-1] + pattern.indptr[1:]],
+                                  dtype=np.int32))
+
+    def _jacobian(self, x: np.ndarray, r: np.ndarray) -> sp.csc_matrix:
+        """The midpoint Jacobian at x, where the residual is r and
+        `_residual` last ran (its port fields are those at x).
+
+        The free solid columns are exact: the residual's solid rows are
+        mass (s1 - s0) - dt loads(s_mid), and the coupling rows enter the
+        channel entropy rows as dt embed_t(wall) with wall = mass rate -
+        loads, so with ds_mid = ds1 / 2 both get -(dt/2) d loads / d s_mid
+        from `HeatSystem.loads_tangent`, and the free rows add their mass.
+        The channel columns are forward differences, one residual per
+        color, with the step h_j = eps * max(|x_j|, typ_j) of column j.
+        """
+        if self._layout is None:
+            self._layout = self._jacobian_layout()
+        lay = self._layout
+        nfree = self._nfree
+        data = []
+        if self.coupled:
+            local = self.heat.loads_tangent(self._ports[1])
+            solid = np.bincount(lay.pos, weights=local.ravel())[
+                :lay.indptr[nfree]]
+            solid *= -0.5 * self.cfg.dt
+            solid[lay.diag] += self.heat.mass[self._free]
+            data.append(solid)
+        xc = x[nfree:]
+        h = self._FD_EPS * np.maximum(np.abs(xc), self._typ[nfree:])
+        x_h = xc + h
+        diffs = np.empty((int(lay.colors.max()) + 1, len(x)))
         for c in range(len(diffs)):
-            diffs[c] = self._residual(np.where(colors == c, x_h, x)) - r0
-        rows = pattern.indices
-        cols = np.repeat(np.arange(len(x)), np.diff(pattern.indptr))
-        return sp.csc_matrix((diffs[colors[cols], rows] / h[cols], rows,
-                              pattern.indptr), shape=pattern.shape)
+            trial = x.copy()
+            trial[nfree:] = np.where(lay.colors == c, x_h, xc)
+            diffs[c] = self._residual(trial) - r
+        rows, cols = lay.pattern.indices, lay.cols
+        data.append(diffs[lay.colors[cols], rows] / h[cols])
+        return sp.csc_matrix((np.concatenate(data), lay.indices, lay.indptr),
+                             shape=(len(x), len(x)))
 
     def _build_jacobian(self, x: np.ndarray, r: np.ndarray):
-        """Build the colored FD Jacobian at x, where the residual is r, and
-        factorize it for the chord solves."""
-        self._lu = spla.splu(self._fd_jacobian(x, r),
+        """Build the Jacobian at x, where the residual is r and `_residual`
+        last ran, and factorize it for the chord solves."""
+        self._lu = spla.splu(self._jacobian(x, r),
                              permc_spec="MMD_AT_PLUS_A")
         self.jacobian_builds += 1
 

@@ -3,9 +3,10 @@
 Everything here avoids the package's assembly/quadrature code paths:
 hat functions are evaluated from the distance formula, integrals use
 composite high-order Gauss-Legendre built directly on numpy, and
-derivatives use central differences.  The Jacobian sparsity references
-are the stepper's earlier constructions: the pattern composed from block
-matrices, and the greedy coloring over the explicit conflict graph.
+derivatives use central differences.  The Jacobian references are the
+channel columns' pattern composed from block matrices, and the heat
+kernel's tangent by the complex step, which differentiates the kernel's
+arithmetic on its own reference tables.
 """
 
 import numpy as np
@@ -140,9 +141,10 @@ def two_body_equilibrium_temperature(total_energy, heat_mat, volume,
 
 
 def jacobian_pattern_oracle(sim):
-    """The midpoint Jacobian's pattern composed block by block: channel rows
-    from identities and grad_pairing, solid rows from the loads of the
-    solid end state, wall rows as the trace-transposed loads."""
+    """The pattern of the midpoint Jacobian's channel columns composed block
+    by block: channel rows from identities and grad_pairing, solid rows and
+    wall rows from the loads of the wall trace, the wall rows summed along
+    the azimuth into the channel entropy rows."""
     nf, nfree = sim._nf, sim._nfree
     eye = sp.identity(nf, format="csr")
     grad = sp.csr_matrix(sim.fluid.grad_pairing != 0)
@@ -164,37 +166,43 @@ def jacobian_pattern_oracle(sim):
         trace = sp.csr_matrix(
             (np.ones(len(cdofs)), (cdofs, sim.ops.embed(np.arange(nf)))),
             shape=(n_solid, nf))
-        select = sp.csr_matrix(
-            (np.ones(nfree), (sim._free, np.arange(nfree))),
-            shape=(n_solid, nfree))
-        state = sp.hstack([select, trace, sp.csr_matrix((n_solid, nf)),
-                           trace])
+        state = sp.hstack([trace, sp.csr_matrix((n_solid, nf)), trace])
         loads = (incidence.T @ (incidence @ state)).tocsr()
-        wall = sp.vstack([sp.csr_matrix((2 * nf, sim._nx)),
-                          trace.T @ loads])
-        channel = sp.hstack([sp.csr_matrix((3 * nf, nfree)), pattern])
-        pattern = sp.vstack([loads[sim._free], channel + wall])
+        wall = sp.vstack([sp.csr_matrix((2 * nf, 3 * nf)), trace.T @ loads])
+        pattern = sp.vstack([loads[sim._free], pattern + wall])
     pattern = sp.csc_matrix(pattern, dtype=bool)
     pattern.eliminate_zeros()
     pattern.sort_indices()
     return pattern
 
 
-def greedy_coloring_oracle(pattern):
-    """Greedy column coloring in column order over the conflict graph
-    pat^T pat: each column takes the smallest color that no earlier
-    column sharing a row has."""
-    pat = sp.csc_matrix(pattern, dtype=np.int32)
-    pat.data[:] = 1
-    conflicts = (pat.T @ pat).tocsr()
-    n = pat.shape[1]
-    colors = np.full(n, -1)
-    taken = np.zeros(n + 1, dtype=bool)
-    for j in range(n):
-        used = colors[conflicts.indices[conflicts.indptr[j]:
-                                        conflicts.indptr[j + 1]]]
-        used = used[used >= 0]
-        taken[used] = True
-        colors[j] = int(np.argmin(taken))
-        taken[used] = False
-    return colors
+def complex_step_loads_tangent(heat, s, h=1e-30):
+    """d loads / d s (n_dofs, n_dofs) of the heat load kernel at s by the
+    complex step (Squire & Trapp 1998): column j is Im loads(s + i h e_j) / h.
+    No difference is taken, so the columns are exact to round-off for any
+    small h.
+
+    The kernel is written out again in complex arithmetic on the system's
+    reference tables: the exponential law, the interpolation GEMM, the flux
+    -lambda g / T and the production flux . flux / lambda (no conjugate, so
+    that it stays analytic), the test GEMMs, and a scatter with np.add.at,
+    because np.bincount takes no complex weights.
+    """
+    mat = heat.material
+    lam = mat.conductivity
+    nq = heat._wdet.size
+    out = np.empty((heat.n_dofs, heat.n_dofs))
+    for j in range(heat.n_dofs):
+        sc = s.astype(complex)
+        sc[j] += 1j * h
+        t = mat.t_ref * np.exp(sc / mat.rho_c)
+        q = heat._interp @ t[heat._gather]
+        tq, gq = q[:nq], q[nq:].reshape(nq, 3, -1)
+        flux = gq * (-lam / tq)[:, None, :]
+        prod = (flux * flux).sum(axis=1) / lam
+        local = heat._flux_test @ flux.reshape(3 * nq, -1) \
+            + heat._prod_test @ prod
+        loads = np.zeros(heat.n_dofs, dtype=complex)
+        np.add.at(loads, heat._gather.ravel(), local.ravel())
+        out[:, j] = loads.imag / h
+    return out

@@ -194,7 +194,7 @@ class TestSimulateCommand:
                          "--output", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
-        assert "did not converge" in err
+        assert "error: step 1: implicit midpoint step did not converge" in err
         assert "last ledger row" in err
 
     def test_invalid_end_state_exit_1_with_last_row(self, capsys, tmp_path):
@@ -206,6 +206,7 @@ class TestSimulateCommand:
                          "--output", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
+        assert "error: step 34: " in err
         assert "invalid state: specific volume" in err
         assert "last ledger row" in err
 
@@ -229,6 +230,17 @@ class TestConvergenceCommand:
         out = capsys.readouterr().out
         assert "azimuthal_refinement_gap" in out
         assert "PASS" in out
+
+    def test_step_failure_exit_1_names_the_step(self, capsys, tmp_path):
+        data = dict(TINY, scenario="hot-wall-cooldown")
+        data["sim"] = {"dt": 50.0, "t_end": 50.0, "newton_tol": 1e-30,
+                       "newton_max_iters": 2}
+        cfg = write_cfg(tmp_path, data)
+        code = cli.main(["convergence", "--config", cfg,
+                         "--output", str(tmp_path / "conv")])
+        assert code == 1
+        assert "error: step 1: implicit midpoint step did not converge" in \
+            capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "convergence"])

@@ -9,7 +9,7 @@ from phmix.errors import ConfigurationError, PhmixError, StepFailureError
 from phmix.fluid import FluidState, eos
 from phmix.simulate import CoupledSimulation, LEDGER_HEADER, \
     PREDICTOR_ORDER, SCENARIOS, SimConfig, advance_table, build_scenario, \
-    extrapolate, greedy_column_coloring, measure_pulse_speed, node_prefixes, \
+    extrapolate, measure_pulse_speed, node_prefixes, \
     write_fluid_snapshot, write_heat_snapshot
 
 import oracles
@@ -65,35 +65,7 @@ NEWTON_CASES = [
     for name in ("hot-wall-cooldown", "heated-ext-face", "acoustic-pulse")
     for n_az in (4, 5)]
 
-
-@pytest.mark.parametrize("name,geometry", NEWTON_CASES)
-class TestColoredNewton:
-    def test_dense_jacobian_inside_pattern(self, name, geometry):
-        _, sim, x = newton_point(name, geometry)
-        dense = dense_fd_jacobian(sim, x)
-        pattern = sim._jacobian_pattern().toarray()
-        assert pattern.shape == dense.shape
-        assert np.all(dense[~pattern] == 0.0)
-
-    def test_colored_jacobian_matches_dense(self, name, geometry):
-        _, sim, x = newton_point(name, geometry)
-        dense = dense_fd_jacobian(sim, x)
-        colored = sim._fd_jacobian(x, sim._residual(x)).toarray()
-        col_err = np.abs(colored - dense).max(axis=0)
-        assert np.all(col_err <= 1e-12 * np.abs(dense).max(axis=0))
-
-    def test_colors_share_no_row(self, name, geometry):
-        _, sim, x = newton_point(name, geometry)
-        sim._build_jacobian(x, sim._residual(x))
-        pattern, colors = sim._sparsity
-        assert colors.min() == 0
-        for c in range(colors.max() + 1):
-            rows_hit = pattern[:, colors == c].sum(axis=1)
-            assert rows_hit.max() <= 1
-
-
-# the cooldown ladder's rungs; 48x24x4 needs 80 colors, more than a 64-bit
-# mask holds
+# the cooldown ladder's rungs
 LADDER_CASES = [
     pytest.param("hot-wall-cooldown",
                  {"n_ax": n_ax, "n_az": n_az, "n_th": 4, "n_fluid": n_ax},
@@ -101,18 +73,76 @@ LADDER_CASES = [
     for n_ax, n_az in ((16, 8), (24, 12), (48, 24))]
 
 
+def complex_step_solid_columns(sim, s_mid):
+    """Reference for the free solid columns of the midpoint Jacobian: the
+    complex-step tangent of the heat loads at the pinned midpoint s_mid,
+    composed like the residual (ds_mid = ds1 / 2): mass - dt/2 d loads on
+    the free rows, -dt/2 embed_t of d loads on the coupling rows into the
+    channel entropy rows."""
+    heat, free, nf, nfree = sim.heat, sim._free, sim._nf, sim._nfree
+    dloads = oracles.complex_step_loads_tangent(heat, s_mid)[:, free]
+    half_dt = 0.5 * sim.cfg.dt
+    out = np.zeros((sim._nx, nfree))
+    out[:nfree] = np.diag(heat.mass[free]) - half_dt * dloads[free]
+    out[nfree + 2 * nf:] = -half_dt * sim.ops.embed_t(
+        dloads[heat.coupling_dofs])
+    return out
+
+
+class TestColoredNewton:
+    @pytest.mark.parametrize("name,geometry", NEWTON_CASES)
+    def test_dense_jacobian_inside_pattern(self, name, geometry):
+        # the built matrix's structure: the tangent blocks' on the solid
+        # columns, the channel pattern on the channel columns
+        _, sim, x = newton_point(name, geometry)
+        dense = dense_fd_jacobian(sim, x)
+        structure = sim._jacobian(x, sim._residual(x))
+        structure.data[:] = 1.0
+        pattern = structure.toarray() == 1.0
+        assert pattern.shape == dense.shape
+        assert np.all(dense[~pattern] == 0.0)
+        assert np.array_equal(pattern[:, sim._nfree:],
+                              sim._jacobian_pattern().toarray())
+
+    @pytest.mark.parametrize("name,geometry", NEWTON_CASES)
+    def test_colored_jacobian_matches_dense(self, name, geometry):
+        # channel columns: colored forward differences against one
+        # difference per column; solid columns: the exact tangent against
+        # the complex step, which FD truncation (about 1e-9) would fail
+        _, sim, x = newton_point(name, geometry)
+        nfree = sim._nfree
+        dense = dense_fd_jacobian(sim, x)
+        r = sim._residual(x)
+        s_mid = sim._ports[1]  # the pinned midpoint state at x
+        jac = sim._jacobian(x, r).toarray()
+        col_err = np.abs(jac - dense).max(axis=0)[nfree:]
+        assert np.all(col_err <= 1e-12 * np.abs(dense).max(axis=0)[nfree:])
+        if nfree:
+            reference = complex_step_solid_columns(sim, s_mid)
+            col_err = np.abs(jac[:, :nfree] - reference).max(axis=0)
+            assert np.all(col_err <= 1e-13 * np.abs(reference).max(axis=0))
+
+    @pytest.mark.parametrize("name,geometry", NEWTON_CASES + LADDER_CASES)
+    def test_colors_share_no_row(self, name, geometry):
+        *_, sim = one_step_simulation(name, geometry)
+        layout = sim._jacobian_layout()
+        colors = layout.colors
+        assert colors.min() == 0 and colors.max() == 8
+        for c in range(colors.max() + 1):
+            rows_hit = layout.pattern[:, colors == c].sum(axis=1)
+            assert rows_hit.max() <= 1
+
+
 @pytest.mark.parametrize("name,geometry", NEWTON_CASES + LADDER_CASES)
 def test_sparsity_matches_references(name, geometry):
-    """The pattern and the coloring equal the block-composed pattern and
-    the conflict-graph greedy entry for entry."""
+    """The channel columns' pattern equals the block-composed pattern entry
+    for entry."""
     *_, sim = one_step_simulation(name, geometry)
     pattern = sim._jacobian_pattern()
     reference = oracles.jacobian_pattern_oracle(sim)
     assert pattern.dtype == bool and pattern.data.all()
     assert np.array_equal(pattern.indptr, reference.indptr)
     assert np.array_equal(pattern.indices, reference.indices)
-    assert np.array_equal(greedy_column_coloring(pattern),
-                          oracles.greedy_coloring_oracle(reference))
 
 
 @pytest.mark.parametrize("n_az", [4, 5])
@@ -259,7 +289,18 @@ class TestPredictor:
         cfg = default_config()
         _, result = run_scenario(cfg, "hot-wall-cooldown")
         assert result.steps == 200
-        assert result.newton_iterations <= 240
+        assert result.newton_iterations <= 229
+        assert result.jacobian_builds == 1
+
+    def test_large_mesh_newton_count(self):
+        # the benchmark's 24x12x4 rung, 20 steps
+        cfg = default_config(geometry={"n_ax": 24, "n_az": 12, "n_th": 4,
+                                       "n_fluid": 24})
+        cfg = dataclasses.replace(cfg, sim=dataclasses.replace(
+            cfg.sim, t_end=20 * cfg.sim.dt))
+        _, result = run_scenario(cfg, "hot-wall-cooldown")
+        assert result.steps == 20
+        assert result.newton_iterations <= 47
         assert result.jacobian_builds == 1
 
 
