@@ -57,9 +57,8 @@ class FluidMaterial:
 def check_specific_volume(phi: np.ndarray) -> None:
     """Raise StateValidityError at the first specific volume that is not
     positive; a positive one makes every ideal-gas state valid."""
-    bad = ~(phi > 0)
-    if np.any(bad):
-        node = int(np.argmax(bad))
+    if not phi.min() > 0:  # NaN fails too: the minimum propagates it
+        node = int(np.argmax(~(phi > 0)))
         raise StateValidityError("specific volume", node, float(phi.flat[node]))
 
 

@@ -11,11 +11,13 @@ sum_i m_i T_i ds_i/dt reduces exactly to the boundary port power: interior
 flux work and production cancel pointwise at the quadrature points.  The
 discrete Hamiltonian is the matching nodal quadrature sum_i m_i q(s_i).
 
-The load kernel is two matrix products on precomputed reference tables:
-the gathered cell temperatures times an interpolation table give T and
-grad T at the points, and the pointwise flux and production times the
-weighted test tables give the local loads, which are scattered to the
-nodes.  All cells share one table because the mesh is uniform.
+The load kernel is two matrix products on precomputed reference tables,
+in work arrays that every call on one system reuses: the gathered cell
+temperatures times an interpolation table give T and grad T at the
+points, and the stack of u = grad T / T and u^2 times one back table (the
+weighted test tables with the conductivity folded in) gives the local
+loads, which are scattered to the nodes.  All cells share one table
+because the mesh is uniform.
 `loads_tangent` is the kernel's exact tangent, one 8x8 block per cell from
 the same tables, which the stepper's Jacobian scatters itself.
 
@@ -32,6 +34,7 @@ external face temperature is set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,9 +76,8 @@ def entropy_of_temperature(t, mat: HeatMaterial, name: str = "temperature"):
     not raises StateValidityError labelled `name`.
     """
     t = np.asarray(t, dtype=float)
-    bad = ~((t > 0) & (t < np.inf))
-    if np.any(bad):
-        node = int(np.argmax(bad))
+    if not (t.min() > 0 and t.max() < np.inf):  # NaN fails both
+        node = int(np.argmax(~((t > 0) & (t < np.inf))))
         raise StateValidityError(name, node, float(t.flat[node]))
     return mat.rho_c * np.log(t / mat.t_ref)
 
@@ -112,17 +114,24 @@ class HeatSystem:
         # The kernel works point-major: every array is (point row, cell), so
         # the pointwise steps run along contiguous rows of n_cells values.
         # _interp maps the (8, n_cells) nodal gather to the rows T(q) and
-        # dT/dx_d(q) (q-major, d-minor); the test tables map flux and
-        # production rows back to the 8 local loads.
+        # dT/dx_d(q) (q-major, d-minor); _back maps the point rows
+        # [u; u^2] back to the 8 local loads.
         nq, nb, dim = tab.gradients.shape
+        lam = material.conductivity
         self._gather = np.ascontiguousarray(self.dofmap.T)
         self._interp = np.vstack([
             tab.values, tab.gradients.transpose(0, 2, 1).reshape(nq * dim, nb)])
+        # test tables F[a, (q, d)] = w_q dV_a/dx_d(q) and P[a, q] = w_q V_a(q)
         self._flux_test = np.ascontiguousarray(
             (tab.gradients * tab.wdet[:, None, None])
             .transpose(1, 0, 2).reshape(nb, nq * dim))
         self._prod_test = np.ascontiguousarray((tab.values * tab.wdet[:, None]).T)
         self._wdet = tab.wdet
+        # with u = grad T / T the flux is -lambda u and the production
+        # lambda |u|^2, so the local loads are one GEMM of
+        # [-lambda F, lambda P repeated over d] against the rows [u; u^2]
+        self._back = np.hstack([-lam * self._flux_test,
+                                np.repeat(lam * self._prod_test, dim, axis=1)])
         self.mass = lumped_mass(self.basis, self.quad)
 
         self.boundary = domain.coupling_boundary()
@@ -148,12 +157,17 @@ class HeatSystem:
 
     def _quad_fields(self, s: np.ndarray):
         """Temperature (nq, n_cells) and its gradient (nq, 3, n_cells) at
-        every quadrature point: one gather and one GEMM."""
-        if not np.all(np.isfinite(s)):
+        every quadrature point: one gather and one GEMM.  Both are views of
+        a workspace that the next kernel call overwrites."""
+        if not np.isfinite(s).all():
             node = int(np.argmax(~np.isfinite(s)))
             raise StateValidityError("entropy", node, float(s[node]))
-        t_nodal = temperature_of_entropy(s, self.material)
-        q = self._interp @ t_nodal[self._gather]
+        cell_t, points = self._work[:2]
+        # mode "clip": the indices are in range, and "raise" would buffer
+        # the output
+        temperature_of_entropy(s, self.material).take(
+            self._gather, out=cell_t, mode="clip")
+        q = np.matmul(self._interp, cell_t, out=points)
         nq = self._wdet.size
         return q[:nq], q[nq:].reshape(nq, -1, q.shape[1])
 
@@ -172,14 +186,31 @@ class HeatSystem:
         points, which makes the temperature-weighted sum of the loads vanish
         identically (the flux work against the temperature gradient equals
         minus the production heating).  Gather, GEMM to the points,
-        pointwise flux and production, GEMM back to the 8 local loads of
-        every cell, scatter.
+        u = grad T / T and u^2 into one stack, one GEMM back to the 8 local
+        loads of every cell (lambda folded into the table), scatter.  Every
+        step but the scatter writes into the system's workspaces; the
+        returned loads are a fresh array.
         """
-        flux, prod = self._flux_production(s)
-        local = self._flux_test @ flux.reshape(-1, flux.shape[2]) \
-            + self._prod_test @ prod
+        tq, gq = self._quad_fields(s)
+        stack, local = self._work[2:]
+        u = stack[:gq.shape[0] * 3]
+        np.divide(gq, tq[:, None, :], out=u.reshape(gq.shape))
+        np.square(u, out=stack[len(u):])
+        np.matmul(self._back, stack, out=local)
         return np.bincount(self._gather.ravel(), weights=local.ravel(),
                            minlength=self.n_dofs)
+
+    @cached_property
+    def _work(self):
+        """The kernel's work arrays, reused by every call: the gathered cell
+        temperatures, the point rows [T; grad T], the stack [u; u^2] and the
+        local loads.  Allocated on the first call, so that a system whose
+        loads are never evaluated (set-up, `phmix verify`) holds none."""
+        nb, n_cells = self._gather.shape
+        return (np.empty((nb, n_cells)),
+                np.empty((len(self._interp), n_cells)),
+                np.empty((self._back.shape[1], n_cells)),
+                np.empty((nb, n_cells)))
 
     def loads_tangent(self, s: np.ndarray) -> np.ndarray:
         """Exact tangent of `assemble_loads` at s, as one 8x8 block per cell.
@@ -190,9 +221,10 @@ class HeatSystem:
         nodes, dT_q and dg_q from `_interp`, dflux = -lambda (dg / T_q -
         g dT_q / T_q^2) and dprod = 2 flux . dflux / lambda, the block is
         `_flux_test` dflux + `_prod_test` dprod.  Collecting the terms by
-        their pointwise factor makes it one GEMM, like the kernel: a 64-row
-        table of test x trial products against the point fields 1 / T_q,
-        prod / T_q and flux / T_q, then a scaling of column b by dT_b / ds_b.
+        their pointwise factor makes it one GEMM, like the kernel: the 64-row
+        `_tangent_table` of test x trial products, built once per system,
+        against the point fields 1 / T_q, prod / T_q and flux / T_q, then a
+        scaling of column b by dT_b / ds_b.
         """
         nq, nb = self._wdet.size, self._gather.shape[0]
         lam = self.material.conductivity
@@ -202,22 +234,30 @@ class HeatSystem:
         prod = (flux * flux).sum(axis=1) / lam
         points = np.concatenate([inv, prod * inv,
                                  (flux * inv[:, None, :]).reshape(3 * nq, -1)])
+        local = (self._tangent_table @ points).reshape(nb, nb, -1)
+        local *= temperature_of_entropy(s, self.material)[self._gather] \
+            / self.material.rho_c
+        return local
+
+    @cached_property
+    def _tangent_table(self) -> np.ndarray:
+        """The (64, 5 nq) test x trial table of `loads_tangent`, against the
+        point fields [1 / T_q; prod / T_q; flux / T_q]: dflux = -(lambda G_b
+        + flux V_b) dT_b / T_q and dprod = -2 (flux . G_b + prod V_b) dT_b /
+        T_q per unit dT_b.  Built on the first tangent, so that building a
+        system does not pay for it."""
+        nq, nb = self._wdet.size, self._gather.shape[0]
+        lam = self.material.conductivity
         vals = self._interp[:nq]                      # V[q, b]
         grads = self._interp[nq:].reshape(nq, 3, nb)  # G[q, d, b]
         ftest = self._flux_test.reshape(nb, nq, 3)    # F[a, q, d]
         ptest = self._prod_test                       # P[a, q]
-        # dflux = -(lambda G_b + flux V_b) dT_b / T_q and
-        # dprod = -2 (flux . G_b + prod V_b) dT_b / T_q, per unit dT_b
-        table = np.concatenate([
+        return np.concatenate([
             -lam * np.einsum("aqd,qdb->abq", ftest, grads),
             -2.0 * np.einsum("aq,qb->abq", ptest, vals),
             -(np.einsum("aqd,qb->abqd", ftest, vals)
               + 2.0 * np.einsum("aq,qdb->abqd", ptest, grads))
             .reshape(nb, nb, 3 * nq)], axis=2).reshape(nb * nb, 5 * nq)
-        local = (table @ points).reshape(nb, nb, -1)
-        local *= temperature_of_entropy(s, self.material)[self._gather] \
-            / self.material.rho_c
-        return local
 
     def entropy_production(self, state: HeatState) -> float:
         """Total production integral(lambda |grad T|^2 / T^2) >= 0."""

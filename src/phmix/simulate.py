@@ -76,6 +76,13 @@ class SimConfig:
         if self.t_end < self.dt:
             raise ConfigurationError(
                 f"t_end ({self.t_end}) must be at least dt ({self.dt})")
+        ratio = self.t_end / self.dt
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            # run() takes round(t_end / dt) steps and would stop short of
+            # t_end or step past it
+            raise ConfigurationError(
+                f"t_end = {self.t_end} must be a whole number of steps of "
+                f"dt = {self.dt} (t_end / dt = {ratio!r})")
         if not self.newton_tol > 0:
             raise ConfigurationError("newton_tol must be positive")
         if self.newton_max_iters < 1:
@@ -231,12 +238,17 @@ def extrapolate(table: np.ndarray,
     shrink, so a rough history falls back to a low order.  A constant
     history gives x_n exactly.
 
-    Returns (prediction, P); `advance_table` takes P.
+    Returns (prediction, P); `advance_table` takes P.  P is summed row by
+    row, which is what np.cumsum(table, axis=0) does, without its overhead
+    on a table of a few rows.
     """
-    sums = np.cumsum(table, axis=0)
+    sums = np.empty_like(table)
+    sums[0] = table[0]
+    for k in range(1, len(table)):
+        np.add(sums[k - 1], table[k], out=sums[k])
     order = min(len(table) - 1, 1)
     if len(table) > 2:
-        sizes = np.max(np.abs(table[1:]) / typ, axis=1)  # del^1 .. del^(m-1)
+        sizes = (np.abs(table[1:]) / typ).max(axis=1)  # del^1 .. del^(m-1)
         while order < len(sizes) and sizes[order] < sizes[order - 1]:
             order += 1
     return sums[order], sums
@@ -350,6 +362,11 @@ class CoupledSimulation:
         output, summed along the azimuth, is minus the channel's entropy-row
         load.  The sealed-end velocity rows are the constraints vel1 = 0.
 
+        Works on the packed vectors: the midpoint and M (x1 - x0) are
+        formed once from the old state and the mass rows that `step` and
+        `_prepare` keep packed, and dt times the solid, channel and wall
+        loads is subtracted from the rows in place.
+
         Leaves the port fields of this evaluation in `self._ports`: the
         channel temperature output t_m, the solid midpoint entropy with its
         pinned rows, and the load-form wall and external outputs (None for
@@ -357,36 +374,35 @@ class CoupledSimulation:
         the powers from those of the residual at the converged x, and a
         Jacobian build takes the solid tangent at that midpoint entropy.
         """
-        dt = self.cfg.dt
-        s0, fl0 = self._s_old, self._fluid_old
-        phi1, vel1, sf1 = self._unpack_fluid(x)
-        f, t_m = self.fluid.loads(FluidState(0.5 * (fl0.phi + phi1),
-                                             0.5 * (fl0.vel + vel1),
-                                             0.5 * (fl0.s + sf1)))
+        dt, nfree, nf = self.cfg.dt, self._nfree, self._nf
+        x0 = self._x_old
+        mid = x0 + x
+        mid *= 0.5
+        r = x - x0
+        r *= self._mass_rows  # M (x1 - x0), every row
+        f, t_m = self.fluid.loads(FluidState(*mid[nfree:].reshape(3, nf)))
 
         if self.coupled:
-            heat, free, s1_free = self.heat, self._free, x[:self._nfree]
+            heat = self.heat
             s_mid = np.empty(heat.n_dofs)
-            s_mid[free] = 0.5 * (s0[free] + s1_free)
+            s_mid[self._free] = mid[:nfree]
             loads, wall, ext = heat.port_loads(
                 s_mid, self.ops.embed(t_m), self.ext_temperature,
-                s_old=s0, dt=dt)
-            w_load = -self.ops.embed_t(wall)
-            r_solid = heat.mass[free] * (s1_free - s0[free]) \
-                - dt * loads[free]
+                s_old=self._s_old, dt=dt)
+            r[:nfree] -= dt * loads[self._free]
+            f.s -= self.ops.embed_t(wall)  # the wall's entropy-row load
         else:
             s_mid = wall = ext = None
-            w_load = 0.0
-            r_solid = np.empty(0)
         self._ports = (t_m, s_mid, wall, ext)
 
-        mf = self.fluid.mass
-        r_phi = mf * (phi1 - fl0.phi) - dt * f.phi
-        r_vel = mf * (vel1 - fl0.vel) - dt * f.vel
+        r_phi, r_vel, r_s = r[nfree:].reshape(3, nf)
+        r_phi -= dt * f.phi
+        r_vel -= dt * f.vel
+        mf, vel1 = self.fluid.mass, x[nfree + nf:nfree + 2 * nf]
         r_vel[0] = mf[0] * vel1[0]
         r_vel[-1] = mf[-1] * vel1[-1]
-        r_s = mf * (sf1 - fl0.s) - dt * (f.s + w_load)
-        return np.concatenate([r_solid, r_phi, r_vel, r_s])
+        r_s -= dt * f.s
+        return r
 
     # ---- Newton ----------------------------------------------------------
 
@@ -569,11 +585,11 @@ class CoupledSimulation:
         return x, norm, ports
 
     def _scaled_norm(self, r: np.ndarray) -> float:
-        return float(np.max(np.abs(r) / self._row_scale))
+        return float((np.abs(r) / self._row_scale).max())
 
     def _prepare(self, heat_state: HeatState, fluid_state: FluidState):
         """Typical magnitudes for FD steps, residual row scaling and the
-        predictor's term sizes."""
+        predictor's term sizes, and the packed mass rows of the residual."""
         typ = []
         if self.coupled:
             typ.append(np.full(self._nfree,
@@ -585,7 +601,8 @@ class CoupledSimulation:
         if self.coupled:
             mass_rows.append(self.heat.mass[self._free])
         mass_rows.extend([self.fluid.mass] * 3)
-        self._row_scale = np.concatenate(mass_rows) * self._typ
+        self._mass_rows = np.concatenate(mass_rows)
+        self._row_scale = self._mass_rows * self._typ
 
     def step(self, heat_state: HeatState, fluid_state: FluidState,
              x_pred: np.ndarray | None = None):
@@ -605,10 +622,9 @@ class CoupledSimulation:
         external) outputs are recovered, by one surface mass solve each.
         """
         self._s_old = heat_state.s
-        self._fluid_old = fluid_state
         if not hasattr(self, "_row_scale"):
             self._prepare(heat_state, fluid_state)
-        x0 = self._pack(heat_state.s, fluid_state)
+        x0 = self._x_old = self._pack(heat_state.s, fluid_state)
 
         start = self.newton_iterations
         for x_start in (x0 if x_pred is None else x_pred, x0):

@@ -6,11 +6,15 @@ composite high-order Gauss-Legendre built directly on numpy, and
 derivatives use central differences.  The Jacobian references are the
 channel columns' pattern composed from block matrices, and the heat
 kernel's tangent by the complex step, which differentiates the kernel's
-arithmetic on its own reference tables.
+arithmetic on its own reference tables.  The midpoint residual's
+reference composes the subsystems' own operators field by field, in the
+unpacked form the stepper's packed residual must match bit for bit.
 """
 
 import numpy as np
 import scipy.sparse as sp
+
+from phmix.fluid import FluidState
 
 GAUSS_ORDER = 24
 
@@ -206,3 +210,38 @@ def complex_step_loads_tangent(heat, s, h=1e-30):
         np.add.at(loads, heat._gather.ravel(), local.ravel())
         out[:, j] = loads.imag / h
     return out
+
+
+def midpoint_residual_oracle(sim, x):
+    """The midpoint residual M (x1 - x0) - dt F(x_mid) at x, assembled field
+    by field from unpacked states, for the step `sim` is in (its `_s_old`
+    and packed `_x_old`), without touching `sim`.  Returns (residual,
+    (t_m, s_mid, wall, ext)), the port fields in the order `_residual`
+    leaves them in `sim._ports`."""
+    dt = sim.cfg.dt
+    s0 = sim._s_old
+    fl0 = FluidState(*sim._unpack_fluid(sim._x_old))
+    phi1, vel1, sf1 = sim._unpack_fluid(x)
+    f, t_m = sim.fluid.loads(FluidState(0.5 * (fl0.phi + phi1),
+                                        0.5 * (fl0.vel + vel1),
+                                        0.5 * (fl0.s + sf1)))
+    if sim.coupled:
+        heat, free, s1_free = sim.heat, sim._free, x[:sim._nfree]
+        s_mid = np.empty(heat.n_dofs)
+        s_mid[free] = 0.5 * (s0[free] + s1_free)
+        loads, wall, ext = heat.port_loads(
+            s_mid, sim.ops.embed(t_m), sim.ext_temperature, s_old=s0, dt=dt)
+        w_load = -sim.ops.embed_t(wall)
+        r_solid = heat.mass[free] * (s1_free - s0[free]) - dt * loads[free]
+    else:
+        s_mid = wall = ext = None
+        w_load = 0.0
+        r_solid = np.empty(0)
+    mf = sim.fluid.mass
+    r_phi = mf * (phi1 - fl0.phi) - dt * f.phi
+    r_vel = mf * (vel1 - fl0.vel) - dt * f.vel
+    r_vel[0] = mf[0] * vel1[0]
+    r_vel[-1] = mf[-1] * vel1[-1]
+    r_s = mf * (sf1 - fl0.s) - dt * (f.s + w_load)
+    return np.concatenate([r_solid, r_phi, r_vel, r_s]), (t_m, s_mid, wall,
+                                                           ext)

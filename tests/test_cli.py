@@ -77,6 +77,9 @@ class TestConfig:
     @pytest.mark.parametrize("data,message", [
         ({"sim": {"output_every": 0}}, "output_every must be >= 1"),
         ({"quad_degree": 10}, "quad_degree must be between 2 and 9"),
+        ({"sim": {"dt": 1e-3, "t_end": 3.5e-3}},
+         "section 'sim': t_end = 0.0035 must be a whole number of steps "
+         "of dt = 0.001"),
     ])
     def test_out_of_range_value_exit_2(self, capsys, tmp_path, data, message):
         with pytest.raises(ConfigurationError, match=message):

@@ -49,6 +49,11 @@ class TestEos:
         with pytest.raises(StateValidityError, match=r"specific volume\[2\]"):
             eos(np.array([1.0, 1.0, -0.5]), np.zeros(3), MAT)
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_zero_or_nan_specific_volume_identified(self, bad):
+        with pytest.raises(StateValidityError, match=r"specific volume\[2\]"):
+            eos(np.array([1.0, 1.0, bad, 1.0]), np.zeros(4), MAT)
+
     def test_material_validation(self):
         with pytest.raises(MaterialError, match="r_gas"):
             FluidMaterial(r_gas=0.0, c_v=1.0)

@@ -171,6 +171,27 @@ class TestKernelOracle:
         assert abs(weighted.sum()) <= 1e-14 * np.abs(weighted).sum()
 
 
+class TestWorkspaces:
+    def test_returned_loads_are_not_aliased(self):
+        # the kernel reuses its workspaces; what it returns is the caller's
+        sys = small_system(6, 5, 3)
+        rng = np.random.default_rng(3)
+        s_a, s_b = (MAT.rho_c * rng.uniform(-0.3, 0.3, sys.n_dofs)
+                    for _ in range(2))
+        loads = sys.assemble_loads(s_a)
+        wall_t = rng.uniform(280.0, 320.0, len(sys.coupling_dofs))
+        pinned = s_a.copy()
+        port = sys.port_loads(pinned, wall_t, 310.0, s_old=s_b, dt=1e-3)
+        saved = [loads.copy()] + [p.copy() for p in port]
+        sys.assemble_loads(s_b)
+        sys.port_loads(s_b.copy(), wall_t + 5.0, 290.0, s_old=s_a, dt=1e-3)
+        sys.loads_tangent(s_b)
+        sys.entropy_production(HeatState(s_b))
+        for got, want in zip([loads, *port], saved):
+            assert np.array_equal(got, want)
+        assert np.array_equal(sys.assemble_loads(s_a), loads)
+
+
 def held_rates(sys, s, wall_temperature=None, ext_temperature=None):
     """Semi-discrete rate of the entropy field with each given face port
     pinned and held (s_old = s makes the pinned rows' rate exactly 0), and

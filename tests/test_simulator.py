@@ -145,6 +145,52 @@ def test_sparsity_matches_references(name, geometry):
     assert np.array_equal(pattern.indices, reference.indices)
 
 
+def same_bits(a, b):
+    """Equal arrays down to the sign of zero (None equals None)."""
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPackedResidual:
+    @pytest.mark.parametrize("name,geometry", NEWTON_CASES)
+    def test_matches_unpacked_oracle_bitwise(self, name, geometry):
+        # at the nudged iterate, at the old state and at a far trial point
+        _, sim, x = newton_point(name, geometry)
+        x_far = x + 1e-3 * sim._typ * np.cos(np.arange(len(x)))
+        for point in (x, sim._x_old, x_far):
+            want, want_ports = oracles.midpoint_residual_oracle(sim, point)
+            got = sim._residual(point)
+            assert same_bits(got, want)
+            assert len(sim._ports) == len(want_ports)
+            for field, ref in zip(sim._ports, want_ports):
+                assert same_bits(field, ref)
+
+    @pytest.mark.parametrize("name", ["hot-wall-cooldown", "heated-ext-face",
+                                      "acoustic-pulse"])
+    def test_saved_ports_survive_a_jacobian_build(self, name):
+        # _newton keeps the port fields of its residual across the build,
+        # whose own residuals run at other states
+        _, sim, x = newton_point(name, {"n_ax": 6, "n_az": 4, "n_th": 3,
+                                        "n_fluid": 6})
+        r = sim._residual(x)
+        ports = sim._ports
+        saved = [None if p is None else p.copy() for p in ports]
+        sim._build_jacobian(x, r)
+        sim._residual(x + 1e-4 * sim._typ)
+        assert all(same_bits(p, q) for p, q in zip(ports, saved))
+        assert sim._ports is not ports
+
+
+@pytest.mark.parametrize("rows", range(1, 9))
+def test_extrapolate_sums_equal_cumsum(rows):
+    table = np.random.default_rng(rows).standard_normal((rows, 64)) \
+        * np.logspace(0, -rows, rows)[:, None]
+    _, sums = extrapolate(table, np.ones(64))
+    assert same_bits(sums, np.cumsum(table, axis=0))
+
+
 @pytest.mark.parametrize("n_az", [4, 5])
 def test_closed_form_ports_match_surface_solves(n_az):
     cfg = default_config(geometry={"n_ax": 6, "n_az": n_az, "n_th": 3,
@@ -358,6 +404,24 @@ class TestSimConfig:
             SimConfig(dt=0.1, t_end=0.05)
         with pytest.raises(ConfigurationError):
             SimConfig(dt=0.1, t_end=1.0, newton_tol=-1.0)
+
+    @pytest.mark.parametrize("t_end", [3.5e-3, 2.5e-3, 4.0004e-3])
+    def test_fractional_step_count_rejected(self, t_end):
+        # run() takes round(t_end / dt) steps: 3.5e-3 would end the ledger
+        # at 0.004, past t_end, and 2.5e-3 at 0.002, short of it
+        with pytest.raises(ConfigurationError,
+                           match=rf"t_end = {t_end} .* dt = 0\.001 "):
+            SimConfig(dt=1e-3, t_end=t_end)
+
+    @pytest.mark.parametrize("dt,t_end", [
+        (1e-3, 4e-3), (2.5e-4, 0.05), (1.25e-4, 0.05), (5e-4, 5e-3),
+        (0.1, 0.3), (2e-3, 4e-2)])
+    def test_whole_step_counts_accepted(self, dt, t_end):
+        # ratios that are whole up to round-off (0.3 / 0.1 is
+        # 2.9999999999999996) pass
+        cfg = SimConfig(dt=dt, t_end=t_end)
+        assert round(cfg.t_end / cfg.dt) * cfg.dt \
+            == pytest.approx(cfg.t_end, rel=1e-12)
 
 
 class TestEquilibrium:
