@@ -14,7 +14,8 @@ from .dirac import LineField, SurfaceField, VerificationReport, \
 from .driver import Problem, build_problem, convergence_study, \
     make_simulation, run_from_config
 from .errors import ConfigurationError, GeometryError, MaterialError, \
-    MeshCompatibilityError, PhmixError, StateValidityError, StepFailureError
+    MeshCompatibilityError, PhmixError, SingularJacobianError, \
+    StateValidityError, StepFailureError
 from .fem import CouplingOperators, LineBasis, SurfaceBasis, VolumeBasis, \
     assemble_coupling, assemble_mass, assemble_stiffness, lumped_mass
 from .fluid import FluidMaterial, FluidState, FluidSystem, eos, sound_speed

@@ -109,6 +109,9 @@ def cmd_simulate(args) -> int:
     print(f"max_coupling_residual: "
           f"{float(abs(led.column('P_couple_residual')).max())!r}")
     print(f"newton_iterations: {result.newton_iterations}")
+    print(f"jacobian_builds: {result.jacobian_builds}")
+    print(f"jacobian_build_s: {result.jacobian_build_s:.6f}")
+    print(f"chord_solve_s: {result.chord_solve_s:.6f}")
     print(f"ledger: {os.path.join(cfg.output_dir, cfg.scenario + '_ledger.csv')}")
     return 0
 

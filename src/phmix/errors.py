@@ -38,3 +38,15 @@ class StepFailureError(PhmixError):
         self.residual = residual
         self.iterations = iterations
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
+
+
+class SingularJacobianError(PhmixError):
+    """The midpoint Jacobian has an exact zero pivot.
+
+    `unknown` is the packed unknown (index into the stepper's x) whose
+    column the factorization found no pivot for."""
+
+    def __init__(self, unknown: int, name: str):
+        self.unknown = unknown
+        super().__init__(f"singular Jacobian: zero pivot at unknown {unknown} "
+                         f"({name})")

@@ -16,18 +16,27 @@ total-entropy increment a sum of squares, independent of the step size.  The
 ledger takes the channel's coupling power from the assembled block d_chi, so
 its residual also checks that block against the nodal pair.
 
-Newton factorizes the midpoint Jacobian with a sparse LU under a
-minimum-degree ordering of A^T + A and reuses it (chord iterations) until
-convergence degrades, then rebuilds.  The free solid columns of a build are
-exact: `HeatSystem.loads_tangent` gives the heat kernel's 8x8 tangent block
-of every cell, scattered into the free rows as mass - (dt/2) d loads and,
-for the coupling rows, into the entropy row of their channel node (the
+Newton factorizes the midpoint Jacobian with LAPACK's band LU (dgbtrf,
+partial pivoting) and reuses it (chord iterations) until convergence
+degrades, then rebuilds.  The coupling graph is a thin tensor-product box
+plus a 1D channel, so the unknowns, permuted once into an axial-slab order
+(slab by slab along the axis; inside a slab the free thickness layers from
+the external face down to the wall, the azimuth reflected as 0, n-1, 1,
+n-2, ... so that periodic neighbours stay close; the channel's (phi, vel,
+s) of a node right after its slab), give a band of half-width at most
+n_az (n_th + 1) + 5.  The Jacobian is built straight into LAPACK's band
+storage, which dgbtrf factors in place.  The free solid columns of a build
+are exact: `HeatSystem.loads_tangent` gives the heat kernel's 8x8 tangent
+block of every cell, scattered into the free rows as mass - (dt/2) d loads
+and, for the coupling rows, into the entropy row of their channel node (the
 azimuthal sum `embed_t` applies to the wall output).  Only the 3 n_f channel
 columns are finite differences, taken against the residual Newton has just
 evaluated, one residual per color (Curtis, Powell & Reid 1974).  A channel
 column reaches only the rows of nodes j-1..j+1, so the stride coloring
-3 field + node mod 3 needs 9 colors at any mesh.  The index arrays of both
-blocks are fixed by the mesh and built on the first Jacobian build.
+3 field + node mod 3 needs 9 colors at any mesh.  The slab order and the
+band position of every entry are fixed by the mesh and built on the first
+Jacobian build.  An exact zero pivot fails the Newton attempt like an
+invalid state does.
 
 Each step starts from a prediction read off a backward-difference table of
 the accepted states, of the order the table's own terms support (up to
@@ -46,10 +55,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConfigurationError, MeshCompatibilityError, PhmixError, \
-    StateValidityError, StepFailureError
+    SingularJacobianError, StateValidityError, StepFailureError
 from .fem import CouplingOperators
 from .fluid import FluidState, FluidSystem, check_specific_volume, eos
 from .heat import HeatState, HeatSystem, entropy_of_temperature, \
@@ -151,6 +160,8 @@ class SimResult:
     steps: int
     newton_iterations: int
     jacobian_builds: int
+    jacobian_build_s: float  # building and factoring the Jacobians
+    chord_solve_s: float     # the chord solves with the factors
     wall_time: float
 
 
@@ -268,27 +279,41 @@ def advance_table(table: np.ndarray, sums: np.ndarray,
 
 @dataclass(frozen=True)
 class JacobianLayout:
-    """Index arrays of the midpoint Jacobian, fixed by the mesh.
+    """Band positions of the midpoint Jacobian's entries, fixed by the mesh.
 
-    The CSC matrix (`indices`, `indptr`) holds the free solid columns, then
-    the channel columns.  Entry e of `HeatSystem.loads_tangent`'s raveled
-    blocks adds into data position pos[e] of the solid block, or past its
-    end when its row or column is held; `diag` are the positions of the free
-    diagonal.  The channel block has the entries of `pattern` (nx, 3 n_f),
-    whose columns `cols` lists, differenced in the colors `colors` of the
-    channel columns: 3 field + node mod 3.  A channel column at node j
-    reaches only the rows of channel nodes j-1..j+1 and of the solid dofs at
-    those axial nodes, so columns of one field three nodes apart share no
-    row, and 9 colors cover the channel at any mesh.
+    The band holds P J P^T, J in the packed unknowns (free solid entropy,
+    phi, vel, s) and P the axial-slab order: `order[i]` is the packed
+    unknown at band row and column i, `rank` its inverse.  Entry (i, j) of
+    the permuted matrix has LAPACK's band position (kl + ku + i - j, j), so
+    an (ldab, n) Fortran-ordered array with ldab = 2 kl + ku + 1 (the kl
+    extra rows take the fill of row pivoting) is, flat, the vector whose
+    position j ldab + kl + ku + i - j holds the entry.  Entry e of
+    `HeatSystem.loads_tangent`'s raveled blocks adds into flat position
+    pos[e], or into the dump bin n ldab past the band when its row or
+    column is held; `diag` are the flat positions of the free diagonal, and
+    `chan` those of the channel block's entries, the entries of `pattern`
+    (nx, 3 n_f) in its CSC order, whose columns `cols` lists.  They are
+    differenced in the colors `colors` of the channel columns: 3 field +
+    node mod 3.  A channel column at node j reaches only the rows of
+    channel nodes j-1..j+1 and of the solid dofs at those axial nodes, so
+    columns of one field three nodes apart share no row, and 9 colors cover
+    the channel at any mesh.
     """
 
     pos: np.ndarray
     diag: np.ndarray
+    chan: np.ndarray
     pattern: sp.csc_matrix
     cols: np.ndarray
     colors: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
+    order: np.ndarray
+    rank: np.ndarray
+    kl: int
+    ku: int
+
+    @property
+    def ldab(self) -> int:
+        return 2 * self.kl + self.ku + 1
 
 
 class CoupledSimulation:
@@ -332,9 +357,10 @@ class CoupledSimulation:
         self._nx = self._nfree + 3 * self._nf
 
         self._layout = None  # JacobianLayout, built on the first build
-        self._lu = None
+        self._lu = None  # the factored band and its pivots
         self.newton_iterations = 0
         self.jacobian_builds = 0
+        self.jacobian_build_s = self.chord_solve_s = 0.0
 
     # ---- state packing -------------------------------------------------
 
@@ -468,54 +494,75 @@ class CoupledSimulation:
             nfree + 2 * nf + self.ops.embed(np.arange(nf))
         return row_of
 
+    def _slab_order(self, col_of: np.ndarray) -> np.ndarray:
+        """The packed unknowns in axial-slab order.  Slab i holds the free
+        solid dofs at axial node i, thickness layers from the external face
+        down to the wall-adjacent one, each layer's azimuth in the reflected
+        order 0, n-1, 1, n-2, ... (periodic neighbours at most two apart),
+        then the channel's (phi, vel, s) at node i.  `col_of` is the packed
+        column of each solid dof, -1 for a held one."""
+        nf, nfree = self._nf, self._nfree
+        # the channel's (phi, vel, s) of every node, one row per node
+        chan = nfree + nf * np.arange(3) + np.arange(nf)[:, None]
+        if not self.coupled:
+            return chan.ravel()
+        dom = self.heat.domain
+        n_az, n_th = dom.azimuthal.n_nodes, dom.thickness.n_nodes
+        reflected = np.empty(n_az, dtype=np.intp)
+        reflected[0::2] = np.arange((n_az + 1) // 2)
+        reflected[1::2] = n_az - 1 - np.arange(n_az // 2)
+        nodes = dom.node_index(np.arange(nf)[:, None, None], reflected,
+                               np.arange(n_th)[::-1, None])
+        slabs = np.hstack([col_of[nodes].reshape(nf, -1), chan])
+        return slabs[slabs >= 0]
+
     def _jacobian_layout(self) -> JacobianLayout:
         """The index arrays of every Jacobian build: the channel pattern and
-        its colors, and the solid block's structure with the data position
-        of every tangent entry, from one sort of the entries' (column, row)
-        keys."""
+        its colors, the slab order, and the band position of every tangent
+        entry, of the free diagonal and of every channel entry, with the
+        half-widths kl and ku the entries span."""
         nf, nfree, nx = self._nf, self._nfree, self._nx
         pattern = self._jacobian_pattern()
         cols = np.repeat(np.arange(3 * nf), np.diff(pattern.indptr))
-        pos = diag = np.empty(0, dtype=np.intp)
-        indptr = np.zeros(1, dtype=np.intp)
-        indices = np.empty(0, dtype=np.intp)
+        col_of = np.full(self.heat.n_dofs, -1)  # packed column, -1 if held
         if self.coupled:
-            col_of = np.full(self.heat.n_dofs, -1)
             col_of[self._free] = np.arange(nfree)
+        order = self._slab_order(col_of)
+        rank = np.empty(nx, dtype=np.intp)
+        rank[order] = np.arange(nx)
+        # band (row, column) of the channel entries and the kept tangent ones
+        chan_r, chan_c = rank[pattern.indices], rank[nfree + cols]
+        offsets = [chan_r - chan_c]
+        if self.coupled:
             gather = self.heat._gather
             row = self._solid_rows()[gather][:, None, :]  # (a, ., cell)
             col = col_of[gather][None, :, :]  # (., b, cell)
-            key = col * nx + row
-            key[(row < 0) | (col < 0)] = nx * nx  # held: past every kept key
-            # np.unique(key, return_inverse=True) by hand: the stable sort
-            # takes about half the time on the runs of the cell order, and
-            # fewer temporaries are alive at once
-            order = np.argsort(key, axis=None, kind="stable")
-            key = key.ravel()[order]
-            first = np.empty(key.size, dtype=bool)  # first of its key
-            first[0] = True
-            np.not_equal(key[1:], key[:-1], out=first[1:])
-            keys = key[first]
-            del key
-            rank = np.cumsum(first)
-            rank -= 1
-            # int32 like scipy's index arrays: the layout lives for the run
-            pos = np.empty(rank.size, dtype=np.int32)
-            pos[order] = rank
-            keys = keys[keys < nx * nx]
-            indices = keys % nx
-            indptr = np.searchsorted(keys // nx, np.arange(nfree + 1))
-            diag = np.searchsorted(keys, np.arange(nfree) * (nx + 1))
-        return JacobianLayout(
-            pos=pos, diag=diag, pattern=pattern, cols=cols,
-            colors=(3 * np.arange(3)[:, None] + np.arange(nf) % 3).ravel(),
-            indices=np.concatenate([indices, pattern.indices], dtype=np.int32),
-            indptr=np.concatenate([indptr, indptr[-1] + pattern.indptr[1:]],
-                                  dtype=np.int32))
+            held = (row < 0) | (col < 0)
+            tan_r, tan_c = rank[row], rank[col]  # garbage where held
+            offsets.append((tan_r - tan_c)[~held])
+        offsets = np.concatenate(offsets)
+        kl, ku = int(offsets.max()), int(-offsets.min())
+        ldab = 2 * kl + ku + 1
 
-    def _jacobian(self, x: np.ndarray, r: np.ndarray) -> sp.csc_matrix:
+        def flat(r, c):
+            return c * (ldab - 1) + r + (kl + ku)
+
+        pos = diag = np.empty(0, dtype=np.intp)
+        if self.coupled:
+            pos = flat(tan_r, tan_c)
+            pos[held] = nx * ldab  # the dump bin past the band
+            pos = pos.ravel()
+            diag = flat(rank[:nfree], rank[:nfree])
+        return JacobianLayout(
+            pos=pos, diag=diag, chan=flat(chan_r, chan_c), pattern=pattern,
+            cols=cols,
+            colors=(3 * np.arange(3)[:, None] + np.arange(nf) % 3).ravel(),
+            order=order, rank=rank, kl=kl, ku=ku)
+
+    def _jacobian(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The midpoint Jacobian at x, where the residual is r and
-        `_residual` last ran (its port fields are those at x).
+        `_residual` last ran (its port fields are those at x), in slab
+        order as the (ldab, nx) Fortran-ordered band of the layout.
 
         The free solid columns are exact: the residual's solid rows are
         mass (s1 - s0) - dt loads(s_mid), and the coupling rows enter the
@@ -528,15 +575,15 @@ class CoupledSimulation:
         if self._layout is None:
             self._layout = self._jacobian_layout()
         lay = self._layout
-        nfree = self._nfree
-        data = []
+        nfree, size = self._nfree, len(x) * lay.ldab
         if self.coupled:
             local = self.heat.loads_tangent(self._ports[1])
-            solid = np.bincount(lay.pos, weights=local.ravel())[
-                :lay.indptr[nfree]]
-            solid *= -0.5 * self.cfg.dt
-            solid[lay.diag] += self.heat.mass[self._free]
-            data.append(solid)
+            band = np.bincount(lay.pos, weights=local.ravel(),
+                               minlength=size + 1)[:-1]
+            band *= -0.5 * self.cfg.dt
+            band[lay.diag] += self.heat.mass[self._free]
+        else:
+            band = np.zeros(size)
         xc = x[nfree:]
         h = self._FD_EPS * np.maximum(np.abs(xc), self._typ[nfree:])
         x_h = xc + h
@@ -546,16 +593,40 @@ class CoupledSimulation:
             trial[nfree:] = np.where(lay.colors == c, x_h, xc)
             diffs[c] = self._residual(trial) - r
         rows, cols = lay.pattern.indices, lay.cols
-        data.append(diffs[lay.colors[cols], rows] / h[cols])
-        return sp.csc_matrix((np.concatenate(data), lay.indices, lay.indptr),
-                             shape=(len(x), len(x)))
+        band[lay.chan] = diffs[lay.colors[cols], rows] / h[cols]
+        return band.reshape(len(x), lay.ldab).T
 
     def _build_jacobian(self, x: np.ndarray, r: np.ndarray):
         """Build the Jacobian at x, where the residual is r and `_residual`
-        last ran, and factorize it for the chord solves."""
-        self._lu = spla.splu(self._jacobian(x, r),
-                             permc_spec="MMD_AT_PLUS_A")
+        last ran, and factorize it in place for the chord solves.  An exact
+        zero pivot raises SingularJacobianError naming its unknown."""
+        t0 = _time.perf_counter()
+        band = self._jacobian(x, r)
+        lay = self._layout
+        lu, piv, info = dgbtrf(band, lay.kl, lay.ku, overwrite_ab=1)
         self.jacobian_builds += 1
+        self.jacobian_build_s += _time.perf_counter() - t0
+        if info > 0:
+            unknown = int(lay.order[info - 1])
+            raise SingularJacobianError(unknown, self._unknown_name(unknown))
+        self._lu = lu, piv
+
+    def _unknown_name(self, k: int) -> str:
+        """The field and node of packed unknown k."""
+        if k < self._nfree:
+            return f"solid entropy[{self._free[k]}]"
+        field, node = divmod(k - self._nfree, self._nf)
+        return f"{('phi', 'vel', 's')[field]}[{node}]"
+
+    def _chord_solve(self, r: np.ndarray) -> np.ndarray:
+        """The Newton correction J^-1 r from the factored band."""
+        t0 = _time.perf_counter()
+        lay = self._layout
+        lu, piv = self._lu
+        y, _ = dgbtrs(lu, lay.kl, lay.ku, r[lay.order], piv, overwrite_b=1)
+        dx = y[lay.rank]
+        self.chord_solve_s += _time.perf_counter() - t0
+        return dx
 
     def _newton(self, x: np.ndarray):
         """Chord-Newton iterations from x until the scaled residual is at
@@ -564,7 +635,8 @@ class CoupledSimulation:
 
         The factorization is rebuilt when there is none or when an
         iteration fails to halve the residual.  A StateValidityError from a
-        trial iterate propagates to the caller.
+        trial iterate, or a SingularJacobianError from a build, propagates
+        to the caller.
         """
         r = self._residual(x)
         ports = self._ports  # before a Jacobian build overwrites them
@@ -575,7 +647,7 @@ class CoupledSimulation:
                 break
             if stale:
                 self._build_jacobian(x, r)
-            x = x - self._lu.solve(r)
+            x = x - self._chord_solve(r)
             self.newton_iterations += 1
             r = self._residual(x)
             ports = self._ports
@@ -609,10 +681,12 @@ class CoupledSimulation:
         """One implicit-midpoint step.
 
         Newton starts from x_pred (default: the old state).  If it does not
-        converge, or a trial iterate or the converged end state is not a
-        valid state, it is retried once from the old state with a fresh
-        factorization; a second failure raises StepFailureError, chained to
-        the StateValidityError that names the field, if there is one.
+        converge, a trial iterate or the converged end state is not a valid
+        state, or a Jacobian has an exact zero pivot, it is retried once
+        from the old state with a fresh factorization; a second failure
+        raises StepFailureError, chained to the StateValidityError that
+        names the field or the SingularJacobianError that names the
+        unknown, if there is one.
 
         Returns (heat', fluid', powers, p_ext, x): the converged midpoint
         coupling powers (p_heat, p_fluid) and external power entering the
@@ -635,8 +709,9 @@ class CoupledSimulation:
                     # the residual saw the midpoint; the end state 2 mid - old
                     # may still leave the ideal-gas states
                     check_specific_volume(self._unpack_fluid(x)[0])
-            except StateValidityError as exc:
-                norm, failure = np.inf, exc  # an invalid iterate or end state
+            except (StateValidityError, SingularJacobianError) as exc:
+                # an invalid iterate or end state, or a zero pivot
+                norm, failure = np.inf, exc
             if norm <= self.cfg.newton_tol:
                 break
             self._lu = None  # retry once from x0 with a fresh factorization
@@ -701,6 +776,7 @@ class CoupledSimulation:
         self._lu = None
         self.newton_iterations = 0
         self.jacobian_builds = 0
+        self.jacobian_build_s = self.chord_solve_s = 0.0
 
         ledger = EnergyLedger()
         q0 = self.heat.hamiltonian(heat_state)
@@ -742,6 +818,7 @@ class CoupledSimulation:
             ledger.write(os.path.join(output_dir, f"{setup.name}_ledger.csv"))
         return SimResult(ledger, heat_state, fluid_state, n_steps,
                          self.newton_iterations, self.jacobian_builds,
+                         self.jacobian_build_s, self.chord_solve_s,
                          _time.perf_counter() - t_start)
 
     def _snapshot(self, output_dir, scenario, step, heat_state, fluid_state,

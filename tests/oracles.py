@@ -4,9 +4,11 @@ Everything here avoids the package's assembly/quadrature code paths:
 hat functions are evaluated from the distance formula, integrals use
 composite high-order Gauss-Legendre built directly on numpy, and
 derivatives use central differences.  The Jacobian references are the
-channel columns' pattern composed from block matrices, and the heat
-kernel's tangent by the complex step, which differentiates the kernel's
-arithmetic on its own reference tables.  The midpoint residual's
+channel columns' pattern composed from block matrices, the heat kernel's
+tangent by the complex step, which differentiates the kernel's arithmetic
+on its own reference tables, and the midpoint Jacobian assembled as a
+sorted CSC matrix in the packed order, the stepper's earlier layout, which
+its band must equal entry for entry.  The midpoint residual's
 reference composes the subsystems' own operators field by field, in the
 unpacked form the stepper's packed residual must match bit for bit.
 """
@@ -245,3 +247,96 @@ def midpoint_residual_oracle(sim, x):
     r_s = mf * (sf1 - fl0.s) - dt * (f.s + w_load)
     return np.concatenate([r_solid, r_phi, r_vel, r_s]), (t_m, s_mid, wall,
                                                            ext)
+
+
+def band_to_dense(band, layout):
+    """The Jacobian held in the (ldab, n) LAPACK band `band` of `layout`
+    (slab order), as a dense matrix in the packed order.  The kl fill rows
+    on top, which only the factorization writes, must be empty."""
+    kl, ku = layout.kl, layout.ku
+    n = band.shape[1]
+    assert band.shape == (layout.ldab, n)
+    assert not band[:kl].any()
+    d, j = np.mgrid[kl:layout.ldab, 0:n]
+    i = j + d - (kl + ku)  # band row d of column j is matrix row i
+    inside = (i >= 0) & (i < n)
+    dense = np.zeros((n, n))
+    order = layout.order
+    dense[order[i[inside]], order[j[inside]]] = band[d[inside], j[inside]]
+    return dense
+
+
+def band_structure(layout, n):
+    """Boolean (n, n) structure in the packed order of the entries a build
+    writes: the kept tangent entries, the free diagonal and the channel
+    pattern."""
+    flat = np.zeros(n * layout.ldab + 1)
+    flat[layout.pos] = flat[layout.diag] = flat[layout.chan] = 1.0
+    band = flat[:-1].reshape(n, layout.ldab).T
+    return band_to_dense(band, layout) != 0.0
+
+
+def csc_jacobian_layout(sim):
+    """The index arrays of the CSC assembly in the packed order: the solid
+    block's structure from one sort of the tangent entries' (column, row)
+    keys, with the data position `pos` of every tangent entry (past the
+    block for a held one) and `diag` of the free diagonal, then the
+    channel block of `_jacobian_pattern`.  Returns (pos, diag, indices,
+    indptr)."""
+    nf, nfree, nx = sim._nf, sim._nfree, sim._nx
+    pattern = sim._jacobian_pattern()
+    pos = diag = indices = np.empty(0, dtype=np.intp)
+    indptr = np.zeros(1, dtype=np.intp)
+    if sim.coupled:
+        col_of = np.full(sim.heat.n_dofs, -1)
+        col_of[sim._free] = np.arange(nfree)
+        gather = sim.heat._gather
+        row = sim._solid_rows()[gather][:, None, :]
+        col = col_of[gather][None, :, :]
+        key = col * nx + row
+        key[(row < 0) | (col < 0)] = nx * nx
+        keys, pos = np.unique(key.ravel(), return_inverse=True)
+        keys = keys[keys < nx * nx]
+        indices = keys % nx
+        indptr = np.searchsorted(keys // nx, np.arange(nfree + 1))
+        diag = np.searchsorted(keys, np.arange(nfree) * (nx + 1))
+    return (pos, diag, np.concatenate([indices, pattern.indices]),
+            np.concatenate([indptr, indptr[-1] + pattern.indptr[1:]]))
+
+
+def csc_jacobian_structure(sim):
+    """(rows, cols) in the packed order of every entry of the CSC
+    assembly."""
+    _, _, indices, indptr = csc_jacobian_layout(sim)
+    return indices, np.repeat(np.arange(sim._nx), np.diff(indptr))
+
+
+def csc_jacobian_oracle(sim, x, r):
+    """The midpoint Jacobian at x (residual r, `sim._residual` last run at
+    x) as the stepper assembled it before its band: a CSC matrix on
+    `csc_jacobian_layout`, the tangent blocks summed with np.bincount and
+    scaled in the same order of operations, and the channel columns by
+    colored forward differences."""
+    nf, nfree, nx = sim._nf, sim._nfree, sim._nx
+    pos, diag, indices, indptr = csc_jacobian_layout(sim)
+    data = []
+    if sim.coupled:
+        local = sim.heat.loads_tangent(sim._ports[1])
+        solid = np.bincount(pos, weights=local.ravel())[:indptr[nfree]]
+        solid *= -0.5 * sim.cfg.dt
+        solid[diag] += sim.heat.mass[sim._free]
+        data.append(solid)
+    pattern = sim._jacobian_pattern()
+    cols = np.repeat(np.arange(3 * nf), np.diff(pattern.indptr))
+    colors = (3 * np.arange(3)[:, None] + np.arange(nf) % 3).ravel()
+    xc = x[nfree:]
+    h = sim._FD_EPS * np.maximum(np.abs(xc), sim._typ[nfree:])
+    x_h = xc + h
+    diffs = np.empty((9, len(x)))
+    for c in range(9):
+        trial = x.copy()
+        trial[nfree:] = np.where(colors == c, x_h, xc)
+        diffs[c] = sim._residual(trial) - r
+    data.append(diffs[colors[cols], pattern.indices] / h[cols])
+    return sp.csc_matrix((np.concatenate(data), indices, indptr),
+                         shape=(nx, nx))

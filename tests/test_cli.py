@@ -8,7 +8,7 @@ from phmix.config import config_from_dict, config_to_dict, default_config, \
     load_config
 from phmix.dirac import VerificationReport
 from phmix.errors import ConfigurationError
-from phmix.simulate import LEDGER_HEADER
+from phmix.simulate import CoupledSimulation, LEDGER_HEADER
 
 TINY = {
     "geometry": {"n_ax": 4, "n_az": 3, "n_th": 2, "n_fluid": 4},
@@ -171,6 +171,41 @@ class TestSimulateCommand:
         h = np.array([float(l.split(",")[2]) for l in lines[1:]])
         assert np.all(np.diff(q) < 0)
         assert np.all(np.diff(h) > 0)
+
+    @pytest.mark.parametrize("scenario,positive", [
+        ("hot-wall-cooldown", True), ("equilibrium", False)])
+    def test_reports_build_and_solve_seconds(self, capsys, tmp_path,
+                                             scenario, positive):
+        cfg = write_cfg(tmp_path, dict(TINY, scenario=scenario))
+        code = cli.main(["simulate", "--config", cfg,
+                         "--output", str(tmp_path / "out")])
+        assert code == 0
+        report = dict(line.split(": ", 1)
+                      for line in capsys.readouterr().out.splitlines())
+        for key in ("jacobian_build_s", "chord_solve_s"):
+            assert (float(report[key]) > 0) == positive
+        assert (int(report["jacobian_builds"]) > 0) == positive
+
+    def test_zero_pivot_exit_1_names_step_and_unknown(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # a Jacobian with a zero column fails the step cleanly: the last
+        # ledger row and the unknown behind the pivot, no traceback
+        build = CoupledSimulation._jacobian
+
+        def singular(sim, x, r):
+            band = build(sim, x, r)
+            band[:, sim._layout.rank[0]] = 0.0
+            return band
+
+        monkeypatch.setattr(CoupledSimulation, "_jacobian", singular)
+        cfg = write_cfg(tmp_path, dict(TINY, scenario="hot-wall-cooldown"))
+        code = cli.main(["simulate", "--config", cfg,
+                         "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "last ledger row: 0.0," in err
+        assert "error: step 1: implicit midpoint step failed: singular " \
+            "Jacobian: zero pivot at unknown 0 (solid entropy[" in err
 
     def test_unknown_scenario_exit_2_lists_names(self, capsys, tmp_path):
         data = dict(TINY)

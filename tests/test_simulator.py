@@ -89,16 +89,21 @@ def complex_step_solid_columns(sim, s_mid):
     return out
 
 
+def built_jacobian(sim, x, r):
+    """The Jacobian a build makes at x (residual r), unpacked from its
+    band to a dense matrix in the packed order."""
+    return oracles.band_to_dense(sim._jacobian(x, r), sim._layout)
+
+
 class TestColoredNewton:
     @pytest.mark.parametrize("name,geometry", NEWTON_CASES)
     def test_dense_jacobian_inside_pattern(self, name, geometry):
-        # the built matrix's structure: the tangent blocks' on the solid
+        # the entries a build writes: the tangent blocks' on the solid
         # columns, the channel pattern on the channel columns
         _, sim, x = newton_point(name, geometry)
         dense = dense_fd_jacobian(sim, x)
-        structure = sim._jacobian(x, sim._residual(x))
-        structure.data[:] = 1.0
-        pattern = structure.toarray() == 1.0
+        built_jacobian(sim, x, sim._residual(x))
+        pattern = oracles.band_structure(sim._layout, len(x))
         assert pattern.shape == dense.shape
         assert np.all(dense[~pattern] == 0.0)
         assert np.array_equal(pattern[:, sim._nfree:],
@@ -114,7 +119,7 @@ class TestColoredNewton:
         dense = dense_fd_jacobian(sim, x)
         r = sim._residual(x)
         s_mid = sim._ports[1]  # the pinned midpoint state at x
-        jac = sim._jacobian(x, r).toarray()
+        jac = built_jacobian(sim, x, r)
         col_err = np.abs(jac - dense).max(axis=0)[nfree:]
         assert np.all(col_err <= 1e-12 * np.abs(dense).max(axis=0)[nfree:])
         if nfree:
@@ -131,6 +136,43 @@ class TestColoredNewton:
         for c in range(colors.max() + 1):
             rows_hit = layout.pattern[:, colors == c].sum(axis=1)
             assert rows_hit.max() <= 1
+
+
+class TestBandLU:
+    @pytest.mark.parametrize("name,geometry", NEWTON_CASES + LADDER_CASES)
+    def test_chord_solve_matches_dense_solve(self, name, geometry):
+        _, sim, x = newton_point(name, geometry)
+        dense = built_jacobian(sim, x, sim._residual(x))
+        r = sim._residual(x)  # the build's residuals moved the ports
+        sim._build_jacobian(x, r)
+        got = sim._chord_solve(r)
+        want = np.linalg.solve(dense, r)
+        del dense
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name,geometry", LADDER_CASES)
+    def test_bandwidth(self, name, geometry):
+        # the half-widths the entries of the earlier CSC layout span in the
+        # slab order: one slab of free layers plus a layer, the channel
+        # triple and two azimuthal steps
+        *_, sim = one_step_simulation(name, geometry)
+        lay = sim._jacobian_layout()
+        nx = sim._nx
+        assert np.array_equal(np.sort(lay.order), np.arange(nx))
+        assert np.array_equal(lay.order[lay.rank], np.arange(nx))
+        rows, cols = oracles.csc_jacobian_structure(sim)
+        offsets = lay.rank[rows] - lay.rank[cols]
+        assert (lay.kl, lay.ku) == (offsets.max(), -offsets.min())
+        bound = geometry["n_az"] * (geometry["n_th"] + 1) + 5
+        assert lay.kl == lay.ku <= bound
+
+    @pytest.mark.parametrize("name,geometry", NEWTON_CASES + LADDER_CASES[:2])
+    def test_band_equals_csc_assembly(self, name, geometry):
+        _, sim, x = newton_point(name, geometry)
+        band = built_jacobian(sim, x, sim._residual(x))
+        r = sim._residual(x)
+        reference = oracles.csc_jacobian_oracle(sim, x, r).toarray()
+        assert np.array_equal(band, reference)
 
 
 @pytest.mark.parametrize("name,geometry", NEWTON_CASES + LADDER_CASES)
@@ -337,6 +379,7 @@ class TestPredictor:
         assert result.steps == 200
         assert result.newton_iterations <= 229
         assert result.jacobian_builds == 1
+        assert result.jacobian_build_s > 0 and result.chord_solve_s > 0
 
     def test_large_mesh_newton_count(self):
         # the benchmark's 24x12x4 rung, 20 steps
@@ -434,6 +477,8 @@ class TestEquilibrium:
         assert np.abs(result.fluid_state.vel).max() <= 1e-12
         total = result.ledger.column("total")
         assert np.abs(total - total[0]).max() <= 1e-10 * abs(total[0])
+        assert (result.newton_iterations, result.jacobian_builds) == (0, 0)
+        assert result.jacobian_build_s == result.chord_solve_s == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -717,6 +762,36 @@ class TestFailureModes:
         assert err.value.step >= 1
         assert len(err.value.ledger) == err.value.step
         assert err.value.__cause__.field == "specific volume"
+
+    @pytest.mark.parametrize("field", ["solid", "vel"])
+    def test_zero_pivot_fails_with_step_ledger_and_unknown(self, field,
+                                                          monkeypatch):
+        # a Jacobian with a zero column has an exact zero pivot there: the
+        # attempt fails, the retry from the old state builds again, and the
+        # step fails naming the unknown
+        cfg = small_cfg()
+        problem = build_problem(cfg)
+        setup = build_scenario("hot-wall-cooldown", problem.heat,
+                               problem.fluid, {})
+        sim = make_simulation(problem, cfg, setup)
+        dead = 7 if field == "solid" else sim._nfree + sim._nf + 3
+        build = sim._jacobian
+
+        def singular(x, r):
+            band = build(x, r)
+            band[:, sim._layout.rank[dead]] = 0.0
+            return band
+
+        monkeypatch.setattr(sim, "_jacobian", singular)
+        with pytest.raises(StepFailureError, match="zero pivot") as err:
+            sim.run(setup)
+        assert err.value.step == 1
+        assert len(err.value.ledger) == 1
+        assert err.value.__cause__.unknown == dead
+        name = f"solid entropy[{sim._free[dead]}]" if field == "solid" \
+            else "vel[3]"
+        assert name in str(err.value)
+        assert sim.jacobian_builds == 2
 
     def test_second_run_matches_fresh_object(self):
         cfg = small_cfg()
