@@ -109,6 +109,8 @@ def cmd_simulate(args) -> int:
     print(f"max_coupling_residual: "
           f"{float(abs(led.column('P_couple_residual')).max())!r}")
     print(f"newton_iterations: {result.newton_iterations}")
+    print(f"max_step_iterations: {int(result.step_iterations.max())}")
+    print(f"max_final_residual: {float(result.step_residuals.max())!r}")
     print(f"jacobian_builds: {result.jacobian_builds}")
     print(f"jacobian_build_s: {result.jacobian_build_s:.6f}")
     print(f"chord_solve_s: {result.chord_solve_s:.6f}")

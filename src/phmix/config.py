@@ -5,6 +5,7 @@ dataclasses, so constructing a config validates the physical parameters."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigurationError, MaterialError
@@ -77,15 +78,21 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite_number(value) -> bool:
+    # JSON as Python reads it has NaN and Infinity
+    return _is_number(value) and math.isfinite(value)
+
+
 def _check_type(key: str, value, default) -> None:
     """Reject a value whose type does not fit the default's: an int field
-    takes an int but not a bool, a float field an int or a float, and
-    scenario_params an object of numbers."""
+    takes an int but not a bool, a float field a finite int or float, and
+    scenario_params an object of finite numbers."""
     if isinstance(default, dict):
-        kind = "an object of numbers"
-        ok = isinstance(value, dict) and all(map(_is_number, value.values()))
+        kind = "an object of finite numbers"
+        ok = isinstance(value, dict) and \
+            all(map(_is_finite_number, value.values()))
     elif isinstance(default, float):
-        kind, ok = "a number", _is_number(value)
+        kind, ok = "a finite number", _is_finite_number(value)
     elif isinstance(default, int):
         kind = "an integer"
         ok = isinstance(value, int) and not isinstance(value, bool)

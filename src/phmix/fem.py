@@ -51,19 +51,30 @@ class LineBasis:
         self.mesh = mesh
         self.n_dofs = mesh.n_nodes
         self.factors = (self,)
+        self._tables: dict[QuadratureRule, Tables] = {}
 
     def cell_dofs(self) -> np.ndarray:
         return self.mesh.cell_dofs()
 
     def tables(self, quad: QuadratureRule) -> Tables:
+        """The reference tables under `quad`, computed on the first call
+        with that rule; their arrays are read-only, since every later call
+        returns the same ones."""
         if quad.degree < 2:
             raise ConfigurationError(
                 f"quadrature degree {quad.degree} insufficient for products "
                 f"of P1 functions (need >= 2)")
-        h = self.mesh.h
-        vals = np.stack([1.0 - quad.points, quad.points], axis=1)
-        grads = np.tile([-1.0 / h, 1.0 / h], (quad.n_points, 1))[:, :, None]
-        return Tables(vals, grads, quad.weights * h)
+        tab = self._tables.get(quad)
+        if tab is None:
+            h = self.mesh.h
+            tab = Tables(
+                np.stack([1.0 - quad.points, quad.points], axis=1),
+                np.tile([-1.0 / h, 1.0 / h], (quad.n_points, 1))[:, :, None],
+                quad.weights * h)
+            for arr in (tab.values, tab.gradients, tab.wdet):
+                arr.flags.writeable = False
+            self._tables[quad] = tab
+        return tab
 
 
 class SurfaceBasis:
@@ -192,6 +203,10 @@ class CouplingOperators:
     and d_chi m_psi^-1 = B^T, so B^T takes surface loads to line loads.  All
     three take one field (dofs,) or a column stack of them (dofs, trials),
     so sparse products take the stack as it is, without a transposed copy.
+
+    The factorizations and `line_load`'s matrix are formed on first use
+    from the blocks, and they are not init fields, so `dataclasses.replace`
+    with new blocks starts without them.
     """
 
     m_psi: sp.csr_matrix
@@ -201,8 +216,10 @@ class CouplingOperators:
     surface: SurfaceBasis
     line: LineBasis
     eta_integrals: np.ndarray
-    _psi_lu: spla.SuperLU | None = field(default=None, repr=False)
-    _chi_lu: spla.SuperLU | None = field(default=None, repr=False)
+    _psi_lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
+    _chi_lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
+    _load_block: np.ndarray | None = field(default=None, init=False,
+                                           repr=False)
 
     @property
     def n_psi(self) -> int:
@@ -231,6 +248,16 @@ class CouplingOperators:
         """m_chi^-1 d_chi u: fiber integral of surface coefficients, as
         line coefficients."""
         return self.solve_chi(self.d_chi @ u)
+
+    def line_load(self, b: np.ndarray) -> np.ndarray:
+        """d_chi m_psi^-1 b: the line load d_chi v of the surface field v
+        whose load m_psi v is b, from the assembled blocks.  The dense
+        (n_chi, n_psi) matrix d_chi m_psi^-1 is formed on the first call by
+        one `solve_psi` of d_chi^T (m_psi is symmetric)."""
+        if self._load_block is None:
+            self._load_block = np.ascontiguousarray(
+                self.solve_psi(self.d_chi.T.toarray()).T)
+        return self._load_block @ b
 
     def solve_psi(self, b: np.ndarray) -> np.ndarray:
         if self._psi_lu is None:

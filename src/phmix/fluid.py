@@ -43,11 +43,14 @@ class FluidMaterial:
 
     def __post_init__(self):
         for name in ("r_gas", "c_v", "phi_ref", "t_ref"):
-            if not getattr(self, name) > 0:
-                raise MaterialError(f"fluid material {name} must be positive, "
-                                    f"got {getattr(self, name)}")
-        if self.friction < 0:
-            raise MaterialError(f"friction must be >= 0, got {self.friction}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise MaterialError(f"fluid material {name} must be positive "
+                                    f"and finite, got {getattr(self, name)}")
+        if not 0 <= self.friction < np.inf:
+            raise MaterialError(
+                f"friction must be >= 0 and finite, got {self.friction}")
+        if not np.isfinite(self.s_ref):
+            raise MaterialError(f"s_ref must be finite, got {self.s_ref}")
 
     @property
     def gamma(self) -> float:
@@ -71,10 +74,17 @@ def eos(phi, s, mat: FluidMaterial):
     phi = np.asarray(phi, dtype=float)
     s = np.asarray(s, dtype=float)
     check_specific_volume(phi)
-    t = mat.t_ref * (mat.phi_ref / phi) ** (mat.r_gas / mat.c_v) \
-        * np.exp((s - mat.s_ref) / mat.c_v)
+    t = gas_temperature(phi, s, mat)
     p = mat.r_gas * t / phi
     return p, t, mat.c_v * t
+
+
+def gas_temperature(phi: np.ndarray, s: np.ndarray,
+                    mat: FluidMaterial) -> np.ndarray:
+    """T = t_ref (phi_ref/phi)^(r/c_v) exp((s - s_ref)/c_v), for specific
+    volumes already known to be positive; `eos` checks them first."""
+    return mat.t_ref * (mat.phi_ref / phi) ** (mat.r_gas / mat.c_v) \
+        * np.exp((s - mat.s_ref) / mat.c_v)
 
 
 def sound_speed(temperature: float, mat: FluidMaterial) -> float:
@@ -138,11 +148,22 @@ class FluidSystem:
         return p
 
     def hamiltonian(self, state: FluidState) -> float:
-        _, _, u = eos(state.phi, state.s, self.material)
-        return float(self.mass @ (0.5 * state.vel ** 2 + u))
+        check_specific_volume(state.phi)
+        return self.totals(state)[0]
 
     def total_entropy(self, state: FluidState) -> float:
         return float(self.mass @ state.s)
+
+    def totals(self, state: FluidState) -> tuple[float, float]:
+        """The Hamiltonian sum_i m_i (v_i^2 / 2 + c_v T_i) and the total
+        entropy sum_i m_i s_i, the ledger's H_fluid and S_fluid, from one
+        temperature.  The specific volumes must be positive: the stepper
+        checks every end state before its ledger row, so this does not
+        check them again (`hamiltonian` does)."""
+        mat = self.material
+        t = gas_temperature(state.phi, state.s, mat)
+        return (float(self.mass @ (0.5 * state.vel ** 2 + mat.c_v * t)),
+                self.total_entropy(state))
 
     def loads(self, state: FluidState) -> tuple[FluidState, np.ndarray]:
         """Semi-discrete rates in load form, M d(phi, vel, s)/dt, with the

@@ -10,6 +10,7 @@ factors exactly into (axial interval) x (periodic azimuthal interval).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -181,6 +182,10 @@ def build_solid_domain(a: float, b: float, circumference: float, depth: float,
     The azimuthal factor is periodic (the unrolled cross-section
     circumference); the coupling face lies at thickness 0.
     """
+    for name, x in (("a", a), ("b", b), ("circumference", circumference),
+                    ("depth", depth)):
+        if not np.isfinite(x):
+            raise GeometryError(f"{name} must be finite, got {x}")
     if not b > a:
         raise GeometryError(f"axial extent non-positive: a={a}, b={b}")
     if not circumference > 0:
@@ -197,11 +202,12 @@ def build_solid_domain(a: float, b: float, circumference: float, depth: float,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Gauss-Legendre rule on the reference cell [0, 1].
 
-    Exact for polynomials up to `degree`; weights sum to 1.
+    Exact for polynomials up to `degree`; weights sum to 1.  Rules compare
+    and hash by identity, so a rule can key the bases' table caches.
     """
 
     points: np.ndarray
@@ -213,8 +219,12 @@ class QuadratureRule:
         return len(self.points)
 
 
+@cache
 def quadrature_rule(degree: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [0, 1] exact to the given polynomial degree."""
+    """Gauss-Legendre rule on [0, 1] exact to the given polynomial degree.
+
+    Memoized: every call with one degree returns the same rule, whose
+    arrays are read-only."""
     if degree < 1:
         raise ConfigurationError(f"quadrature degree must be >= 1, got {degree}")
     n = (degree + 2) // 2  # n-point Gauss is exact to degree 2n - 1

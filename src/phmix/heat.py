@@ -55,9 +55,9 @@ class HeatMaterial:
 
     def __post_init__(self):
         for name in ("rho", "c", "conductivity", "t_ref"):
-            if not getattr(self, name) > 0:
-                raise MaterialError(f"heat material {name} must be positive, "
-                                    f"got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise MaterialError(f"heat material {name} must be positive "
+                                    f"and finite, got {getattr(self, name)}")
 
     @property
     def rho_c(self) -> float:
@@ -150,10 +150,16 @@ class HeatSystem:
         return temperature_of_entropy(state.s, self.material)
 
     def hamiltonian(self, state: HeatState) -> float:
-        return float(self.mass @ energy_density(state.s, self.material))
+        return self.totals(state)[0]
 
     def total_entropy(self, state: HeatState) -> float:
         return float(self.mass @ state.s)
+
+    def totals(self, state: HeatState) -> tuple[float, float]:
+        """The Hamiltonian sum_i m_i q(s_i) and the total entropy
+        sum_i m_i s_i, the ledger's Q_heat and S_solid, in one pass."""
+        return (float(self.mass @ energy_density(state.s, self.material)),
+                self.total_entropy(state))
 
     def _quad_fields(self, s: np.ndarray):
         """Temperature (nq, n_cells) and its gradient (nq, 3, n_cells) at

@@ -13,8 +13,13 @@ paper's embed/integrate pair m_psi^-1 d_psi and d_chi m_psi^-1 in nodal form,
 so the residual needs no surface solve.  Power conjugacy of the eliminated
 relations makes the per-step coupling powers cancel to round-off and the
 total-entropy increment a sum of squares, independent of the step size.  The
-ledger takes the channel's coupling power from the assembled block d_chi, so
-its residual also checks that block against the nodal pair.
+ledger's port powers are taken in load form as well, so no step needs a
+surface solve either: the wall output is m_psi v, its power against the
+embedded channel temperature is the pairing of that temperature with the
+azimuthal sums the residual formed, and the channel's coupling power takes
+d_chi v as (d_chi m_psi^-1) times the wall output, with the dense matrix
+formed once from the assembled block d_chi, so the ledger's power residual
+also checks that block against the nodal pair.
 
 Newton factorizes the midpoint Jacobian with LAPACK's band LU (dgbtrf,
 partial pivoting) and reuses it (chord iterations) until convergence
@@ -40,9 +45,11 @@ invalid state does.
 
 Each step starts from a prediction read off a backward-difference table of
 the accepted states, of the order the table's own terms support (up to
-PREDICTOR_ORDER), and takes its end state and port powers from the port
-fields of Newton's last residual, so an accepted step costs one residual per
-iteration plus one to start.
+PREDICTOR_ORDER), whose row 0 is the old state packed, and takes its end
+state and port powers from the port fields of Newton's last residual, so an
+accepted step costs one residual per iteration plus one to start.  Its
+ledger row takes each subsystem's Hamiltonian and total entropy in one
+`totals` pass over the end state the step has validated.
 
 Everything is deterministic: same inputs give a bit-identical ledger.
 """
@@ -80,6 +87,10 @@ class SimConfig:
     output_every: int = 10
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "newton_tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if not self.dt > 0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         if self.t_end < self.dt:
@@ -159,6 +170,8 @@ class SimResult:
     fluid_state: FluidState
     steps: int
     newton_iterations: int
+    step_iterations: np.ndarray  # Newton iterations of each step, retry too
+    step_residuals: np.ndarray   # each step's final scaled residual
     jacobian_builds: int
     jacobian_build_s: float  # building and factoring the Jacobians
     chord_solve_s: float     # the chord solves with the factors
@@ -395,10 +408,11 @@ class CoupledSimulation:
 
         Leaves the port fields of this evaluation in `self._ports`: the
         channel temperature output t_m, the solid midpoint entropy with its
-        pinned rows, and the load-form wall and external outputs (None for
-        a face without a port).  `step` builds the end-of-step state and
-        the powers from those of the residual at the converged x, and a
-        Jacobian build takes the solid tangent at that midpoint entropy.
+        pinned rows, the load-form wall and external outputs, and the wall
+        output's azimuthal sums embed_t(wall) (None for a face without a
+        port).  `step` builds the end-of-step state and the powers from
+        those of the residual at the converged x, and a Jacobian build takes
+        the solid tangent at that midpoint entropy.
         """
         dt, nfree, nf = self.cfg.dt, self._nfree, self._nf
         x0 = self._x_old
@@ -416,10 +430,11 @@ class CoupledSimulation:
                 s_mid, self.ops.embed(t_m), self.ext_temperature,
                 s_old=self._s_old, dt=dt)
             r[:nfree] -= dt * loads[self._free]
-            f.s -= self.ops.embed_t(wall)  # the wall's entropy-row load
+            wall_sums = self.ops.embed_t(wall)
+            f.s -= wall_sums  # the wall's entropy-row load
         else:
-            s_mid = wall = ext = None
-        self._ports = (t_m, s_mid, wall, ext)
+            s_mid = wall = ext = wall_sums = None
+        self._ports = (t_m, s_mid, wall, ext, wall_sums)
 
         r_phi, r_vel, r_s = r[nfree:].reshape(3, nf)
         r_phi -= dt * f.phi
@@ -677,28 +692,40 @@ class CoupledSimulation:
         self._row_scale = self._mass_rows * self._typ
 
     def step(self, heat_state: HeatState, fluid_state: FluidState,
-             x_pred: np.ndarray | None = None):
+             x_pred: np.ndarray | None = None,
+             x_old: np.ndarray | None = None):
         """One implicit-midpoint step.
 
-        Newton starts from x_pred (default: the old state).  If it does not
-        converge, a trial iterate or the converged end state is not a valid
-        state, or a Jacobian has an exact zero pivot, it is retried once
-        from the old state with a fresh factorization; a second failure
-        raises StepFailureError, chained to the StateValidityError that
-        names the field or the SingularJacobianError that names the
-        unknown, if there is one.
+        x_old is the old state packed, as `_pack` gives it; `run` passes
+        its predictor table's row 0, which is that vector, and without it
+        the step packs the old state itself.  Newton starts from x_pred
+        (default: the old state).  If it does not converge, a trial iterate
+        or the converged end state is not a valid state, or a Jacobian has
+        an exact zero pivot, it is retried once from the old state with a
+        fresh factorization; a second failure raises StepFailureError,
+        chained to the StateValidityError that names the field or the
+        SingularJacobianError that names the unknown, if there is one.
 
-        Returns (heat', fluid', powers, p_ext, x): the converged midpoint
-        coupling powers (p_heat, p_fluid) and external power entering the
-        ledger, and the packed end-of-step unknowns x.  All of them come
-        from the port fields of Newton's last residual, the one at x; the
-        residual is not evaluated again, and only the nodal wall (and
-        external) outputs are recovered, by one surface mass solve each.
+        Returns (heat', fluid', powers, p_ext, norm, x): the converged
+        midpoint coupling powers (p_heat, p_fluid) and external power
+        entering the ledger, Newton's final scaled residual, and the packed
+        end-of-step unknowns x.  All of them come from the port fields of
+        Newton's last residual, the one at x, and the residual is not
+        evaluated again.  The ports are in load form: the wall output is
+        m_psi v for the nodal output field v, so no surface solve is
+        needed.  p_heat = embed(t_m) . m_psi v is t_m . embed_t(wall), the
+        sums the residual formed; p_ext = T_ext sum(ext) likewise; and
+        p_fluid = -t_m . d_chi v takes d_chi v = (d_chi m_psi^-1) wall from
+        `CouplingOperators.line_load`, built on the assembled block d_chi,
+        so that the power residual compares that block with the nodal pair
+        the residual applied.
         """
         self._s_old = heat_state.s
         if not hasattr(self, "_row_scale"):
             self._prepare(heat_state, fluid_state)
-        x0 = self._x_old = self._pack(heat_state.s, fluid_state)
+        if x_old is None:
+            x_old = self._pack(heat_state.s, fluid_state)
+        x0 = self._x_old = x_old
 
         start = self.newton_iterations
         for x_start in (x0 if x_pred is None else x_pred, x0):
@@ -723,25 +750,22 @@ class CoupledSimulation:
                 iterations=self.newton_iterations - start) from failure
 
         # the port fields of the residual at the converged x
-        t_m, s_mid, wall, ext = ports
+        t_m, s_mid, wall, ext, wall_sums = ports
         fluid_new = FluidState(*self._unpack_fluid(x))
         p_heat = p_fluid = p_ext = 0.0
         if self.coupled:
             s1 = 2.0 * s_mid - self._s_old  # the pinned rows
             s1[self._free] = x[:self._nfree]
             heat_new = HeatState(s1)
-            ops = self.ops
-            v = ops.solve_psi(wall)
+            p_heat = float(t_m @ wall_sums)
             # from the assembled block, not from the row sums the residual
             # applied, so that the power residual compares the two
-            p_heat = ops.surface_inner(ops.embed(t_m), v)
-            p_fluid = -float(t_m @ (ops.d_chi @ v))
+            p_fluid = -float(t_m @ self.ops.line_load(wall))
             if ext is not None:
-                u_ext = np.full(ops.n_psi, self.ext_temperature)
-                p_ext = ops.surface_inner(u_ext, ops.solve_psi(ext))
+                p_ext = self.ext_temperature * float(ext.sum())
         else:
             heat_new = HeatState(self._s_old)
-        return heat_new, fluid_new, (p_heat, p_fluid), p_ext, x
+        return heat_new, fluid_new, (p_heat, p_fluid), p_ext, norm, x
 
     def run(self, setup: ScenarioSetup, output_dir=None) -> SimResult:
         """Integrate to t_end, recording one ledger row per step (plus the
@@ -754,11 +778,18 @@ class CoupledSimulation:
         scaled by the typical magnitudes behind Newton's norm, keeps
         shrinking.  `advance_table` then takes in the accepted vector, at
         O(order) work per step.  A constant history gives the old state
-        exactly.  Snapshot coordinates are formatted once per call.
+        exactly.  Row 0 of the table is the old state packed, which each
+        step takes as it is.  Snapshot coordinates are formatted once per
+        call.
+
+        A ledger row takes each subsystem's Hamiltonian and total entropy
+        from one `totals` pass over its end state, which the step has
+        validated.
 
         Counters and the chord factorization start afresh on every call, so
-        the result reports this run only.  An error raised by a step carries
-        the step index (`step`) and the ledger so far (`ledger`).
+        the result reports this run only, with the Newton iterations and
+        the final scaled residual of every step.  An error raised by a step
+        carries the step index (`step`) and the ledger so far (`ledger`).
         """
         t_start = _time.perf_counter()
         cfg = self.cfg
@@ -779,12 +810,9 @@ class CoupledSimulation:
         self.jacobian_build_s = self.chord_solve_s = 0.0
 
         ledger = EnergyLedger()
-        q0 = self.heat.hamiltonian(heat_state)
-        h0 = self.fluid.hamiltonian(fluid_state)
-        ledger.append(LedgerRecord(
-            0.0, q0, h0, q0 + h0, 0.0, 0.0, 0.0, 0.0,
-            self.heat.total_entropy(heat_state),
-            self.fluid.total_entropy(fluid_state)))
+        check_specific_volume(fluid_state.phi)
+        ledger.append(self._record(0.0, heat_state, fluid_state, (0.0, 0.0),
+                                   0.0))
         if output_dir is not None:
             # the coordinate fields of every snapshot row, formatted once
             prefixes = (node_prefixes([self.heat.domain.node_coordinates()]),
@@ -793,33 +821,47 @@ class CoupledSimulation:
                            prefixes)
 
         table = self._pack(heat_state.s, fluid_state)[None, :]
+        iterations = np.zeros(n_steps, dtype=int)
+        residuals = np.zeros(n_steps)
         for k in range(1, n_steps + 1):
             x_pred, sums = extrapolate(table, self._typ)
+            before = self.newton_iterations
             try:
-                heat_state, fluid_state, powers, p_ext, x_new = self.step(
-                    heat_state, fluid_state, x_pred=x_pred)
+                heat_state, fluid_state, powers, p_ext, norm, x_new = \
+                    self.step(heat_state, fluid_state, x_pred=x_pred,
+                              x_old=table[0])
             except PhmixError as exc:
                 exc.step = k  # partial record for diagnostics
                 exc.ledger = ledger
                 raise
+            iterations[k - 1] = self.newton_iterations - before
+            residuals[k - 1] = norm
             table = advance_table(table, sums, x_new)
-            q = self.heat.hamiltonian(heat_state)
-            h = self.fluid.hamiltonian(fluid_state)
-            ledger.append(LedgerRecord(
-                k * cfg.dt, q, h, q + h, powers[0], powers[1],
-                powers[0] + powers[1], p_ext,
-                self.heat.total_entropy(heat_state),
-                self.fluid.total_entropy(fluid_state)))
+            ledger.append(self._record(k * cfg.dt, heat_state, fluid_state,
+                                       powers, p_ext))
             if output_dir is not None and \
                     (k % cfg.output_every == 0 or k == n_steps):
                 self._snapshot(output_dir, setup.name, k, heat_state,
                                fluid_state, prefixes)
         if output_dir is not None:
             ledger.write(os.path.join(output_dir, f"{setup.name}_ledger.csv"))
-        return SimResult(ledger, heat_state, fluid_state, n_steps,
-                         self.newton_iterations, self.jacobian_builds,
-                         self.jacobian_build_s, self.chord_solve_s,
-                         _time.perf_counter() - t_start)
+        return SimResult(
+            ledger, heat_state, fluid_state, n_steps, self.newton_iterations,
+            step_iterations=iterations, step_residuals=residuals,
+            jacobian_builds=self.jacobian_builds,
+            jacobian_build_s=self.jacobian_build_s,
+            chord_solve_s=self.chord_solve_s,
+            wall_time=_time.perf_counter() - t_start)
+
+    def _record(self, time, heat_state, fluid_state, powers,
+                p_ext) -> LedgerRecord:
+        """The ledger row of a valid state: one `totals` pass per
+        subsystem."""
+        q, s_solid = self.heat.totals(heat_state)
+        h, s_fluid = self.fluid.totals(fluid_state)
+        p_heat, p_fluid = powers
+        return LedgerRecord(time, q, h, q + h, p_heat, p_fluid,
+                            p_heat + p_fluid, p_ext, s_solid, s_fluid)
 
     def _snapshot(self, output_dir, scenario, step, heat_state, fluid_state,
                   prefixes):

@@ -10,7 +10,9 @@ on its own reference tables, and the midpoint Jacobian assembled as a
 sorted CSC matrix in the packed order, the stepper's earlier layout, which
 its band must equal entry for entry.  The midpoint residual's
 reference composes the subsystems' own operators field by field, in the
-unpacked form the stepper's packed residual must match bit for bit.
+unpacked form the stepper's packed residual must match bit for bit, and
+the ledger's port powers are also formed through surface mass solves, the
+route the stepper's load-form powers must match to round-off.
 """
 
 import numpy as np
@@ -218,8 +220,8 @@ def midpoint_residual_oracle(sim, x):
     """The midpoint residual M (x1 - x0) - dt F(x_mid) at x, assembled field
     by field from unpacked states, for the step `sim` is in (its `_s_old`
     and packed `_x_old`), without touching `sim`.  Returns (residual,
-    (t_m, s_mid, wall, ext)), the port fields in the order `_residual`
-    leaves them in `sim._ports`."""
+    (t_m, s_mid, wall, ext, wall_sums)), the port fields in the order
+    `_residual` leaves them in `sim._ports`, wall_sums = embed_t(wall)."""
     dt = sim.cfg.dt
     s0 = sim._s_old
     fl0 = FluidState(*sim._unpack_fluid(sim._x_old))
@@ -233,10 +235,11 @@ def midpoint_residual_oracle(sim, x):
         s_mid[free] = 0.5 * (s0[free] + s1_free)
         loads, wall, ext = heat.port_loads(
             s_mid, sim.ops.embed(t_m), sim.ext_temperature, s_old=s0, dt=dt)
-        w_load = -sim.ops.embed_t(wall)
+        wall_sums = sim.ops.embed_t(wall)
+        w_load = -wall_sums
         r_solid = heat.mass[free] * (s1_free - s0[free]) - dt * loads[free]
     else:
-        s_mid = wall = ext = None
+        s_mid = wall = ext = wall_sums = None
         w_load = 0.0
         r_solid = np.empty(0)
     mf = sim.fluid.mass
@@ -246,7 +249,24 @@ def midpoint_residual_oracle(sim, x):
     r_vel[-1] = mf[-1] * vel1[-1]
     r_s = mf * (sf1 - fl0.s) - dt * (f.s + w_load)
     return np.concatenate([r_solid, r_phi, r_vel, r_s]), (t_m, s_mid, wall,
-                                                           ext)
+                                                           ext, wall_sums)
+
+
+def surface_solve_powers(ops, t_m, wall, ext, t_ext):
+    """The ledger's port powers through the nodal output fields, the way
+    the stepper first formed them: one surface mass solve per face port,
+    v = m_psi^-1 wall, then P_couple_heat = embed(t_m)' m_psi v,
+    P_couple_fluid = -t_m' d_chi v and P_ext = T_ext 1' m_psi v_ext.
+    Returns (p_heat, p_fluid, p_ext), p_ext 0.0 without an external
+    port."""
+    v = ops.solve_psi(wall)
+    p_heat = ops.surface_inner(ops.embed(t_m), v)
+    p_fluid = -float(t_m @ (ops.d_chi @ v))
+    p_ext = 0.0
+    if ext is not None:
+        u_ext = np.full(ops.n_psi, t_ext)
+        p_ext = ops.surface_inner(u_ext, ops.solve_psi(ext))
+    return p_heat, p_fluid, p_ext
 
 
 def band_to_dense(band, layout):

@@ -64,6 +64,14 @@ class TestConfig:
         ({"geometry": {"n_az": 2.5}}, "geometry.n_az"),
         ({"scenario_params": 5}, "scenario_params"),
         ({"scenario_params": {"t_solid": "hot"}}, "scenario_params"),
+        # Python's JSON reader takes NaN and Infinity
+        ({"sim": {"t_end": float("inf")}}, "sim.t_end"),
+        ({"sim": {"dt": float("nan")}}, "sim.dt"),
+        ({"heat": {"lambda": float("inf")}}, "heat.lambda"),
+        ({"heat": {"rho": float("inf")}}, "heat.rho"),
+        ({"fluid": {"c_v": float("inf")}}, "fluid.c_v"),
+        ({"geometry": {"b": float("inf")}}, "geometry.b"),
+        ({"scenario_params": {"t_solid": float("nan")}}, "scenario_params"),
     ])
     def test_malformed_value_exit_2_names_key(self, capsys, tmp_path, data,
                                               key):
@@ -185,6 +193,8 @@ class TestSimulateCommand:
         for key in ("jacobian_build_s", "chord_solve_s"):
             assert (float(report[key]) > 0) == positive
         assert (int(report["jacobian_builds"]) > 0) == positive
+        assert (int(report["max_step_iterations"]) > 0) == positive
+        assert 0 <= float(report["max_final_residual"]) <= 1e-12
 
     def test_zero_pivot_exit_1_names_step_and_unknown(self, capsys, tmp_path,
                                                        monkeypatch):

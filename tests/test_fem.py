@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from phmix.errors import ConfigurationError, MaterialError, \
     MeshCompatibilityError
-from phmix.fem import LineBasis, SurfaceBasis, VolumeBasis, assemble_coupling, \
-    assemble_mass, assemble_stiffness, lumped_mass
+from phmix.fem import CouplingOperators, LineBasis, SurfaceBasis, \
+    VolumeBasis, assemble_coupling, assemble_mass, assemble_stiffness, \
+    lumped_mass
 from phmix.geometry import IntervalMesh, TensorBoundary, build_solid_domain, \
     quadrature_rule
 
@@ -72,6 +75,40 @@ class TestMassMatrix:
     def test_insufficient_quadrature_degree_rejected(self):
         with pytest.raises(ConfigurationError, match="degree"):
             assemble_mass(LineBasis(IntervalMesh(0, 1, 2)), quadrature_rule(1))
+
+    def test_line_tables_computed_once_per_rule(self):
+        line = LineBasis(IntervalMesh(0, 1, 3))
+        tab = line.tables(QUAD)
+        assert line.tables(QUAD) is tab
+        assert line.tables(quadrature_rule(5)) is not tab
+        for arr in (tab.values, tab.gradients, tab.wdet):
+            assert not arr.flags.writeable
+
+    def test_cached_tables_assemble_the_same_bits(self):
+        # the memoized rule and the cached line tables against a fresh,
+        # unshared rule and fresh bases: every operator is bitwise equal
+        fresh = quadrature_rule.__wrapped__(3)
+        assert fresh is not QUAD
+
+        def operators(quad):
+            surface = small_surface(n_ax=4, n_az=5)
+            ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)),
+                                    quad)
+            volume = VolumeBasis(build_solid_domain(0, 1, 0.5, 0.1, 4, 5, 2))
+            tab = volume.tables(quad)
+            return [ops.m_psi, ops.m_chi, ops.d_chi, ops.d_psi,
+                    assemble_mass(volume, quad),
+                    assemble_stiffness(volume, 5.0, quad),
+                    lumped_mass(volume, quad), ops.eta_integrals,
+                    tab.values, tab.gradients, tab.wdet]
+
+        for got, want in zip(operators(QUAD), operators(fresh)):
+            if sp.issparse(got):
+                for attr in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, attr),
+                                          getattr(want, attr))
+            else:
+                assert got.tobytes() == want.tobytes()
 
     def test_deterministic_assembly(self):
         basis = small_surface()
@@ -305,6 +342,40 @@ class TestEmbedPair:
             assert np.array_equal(ops.embed_t(b[:, k]), ops.embed_t(b)[:, k])
             assert np.abs(ops.integrate(b[:, k]) - ops.integrate(b)[:, k]).max() \
                 <= 1e-14 * np.abs(ops.integrate(b[:, k])).max()
+
+    def test_line_load_is_the_block_through_one_solve(self, monkeypatch):
+        # d_chi m_psi^-1 b, formed once by one solve of d_chi^T
+        surface = small_surface(n_ax=4, n_az=5)
+        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)), QUAD)
+        b = np.random.default_rng(8).standard_normal((ops.n_psi, 2))
+        expected = ops.d_chi @ ops.solve_psi(b)
+        calls = []
+        solve = CouplingOperators.solve_psi
+        monkeypatch.setattr(CouplingOperators, "solve_psi",
+                            lambda self, rhs: calls.append(1) or solve(self, rhs))
+        for _ in range(3):
+            got = ops.line_load(b)
+            assert np.abs(got - expected).max() \
+                <= 1e-14 * np.abs(expected).max()
+        assert len(calls) == 1
+
+    def test_replace_forms_the_cached_operators_again(self):
+        # the factorizations and line_load's matrix belong to the blocks
+        # they came from: a copy with new blocks must not solve with them
+        surface = small_surface(n_ax=4, n_az=5)
+        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)), QUAD)
+        rng = np.random.default_rng(9)
+        b, c = rng.standard_normal(ops.n_psi), rng.standard_normal(ops.n_chi)
+        u = rng.standard_normal(ops.n_psi)
+        before = ops.integrate(u), ops.line_load(b)
+        ops.solve_psi(b), ops.solve_chi(c)
+        new = dataclasses.replace(ops, m_psi=2 * ops.m_psi,
+                                  m_chi=2 * ops.m_chi, d_chi=3 * ops.d_chi)
+        x, y = new.solve_psi(b), new.solve_chi(c)
+        assert np.abs(new.m_psi @ x - b).max() <= 1e-13 * np.abs(b).max()
+        assert np.abs(new.m_chi @ y - c).max() <= 1e-13 * np.abs(c).max()
+        for got, old in zip((new.integrate(u), new.line_load(b)), before):
+            assert np.abs(got - 1.5 * old).max() <= 1e-13 * np.abs(old).max()
 
     def test_integrate_is_the_mass_consistent_block(self):
         surface = small_surface(n_ax=3, n_az=4)

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from phmix.errors import MaterialError, StateValidityError
 from phmix.fem import LineBasis, assemble_mass
-from phmix.fluid import FluidMaterial, FluidSystem, eos, sound_speed
+from phmix.fluid import FluidMaterial, FluidState, FluidSystem, eos, \
+    gas_temperature, sound_speed
 from phmix.geometry import IntervalMesh, quadrature_rule
 
 import oracles
@@ -59,6 +60,13 @@ class TestEos:
             FluidMaterial(r_gas=0.0, c_v=1.0)
         with pytest.raises(MaterialError, match="friction"):
             FluidMaterial(r_gas=1.0, c_v=1.0, friction=-1.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(MaterialError, match="c_v"):
+                FluidMaterial(r_gas=1.0, c_v=bad)
+            with pytest.raises(MaterialError, match="friction"):
+                FluidMaterial(r_gas=1.0, c_v=1.0, friction=bad)
+            with pytest.raises(MaterialError, match="s_ref"):
+                FluidMaterial(r_gas=1.0, c_v=1.0, s_ref=bad)
 
     def test_sound_speed_closed_form(self):
         c = sound_speed(300.0, MAT)
@@ -150,6 +158,22 @@ class TestHamiltonian:
         k1 = sys.hamiltonian(st1) - rest
         k2 = sys.hamiltonian(st2) - rest
         assert k2 == pytest.approx(4.0 * k1, rel=1e-12)
+
+    def test_totals_are_the_hamiltonian_and_entropy(self):
+        sys = small_system()
+        rng = np.random.default_rng(5)
+        state = FluidState(rng.uniform(0.5, 2.0, sys.n_dofs),
+                           rng.standard_normal(sys.n_dofs),
+                           rng.standard_normal(sys.n_dofs))
+        _, t, u = eos(state.phi, state.s, MAT)
+        h, ent = sys.totals(state)
+        assert h == sys.hamiltonian(state) \
+            == float(sys.mass @ (0.5 * state.vel ** 2 + u))
+        assert ent == sys.total_entropy(state) == float(sys.mass @ state.s)
+        assert np.array_equal(gas_temperature(state.phi, state.s, MAT), t)
+        state.phi[3] = -1.0  # hamiltonian checks, totals leaves it to step
+        with pytest.raises(StateValidityError, match=r"specific volume\[3\]"):
+            sys.hamiltonian(state)
 
     @given(st.floats(100.0, 900.0), st.floats(0.2, 4.0))
     def test_uniform_state_hits_requested_temperature(self, t0, phi0):

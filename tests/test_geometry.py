@@ -75,6 +75,13 @@ class TestSolidDomain:
             build_solid_domain(0, 1, 1, 0, 1, 1, 1)
         with pytest.raises(GeometryError, match="n_az"):
             build_solid_domain(0, 1, 1, 1, 1, 0, 1)
+        for k, name in enumerate(("a", "b", "circumference", "depth")):
+            for bad in (np.inf, np.nan):
+                args = [0.0, 1.0, 1.0, 1.0]
+                args[k] = bad
+                with pytest.raises(GeometryError, match=f"{name} must be "
+                                                        f"finite"):
+                    build_solid_domain(*args, 1, 1, 1)
 
     def test_trace_nodes_are_tensor_product(self):
         dom = build_solid_domain(0, 2, 1.5, 0.2, 3, 4, 2)
@@ -138,6 +145,13 @@ class TestQuadrature:
         fn = lambda x: 2.0 - x + 0.5 * x ** 4 + 3.0 * x ** 9
         ref = integrate(fn, 0.0, 1.0, pieces=1)
         assert rule.weights @ fn(rule.points) == pytest.approx(ref, abs=1e-14)
+
+    def test_memoized_and_read_only(self):
+        rule = quadrature_rule(3)
+        assert quadrature_rule(3) is rule
+        assert quadrature_rule(5) is not rule
+        assert not rule.points.flags.writeable
+        assert not rule.weights.flags.writeable
 
     def test_invalid_degree(self):
         with pytest.raises(ConfigurationError):

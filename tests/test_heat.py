@@ -55,6 +55,11 @@ class TestConstitutiveLaw:
             HeatMaterial(rho=1, c=1, conductivity=0, t_ref=300)
         with pytest.raises(MaterialError, match="rho"):
             HeatMaterial(rho=-1, c=1, conductivity=1, t_ref=300)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(MaterialError, match="conductivity"):
+                HeatMaterial(rho=1, c=1, conductivity=bad, t_ref=300)
+            with pytest.raises(MaterialError, match="rho"):
+                HeatMaterial(rho=bad, c=1, conductivity=1, t_ref=300)
 
 
 class TestClosure:
@@ -290,6 +295,14 @@ class TestHamiltonian:
         state = HeatState(np.full(sys.n_dofs, MAT.rho_c))
         expected = MAT.rho_c * MAT.t_ref * (np.e - 1.0)
         assert sys.hamiltonian(state) == pytest.approx(expected, rel=1e-12)
+
+    def test_totals_are_the_hamiltonian_and_entropy(self):
+        sys = small_system()
+        s = np.random.default_rng(7).uniform(-MAT.rho_c, MAT.rho_c, sys.n_dofs)
+        q, ent = sys.totals(HeatState(s))
+        assert q == sys.hamiltonian(HeatState(s)) \
+            == float(sys.mass @ energy_density(s, MAT))
+        assert ent == sys.total_entropy(HeatState(s)) == float(sys.mass @ s)
 
     def test_nonnegative_for_nonnegative_entropy(self):
         sys = small_system()

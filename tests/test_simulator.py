@@ -6,6 +6,7 @@ import pytest
 from phmix.config import default_config
 from phmix.driver import build_problem, drift_per_time, make_simulation
 from phmix.errors import ConfigurationError, PhmixError, StepFailureError
+from phmix.fem import CouplingOperators
 from phmix.fluid import FluidState, eos
 from phmix.simulate import CoupledSimulation, LEDGER_HEADER, \
     PREDICTOR_ORDER, SCENARIOS, SimConfig, advance_table, build_scenario, \
@@ -354,9 +355,11 @@ class TestPredictor:
         preds, xs = [], [sim._pack(setup.heat_state.s, setup.fluid_state)]
         step = sim.step
 
-        def recording_step(heat_state, fluid_state, x_pred=None):
+        def recording_step(heat_state, fluid_state, x_pred=None, x_old=None):
+            # the table's row 0 is the old state packed, bit for bit
+            assert same_bits(x_old, sim._pack(heat_state.s, fluid_state))
             preds.append(x_pred)
-            out = step(heat_state, fluid_state, x_pred=x_pred)
+            out = step(heat_state, fluid_state, x_pred=x_pred, x_old=x_old)
             xs.append(out[-1])
             return out
 
@@ -380,6 +383,11 @@ class TestPredictor:
         assert result.newton_iterations <= 229
         assert result.jacobian_builds == 1
         assert result.jacobian_build_s > 0 and result.chord_solve_s > 0
+        # per step: the iterations add up, every step ended converged
+        assert result.step_iterations.shape == (200,)
+        assert result.step_iterations.sum() == result.newton_iterations
+        assert result.step_residuals.shape == (200,)
+        assert 0 < result.step_residuals.max() <= cfg.sim.newton_tol
 
     def test_large_mesh_newton_count(self):
         # the benchmark's 24x12x4 rung, 20 steps
@@ -396,9 +404,10 @@ class TestPredictor:
 @pytest.mark.parametrize("name", ["hot-wall-cooldown", "heated-ext-face",
                                   "acoustic-pulse"])
 def test_step_outputs_match_fresh_residual_at_x(name):
-    # heat', fluid' and the powers of a step are those of the residual at
-    # the x it returns: the midpoint ports recomputed from the subsystems'
-    # own operators give the same bits
+    # heat', fluid', the powers and the norm of a step are those of the
+    # residual at the x it returns: the midpoint ports recomputed from the
+    # subsystems' own operators give the same bits, and the load-form
+    # powers match those through surface mass solves to round-off
     cfg = small_cfg()
     problem = build_problem(cfg)
     heat, fluid, ops = problem.heat, problem.fluid, problem.ops
@@ -407,7 +416,9 @@ def test_step_outputs_match_fresh_residual_at_x(name):
     dt, nf = cfg.sim.dt, fluid.n_dofs
     hs, fs = setup.heat_state, setup.fluid_state
     for _ in range(4):
-        hs1, fs1, (p_heat, p_fluid), p_ext, x = sim.step(hs, fs)
+        hs1, fs1, (p_heat, p_fluid), p_ext, norm, x = sim.step(hs, fs)
+        r, _ = oracles.midpoint_residual_oracle(sim, x)
+        assert norm == sim._scaled_norm(r) <= cfg.sim.newton_tol
         n_free = len(x) - 3 * nf
         phi1, vel1, sf1 = (x[n_free + i * nf:n_free + (i + 1) * nf]
                            for i in range(3))
@@ -429,20 +440,54 @@ def test_step_outputs_match_fresh_residual_at_x(name):
             s1 = 2.0 * s_mid - hs.s
             s1[free] = x[:n_free]
             assert np.array_equal(hs1.s, s1)
-            v = ops.solve_psi(wall)
-            assert p_heat == ops.surface_inner(ops.embed(t_m), v)
-            assert p_fluid == -float(t_m @ (ops.d_chi @ v))
-            if ext is not None:
-                u_ext = np.full(ops.n_psi, setup.ext_temperature)
-                assert p_ext == ops.surface_inner(u_ext, ops.solve_psi(ext))
+            assert p_heat == float(t_m @ ops.embed_t(wall))
+            assert p_fluid == -float(t_m @ ops.line_load(wall))
+            assert p_ext == (0.0 if ext is None
+                             else setup.ext_temperature * float(ext.sum()))
+            want = oracles.surface_solve_powers(ops, t_m, wall, ext,
+                                                setup.ext_temperature)
+            for got, ref in zip((p_heat, p_fluid, p_ext), want):
+                assert abs(got - ref) <= 1e-13 * abs(ref)
         hs, fs = hs1, fs1
     assert sim.newton_iterations >= 4  # every step iterated past its start
+
+
+@pytest.mark.parametrize("name,solves", [
+    ("hot-wall-cooldown", 1), ("heated-ext-face", 1), ("acoustic-pulse", 0)])
+def test_powers_need_one_surface_solve_per_operators(name, solves,
+                                                     monkeypatch):
+    # the load-form powers solve with m_psi once, to form d_chi m_psi^-1 on
+    # the first coupled step, and never again on the same operators
+    calls = []
+    solve = CouplingOperators.solve_psi
+    monkeypatch.setattr(CouplingOperators, "solve_psi",
+                        lambda self, b: calls.append(1) or solve(self, b))
+    cfg = small_cfg()
+    problem = build_problem(cfg)
+    setup = build_scenario(name, problem.heat, problem.fluid, {})
+    sim = make_simulation(problem, cfg, setup)
+    for _ in range(2):
+        led = sim.run(setup).ledger
+        assert len(calls) == solves
+    if setup.coupled:
+        p_heat = np.abs(led.column("P_couple_heat")[1:])
+        assert np.all(np.abs(led.column("P_couple_residual")[1:])
+                      <= 1e-12 * p_heat)
+        assert (led.column("P_ext")[1:] != 0).all() \
+            == (setup.ext_temperature is not None)
 
 
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SimConfig(dt=0.0, t_end=1.0)
+        for bad in (np.inf, np.nan):
+            for key in ("dt", "t_end", "newton_tol"):
+                kwargs = dict(dt=0.1, t_end=1.0, newton_tol=1e-12)
+                kwargs[key] = bad
+                with pytest.raises(ConfigurationError,
+                                   match=f"{key} must be finite"):
+                    SimConfig(**kwargs)
         with pytest.raises(ConfigurationError):
             SimConfig(dt=0.1, t_end=0.05)
         with pytest.raises(ConfigurationError):
@@ -479,6 +524,8 @@ class TestEquilibrium:
         assert np.abs(total - total[0]).max() <= 1e-10 * abs(total[0])
         assert (result.newton_iterations, result.jacobian_builds) == (0, 0)
         assert result.jacobian_build_s == result.chord_solve_s == 0.0
+        assert not result.step_iterations.any()
+        assert result.step_residuals.max() <= 1e-15  # round-off at the start
 
 
 @pytest.fixture(scope="module")
