@@ -2,8 +2,8 @@
 
 Subcommands: verify (structural checks, exit 0/1), simulate (run a scenario,
 write the ledger and snapshots), convergence (step-halving and azimuthal
-refinement study).  Exit codes: 0 success, 1 runtime or verification
-failure, 2 usage/config errors.
+refinement study; a refinement gap above its bound fails it).  Exit codes:
+0 success, 1 runtime or verification failure, 2 usage/config errors.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from .config import RunConfig, default_config, load_config
 from .coupling import check_power_balance, check_transpose_identity
 from .dirac import check_adjointness, check_dirac_pairing, \
     operator_norm_bound_check
-from .driver import azimuthal_refinement_gap, build_problem, convergence_study, \
-    make_simulation, write_convergence_csv
+from .driver import REFINEMENT_GAP_TOL, azimuthal_refinement_gap, \
+    build_problem, convergence_study, make_simulation, write_convergence_csv
 from .errors import PhmixError, StepFailureError
 from .simulate import build_scenario
 
@@ -140,10 +140,11 @@ def cmd_convergence(args) -> int:
         order = "-" if row.observed_order is None else f"{row.observed_order:.3f}"
         print(f"dt={row.dt:.6e} steps={row.steps} "
               f"drift_per_time={row.drift_per_time:.6e} order={order}")
+    passed = gap <= REFINEMENT_GAP_TOL
     print(f"azimuthal_refinement_gap: {gap:.3e} "
-          f"({'PASS' if gap <= 1e-12 else 'FAIL'})")
+          f"({'PASS' if passed else 'FAIL'})")
     print(f"report: {path}")
-    return 0
+    return 0 if passed else 1
 
 
 def main(argv=None) -> int:

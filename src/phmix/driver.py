@@ -98,6 +98,10 @@ def write_convergence_csv(rows: list[ConvergenceRow], path) -> None:
             fh.write(f"{row.dt!r},{row.steps},{row.drift_per_time!r},{order}\n")
 
 
+# the azimuthal refinement gap is round-off: exact arithmetic gives 0
+REFINEMENT_GAP_TOL = 1e-12
+
+
 def azimuthal_refinement_gap(cfg: RunConfig, value: float = 1.0) -> float:
     """Max change of the resolved channel input under azimuthal-only mesh
     refinement, for an azimuthally constant wall output (exact for

@@ -15,7 +15,8 @@ load w_load = m_chi w.  Friction loss and heating cancel nodally.  The
 Hamiltonian is the matching nodal quadrature sum_i m_i (v_i^2 / 2 + c_v T_i).
 
 `FluidSystem.loads` is the one definition of the semi-discrete operator, in
-load (mass-weighted) form; the midpoint stepper calls it.
+load (mass-weighted) form; the midpoint stepper calls it, and its Jacobian
+takes `loads_tangent`, the exact tangent in closed form.
 """
 
 from __future__ import annotations
@@ -182,6 +183,34 @@ class FluidSystem:
         f_vel[0] = f_vel[-1] = 0.0
         f_s = self.mass * mat.friction * state.vel ** 2 / t
         return FluidState(f_phi, f_vel, f_s), t
+
+    def loads_tangent(self,
+                      state: FluidState) -> tuple[np.ndarray, np.ndarray]:
+        """Exact tangent of `loads` at state.
+
+        Returns the dense (3n, 3n) d(f_phi, f_vel, f_s) / d(phi, vel, s),
+        fields in that order, and the temperature output's (2, n) nodal
+        derivatives (dT/dphi, dT/ds) = (-(r/c_v) T/phi, T/c_v).  Through
+        grad_pairing, dp/dphi = -gamma p/phi and dp/ds = p/c_v; the friction
+        terms are diagonal, and the sealed-end velocity rows are zero.
+        """
+        mat, n = self.material, self.n_dofs
+        p, t, _ = eos(state.phi, state.s, mat)
+        t_grad = np.stack([-(mat.r_gas / mat.c_v) * t / state.phi,
+                           t / mat.c_v])
+        jac = np.zeros((3, n, 3, n))
+        jac[0, :, 1] = self.grad_pairing
+        jac[1, :, 0] = self.grad_pairing * (mat.gamma * p / state.phi)
+        jac[1, :, 2] = self.grad_pairing * (-p / mat.c_v)
+        node = np.arange(n)
+        jac[1, node, 1, node] = -mat.friction * self.mass
+        jac[1, [0, -1]] = 0.0
+        heating = self.mass * mat.friction * state.vel / t  # f_s / vel
+        df_dt = -heating * state.vel / t  # d f_s / dT
+        jac[2, node, 0, node] = df_dt * t_grad[0]
+        jac[2, node, 1, node] = 2.0 * heating
+        jac[2, node, 2, node] = df_dt * t_grad[1]
+        return jac.reshape(3 * n, 3 * n), t_grad
 
     def entropy_production(self, state: FluidState) -> float:
         """Total friction production sum_i m_i f v_i^2 / T_i >= 0."""

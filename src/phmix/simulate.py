@@ -30,18 +30,14 @@ the external face down to the wall, the azimuth reflected as 0, n-1, 1,
 n-2, ... so that periodic neighbours stay close; the channel's (phi, vel,
 s) of a node right after its slab), give a band of half-width at most
 n_az (n_th + 1) + 5.  The Jacobian is built straight into LAPACK's band
-storage, which dgbtrf factors in place.  The free solid columns of a build
-are exact: `HeatSystem.loads_tangent` gives the heat kernel's 8x8 tangent
-block of every cell, scattered into the free rows as mass - (dt/2) d loads
-and, for the coupling rows, into the entropy row of their channel node (the
-azimuthal sum `embed_t` applies to the wall output).  Only the 3 n_f channel
-columns are finite differences, taken against the residual Newton has just
-evaluated, one residual per color (Curtis, Powell & Reid 1974).  A channel
-column reaches only the rows of nodes j-1..j+1, so the stride coloring
-3 field + node mod 3 needs 9 colors at any mesh.  The slab order and the
-band position of every entry are fixed by the mesh and built on the first
-Jacobian build.  An exact zero pivot fails the Newton attempt like an
-invalid state does.
+storage, which dgbtrf factors in place, and every column is exact: the
+mass minus dt/2 times the tangents of the subsystems' loads, which
+`HeatSystem.loads_tangent` (an 8x8 block per cell) and
+`FluidSystem.loads_tangent` give in closed form, with the columns of the
+pinned coupling dofs carried to the channel (phi, s) that pin them.  The
+slab order and the band position of every entry are fixed by the mesh and
+built on the first Jacobian build.  An exact zero pivot fails the Newton
+attempt like an invalid state does.
 
 Each step starts from a prediction read off a backward-difference table of
 the accepted states, of the order the table's own terms support (up to
@@ -61,7 +57,6 @@ import time as _time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConfigurationError, MeshCompatibilityError, PhmixError, \
@@ -300,25 +295,28 @@ class JacobianLayout:
     the permuted matrix has LAPACK's band position (kl + ku + i - j, j), so
     an (ldab, n) Fortran-ordered array with ldab = 2 kl + ku + 1 (the kl
     extra rows take the fill of row pivoting) is, flat, the vector whose
-    position j ldab + kl + ku + i - j holds the entry.  Entry e of
-    `HeatSystem.loads_tangent`'s raveled blocks adds into flat position
-    pos[e], or into the dump bin n ldab past the band when its row or
-    column is held; `diag` are the flat positions of the free diagonal, and
-    `chan` those of the channel block's entries, the entries of `pattern`
-    (nx, 3 n_f) in its CSC order, whose columns `cols` lists.  They are
-    differenced in the colors `colors` of the channel columns: 3 field +
-    node mod 3.  A channel column at node j reaches only the rows of
-    channel nodes j-1..j+1 and of the solid dofs at those axial nodes, so
-    columns of one field three nodes apart share no row, and 9 colors cover
-    the channel at any mesh.
+    position j ldab + kl + ku + i - j holds the entry.  A build sums into
+    `bins` flat positions: the band, then one wall slot per (row, channel
+    node) that the coupling dofs of that node reach, then a dump bin.
+
+    Entry e of `HeatSystem.loads_tangent`'s raveled blocks adds into flat
+    position pos[e]: its band position for a free column, the wall slot of
+    its row and node for a coupling dof's column, the dump bin for a held
+    row or external column.  `chan` (3 n_f, 3 n_f) are the flat positions
+    of `FluidSystem.loads_tangent`'s entries, the dump bin outside each
+    block's reach (the tangent is zero there); `diag` those of the
+    diagonal in the packed order.  Wall slot k enters the phi and s
+    columns of its node `wall_node[k]` at the band positions
+    `wall_cols[:, k]`, and `wall_rate[j]` is the slot of node j's own
+    entropy row.
     """
 
     pos: np.ndarray
-    diag: np.ndarray
     chan: np.ndarray
-    pattern: sp.csc_matrix
-    cols: np.ndarray
-    colors: np.ndarray
+    diag: np.ndarray
+    wall_cols: np.ndarray
+    wall_node: np.ndarray
+    wall_rate: np.ndarray
     order: np.ndarray
     rank: np.ndarray
     kl: int
@@ -328,11 +326,13 @@ class JacobianLayout:
     def ldab(self) -> int:
         return 2 * self.kl + self.ku + 1
 
+    @property
+    def bins(self) -> int:
+        return len(self.order) * self.ldab + len(self.wall_node) + 1
+
 
 class CoupledSimulation:
     """Implicit-midpoint stepper for the coupled (or channel-only) system."""
-
-    _FD_EPS = 1.49e-8  # sqrt(machine epsilon)
 
     def __init__(self, heat_sys: HeatSystem, fluid_sys: FluidSystem,
                  ops: CouplingOperators, cfg: SimConfig, *,
@@ -412,7 +412,8 @@ class CoupledSimulation:
         output's azimuthal sums embed_t(wall) (None for a face without a
         port).  `step` builds the end-of-step state and the powers from
         those of the residual at the converged x, and a Jacobian build takes
-        the solid tangent at that midpoint entropy.
+        the solid tangent at that midpoint entropy and the wall entropy's
+        derivative at that temperature.
         """
         dt, nfree, nf = self.cfg.dt, self._nfree, self._nf
         x0 = self._x_old
@@ -447,68 +448,6 @@ class CoupledSimulation:
 
     # ---- Newton ----------------------------------------------------------
 
-    def _jacobian_pattern(self) -> sp.csc_matrix:
-        """Boolean sparsity pattern (nx, 3 n_f) of the channel columns of
-        the midpoint Jacobian, from the mesh.
-
-        Unknowns are (free solid entropy, phi, vel, s).  The channel rows
-        couple through grad_pairing, and the sealed-end velocity rows depend
-        on their own velocity only.  Through the wall trace, (phi, s) at a
-        channel node set the coupling dofs of that node; the loads spread
-        that over the cell neighbours, whose rows are free rows or, for a
-        coupling dof, the entropy row of its channel node (the wall output's
-        azimuthal sum).
-
-        The entries are listed as index arrays and summed into CSC once: one
-        boolean map of the wall trace onto the channel columns, and one
-        product incidence^T (incidence trace) for the loads.
-        """
-        nf, nfree, nx = self._nf, self._nfree, self._nx
-        phi, vel, s = np.arange(3 * nf).reshape(3, nf)  # channel columns
-        gi, gj = np.nonzero(self.fluid.grad_pairing)  # tridiagonal
-        inner = (gi > 0) & (gi < nf - 1)  # all but the sealed-end rows
-        si, sj = gi[inner], gj[inner]
-        # channel rows (phi, vel, s) against channel columns (phi, vel, s)
-        rows = [phi, phi[gi], vel, vel[si], vel[si], s, s, s]
-        rows = [nfree + r for r in rows]
-        cols = [phi, vel[gj], vel, phi[sj], s[sj], phi, vel, s]
-        if self.coupled:
-            heat = self.heat
-            n_solid = heat.n_dofs
-            cells = heat.dofmap
-            incidence = sp.csr_matrix(
-                (np.ones(cells.size), cells.ravel(),
-                 np.arange(0, cells.size + 1, cells.shape[1])),
-                shape=(len(cells), n_solid))
-            cdofs = heat.coupling_dofs
-            node = self.ops.embed(np.arange(nf))  # channel node of each cdof
-            # the wall trace against (phi, s) at its channel node
-            trace = sp.csr_matrix(
-                (np.ones(2 * len(cdofs), dtype=bool),
-                 (np.concatenate([cdofs, cdofs]),
-                  np.concatenate([phi[node], s[node]]))),
-                shape=(n_solid, 3 * nf))
-            loads = (incidence.T @ (incidence @ trace)).tocoo()
-            row = self._solid_rows()[loads.row]
-            keep = row >= 0
-            rows.append(row[keep])
-            cols.append(loads.col[keep])
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        # duplicates are summed (OR-ed) and the indices sorted
-        return sp.csc_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
-                             shape=(nx, 3 * nf))
-
-    def _solid_rows(self) -> np.ndarray:
-        """The residual row of each solid dof's load: its free row, the
-        entropy row of its channel node for a coupling dof (through the
-        wall output's azimuthal sum), or -1 for a held external dof."""
-        nf, nfree = self._nf, self._nfree
-        row_of = np.full(self.heat.n_dofs, -1)
-        row_of[self._free] = np.arange(nfree)
-        row_of[self.heat.coupling_dofs] = \
-            nfree + 2 * nf + self.ops.embed(np.arange(nf))
-        return row_of
-
     def _slab_order(self, col_of: np.ndarray) -> np.ndarray:
         """The packed unknowns in axial-slab order.  Slab i holds the free
         solid dofs at axial node i, thickness layers from the external face
@@ -532,91 +471,118 @@ class CoupledSimulation:
         return slabs[slabs >= 0]
 
     def _jacobian_layout(self) -> JacobianLayout:
-        """The index arrays of every Jacobian build: the channel pattern and
-        its colors, the slab order, and the band position of every tangent
-        entry, of the free diagonal and of every channel entry, with the
-        half-widths kl and ku the entries span."""
+        """The index arrays of every Jacobian build: the slab order, the
+        flat positions of the layout's entries, and the half-widths kl and
+        ku they span."""
         nf, nfree, nx = self._nf, self._nfree, self._nx
-        pattern = self._jacobian_pattern()
-        cols = np.repeat(np.arange(3 * nf), np.diff(pattern.indptr))
-        col_of = np.full(self.heat.n_dofs, -1)  # packed column, -1 if held
+        heat = self.heat
+        col_of = np.full(heat.n_dofs, -1)  # packed column, -1 if held
         if self.coupled:
             col_of[self._free] = np.arange(nfree)
         order = self._slab_order(col_of)
         rank = np.empty(nx, dtype=np.intp)
         rank[order] = np.arange(nx)
-        # band (row, column) of the channel entries and the kept tangent ones
-        chan_r, chan_c = rank[pattern.indices], rank[nfree + cols]
-        offsets = [chan_r - chan_c]
+        # the channel block: grad_pairing reaches the neighbouring nodes in
+        # the (phi, vel), (vel, phi) and (vel, s) blocks, the rest is diagonal
+        field, node = np.divmod(np.arange(3 * nf), nf)
+        reach = np.array([[0, 1, 0], [1, 0, 1], [0, 0, 0]])
+        near = np.abs(node[:, None] - node) <= reach[field[:, None], field]
+        chan_r, chan_c = rank[nfree:, None], rank[nfree:][None, :]
+        offsets = [(chan_r - chan_c)[near]]
+        keys = pos = wall_rate = np.empty(0, dtype=np.intp)
         if self.coupled:
-            gather = self.heat._gather
-            row = self._solid_rows()[gather][:, None, :]  # (a, ., cell)
-            col = col_of[gather][None, :, :]  # (., b, cell)
-            held = (row < 0) | (col < 0)
-            tan_r, tan_c = rank[row], rank[col]  # garbage where held
-            offsets.append((tan_r - tan_c)[~held])
+            # the row of each solid dof's load: its free row, or for a
+            # coupling dof the entropy row of its channel node (embed_t)
+            node_of = np.full(heat.n_dofs, -1)
+            node_of[heat.coupling_dofs] = self.ops.embed(np.arange(nf))
+            row_of = np.where(node_of < 0, col_of, nfree + 2 * nf + node_of)
+            row = row_of[heat._gather][:, None, :]  # (a, ., cell)
+            col = col_of[heat._gather][None, :, :]  # (., b, cell)
+            wnode = node_of[heat._gather][None, :, :]
+            kept = (row >= 0) & (col >= 0)
+            wall = (row >= 0) & (wnode >= 0)
+            tan_c = rank[col]
+            tan = rank[row] - tan_c  # the offsets, garbage where not kept
+            offsets.append(tan[kept])
+            # one slot per (row, node) that a coupling column reaches
+            a, b, cell = np.nonzero(wall)
+            keys, slot = np.unique(row[a, 0, cell] * nf + wnode[0, b, cell],
+                                   return_inverse=True)
+            wall_r = rank[keys // nf]
+            wall_c = rank[nfree + np.array([[0], [2 * nf]]) + keys % nf]
+            offsets.append((wall_r - wall_c).ravel())
+            own = np.arange(nf)  # the slot of each node's own entropy row
+            wall_rate = np.searchsorted(keys,
+                                        (nfree + 2 * nf + own) * nf + own)
         offsets = np.concatenate(offsets)
         kl, ku = int(offsets.max()), int(-offsets.min())
         ldab = 2 * kl + ku + 1
+        size = nx * ldab
+        dump = size + len(keys)
 
         def flat(r, c):
             return c * (ldab - 1) + r + (kl + ku)
 
-        pos = diag = np.empty(0, dtype=np.intp)
+        wall_cols = np.empty((2, 0), dtype=np.intp)
         if self.coupled:
-            pos = flat(tan_r, tan_c)
-            pos[held] = nx * ldab  # the dump bin past the band
+            pos = tan  # flat(rank[row], tan_c), in place on the offsets
+            pos += tan_c * ldab + (kl + ku)
+            pos[~kept] = dump
+            pos[wall] = size + slot
             pos = pos.ravel()
-            diag = flat(rank[:nfree], rank[:nfree])
+            wall_cols = flat(wall_r, wall_c)
         return JacobianLayout(
-            pos=pos, diag=diag, chan=flat(chan_r, chan_c), pattern=pattern,
-            cols=cols,
-            colors=(3 * np.arange(3)[:, None] + np.arange(nf) % 3).ravel(),
-            order=order, rank=rank, kl=kl, ku=ku)
+            pos=pos, chan=np.where(near, flat(chan_r, chan_c), dump),
+            diag=flat(rank, rank), wall_cols=wall_cols, wall_node=keys % nf,
+            wall_rate=wall_rate, order=order, rank=rank, kl=kl, ku=ku)
 
-    def _jacobian(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The midpoint Jacobian at x, where the residual is r and
-        `_residual` last ran (its port fields are those at x), in slab
-        order as the (ldab, nx) Fortran-ordered band of the layout.
+    def _jacobian(self, x: np.ndarray) -> np.ndarray:
+        """The midpoint Jacobian at x, where `_residual` last ran (its port
+        fields are those at x), in slab order as the (ldab, nx)
+        Fortran-ordered band of the layout.
 
-        The free solid columns are exact: the residual's solid rows are
-        mass (s1 - s0) - dt loads(s_mid), and the coupling rows enter the
-        channel entropy rows as dt embed_t(wall) with wall = mass rate -
-        loads, so with ds_mid = ds1 / 2 both get -(dt/2) d loads / d s_mid
-        from `HeatSystem.loads_tangent`, and the free rows add their mass.
-        The channel columns are forward differences, one residual per
-        color, with the step h_j = eps * max(|x_j|, typ_j) of column j.
+        The residual is M (x1 - x0) - dt F(x_mid), so J = M - (dt/2)
+        dF/dx_mid.  On the channel rows dF/dx_mid is
+        `FluidSystem.loads_tangent`, whose sealed-end rows are zero, as the
+        rows mass vel1 need.  The wall rows dt wall = mass (s1 - s0) - dt
+        loads, with the end value s1 = 2 s_mid - s0 that the pin implies,
+        have the form of the free rows, and both take
+        `HeatSystem.loads_tangent` at the pinned midpoint.  A coupling dof
+        at node j is pinned to entropy_of_temperature(t_m[j]), so its
+        column, summed along the azimuth into the wall slots together with
+        its mass, enters the phi and s columns of node j times ds1/dx1 =
+        (rho c / t_m) dT/dx_mid.
         """
         if self._layout is None:
             self._layout = self._jacobian_layout()
-        lay = self._layout
-        nfree, size = self._nfree, len(x) * lay.ldab
+        lay, nfree, nf = self._layout, self._nfree, self._nf
+        size = len(x) * lay.ldab
+        mid = 0.5 * (self._x_old[nfree:] + x[nfree:])  # the channel's
+        fluid_tan, t_grad = self.fluid.loads_tangent(
+            FluidState(*mid.reshape(3, nf)))
         if self.coupled:
             local = self.heat.loads_tangent(self._ports[1])
-            band = np.bincount(lay.pos, weights=local.ravel(),
-                               minlength=size + 1)[:-1]
-            band *= -0.5 * self.cfg.dt
-            band[lay.diag] += self.heat.mass[self._free]
+            full = np.bincount(lay.pos, weights=local.ravel(),
+                               minlength=lay.bins)
         else:
-            band = np.zeros(size)
-        xc = x[nfree:]
-        h = self._FD_EPS * np.maximum(np.abs(xc), self._typ[nfree:])
-        x_h = xc + h
-        diffs = np.empty((int(lay.colors.max()) + 1, len(x)))
-        for c in range(len(diffs)):
-            trial = x.copy()
-            trial[nfree:] = np.where(lay.colors == c, x_h, xc)
-            diffs[c] = self._residual(trial) - r
-        rows, cols = lay.pattern.indices, lay.cols
-        band[lay.chan] = diffs[lay.colors[cols], rows] / h[cols]
-        return band.reshape(len(x), lay.ldab).T
+            full = np.zeros(lay.bins)
+        full[lay.chan] += fluid_tan  # the far entries, all zero, share a bin
+        full *= -0.5 * self.cfg.dt
+        full[lay.diag] += self._mass_rows
+        if self.coupled:
+            heat, wall = self.heat, full[size:-1]
+            wall[lay.wall_rate] += self.ops.embed_t(
+                heat.mass[heat.coupling_dofs])
+            dsw = heat.material.rho_c / self._ports[0] * t_grad
+            full[lay.wall_cols] += wall * dsw[:, lay.wall_node]
+        return full[:size].reshape(len(x), lay.ldab).T
 
-    def _build_jacobian(self, x: np.ndarray, r: np.ndarray):
-        """Build the Jacobian at x, where the residual is r and `_residual`
-        last ran, and factorize it in place for the chord solves.  An exact
-        zero pivot raises SingularJacobianError naming its unknown."""
+    def _build_jacobian(self, x: np.ndarray):
+        """Build the Jacobian at x, where `_residual` last ran, and
+        factorize it in place for the chord solves.  An exact zero pivot
+        raises SingularJacobianError naming its unknown."""
         t0 = _time.perf_counter()
-        band = self._jacobian(x, r)
+        band = self._jacobian(x)
         lay = self._layout
         lu, piv, info = dgbtrf(band, lay.kl, lay.ku, overwrite_ab=1)
         self.jacobian_builds += 1
@@ -654,28 +620,26 @@ class CoupledSimulation:
         to the caller.
         """
         r = self._residual(x)
-        ports = self._ports  # before a Jacobian build overwrites them
         norm = self._scaled_norm(r)
         stale = self._lu is None
         for _ in range(self.cfg.newton_max_iters):
             if norm <= self.cfg.newton_tol:
                 break
             if stale:
-                self._build_jacobian(x, r)
+                self._build_jacobian(x)
             x = x - self._chord_solve(r)
             self.newton_iterations += 1
             r = self._residual(x)
-            ports = self._ports
             new_norm = self._scaled_norm(r)
             stale = new_norm > 0.5 * norm  # chord Jacobian not contracting
             norm = new_norm
-        return x, norm, ports
+        return x, norm, self._ports
 
     def _scaled_norm(self, r: np.ndarray) -> float:
         return float((np.abs(r) / self._row_scale).max())
 
     def _prepare(self, heat_state: HeatState, fluid_state: FluidState):
-        """Typical magnitudes for FD steps, residual row scaling and the
+        """Typical magnitudes for the residual row scaling and the
         predictor's term sizes, and the packed mass rows of the residual."""
         typ = []
         if self.coupled:

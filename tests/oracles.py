@@ -3,12 +3,12 @@
 Everything here avoids the package's assembly/quadrature code paths:
 hat functions are evaluated from the distance formula, integrals use
 composite high-order Gauss-Legendre built directly on numpy, and
-derivatives use central differences.  The Jacobian references are the
-channel columns' pattern composed from block matrices, the heat kernel's
-tangent by the complex step, which differentiates the kernel's arithmetic
-on its own reference tables, and the midpoint Jacobian assembled as a
-sorted CSC matrix in the packed order, the stepper's earlier layout, which
-its band must equal entry for entry.  The midpoint residual's
+derivatives use central differences.  The Jacobian references are its
+pattern composed from block matrices, the heat kernel's tangent by the
+complex step, which differentiates the kernel's arithmetic on its own
+reference tables, and the midpoint Jacobian composed from sparse blocks by
+the chain rule of the residual, as a CSC matrix in the packed order, which
+the stepper's band must equal to round-off.  The midpoint residual's
 reference composes the subsystems' own operators field by field, in the
 unpacked form the stepper's packed residual must match bit for bit, and
 the ledger's port powers are also formed through surface mass solves, the
@@ -149,10 +149,12 @@ def two_body_equilibrium_temperature(total_energy, heat_mat, volume,
 
 
 def jacobian_pattern_oracle(sim):
-    """The pattern of the midpoint Jacobian's channel columns composed block
-    by block: channel rows from identities and grad_pairing, solid rows and
-    wall rows from the loads of the wall trace, the wall rows summed along
-    the azimuth into the channel entropy rows."""
+    """The structural pattern (nx, nx) of the midpoint Jacobian composed
+    block by block in the packed order: channel rows from identities and
+    grad_pairing; the solid loads' rows from the cells' incidence, on the
+    free columns and, through the wall trace, on the (phi, s) columns of
+    each coupling dof's channel node; the wall rows summed along the
+    azimuth into the channel entropy rows."""
     nf, nfree = sim._nf, sim._nfree
     eye = sp.identity(nf, format="csr")
     grad = sp.csr_matrix(sim.fluid.grad_pairing != 0)
@@ -174,10 +176,14 @@ def jacobian_pattern_oracle(sim):
         trace = sp.csr_matrix(
             (np.ones(len(cdofs)), (cdofs, sim.ops.embed(np.arange(nf)))),
             shape=(n_solid, nf))
-        state = sp.hstack([trace, sp.csr_matrix((n_solid, nf)), trace])
+        free = sp.identity(n_solid, format="csr")[:, sim._free]
+        state = sp.hstack([free, trace, sp.csr_matrix((n_solid, nf)), trace])
         loads = (incidence.T @ (incidence @ state)).tocsr()
-        wall = sp.vstack([sp.csr_matrix((2 * nf, 3 * nf)), trace.T @ loads])
-        pattern = sp.vstack([loads[sim._free], pattern + wall])
+        wall = sp.vstack([sp.csr_matrix((2 * nf, nfree + 3 * nf)),
+                          trace.T @ loads])
+        pattern = sp.vstack([loads[sim._free],
+                             sp.hstack([sp.csr_matrix((3 * nf, nfree)),
+                                        pattern]) + wall])
     pattern = sp.csc_matrix(pattern, dtype=bool)
     pattern.eliminate_zeros()
     pattern.sort_indices()
@@ -287,76 +293,58 @@ def band_to_dense(band, layout):
 
 
 def band_structure(layout, n):
-    """Boolean (n, n) structure in the packed order of the entries a build
-    writes: the kept tangent entries, the free diagonal and the channel
-    pattern."""
-    flat = np.zeros(n * layout.ldab + 1)
-    flat[layout.pos] = flat[layout.diag] = flat[layout.chan] = 1.0
-    band = flat[:-1].reshape(n, layout.ldab).T
+    """Boolean (n, n) structure in the packed order of the band entries a
+    build writes: the kept tangent entries, the channel block, the diagonal
+    and the wall slots' columns."""
+    flat = np.zeros(layout.bins)
+    for positions in (layout.pos, layout.chan, layout.diag, layout.wall_cols):
+        flat[positions] = 1.0
+    band = flat[:n * layout.ldab].reshape(n, layout.ldab).T
     return band_to_dense(band, layout) != 0.0
 
 
-def csc_jacobian_layout(sim):
-    """The index arrays of the CSC assembly in the packed order: the solid
-    block's structure from one sort of the tangent entries' (column, row)
-    keys, with the data position `pos` of every tangent entry (past the
-    block for a held one) and `diag` of the free diagonal, then the
-    channel block of `_jacobian_pattern`.  Returns (pos, diag, indices,
-    indptr)."""
+def csc_jacobian_oracle(sim, x):
+    """The midpoint Jacobian at x (`sim._residual` last run at x) as a CSC
+    matrix in the packed order, composed with sparse blocks by the chain
+    rule of the residual: mass - (dt/2) `FluidSystem.loads_tangent` on the
+    channel block, plus R (mass - (dt/2) d loads) C for the solid loads,
+    with d loads the tangent blocks summed into (n_solid, n_solid), R the
+    residual row of each solid row (its free row, or its channel node's
+    entropy row for a coupling dof; none for a held external dof) and C the
+    end-of-step change of each solid dof per unknown (1 on a free dof's own
+    column; ds_w/dx_mid = (rho c / t_m) dT/dx_mid from its node's phi and s
+    for a coupling dof)."""
     nf, nfree, nx = sim._nf, sim._nfree, sim._nx
-    pattern = sim._jacobian_pattern()
-    pos = diag = indices = np.empty(0, dtype=np.intp)
-    indptr = np.zeros(1, dtype=np.intp)
+    dt = sim.cfg.dt
+    mid = 0.5 * (sim._x_old + x)
+    fluid_tan, t_grad = sim.fluid.loads_tangent(
+        FluidState(*mid[nfree:].reshape(3, nf)))
+    chan = sp.diags(sim._mass_rows[nfree:]) - 0.5 * dt * sp.csr_matrix(
+        fluid_tan)
+    jac = sp.block_diag([sp.csr_matrix((nfree, nfree)), chan], format="csr")
     if sim.coupled:
-        col_of = np.full(sim.heat.n_dofs, -1)
-        col_of[sim._free] = np.arange(nfree)
-        gather = sim.heat._gather
-        row = sim._solid_rows()[gather][:, None, :]
-        col = col_of[gather][None, :, :]
-        key = col * nx + row
-        key[(row < 0) | (col < 0)] = nx * nx
-        keys, pos = np.unique(key.ravel(), return_inverse=True)
-        keys = keys[keys < nx * nx]
-        indices = keys % nx
-        indptr = np.searchsorted(keys // nx, np.arange(nfree + 1))
-        diag = np.searchsorted(keys, np.arange(nfree) * (nx + 1))
-    return (pos, diag, np.concatenate([indices, pattern.indices]),
-            np.concatenate([indptr, indptr[-1] + pattern.indptr[1:]]))
-
-
-def csc_jacobian_structure(sim):
-    """(rows, cols) in the packed order of every entry of the CSC
-    assembly."""
-    _, _, indices, indptr = csc_jacobian_layout(sim)
-    return indices, np.repeat(np.arange(sim._nx), np.diff(indptr))
-
-
-def csc_jacobian_oracle(sim, x, r):
-    """The midpoint Jacobian at x (residual r, `sim._residual` last run at
-    x) as the stepper assembled it before its band: a CSC matrix on
-    `csc_jacobian_layout`, the tangent blocks summed with np.bincount and
-    scaled in the same order of operations, and the channel columns by
-    colored forward differences."""
-    nf, nfree, nx = sim._nf, sim._nfree, sim._nx
-    pos, diag, indices, indptr = csc_jacobian_layout(sim)
-    data = []
-    if sim.coupled:
-        local = sim.heat.loads_tangent(sim._ports[1])
-        solid = np.bincount(pos, weights=local.ravel())[:indptr[nfree]]
-        solid *= -0.5 * sim.cfg.dt
-        solid[diag] += sim.heat.mass[sim._free]
-        data.append(solid)
-    pattern = sim._jacobian_pattern()
-    cols = np.repeat(np.arange(3 * nf), np.diff(pattern.indptr))
-    colors = (3 * np.arange(3)[:, None] + np.arange(nf) % 3).ravel()
-    xc = x[nfree:]
-    h = sim._FD_EPS * np.maximum(np.abs(xc), sim._typ[nfree:])
-    x_h = xc + h
-    diffs = np.empty((9, len(x)))
-    for c in range(9):
-        trial = x.copy()
-        trial[nfree:] = np.where(colors == c, x_h, xc)
-        diffs[c] = sim._residual(trial) - r
-    data.append(diffs[colors[cols], pattern.indices] / h[cols])
-    return sp.csc_matrix((np.concatenate(data), indices, indptr),
-                         shape=(nx, nx))
+        heat, free = sim.heat, sim._free
+        n_solid = heat.n_dofs
+        local = heat.loads_tangent(sim._ports[1])
+        gather = heat._gather
+        dloads = sp.csr_matrix(
+            (local.ravel(),
+             (np.broadcast_to(gather[:, None, :], local.shape).ravel(),
+              np.broadcast_to(gather[None, :, :], local.shape).ravel())),
+            shape=(n_solid, n_solid))
+        cdofs = heat.coupling_dofs
+        node = sim.ops.embed(np.arange(nf))
+        rows = sp.csr_matrix(
+            (np.ones(nfree + len(cdofs)),
+             (np.concatenate([np.arange(nfree), nfree + 2 * nf + node]),
+              np.concatenate([free, cdofs]))),
+            shape=(nx, n_solid))
+        dsw = heat.material.rho_c / sim._ports[0] * t_grad
+        cols = sp.csr_matrix(
+            (np.concatenate([np.ones(nfree), dsw[0, node], dsw[1, node]]),
+             (np.concatenate([free, cdofs, cdofs]),
+              np.concatenate([np.arange(nfree), nfree + node,
+                              nfree + 2 * nf + node]))),
+            shape=(n_solid, nx))
+        jac = jac + rows @ (sp.diags(heat.mass) - 0.5 * dt * dloads) @ cols
+    return jac.tocsc()

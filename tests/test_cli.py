@@ -202,8 +202,8 @@ class TestSimulateCommand:
         # ledger row and the unknown behind the pivot, no traceback
         build = CoupledSimulation._jacobian
 
-        def singular(sim, x, r):
-            band = build(sim, x, r)
+        def singular(sim, x):
+            band = build(sim, x)
             band[:, sim._layout.rank[0]] = 0.0
             return band
 
@@ -278,6 +278,23 @@ class TestConvergenceCommand:
         out = capsys.readouterr().out
         assert "azimuthal_refinement_gap" in out
         assert "PASS" in out
+
+    def test_refinement_gap_failure_exit_1(self, capsys, tmp_path,
+                                           monkeypatch):
+        # a gap above the bound is a failed verification: FAIL and exit 1,
+        # with the report still written
+        monkeypatch.setattr(cli, "azimuthal_refinement_gap",
+                            lambda cfg: 1e-6)
+        data = dict(TINY)
+        data["sim"] = {"dt": 5e-4, "t_end": 5e-3}
+        cfg = write_cfg(tmp_path, data)
+        out_dir = tmp_path / "conv"
+        code = cli.main(["convergence", "--config", cfg,
+                         "--output", str(out_dir)])
+        assert code == 1
+        assert "azimuthal_refinement_gap: 1.000e-06 (FAIL)" in \
+            capsys.readouterr().out
+        assert (out_dir / "convergence.csv").exists()
 
     def test_step_failure_exit_1_names_the_step(self, capsys, tmp_path):
         data = dict(TINY, scenario="hot-wall-cooldown")

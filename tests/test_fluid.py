@@ -139,6 +139,38 @@ class TestRhs:
         rates, _ = sys.loads(st_)
         assert rates.vel[0] == 0.0 and rates.vel[-1] == 0.0
 
+    def test_tangent_matches_central_differences(self):
+        # every column of d loads / d(phi, vel, s), and dT/d(phi, s), at a
+        # state with flow, friction and end velocities (the sealed-end rows
+        # stay zero anyway)
+        sys = small_system(friction=0.5)
+        rng = np.random.default_rng(5)
+        n = sys.n_dofs
+        st_ = sys.uniform_state(300.0)
+        x = np.concatenate([st_.phi * (1 + 0.1 * rng.standard_normal(n)),
+                            0.4 * rng.standard_normal(n),
+                            st_.s + 0.1 * rng.standard_normal(n)])
+
+        def outputs(v):
+            rates, t = sys.loads(FluidState(*v.reshape(3, n)))
+            return np.concatenate([rates.phi, rates.vel, rates.s, t])
+
+        jac, t_grad = sys.loads_tangent(FluidState(*x.reshape(3, n)))
+        dense = np.empty((4 * n, 3 * n))
+        for j in range(3 * n):
+            h = 1e-6 * max(abs(x[j]), 1.0)
+            e = np.zeros(3 * n)
+            e[j] = h
+            dense[:, j] = (outputs(x + e) - outputs(x - e)) / (2.0 * h)
+        scale = np.abs(dense).max()
+        assert np.abs(jac - dense[:3 * n]).max() <= 1e-8 * scale
+        assert not jac[[n, 2 * n - 1]].any()
+        # the temperature is nodal in (phi, s)
+        want = np.hstack([np.diag(t_grad[0]), np.zeros((n, n)),
+                          np.diag(t_grad[1])])
+        assert np.abs(dense[3 * n:] - want).max() \
+            <= 1e-8 * np.abs(t_grad).max()
+
     def test_periodic_channel_rejected(self):
         with pytest.raises(MaterialError, match="non-periodic"):
             FluidSystem(IntervalMesh(0, 1, 8, periodic=True), MAT, 3)
