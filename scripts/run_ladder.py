@@ -9,8 +9,10 @@ n_th, with a channel of n_ax cells), plus 96x48x8 with --with-96x48x8;
 so that its peak RSS is its own, with one BLAS thread unless the
 environment sets the thread counts.  For each rung the script prints the
 unknowns, the Jacobian band's lower half-width kl, the Newton iterations,
-the Jacobian builds, the seconds spent building (and factoring) and in
-chord solves, the run seconds and the peak RSS.
+the Jacobian builds, the pivot rows their factorizations interchanged (0:
+every chord solve took the two triangle solves; otherwise dgbtrs), the
+seconds spent building (and factoring) and in chord solves, the run
+seconds and the peak RSS.
 
 It exits non-zero if a rung fails: a step fails, a step's coupling power
 residual exceeds 1e-12 of its |P_couple_heat|, or the total entropy falls
@@ -62,6 +64,7 @@ def run_rung(rung: str) -> dict:
     return {"rung": rung, "unknowns": sim._nx, "kl": sim._layout.kl,
             "newton": result.newton_iterations,
             "builds": result.jacobian_builds,
+            "interchanges": result.row_interchanges,
             "build_s": result.jacobian_build_s,
             "solve_s": result.chord_solve_s, "run_s": result.wall_time,
             "peak_rss_mb": resource.getrusage(
@@ -88,8 +91,8 @@ def main() -> int:
     for var in BLAS_THREADS:
         env.setdefault(var, "1")
     print(f"{'rung':>8} {'unknowns':>8} {'kl':>4} {'newton':>6} "
-          f"{'builds':>6} {'build_s':>8} {'solve_s':>8} {'run_s':>7} "
-          f"{'rss_MB':>7}")
+          f"{'builds':>6} {'interchanges':>12} {'build_s':>8} {'solve_s':>8} "
+          f"{'run_s':>7} {'rss_MB':>7}")
     failed = 0
     for rung in rungs:
         proc = subprocess.run([sys.executable, __file__, "--rung", rung],
@@ -100,7 +103,8 @@ def main() -> int:
             continue
         row = json.loads(proc.stdout.splitlines()[-1])
         print(f"{rung:>8} {row['unknowns']:>8} {row['kl']:>4} "
-              f"{row['newton']:>6} {row['builds']:>6} {row['build_s']:>8.3f} "
+              f"{row['newton']:>6} {row['builds']:>6} "
+              f"{row['interchanges']:>12} {row['build_s']:>8.3f} "
               f"{row['solve_s']:>8.3f} {row['run_s']:>7.3f} "
               f"{row['peak_rss_mb']:>7.1f}")
         for problem in row["problems"]:

@@ -112,6 +112,7 @@ def cmd_simulate(args) -> int:
     print(f"max_step_iterations: {int(result.step_iterations.max())}")
     print(f"max_final_residual: {float(result.step_residuals.max())!r}")
     print(f"jacobian_builds: {result.jacobian_builds}")
+    print(f"row_interchanges: {result.row_interchanges}")
     print(f"jacobian_build_s: {result.jacobian_build_s:.6f}")
     print(f"chord_solve_s: {result.chord_solve_s:.6f}")
     print(f"ledger: {os.path.join(cfg.output_dir, cfg.scenario + '_ledger.csv')}")

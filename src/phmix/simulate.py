@@ -39,6 +39,15 @@ slab order and the band position of every entry are fixed by the mesh and
 built on the first Jacobian build.  An exact zero pivot fails the Newton
 attempt like an invalid state does.
 
+A chord solve takes the factor where dgbtrf left it.  When the
+factorization interchanged no rows (the pivots are the identity, as on
+every factor of the default cooldown and of the meshes up to 32x16x4), U
+has only ku superdiagonals and the solve is two BLAS band-triangle solves
+(dtbsv): the unit-lower triangle of half-width kl, then the upper of
+half-width ku, each read in place from the factored buffer as an (ldab, n)
+view at a flat offset.  A factor with row interchanges is solved by dgbtrs,
+which applies them.
+
 Each step starts from a prediction read off a backward-difference table of
 the accepted states, of the order the table's own terms support (up to
 PREDICTOR_ORDER), whose row 0 is the old state packed, and takes its end
@@ -57,6 +66,7 @@ import time as _time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConfigurationError, MeshCompatibilityError, PhmixError, \
@@ -168,6 +178,7 @@ class SimResult:
     step_iterations: np.ndarray  # Newton iterations of each step, retry too
     step_residuals: np.ndarray   # each step's final scaled residual
     jacobian_builds: int
+    row_interchanges: int    # pivot rows moved, over all factorizations
     jacobian_build_s: float  # building and factoring the Jacobians
     chord_solve_s: float     # the chord solves with the factors
     wall_time: float
@@ -297,7 +308,9 @@ class JacobianLayout:
     extra rows take the fill of row pivoting) is, flat, the vector whose
     position j ldab + kl + ku + i - j holds the entry.  A build sums into
     `bins` flat positions: the band, then one wall slot per (row, channel
-    node) that the coupling dofs of that node reach, then a dump bin.
+    node) that the coupling dofs of that node reach, then a dump bin, at
+    least kl + ku positions in all past the band, so that the triangle
+    views of `triangles` fit in the buffer.
 
     Entry e of `HeatSystem.loads_tangent`'s raveled blocks adds into flat
     position pos[e]: its band position for a free column, the wall slot of
@@ -328,7 +341,28 @@ class JacobianLayout:
 
     @property
     def bins(self) -> int:
-        return len(self.order) * self.ldab + len(self.wall_node) + 1
+        return len(self.order) * self.ldab + \
+            max(len(self.wall_node) + 1, self.kl + self.ku)
+
+    def triangles(self, lu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The unit-lower and the upper triangle of a factor `lu` that
+        interchanged no rows, as the (ldab, n) band arrays dtbsv reads with
+        half-widths kl and ku.
+
+        Without interchanges U has only ku superdiagonals, in band rows kl
+        to kl + ku, and the multipliers of L sit in rows kl + ku + 1 on.
+        Both are F-ordered views of the flat buffer under `lu`, a build's
+        `bins`, at flat offsets kl + ku and kl: row d of the lower view is
+        band row kl + ku + d, row d of the upper one band row kl + d.
+        dtbsv reads only the band entries of either; the lower view runs
+        kl + ku positions past the band, into the buffer's slack.
+        """
+        buf = lu.base  # the flat buffer `_jacobian` built
+        if buf is None or buf.ctypes.data != lu.ctypes.data:
+            raise ValueError("the factor is not the band of a build's buffer")
+        return tuple(np.ndarray((self.ldab, lu.shape[1]), order="F",
+                                buffer=buf, offset=buf.itemsize * skip)
+                     for skip in (self.kl + self.ku, self.kl))
 
 
 class CoupledSimulation:
@@ -370,9 +404,9 @@ class CoupledSimulation:
         self._nx = self._nfree + 3 * self._nf
 
         self._layout = None  # JacobianLayout, built on the first build
-        self._lu = None  # the factored band and its pivots
+        self._lu = None  # the factored band, its pivots and triangles
         self.newton_iterations = 0
-        self.jacobian_builds = 0
+        self.jacobian_builds = self.row_interchanges = 0
         self.jacobian_build_s = self.chord_solve_s = 0.0
 
     # ---- state packing -------------------------------------------------
@@ -570,7 +604,7 @@ class CoupledSimulation:
         full *= -0.5 * self.cfg.dt
         full[lay.diag] += self._mass_rows
         if self.coupled:
-            heat, wall = self.heat, full[size:-1]
+            heat, wall = self.heat, full[size:size + len(lay.wall_node)]
             wall[lay.wall_rate] += self.ops.embed_t(
                 heat.mass[heat.coupling_dofs])
             dsw = heat.material.rho_c / self._ports[0] * t_grad
@@ -579,18 +613,21 @@ class CoupledSimulation:
 
     def _build_jacobian(self, x: np.ndarray):
         """Build the Jacobian at x, where `_residual` last ran, and
-        factorize it in place for the chord solves.  An exact zero pivot
-        raises SingularJacobianError naming its unknown."""
+        factorize it in place for the chord solves, with the factor's
+        triangles if it interchanged no rows.  An exact zero pivot raises
+        SingularJacobianError naming its unknown."""
         t0 = _time.perf_counter()
         band = self._jacobian(x)
         lay = self._layout
         lu, piv, info = dgbtrf(band, lay.kl, lay.ku, overwrite_ab=1)
+        moved = int(np.count_nonzero(piv != np.arange(len(piv))))
         self.jacobian_builds += 1
+        self.row_interchanges += moved
         self.jacobian_build_s += _time.perf_counter() - t0
         if info > 0:
             unknown = int(lay.order[info - 1])
             raise SingularJacobianError(unknown, self._unknown_name(unknown))
-        self._lu = lu, piv
+        self._lu = lu, piv, None if moved else lay.triangles(lu)
 
     def _unknown_name(self, k: int) -> str:
         """The field and node of packed unknown k."""
@@ -600,11 +637,19 @@ class CoupledSimulation:
         return f"{('phi', 'vel', 's')[field]}[{node}]"
 
     def _chord_solve(self, r: np.ndarray) -> np.ndarray:
-        """The Newton correction J^-1 r from the factored band."""
+        """The Newton correction J^-1 r from the factored band: the two
+        triangle solves of a factor without row interchanges, dgbtrs for
+        one with them."""
         t0 = _time.perf_counter()
         lay = self._layout
-        lu, piv = self._lu
-        y, _ = dgbtrs(lu, lay.kl, lay.ku, r[lay.order], piv, overwrite_b=1)
+        lu, piv, triangles = self._lu
+        y = r[lay.order]
+        if triangles is None:
+            y, _ = dgbtrs(lu, lay.kl, lay.ku, y, piv, overwrite_b=1)
+        else:
+            lower, upper = triangles
+            y = dtbsv(lay.kl, lower, y, lower=1, diag=1, overwrite_x=1)
+            y = dtbsv(lay.ku, upper, y, overwrite_x=1)
         dx = y[lay.rank]
         self.chord_solve_s += _time.perf_counter() - t0
         return dx
@@ -770,7 +815,7 @@ class CoupledSimulation:
         self._prepare(heat_state, fluid_state)
         self._lu = None
         self.newton_iterations = 0
-        self.jacobian_builds = 0
+        self.jacobian_builds = self.row_interchanges = 0
         self.jacobian_build_s = self.chord_solve_s = 0.0
 
         ledger = EnergyLedger()
@@ -813,6 +858,7 @@ class CoupledSimulation:
             ledger, heat_state, fluid_state, n_steps, self.newton_iterations,
             step_iterations=iterations, step_residuals=residuals,
             jacobian_builds=self.jacobian_builds,
+            row_interchanges=self.row_interchanges,
             jacobian_build_s=self.jacobian_build_s,
             chord_solve_s=self.chord_solve_s,
             wall_time=_time.perf_counter() - t_start)

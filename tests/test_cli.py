@@ -193,8 +193,23 @@ class TestSimulateCommand:
         for key in ("jacobian_build_s", "chord_solve_s"):
             assert (float(report[key]) > 0) == positive
         assert (int(report["jacobian_builds"]) > 0) == positive
+        assert int(report["row_interchanges"]) == 0
         assert (int(report["max_step_iterations"]) > 0) == positive
         assert 0 <= float(report["max_final_residual"]) <= 1e-12
+
+    @pytest.mark.parametrize("dt,moved", [(2e-3, 0), (8e-3, 3)])
+    def test_reports_row_interchanges(self, capsys, tmp_path, dt, moved):
+        # which chord solve ran: the factor of the tiny cooldown
+        # interchanges rows at 16 dt, none at 4 dt
+        cfg = write_cfg(tmp_path, dict(
+            TINY, scenario="hot-wall-cooldown",
+            sim={"dt": dt, "t_end": 5 * dt}))
+        code = cli.main(["simulate", "--config", cfg,
+                         "--output", str(tmp_path / "out")])
+        assert code == 0
+        report = dict(line.split(": ", 1)
+                      for line in capsys.readouterr().out.splitlines())
+        assert int(report["row_interchanges"]) == moved
 
     def test_zero_pivot_exit_1_names_step_and_unknown(self, capsys, tmp_path,
                                                        monkeypatch):

@@ -1,7 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgbtrs
 
 from phmix.config import default_config
 from phmix.driver import build_problem, drift_per_time, make_simulation
@@ -30,19 +32,19 @@ def run_scenario(cfg, name, params=None):
     return problem, sim.run(setup)
 
 
-def one_step_simulation(name, geometry):
+def one_step_simulation(name, geometry, dt=2.5e-4):
     """The setup and simulation of one step of scenario `name`."""
-    cfg = default_config(geometry=geometry, sim={"dt": 2.5e-4, "t_end": 2.5e-4})
+    cfg = default_config(geometry=geometry, sim={"dt": dt, "t_end": dt})
     problem = build_problem(cfg)
     setup = build_scenario(name, problem.heat, problem.fluid, {})
     return problem, setup, make_simulation(problem, cfg, setup)
 
 
-def newton_point(name, geometry):
+def newton_point(name, geometry, dt=2.5e-4):
     """A simulation of one step on a small mesh and an unknown vector near
     its converged iterate, nudged so that no Jacobian entry vanishes by
     symmetry (rest, uniform temperature)."""
-    problem, setup, sim = one_step_simulation(name, geometry)
+    problem, setup, sim = one_step_simulation(name, geometry, dt)
     *_, x = sim.step(setup.heat_state, setup.fluid_state)
     x = x + 1e-6 * sim._typ * np.sin(np.arange(len(x)))
     return problem, sim, x
@@ -169,17 +171,87 @@ class TestColoredNewton:
         assert np.all(cs_err <= 1e-13)
 
 
+# the factors the chord solves are checked on, as (name, geometry, dt,
+# rows interchanged): the step-1 factor interchanges no row on the small
+# meshes at dt, phi[0] on the 48x24x4 rung, and 5 phi rows on 6x4x3 at
+# 16 dt, so both solve paths are covered
+FACTOR_CASES = [
+    pytest.param(*case.values, 2.5e-4, case.id.endswith("48x24x4"),
+                 id=case.id)
+    for case in NEWTON_CASES + LADDER_CASES] + [
+    pytest.param("hot-wall-cooldown",
+                 {"n_ax": 6, "n_az": 4, "n_th": 3, "n_fluid": 6}, 4e-3, True,
+                 id="hot-wall-cooldown-6x4x3-16dt")]
+
+
+def factored_point(name, geometry, dt):
+    """`newton_point` with the residual r at x and the factor built there;
+    returns (sim, x, r, the rows that build interchanged)."""
+    _, sim, x = newton_point(name, geometry, dt)
+    r = sim._residual(x)
+    before = sim.row_interchanges  # the step's own builds counted too
+    sim._build_jacobian(x)
+    return sim, x, r, sim.row_interchanges - before
+
+
 class TestBandLU:
-    @pytest.mark.parametrize("name,geometry", NEWTON_CASES + LADDER_CASES)
-    def test_chord_solve_matches_dense_solve(self, name, geometry):
-        _, sim, x = newton_point(name, geometry)
-        dense = built_jacobian(sim, x)
-        r = sim._residual(x)
-        sim._build_jacobian(x)
+    @pytest.mark.parametrize("name,geometry,dt,interchanged", FACTOR_CASES)
+    def test_chord_solve_matches_dense_solve(self, name, geometry, dt,
+                                             interchanged):
+        sim, x, r, moved = factored_point(name, geometry, dt)
+        assert (moved > 0) == interchanged
         got = sim._chord_solve(r)
+        dense = built_jacobian(sim, x)
         want = np.linalg.solve(dense, r)
         del dense
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name,geometry,dt,interchanged", FACTOR_CASES)
+    def test_chord_solve_matches_dgbtrs(self, name, geometry, dt,
+                                        interchanged):
+        # the triangle solves of a factor without interchanges, and the
+        # solve of one with them, against LAPACK's on the same factor
+        sim, _, r, moved = factored_point(name, geometry, dt)
+        lay = sim._layout
+        lu, piv, triangles = sim._lu
+        assert moved == np.count_nonzero(piv != np.arange(len(piv)))
+        assert (moved > 0) == interchanged
+        assert (triangles is None) == interchanged
+        y, info = dgbtrs(lu, lay.kl, lay.ku, r[lay.order], piv)
+        assert info == 0
+        want = y[lay.rank]
+        got = sim._chord_solve(r)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_triangle_solves_read_the_factor_in_place(self):
+        # the triangles are views of the factored buffer, and a solve
+        # allocates vectors only, no copy of the band
+        sim, _, r, moved = factored_point(*LADDER_CASES[0].values, 2.5e-4)
+        lu, _, triangles = sim._lu
+        assert moved == 0
+        assert all(np.shares_memory(t, lu) and t.flags.f_contiguous
+                   for t in triangles)
+        sim._chord_solve(r)
+        tracemalloc.start()
+        try:
+            sim._chord_solve(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < lu.nbytes / 20
+
+    @pytest.mark.parametrize("dt,moved", [(5e-4, 0), (4e-3, 5)])
+    def test_run_reports_row_interchanges(self, dt, moved):
+        # the run's one factor interchanges 5 phi rows at 16 dt and none
+        # at 2 dt; a second run counts its own
+        cfg = small_cfg(dt=dt, t_end=10 * dt)
+        problem = build_problem(cfg)
+        setup = build_scenario("hot-wall-cooldown", problem.heat,
+                               problem.fluid, {})
+        sim = make_simulation(problem, cfg, setup)
+        for result in (sim.run(setup), sim.run(setup)):
+            assert result.jacobian_builds == 1
+            assert result.row_interchanges == moved
 
     @pytest.mark.parametrize("name,geometry", LADDER_CASES)
     def test_bandwidth(self, name, geometry):
@@ -419,6 +491,7 @@ class TestPredictor:
         assert result.steps == 200
         assert result.newton_iterations <= 229
         assert result.jacobian_builds == 1
+        assert result.row_interchanges == 0  # the triangle solves
         assert result.jacobian_build_s > 0 and result.chord_solve_s > 0
         # per step: the iterations add up, every step ended converged
         assert result.step_iterations.shape == (200,)
@@ -436,6 +509,7 @@ class TestPredictor:
         assert result.steps == 20
         assert result.newton_iterations <= 47
         assert result.jacobian_builds == 1
+        assert result.row_interchanges == 0
 
 
 @pytest.mark.parametrize("name", ["hot-wall-cooldown", "heated-ext-face",
