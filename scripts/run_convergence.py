@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Step-halving study on the cooldown demo: the total-energy drift rate of
-the implicit midpoint scheme should fall by 4x per halving.
+"""Step-halving study on the cooldown demo: the energy-balance error per
+unit time of the implicit midpoint scheme (`drift_per_time`, the plain
+energy drift, as the cooldown has no external port) should fall by 4x per
+halving.
 
 Exits 1 when an observed drift order is off 2 by more than ORDER_TOL, or
 when the azimuthal refinement gap, which is round-off, exceeds

@@ -1,9 +1,16 @@
 """Command-line entry point.
 
-Subcommands: verify (structural checks, exit 0/1), simulate (run a scenario,
-write the ledger and snapshots), convergence (step-halving and azimuthal
-refinement study; a refinement gap above its bound fails it).  Exit codes:
-0 success, 1 runtime or verification failure, 2 usage/config errors.
+Subcommands, each with only the options it reads:
+
+    phmix verify [--config FILE] [--seed N] [--trials N]
+    phmix simulate [--config FILE] [--output DIR]
+    phmix convergence [--config FILE] [--output DIR]
+
+verify runs the structural checks (exit 0/1); simulate runs a scenario and
+writes the ledger and snapshots; convergence runs the step-halving and
+azimuthal refinement study, and a refinement gap above its bound fails it.
+Exit codes: 0 success, 1 runtime or verification failure, 2 usage/config
+errors.
 """
 
 from __future__ import annotations
@@ -34,13 +41,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load(args) -> RunConfig:
+def _load(args, **overrides) -> RunConfig:
+    """The --config file (or the defaults) with the given command-line
+    overrides; an override left at None keeps the config's value."""
     cfg = load_config(args.config) if args.config else default_config()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.output is not None:
-        cfg = replace(cfg, output_dir=args.output)
-    return cfg
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _step_failure(exc: StepFailureError) -> str:
@@ -51,13 +57,12 @@ def _step_failure(exc: StepFailureError) -> str:
 
 def cmd_verify(args) -> int:
     try:
-        cfg = _load(args)
+        cfg = _load(args, seed=args.seed)
         problem = build_problem(cfg)
     except PhmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    trials = args.trials if args.trials is not None else 200
-    ops = problem.ops
+    ops, trials = problem.ops, args.trials
     reports = [
         check_adjointness(ops, trials, cfg.seed),
         operator_norm_bound_check(ops, trials, cfg.seed),
@@ -78,7 +83,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        cfg = _load(args)
+        cfg = _load(args, output_dir=args.output)
         problem = build_problem(cfg)
         setup = build_scenario(cfg.scenario, problem.heat, problem.fluid,
                                cfg.scenario_params)
@@ -121,7 +126,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_convergence(args) -> int:
     try:
-        cfg = _load(args)
+        cfg = _load(args, output_dir=args.output)
         os.makedirs(cfg.output_dir, exist_ok=True)
     except (PhmixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -148,6 +153,17 @@ def cmd_convergence(args) -> int:
     return 0 if passed else 1
 
 
+# each subcommand takes the options it reads, and no other
+_OPTIONS = {
+    "--config": dict(help="JSON config file (defaults built in)"),
+    "--output": dict(help="output directory override"),
+    "--seed": dict(type=int, help="seed override"),
+    "--trials": dict(type=_positive_int, default=200,
+                     help="random trials for each verification check "
+                          "(default 200)"),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="phmix",
@@ -155,20 +171,19 @@ def main(argv=None) -> int:
                     "and a 1D coolant channel: structural verification and "
                     "coupled simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, desc in (
+    for name, fn, desc, options in (
             ("verify", cmd_verify,
              "run the structural checks (adjointness, norm bound, pairing, "
-             "transpose, power balance)"),
+             "transpose, power balance)", ("--config", "--seed", "--trials")),
             ("simulate", cmd_simulate,
-             "integrate a scenario and write ledger + snapshots"),
+             "integrate a scenario and write ledger + snapshots",
+             ("--config", "--output")),
             ("convergence", cmd_convergence,
-             "step-halving and azimuthal refinement study")):
+             "step-halving and azimuthal refinement study",
+             ("--config", "--output"))):
         sp = sub.add_parser(name, help=desc)
-        sp.add_argument("--config", help="JSON config file (defaults built in)")
-        sp.add_argument("--output", help="output directory override")
-        sp.add_argument("--seed", type=int, help="seed override")
-        sp.add_argument("--trials", type=_positive_int,
-                        help="random trials for verification checks")
+        for option in options:
+            sp.add_argument(option, **_OPTIONS[option])
         sp.set_defaults(func=fn)
     args = parser.parse_args(argv)
     return args.func(args)

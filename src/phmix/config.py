@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigurationError, MaterialError
 from .fluid import FluidMaterial
@@ -70,8 +70,9 @@ class RunConfig:
                 f"quad_degree must be between 2 and 9, got {self.quad_degree}")
 
 
-# JSON key "lambda" is friendlier than the dataclass field name
-_HEAT_KEY_MAP = {"lambda": "conductivity"}
+# JSON keys that differ from the dataclass field names, per section: "lambda"
+# is friendlier than "conductivity"
+_KEY_MAPS = {"heat": {"lambda": "conductivity"}}
 
 
 def _is_number(value) -> bool:
@@ -102,11 +103,12 @@ def _check_type(key: str, value, default) -> None:
         raise ConfigurationError(f"{key} must be {kind}, got {value!r}")
 
 
-def _block_from_dict(cls, data: dict, section: str, base, key_map=None):
-    """Build a config block, overriding the defaults field by field."""
+def _block_from_dict(data: dict, section: str, base, key_map: dict):
+    """Build a config block, overriding the defaults in `base` field by
+    field."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"section {section!r} must be an object")
-    key_map = key_map or {}
+    cls = type(base)
     kwargs = {f.name: getattr(base, f.name) for f in fields(cls)}
     for key, value in data.items():
         name = key_map.get(key, key)
@@ -124,38 +126,28 @@ def _block_from_dict(cls, data: dict, section: str, base, key_map=None):
         raise ConfigurationError(f"section {section!r}: {exc}") from exc
 
 
-_TOP_LEVEL = ("geometry", "heat", "fluid", "sim", "scenario", "seed",
-              "output_dir", "quad_degree", "scenario_params")
-
-
 def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from a (possibly partial) nested dict; unknown
-    keys are rejected with the offending path."""
+    keys are rejected with the offending path.  The sections are
+    RunConfig's fields: a dataclass field is a block of keys, any other a
+    single value."""
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a JSON object")
+    names = [f.name for f in fields(RunConfig)]
     for key in data:
-        if key not in _TOP_LEVEL:
+        if key not in names:
             raise ConfigurationError(
-                f"unknown top-level key {key!r} (valid: {', '.join(_TOP_LEVEL)})")
+                f"unknown top-level key {key!r} (valid: {', '.join(names)})")
     base = RunConfig()
     kwargs = {}
-    if "geometry" in data:
-        kwargs["geometry"] = _block_from_dict(GeometryConfig, data["geometry"],
-                                              "geometry", base.geometry)
-    if "heat" in data:
-        kwargs["heat"] = _block_from_dict(HeatMaterial, data["heat"], "heat",
-                                          base.heat, _HEAT_KEY_MAP)
-    if "fluid" in data:
-        kwargs["fluid"] = _block_from_dict(FluidMaterial, data["fluid"],
-                                           "fluid", base.fluid)
-    if "sim" in data:
-        kwargs["sim"] = _block_from_dict(SimConfig, data["sim"], "sim",
-                                         base.sim)
-    for key in ("scenario", "seed", "output_dir", "quad_degree",
-                "scenario_params"):
-        if key in data:
-            _check_type(key, data[key], getattr(base, key))
-            kwargs[key] = data[key]
+    for name in (name for name in names if name in data):
+        default = getattr(base, name)
+        if is_dataclass(default):
+            kwargs[name] = _block_from_dict(data[name], name, default,
+                                            _KEY_MAPS.get(name, {}))
+        else:
+            _check_type(name, data[name], default)
+            kwargs[name] = data[name]
     try:
         return RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -164,8 +156,9 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     out = asdict(cfg)
-    out["heat"] = {("lambda" if k == "conductivity" else k): v
-                   for k, v in out["heat"].items()}
+    for section, key_map in _KEY_MAPS.items():
+        json_key = {name: key for key, name in key_map.items()}
+        out[section] = {json_key.get(k, k): v for k, v in out[section].items()}
     return out
 
 

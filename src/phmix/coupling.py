@@ -34,6 +34,7 @@ class CoupledPorts:
     y_out: LineField
 
 
+# kept while bench/ traces resolve_ports (ROADMAP item 1)
 def resolve_ports(v_out: SurfaceField, y_out: LineField,
                   ops: CouplingOperators) -> CoupledPorts:
     """Solve the discrete interconnection for the two inputs."""

@@ -29,6 +29,7 @@ STRUCT_TOL = 1e-11   # identities that are exact in exact arithmetic
 QUAD_REL_TOL = 1e-10  # identities limited by quadrature, relative
 
 
+# kept while bench/ reads the field wrappers and j_matrix (ROADMAP item 1)
 @dataclass
 class SurfaceField:
     """Nodal coefficients of a field on the product surface (axial-major,

@@ -9,15 +9,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RunConfig
-from .coupling import resolve_ports
-from .dirac import LineField, SurfaceField
 from .fem import CouplingOperators, LineBasis, SurfaceBasis, assemble_coupling
 from .fluid import FluidSystem
 from .geometry import IntervalMesh, SolidDomain, build_solid_domain, \
     quadrature_rule
 from .heat import HeatSystem
-from .simulate import CoupledSimulation, ScenarioSetup, SimResult, \
-    build_scenario
+from .simulate import CoupledSimulation, EnergyLedger, ScenarioSetup, \
+    SimResult, build_scenario
 
 
 @dataclass
@@ -68,14 +66,20 @@ class ConvergenceRow:
 
 
 def drift_per_time(result: SimResult) -> float:
-    total = result.ledger.column("total")
-    t = result.ledger.column("time")
-    return float(abs(total[-1] - total[0]) / (t[-1] - t[0]))
+    """The energy-balance error per unit time: the change of the total
+    energy less the external port's work sum dt * P_ext, over the run's
+    duration.  With no external port it is the plain energy drift."""
+    led = result.ledger
+    total = led.column("total")
+    t = led.column("time")
+    work = np.sum(np.diff(t) * led.column("P_ext")[1:])
+    return float(abs(total[-1] - total[0] - work) / (t[-1] - t[0]))
 
 
 def convergence_study(cfg: RunConfig, levels: int = 3) -> list[ConvergenceRow]:
     """Run the configured scenario at dt, dt/2, ... and report the energy
-    drift rate and the observed order between consecutive levels."""
+    balance error per unit time (`drift_per_time`) and the observed order
+    between consecutive levels."""
     rows: list[ConvergenceRow] = []
     for level in range(levels):
         dt = cfg.sim.dt / (2 ** level)
@@ -100,24 +104,48 @@ def write_convergence_csv(rows: list[ConvergenceRow], path) -> None:
 
 # the azimuthal refinement gap is round-off: exact arithmetic gives 0
 REFINEMENT_GAP_TOL = 1e-12
+# per-step run gates: the coupling power residual is round-off relative to
+# the power the wall exchanges, and the total entropy never falls
+POWER_RESIDUAL_TOL = 1e-12
+
+
+def run_gate_failures(ledger: EnergyLedger) -> list[str]:
+    """The per-step gates of a run, one message per failed gate naming its
+    first failing step; empty when every step passes.
+
+    The power gate is |P_couple_residual| <= POWER_RESIDUAL_TOL *
+    |P_couple_heat|, a product rather than a ratio, so a step that
+    exchanges no power passes when its residual is 0."""
+    failures = []
+    residual = np.abs(ledger.column("P_couple_residual"))
+    heat = np.abs(ledger.column("P_couple_heat"))
+    bad = np.flatnonzero(~(residual <= POWER_RESIDUAL_TOL * heat))
+    if bad.size:
+        k = bad[0]
+        failures.append(
+            f"step {k}: coupling power residual {residual[k]:.3e} above "
+            f"{POWER_RESIDUAL_TOL:.0e} of |P_couple_heat| = {heat[k]:.3e}")
+    d_entropy = np.diff(ledger.column("S_solid") + ledger.column("S_fluid"))
+    bad = np.flatnonzero(~(d_entropy >= 0))
+    if bad.size:
+        k = bad[0]
+        failures.append(
+            f"step {k + 1}: total entropy fell by {-d_entropy[k]:.3e}")
+    return failures
 
 
 def azimuthal_refinement_gap(cfg: RunConfig, value: float = 1.0) -> float:
-    """Max change of the resolved channel input under azimuthal-only mesh
+    """Max change of the integrated wall output under azimuthal-only mesh
     refinement, for an azimuthally constant wall output (exact for
     constants, so the gap is pure round-off)."""
     g = cfg.geometry
     quad = quadrature_rule(cfg.quad_degree)
-    channel = IntervalMesh(g.a, g.b, g.n_fluid)
-    line = LineBasis(channel)
+    line = LineBasis(IntervalMesh(g.a, g.b, g.n_fluid))
     results = []
     for n_az in (g.n_az, 2 * g.n_az):
         domain = build_solid_domain(g.a, g.b, g.circumference, g.depth,
                                     g.n_ax, n_az, g.n_th)
         ops = assemble_coupling(SurfaceBasis(domain.coupling_boundary()),
                                 line, quad)
-        v = SurfaceField.constant(ops.surface.boundary, value)
-        y = LineField.constant(channel, 1.0)
-        ports = resolve_ports(v, y, ops)
-        results.append(ports.w_in.values)
+        results.append(ops.integrate(np.full(ops.n_psi, float(value))))
     return float(np.max(np.abs(results[0] - results[1])))

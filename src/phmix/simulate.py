@@ -63,7 +63,8 @@ from __future__ import annotations
 
 import os
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
@@ -75,9 +76,6 @@ from .fem import CouplingOperators
 from .fluid import FluidState, FluidSystem, check_specific_volume, eos
 from .heat import HeatState, HeatSystem, entropy_of_temperature, \
     temperature_of_entropy
-
-LEDGER_HEADER = ("time,Q_heat,H_fluid,total,P_couple_heat,P_couple_fluid,"
-                 "P_couple_residual,P_ext,S_solid,S_fluid")
 
 SCENARIOS = ("equilibrium", "hot-wall-cooldown", "heated-ext-face",
              "acoustic-pulse")
@@ -118,31 +116,27 @@ class SimConfig:
 
 @dataclass
 class LedgerRecord:
+    """One ledger row.  The fields, in order, are the ledger's columns: the
+    CSV header, `csv_row` and `EnergyLedger.column` all read them."""
+
     time: float
-    q_heat: float
-    h_fluid: float
+    Q_heat: float
+    H_fluid: float
     total: float
-    p_couple_heat: float
-    p_couple_fluid: float
-    p_couple_residual: float
-    p_ext: float
-    s_solid: float
-    s_fluid: float
+    P_couple_heat: float
+    P_couple_fluid: float
+    P_couple_residual: float
+    P_ext: float
+    S_solid: float
+    S_fluid: float
 
     def csv_row(self) -> str:
-        vals = (self.time, self.q_heat, self.h_fluid, self.total,
-                self.p_couple_heat, self.p_couple_fluid,
-                self.p_couple_residual, self.p_ext, self.s_solid,
-                self.s_fluid)
-        return ",".join(repr(v) for v in vals)
+        return ",".join(map(repr, _ledger_values(self)))
 
 
-_LEDGER_FIELDS = {
-    "time": "time", "Q_heat": "q_heat", "H_fluid": "h_fluid", "total": "total",
-    "P_couple_heat": "p_couple_heat", "P_couple_fluid": "p_couple_fluid",
-    "P_couple_residual": "p_couple_residual", "P_ext": "p_ext",
-    "S_solid": "s_solid", "S_fluid": "s_fluid",
-}
+_LEDGER_COLUMNS = tuple(f.name for f in fields(LedgerRecord))
+_ledger_values = attrgetter(*_LEDGER_COLUMNS)
+LEDGER_HEADER = ",".join(_LEDGER_COLUMNS)
 
 
 class EnergyLedger:
@@ -155,8 +149,9 @@ class EnergyLedger:
         self.records.append(rec)
 
     def column(self, name: str) -> np.ndarray:
-        attr = _LEDGER_FIELDS[name]
-        return np.array([getattr(r, attr) for r in self.records])
+        if name not in _LEDGER_COLUMNS:
+            raise KeyError(name)
+        return np.array([getattr(r, name) for r in self.records])
 
     def write(self, path) -> None:
         with open(path, "w") as fh:

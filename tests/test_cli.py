@@ -143,6 +143,18 @@ class TestVerifyCommand:
         assert err.startswith("usage: phmix verify")
         assert "--trials: expected an integer >= 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--trials", "5"], ["simulate", "--seed", "3"],
+        ["convergence", "--trials", "5"], ["verify", "--output", "x"]])
+    def test_option_of_another_command_exit_2(self, capsys, argv):
+        # each command takes only the options it reads
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: phmix")
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
     def test_failed_check_exit_1(self, capsys, monkeypatch, tmp_path):
         broken = VerificationReport(name="adjointness", passed=False,
                                     max_residual=1.0, tolerance=1e-11,

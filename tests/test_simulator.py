@@ -6,11 +6,13 @@ import pytest
 from scipy.linalg.lapack import dgbtrs
 
 from phmix.config import default_config
-from phmix.driver import build_problem, drift_per_time, make_simulation
+from phmix.driver import POWER_RESIDUAL_TOL, build_problem, \
+    convergence_study, drift_per_time, make_simulation, run_from_config, \
+    run_gate_failures
 from phmix.errors import ConfigurationError, PhmixError, StepFailureError
 from phmix.fem import CouplingOperators
 from phmix.fluid import FluidState, eos
-from phmix.simulate import CoupledSimulation, LEDGER_HEADER, \
+from phmix.simulate import CoupledSimulation, EnergyLedger, LEDGER_HEADER, \
     PREDICTOR_ORDER, SCENARIOS, SimConfig, advance_table, build_scenario, \
     extrapolate, measure_pulse_speed, node_prefixes, \
     write_fluid_snapshot, write_heat_snapshot
@@ -722,6 +724,57 @@ class TestHeatedExternalFace:
         assert gained == pytest.approx(supplied, rel=1e-3)
 
 
+    def test_energy_balance_error_is_second_order(self):
+        # drift_per_time takes the external port's work out of the energy
+        # change; without that it reads the heating, about 7.8e3 per unit
+        # time at every dt, and the orders come out near 0
+        cfg = default_config(scenario="heated-ext-face",
+                             sim={"t_end": 40 * 2.5e-4})
+        rows = convergence_study(cfg)
+        assert [row.steps for row in rows] == [40, 80, 160]
+        for row in rows[1:]:
+            assert abs(row.observed_order - 2.0) <= 0.1
+
+
+@pytest.fixture(scope="module")
+def default_ledgers():
+    """The default run's ledger (16x8x4, 200 steps) of three scenarios: a
+    cooldown, and two that exchange no wall power."""
+    return {name: run_from_config(default_config(scenario=name)).ledger
+            for name in ("hot-wall-cooldown", "equilibrium", "acoustic-pulse")}
+
+
+def copy_ledger(ledger):
+    out = EnergyLedger()
+    for rec in ledger.records:
+        out.append(dataclasses.replace(rec))
+    return out
+
+
+class TestRunGates:
+    @pytest.mark.parametrize("name", ["hot-wall-cooldown", "equilibrium",
+                                      "acoustic-pulse"])
+    def test_default_runs_pass(self, default_ledgers, name):
+        assert run_gate_failures(default_ledgers[name]) == []
+
+    def test_power_residual_above_bound_fails_naming_step(
+            self, default_ledgers):
+        led = copy_ledger(default_ledgers["hot-wall-cooldown"])
+        rec = led.records[37]
+        rec.P_couple_residual = 2 * POWER_RESIDUAL_TOL * abs(rec.P_couple_heat)
+        failures = run_gate_failures(led)
+        assert len(failures) == 1
+        assert failures[0].startswith("step 37: coupling power residual")
+
+    def test_entropy_fall_fails_naming_step(self, default_ledgers):
+        led = copy_ledger(default_ledgers["hot-wall-cooldown"])
+        # each step of the cooldown raises the total entropy by about 4e-5
+        led.records[58].S_solid -= 1e-3
+        failures = run_gate_failures(led)
+        assert len(failures) == 1
+        assert failures[0].startswith("step 58: total entropy fell by 9.")
+
+
 class TestAcousticPulse:
     def test_pulse_travels_at_sound_speed(self):
         from phmix.fluid import sound_speed
@@ -788,6 +841,21 @@ class TestLedgerAndSnapshots:
         for line in (heat_lines[1], fluid_lines[-1], lines[1]):
             cells = line.split(",")
             assert all(np.isfinite(float(c)) for c in cells)
+
+    def test_columns_match_written_csv(self, tmp_path):
+        cfg = small_cfg()
+        _, result = run_scenario(cfg, "heated-ext-face")
+        path = tmp_path / "ledger.csv"
+        result.ledger.write(path)
+        lines = path.read_text().splitlines()
+        names = lines[0].split(",")
+        assert lines[0] == LEDGER_HEADER and len(names) == 10
+        table = np.array([[float(c) for c in line.split(",")]
+                          for line in lines[1:]])
+        for j, name in enumerate(names):
+            assert np.array_equal(result.ledger.column(name), table[:, j])
+        with pytest.raises(KeyError):
+            result.ledger.column("p_ext")
 
     def test_snapshots_match_per_value_formatting(self, tmp_path):
         problem = build_problem(small_cfg())
