@@ -25,7 +25,8 @@ from .coupling import check_power_balance, check_transpose_identity
 from .dirac import check_adjointness, check_dirac_pairing, \
     operator_norm_bound_check
 from .driver import REFINEMENT_GAP_TOL, azimuthal_refinement_gap, \
-    build_problem, convergence_study, make_simulation, write_convergence_csv
+    build_coupling, build_problem, convergence_study, make_simulation, \
+    write_convergence_csv
 from .errors import PhmixError, StepFailureError
 from .simulate import build_scenario
 
@@ -58,17 +59,16 @@ def _step_failure(exc: StepFailureError) -> str:
 def cmd_verify(args) -> int:
     try:
         cfg = _load(args, seed=args.seed)
-        problem = build_problem(cfg)
+        _, _, ops = build_coupling(cfg)
     except PhmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ops, trials = problem.ops, args.trials
     reports = [
-        check_adjointness(ops, trials, cfg.seed),
-        operator_norm_bound_check(ops, trials, cfg.seed),
-        check_dirac_pairing(ops, trials, cfg.seed),
+        check_adjointness(ops, args.trials, cfg.seed),
+        operator_norm_bound_check(ops, args.trials, cfg.seed),
+        check_dirac_pairing(ops, args.trials, cfg.seed),
         check_transpose_identity(ops),
-        check_power_balance(ops, trials, cfg.seed),
+        check_power_balance(ops, args.trials, cfg.seed),
     ]
     for rep in reports:
         print("\n".join(rep.lines()))

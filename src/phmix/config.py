@@ -68,6 +68,8 @@ class RunConfig:
         if not 2 <= self.quad_degree <= 9:
             raise ConfigurationError(
                 f"quad_degree must be between 2 and 9, got {self.quad_degree}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 # JSON keys that differ from the dataclass field names, per section: "lambda"

@@ -11,8 +11,8 @@ embedding replicates nodal values along the azimuthal index, which is exact
 for nodal bases.  Both are array operators of CouplingOperators:
 `integrate`, and `embed` with its transpose `embed_t`, the pair the stepper
 applies.  The functions here wrap them for typed fields and check them.
-Verification routines draw seeded random fields and report worst-case
-residuals instead of raising.
+Verification routines draw seeded random fields in cache-sized blocks of
+trials and report the worst residual of all blocks instead of raising.
 """
 
 from __future__ import annotations
@@ -153,21 +153,28 @@ class VerificationReport:
         return "\n".join(self.lines())
 
 
-# each randomized check draws from its own stream [seed, k] of one seed, so
-# no two checks test the same fields
+# each randomized check draws from its own stream [seed, k] of one seed, and
+# each of its stacks from a child of that stream: no two stacks share fields
 _STREAMS = {"adjointness": 1, "operator_norm_bound": 2, "dirac_pairing": 3,
             "power_balance": 4}
+_BLOCK_BYTES = 2 ** 18  # of the largest stack: a block's work stays in cache
 
 
-def _stream(seed: int, check: str) -> np.random.Generator:
-    return np.random.default_rng([seed, _STREAMS[check]])
-
-
-def _random_fields(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
-    """A column stack (n, trials) of standard normal fields.  Each trial's
-    field is drawn as one row, then the stack is transposed once into C
-    order, which the sparse mass products take without a copy."""
-    return np.ascontiguousarray(rng.standard_normal((trials, n)).T)
+def _field_blocks(check: str, seed: int, trials: int, *sizes: int):
+    """Yield a check's fields in blocks of trials: one column stack
+    (n, block) per n in `sizes`, drawn trial-major from its own child of
+    the check's stream, so trial t's fields depend on neither the block
+    size nor `trials`.  A last single trial joins the block before it: a
+    one-column stack takes numpy's vector paths, which round differently."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    seqs = np.random.SeedSequence([seed, _STREAMS[check]]).spawn(len(sizes))
+    rngs = [np.random.default_rng(seq) for seq in seqs]
+    block = max(2, _BLOCK_BYTES // (8 * max(sizes)))
+    bounds = [*range(0, max(trials - 1, 1), block), trials]
+    for start, stop in zip(bounds, bounds[1:]):
+        yield [np.ascontiguousarray(rng.standard_normal((stop - start, n)).T)
+               for rng, n in zip(rngs, sizes)]
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,21 +187,18 @@ def check_adjointness(ops: CouplingOperators, trials: int = 100,
     """Verify <f, embed v> on the surface equals <integrate f, v> on the line
     for random field pairs; the normalized residual must stay below the
     structural tolerance."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = _stream(seed, "adjointness")
-    f = _random_fields(rng, trials, ops.n_psi)
-    v = _random_fields(rng, trials, ops.n_chi)
-    # one mass product per stack: m_psi and m_chi are symmetric, so each
-    # serves both the pairing and the norm of its stack
-    mf = ops.m_psi @ f
-    mv = ops.m_chi @ v
-    lhs = _dots(ops.embed(v), mf)
-    rhs = _dots(ops.integrate(f), mv)
-    fnorm = np.sqrt(_dots(f, mf))
-    vnorm = np.sqrt(_dots(v, mv))
-    resid = np.abs(lhs - rhs) / (1.0 + fnorm * vnorm)
-    worst = float(resid.max())
+    def residual(f, v):
+        # one mass product per stack: m_psi and m_chi are symmetric, so each
+        # serves both the pairing and the norm of its stack
+        mf = ops.m_psi @ f
+        mv = ops.m_chi @ v
+        lhs = _dots(ops.embed(v), mf)
+        rhs = _dots(ops.integrate(f), mv)
+        fnorm = np.sqrt(_dots(f, mf))
+        vnorm = np.sqrt(_dots(v, mv))
+        return np.max(np.abs(lhs - rhs) / (1.0 + fnorm * vnorm))
+    blocks = _field_blocks("adjointness", seed, trials, ops.n_psi, ops.n_chi)
+    worst = float(np.max([residual(*stacks) for stacks in blocks]))
     return VerificationReport(
         name="adjointness", passed=bool(worst <= STRUCT_TOL),
         max_residual=worst, tolerance=STRUCT_TOL, trials=trials, seed=seed)
@@ -209,31 +213,24 @@ def check_dirac_pairing(ops: CouplingOperators, trials: int = 100,
     n-dimensional effort space has dimension n, half of the effort-flow
     space, so an isotropic graph is a Dirac structure.  The isotropy
     bracket is the whole gate."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = _stream(seed, "dirac_pairing")
-    n1 = ops.n_chi
-    e1 = _random_fields(rng, trials, n1)
-    e2 = _random_fields(rng, trials, ops.n_psi)
-    e1p = _random_fields(rng, trials, n1)
-    e2p = _random_fields(rng, trials, ops.n_psi)
-
-    f1 = -ops.integrate(e2)
-    f2 = ops.embed(e1)
-    f1p = -ops.integrate(e2p)
-    f2p = ops.embed(e1p)
-
-    # the mass products of the efforts, once each; by symmetry they pair
-    # the efforts with the flows and with themselves
-    m = (ops.m_chi @ e1, ops.m_psi @ e2)
-    mp = (ops.m_chi @ e1p, ops.m_psi @ e2p)
-
     def pair(me, b1, b2):
         return _dots(me[0], b1) + _dots(me[1], b2)
 
-    bracket = pair(m, f1p, f2p) + pair(mp, f1, f2)
-    scale = 1.0 + np.sqrt(pair(m, e1, e2)) * np.sqrt(pair(mp, e1p, e2p))
-    worst = float(np.max(np.abs(bracket) / scale))
+    def residual(e1, e2, e1p, e2p):
+        f1 = -ops.integrate(e2)
+        f2 = ops.embed(e1)
+        f1p = -ops.integrate(e2p)
+        f2p = ops.embed(e1p)
+        # the mass products of the efforts, once each; by symmetry they
+        # pair the efforts with the flows and with themselves
+        m = (ops.m_chi @ e1, ops.m_psi @ e2)
+        mp = (ops.m_chi @ e1p, ops.m_psi @ e2p)
+        bracket = pair(m, f1p, f2p) + pair(mp, f1, f2)
+        scale = 1.0 + np.sqrt(pair(m, e1, e2)) * np.sqrt(pair(mp, e1p, e2p))
+        return np.max(np.abs(bracket) / scale)
+    n1, n2 = ops.n_chi, ops.n_psi
+    blocks = _field_blocks("dirac_pairing", seed, trials, n1, n2, n1, n2)
+    worst = float(np.max([residual(*stacks) for stacks in blocks]))
     return VerificationReport(
         name="dirac_pairing", passed=bool(worst <= STRUCT_TOL),
         max_residual=worst, tolerance=STRUCT_TOL, trials=trials, seed=seed)
@@ -244,21 +241,19 @@ def operator_norm_bound_check(ops: CouplingOperators, trials: int = 100,
     """Verify the integration operator's norm bound: the squared line norm of
     the integrated field never exceeds the azimuthal measure times the squared
     surface norm, with equality for azimuthally constant fields."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = _stream(seed, "operator_norm_bound")
-    u = _random_fields(rng, trials, ops.n_psi)
-    au = ops.integrate(u)
-    lhs = _dots(au, ops.m_chi @ au)
-    rhs = ops.measure2 * _dots(u, ops.m_psi @ u)
-    worst = float(np.max(lhs - rhs))
-
-    uc = ops.embed(_random_fields(rng, trials, ops.n_chi))
-    auc = ops.integrate(uc)
-    lhs_c = _dots(auc, ops.m_chi @ auc)
-    rhs_c = ops.measure2 * _dots(uc, ops.m_psi @ uc)
-    eq_gap = float(np.max(np.abs(lhs_c - rhs_c) / np.maximum(rhs_c, 1e-300)))
-
+    def residuals(u, y):
+        au = ops.integrate(u)
+        lhs = _dots(au, ops.m_chi @ au)
+        rhs = ops.measure2 * _dots(u, ops.m_psi @ u)
+        uc = ops.embed(y)
+        auc = ops.integrate(uc)
+        lhs_c = _dots(auc, ops.m_chi @ auc)
+        rhs_c = ops.measure2 * _dots(uc, ops.m_psi @ uc)
+        return np.max(lhs - rhs), \
+            np.max(np.abs(lhs_c - rhs_c) / np.maximum(rhs_c, 1e-300))
+    blocks = _field_blocks("operator_norm_bound", seed, trials, ops.n_psi,
+                           ops.n_chi)
+    worst, eq_gap = map(float, np.max([residuals(*b) for b in blocks], axis=0))
     passed = worst <= STRUCT_TOL and eq_gap <= QUAD_REL_TOL
     return VerificationReport(
         name="operator_norm_bound", passed=bool(passed),

@@ -28,7 +28,9 @@ class Problem:
     ops: CouplingOperators
 
 
-def build_problem(cfg: RunConfig) -> Problem:
+def build_coupling(cfg: RunConfig
+                   ) -> tuple[SolidDomain, IntervalMesh, CouplingOperators]:
+    """The solid domain, the channel mesh and their coupling operators."""
     g = cfg.geometry
     domain = build_solid_domain(g.a, g.b, g.circumference, g.depth,
                                 g.n_ax, g.n_az, g.n_th)
@@ -36,6 +38,11 @@ def build_problem(cfg: RunConfig) -> Problem:
     quad = quadrature_rule(cfg.quad_degree)
     ops = assemble_coupling(SurfaceBasis(domain.coupling_boundary()),
                             LineBasis(channel), quad)
+    return domain, channel, ops
+
+
+def build_problem(cfg: RunConfig) -> Problem:
+    domain, channel, ops = build_coupling(cfg)
     heat = HeatSystem(domain, cfg.heat, cfg.quad_degree)
     fluid = FluidSystem(channel, cfg.fluid, cfg.quad_degree)
     return Problem(domain=domain, heat=heat, fluid=fluid, ops=ops)
@@ -139,13 +146,9 @@ def azimuthal_refinement_gap(cfg: RunConfig, value: float = 1.0) -> float:
     refinement, for an azimuthally constant wall output (exact for
     constants, so the gap is pure round-off)."""
     g = cfg.geometry
-    quad = quadrature_rule(cfg.quad_degree)
-    line = LineBasis(IntervalMesh(g.a, g.b, g.n_fluid))
     results = []
     for n_az in (g.n_az, 2 * g.n_az):
-        domain = build_solid_domain(g.a, g.b, g.circumference, g.depth,
-                                    g.n_ax, n_az, g.n_th)
-        ops = assemble_coupling(SurfaceBasis(domain.coupling_boundary()),
-                                line, quad)
+        refined = replace(cfg, geometry=replace(g, n_az=n_az))
+        _, _, ops = build_coupling(refined)
         results.append(ops.integrate(np.full(ops.n_psi, float(value))))
     return float(np.max(np.abs(results[0] - results[1])))

@@ -155,6 +155,17 @@ class TestVerifyCommand:
         assert err.startswith("usage: phmix")
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_negative_seed_exit_2(self, capsys, tmp_path, via):
+        # numpy's seeding rejects a negative seed with a traceback; the
+        # config check names it first, for the flag and the file alike
+        argv = ["--seed", "-1"] if via == "flag" else \
+            ["--config", write_cfg(tmp_path, {"seed": -1})]
+        code = cli.main(["verify", "--trials", "5", *argv])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: seed must be >= 0, got -1\n"
+
     def test_failed_check_exit_1(self, capsys, monkeypatch, tmp_path):
         broken = VerificationReport(name="adjointness", passed=False,
                                     max_residual=1.0, tolerance=1e-11,

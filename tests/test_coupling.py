@@ -199,28 +199,34 @@ class TestChecks:
         assert not rep.passed
         assert rep.max_residual > 1e3 * rep.tolerance
 
-    def test_checks_draw_their_own_fields(self, monkeypatch):
-        # one seed gives each randomized check its own stream, so the first
-        # field each check draws shares no value with another check's
+    def test_transpose_identity_fails_on_shape_mismatch(self):
         ops = make_ops()
-        draw = dirac._random_fields
-        drawn = []
+        bad = dataclasses.replace(ops, d_psi=ops.d_psi[:-1])
+        rep = check_transpose_identity(bad)
+        assert not rep.passed
+        assert rep.max_residual == np.inf
 
-        def recording(rng, trials, n):
-            drawn.append(draw(rng, trials, n))
-            return drawn[-1]
+    def test_checks_draw_their_own_fields(self, monkeypatch):
+        # one seed gives each randomized check its own stream and each of
+        # the check's stacks a child of it, so no two stacks share a value
+        ops = make_ops()
+        blocks = dirac._field_blocks
+        stacks = []
 
-        monkeypatch.setattr(dirac, "_random_fields", recording)
-        monkeypatch.setattr(coupling, "_random_fields", recording)
-        first = []
+        def recording(*args):
+            for block in blocks(*args):
+                stacks.extend(block)
+                yield block
+
+        monkeypatch.setattr(dirac, "_field_blocks", recording)
+        monkeypatch.setattr(coupling, "_field_blocks", recording)
         for check in (check_adjointness, operator_norm_bound_check,
                       check_dirac_pairing, check_power_balance):
-            drawn.clear()
             assert check(ops, trials=3, seed=5).passed
-            first.append(drawn[0][:ops.n_chi, 0])
-        for i in range(len(first)):
+        assert len(stacks) == 2 + 2 + 4 + 2
+        for i in range(len(stacks)):
             for j in range(i):
-                assert not np.isin(first[i], first[j]).any()
+                assert not np.isin(stacks[i], stacks[j]).any()
 
     def test_block_map_skew_adjoint_in_mass_inner_products(self):
         ops = make_ops(n_ax=3, n_az=3)

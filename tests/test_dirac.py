@@ -1,9 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from phmix import dirac
+from phmix.coupling import check_power_balance
 from phmix.dirac import LineField, SurfaceField, check_adjointness, \
     check_dirac_pairing, embed, integrate_out, j_matrix, \
     operator_norm_bound_check
@@ -286,6 +289,54 @@ class TestNormBound:
         assert not report.passed
         gap = float(report.details["equality_rel_gap_constant_fields"])
         assert gap == pytest.approx(0.0201, rel=1e-6)
+
+
+class TestFieldBlocks:
+    CHECKS = (check_adjointness, operator_norm_bound_check,
+              check_dirac_pairing, check_power_balance)
+
+    def reports(self, ops, trials, seed=4):
+        return [(rep.max_residual, rep.lines())
+                for rep in (check(ops, trials, seed) for check in self.CHECKS)]
+
+    @pytest.mark.parametrize("trials,block", [
+        (200, 2), (200, 7), (200, 30), (201, 50)])
+    def test_reports_independent_of_block_size(self, monkeypatch, trials,
+                                               block):
+        # at 16x8 the default block holds 240 trials; with `block` trials
+        # per block 200 trials end in a remainder of 2, 4 or 20, and the
+        # one-trial remainder of 201 folds into the block before it
+        ops = make_ops(n_ax=16, n_az=8)
+        default = self.reports(ops, trials)
+        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * block)
+        assert self.reports(ops, trials) == default
+
+    def test_fields_of_fewer_trials_are_a_prefix(self, monkeypatch):
+        ops = make_ops(n_ax=6, n_az=5)
+        sizes = (ops.n_chi, ops.n_psi, ops.n_chi, ops.n_psi)
+
+        def fields(trials):
+            blocks = dirac._field_blocks("dirac_pairing", 3, trials, *sizes)
+            return [np.hstack(stacks) for stacks in zip(*blocks)]
+
+        many = fields(50)
+        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 4)
+        for k in (1, 2, 9, 50):
+            for few, full in zip(fields(k), many):
+                assert np.array_equal(few, full[:, :k])
+
+    def test_memory_independent_of_trials(self):
+        # one (n_psi, 2000) stack at 48x24 is 18.8 MB; the blocks keep the
+        # check's peak to a few of their 256 KiB stacks
+        ops = make_ops(n_ax=48, n_az=24)
+        ops.integrate(np.zeros(ops.n_psi))  # factor m_chi outside the trace
+        tracemalloc.start()
+        try:
+            assert check_dirac_pairing(ops, trials=2000, seed=0).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def test_tensor_input_integral_independent_of_azimuthal_mesh():
