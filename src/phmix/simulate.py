@@ -39,14 +39,13 @@ slab order and the band position of every entry are fixed by the mesh and
 built on the first Jacobian build.  An exact zero pivot fails the Newton
 attempt like an invalid state does.
 
-A chord solve takes the factor where dgbtrf left it.  When the
-factorization interchanged no rows (the pivots are the identity, as on
-every factor of the default cooldown and of the meshes up to 32x16x4), U
-has only ku superdiagonals and the solve is two BLAS band-triangle solves
-(dtbsv): the unit-lower triangle of half-width kl, then the upper of
-half-width ku, each read in place from the factored buffer as an (ldab, n)
-view at a flat offset.  A factor with row interchanges is solved by dgbtrs,
-which applies them.
+When the factorization interchanged no rows (the pivots are the identity,
+as on every factor of the default cooldown and of the meshes up to
+32x16x4), U has only ku superdiagonals, and the build keeps contiguous
+copies of the two triangles in place of the band: the unit-lower one of
+half-width kl and the upper one of half-width ku, which a chord solve
+passes to two BLAS band-triangle solves (dtbsv).  A factor with row
+interchanges keeps the band and its pivots for dgbtrs, which applies them.
 
 Each step starts from a prediction read off a backward-difference table of
 the accepted states, of the order the table's own terms support (up to
@@ -303,9 +302,7 @@ class JacobianLayout:
     extra rows take the fill of row pivoting) is, flat, the vector whose
     position j ldab + kl + ku + i - j holds the entry.  A build sums into
     `bins` flat positions: the band, then one wall slot per (row, channel
-    node) that the coupling dofs of that node reach, then a dump bin, at
-    least kl + ku positions in all past the band, so that the triangle
-    views of `triangles` fit in the buffer.
+    node) that the coupling dofs of that node reach, then a dump bin.
 
     Entry e of `HeatSystem.loads_tangent`'s raveled blocks adds into flat
     position pos[e]: its band position for a free column, the wall slot of
@@ -336,28 +333,7 @@ class JacobianLayout:
 
     @property
     def bins(self) -> int:
-        return len(self.order) * self.ldab + \
-            max(len(self.wall_node) + 1, self.kl + self.ku)
-
-    def triangles(self, lu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The unit-lower and the upper triangle of a factor `lu` that
-        interchanged no rows, as the (ldab, n) band arrays dtbsv reads with
-        half-widths kl and ku.
-
-        Without interchanges U has only ku superdiagonals, in band rows kl
-        to kl + ku, and the multipliers of L sit in rows kl + ku + 1 on.
-        Both are F-ordered views of the flat buffer under `lu`, a build's
-        `bins`, at flat offsets kl + ku and kl: row d of the lower view is
-        band row kl + ku + d, row d of the upper one band row kl + d.
-        dtbsv reads only the band entries of either; the lower view runs
-        kl + ku positions past the band, into the buffer's slack.
-        """
-        buf = lu.base  # the flat buffer `_jacobian` built
-        if buf is None or buf.ctypes.data != lu.ctypes.data:
-            raise ValueError("the factor is not the band of a build's buffer")
-        return tuple(np.ndarray((self.ldab, lu.shape[1]), order="F",
-                                buffer=buf, offset=buf.itemsize * skip)
-                     for skip in (self.kl + self.ku, self.kl))
+        return len(self.order) * self.ldab + len(self.wall_node) + 1
 
 
 class CoupledSimulation:
@@ -399,7 +375,7 @@ class CoupledSimulation:
         self._nx = self._nfree + 3 * self._nf
 
         self._layout = None  # JacobianLayout, built on the first build
-        self._lu = None  # the factored band, its pivots and triangles
+        self._lu = None  # (band, pivots), or (lower, upper) triangles
         self.newton_iterations = 0
         self.jacobian_builds = self.row_interchanges = 0
         self.jacobian_build_s = self.chord_solve_s = 0.0
@@ -608,21 +584,28 @@ class CoupledSimulation:
 
     def _build_jacobian(self, x: np.ndarray):
         """Build the Jacobian at x, where `_residual` last ran, and
-        factorize it in place for the chord solves, with the factor's
-        triangles if it interchanged no rows.  An exact zero pivot raises
-        SingularJacobianError naming its unknown."""
+        factorize it in place for the chord solves.  A factor that
+        interchanged no rows is kept as contiguous copies of its triangles:
+        the multipliers of L in band rows kl + ku on (the unit diagonal
+        first) and U's ku superdiagonals and diagonal in rows kl to kl + ku;
+        one with interchanges as the band and its pivots.  An exact zero
+        pivot raises SingularJacobianError naming its unknown."""
         t0 = _time.perf_counter()
         band = self._jacobian(x)
         lay = self._layout
-        lu, piv, info = dgbtrf(band, lay.kl, lay.ku, overwrite_ab=1)
+        kl, ku = lay.kl, lay.ku
+        lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
         moved = int(np.count_nonzero(piv != np.arange(len(piv))))
+        factor = (lu, piv) if moved else (
+            np.asfortranarray(lu[kl + ku:]),
+            np.asfortranarray(lu[kl:kl + ku + 1]))
         self.jacobian_builds += 1
         self.row_interchanges += moved
         self.jacobian_build_s += _time.perf_counter() - t0
         if info > 0:
             unknown = int(lay.order[info - 1])
             raise SingularJacobianError(unknown, self._unknown_name(unknown))
-        self._lu = lu, piv, None if moved else lay.triangles(lu)
+        self._lu = factor
 
     def _unknown_name(self, k: int) -> str:
         """The field and node of packed unknown k."""
@@ -632,19 +615,18 @@ class CoupledSimulation:
         return f"{('phi', 'vel', 's')[field]}[{node}]"
 
     def _chord_solve(self, r: np.ndarray) -> np.ndarray:
-        """The Newton correction J^-1 r from the factored band: the two
-        triangle solves of a factor without row interchanges, dgbtrs for
-        one with them."""
+        """The Newton correction J^-1 r from the factor: the two triangle
+        solves of a factor without row interchanges, dgbtrs for one with
+        them."""
         t0 = _time.perf_counter()
         lay = self._layout
-        lu, piv, triangles = self._lu
+        a, b = self._lu
         y = r[lay.order]
-        if triangles is None:
-            y, _ = dgbtrs(lu, lay.kl, lay.ku, y, piv, overwrite_b=1)
-        else:
-            lower, upper = triangles
-            y = dtbsv(lay.kl, lower, y, lower=1, diag=1, overwrite_x=1)
-            y = dtbsv(lay.ku, upper, y, overwrite_x=1)
+        if b.ndim == 1:  # the band and its pivots
+            y, _ = dgbtrs(a, lay.kl, lay.ku, y, b, overwrite_b=1)
+        else:  # the lower and the upper triangle
+            y = dtbsv(lay.kl, a, y, lower=1, diag=1, overwrite_x=1)
+            y = dtbsv(lay.ku, b, y, overwrite_x=1)
         dx = y[lay.rank]
         self.chord_solve_s += _time.perf_counter() - t0
         return dx

@@ -317,6 +317,22 @@ class TestConvergenceCommand:
         assert "azimuthal_refinement_gap" in out
         assert "PASS" in out
 
+    def test_zero_drift_level_reports_no_order(self, tmp_path):
+        # the middle level's energy balance closes to 0.0 on this run; the
+        # orders next to a zero drift read "-", and the report is written
+        data = {"scenario": "acoustic-pulse", "sim": {"t_end": 0.005}}
+        cfg = write_cfg(tmp_path, data)
+        out_dir = tmp_path / "conv"
+        code = cli.main(["convergence", "--config", cfg,
+                         "--output", str(out_dir)])
+        assert code == 0
+        lines = (out_dir / "convergence.csv").read_text().splitlines()
+        rows = [l.split(",") for l in lines[1:]]
+        assert [r[1] for r in rows] == ["20", "40", "80"]
+        for prev, row in zip(rows, rows[1:]):
+            zero = float(prev[2]) == 0.0 or float(row[2]) == 0.0
+            assert (row[3] == "") == zero
+
     def test_refinement_gap_failure_exit_1(self, capsys, tmp_path,
                                            monkeypatch):
         # a gap above the bound is a failed verification: FAIL and exit 1,

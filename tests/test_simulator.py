@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from phmix import driver
 from phmix.config import default_config
 from phmix.driver import POWER_RESIDUAL_TOL, build_problem, \
     convergence_study, drift_per_time, make_simulation, run_from_config, \
@@ -212,27 +213,37 @@ class TestBandLU:
     def test_chord_solve_matches_dgbtrs(self, name, geometry, dt,
                                         interchanged):
         # the triangle solves of a factor without interchanges, and the
-        # solve of one with them, against LAPACK's on the same factor
-        sim, _, r, moved = factored_point(name, geometry, dt)
+        # solve of one with them, against LAPACK's on a factor of the same
+        # band
+        sim, x, r, moved = factored_point(name, geometry, dt)
         lay = sim._layout
-        lu, piv, triangles = sim._lu
+        lu, piv, info = dgbtrf(sim._jacobian(x), lay.kl, lay.ku)
+        assert info == 0
         assert moved == np.count_nonzero(piv != np.arange(len(piv)))
         assert (moved > 0) == interchanged
-        assert (triangles is None) == interchanged
         y, info = dgbtrs(lu, lay.kl, lay.ku, r[lay.order], piv)
         assert info == 0
         want = y[lay.rank]
         got = sim._chord_solve(r)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        if interchanged:  # the band and its pivots, as dgbtrf left them
+            kept_lu, kept_piv = sim._lu
+            assert np.array_equal(kept_lu, lu)
+            assert np.array_equal(kept_piv, piv)
 
-    def test_triangle_solves_read_the_factor_in_place(self):
-        # the triangles are views of the factored buffer, and a solve
-        # allocates vectors only, no copy of the band
-        sim, _, r, moved = factored_point(*LADDER_CASES[0].values, 2.5e-4)
-        lu, _, triangles = sim._lu
-        assert moved == 0
-        assert all(np.shares_memory(t, lu) and t.flags.f_contiguous
-                   for t in triangles)
+    def test_triangle_state_is_two_contiguous_copies(self):
+        # a factor without interchanges is kept as its two triangles,
+        # copied out of the factored band, which is not kept; a solve
+        # allocates vectors only
+        sim, x, r, moved = factored_point(*LADDER_CASES[0].values, 2.5e-4)
+        lay = sim._layout
+        kl, ku = lay.kl, lay.ku
+        lu, _, info = dgbtrf(sim._jacobian(x), kl, ku)
+        assert moved == 0 and info == 0
+        lower, upper = sim._lu
+        for kept, rows in ((lower, lu[kl + ku:]), (upper, lu[kl:kl + ku + 1])):
+            assert kept.flags.f_contiguous and kept.base is None
+            assert np.array_equal(kept, rows)
         sim._chord_solve(r)
         tracemalloc.start()
         try:
@@ -240,7 +251,7 @@ class TestBandLU:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < lu.nbytes / 20
+        assert peak < (lower.nbytes + upper.nbytes) / 20
 
     @pytest.mark.parametrize("dt,moved", [(5e-4, 0), (4e-3, 5)])
     def test_run_reports_row_interchanges(self, dt, moved):
@@ -734,6 +745,24 @@ class TestHeatedExternalFace:
         assert [row.steps for row in rows] == [40, 80, 160]
         for row in rows[1:]:
             assert abs(row.observed_order - 2.0) <= 0.1
+
+    def test_no_order_next_to_a_zero_drift(self, monkeypatch):
+        # a level whose energy balance closes exactly has no order against
+        # either neighbour; the problem is built once for all the levels
+        drifts = iter([1e-9, 0.0, 1e-9])
+        monkeypatch.setattr(driver, "drift_per_time",
+                            lambda result: next(drifts))
+        builds, real_build = [], driver.build_problem
+
+        def build_problem(cfg):
+            builds.append(cfg)
+            return real_build(cfg)
+
+        monkeypatch.setattr(driver, "build_problem", build_problem)
+        rows = convergence_study(small_cfg())
+        assert [row.steps for row in rows] == [10, 20, 40]
+        assert [row.observed_order for row in rows] == [None, None, None]
+        assert len(builds) == 1
 
 
 @pytest.fixture(scope="module")
