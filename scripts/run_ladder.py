@@ -49,7 +49,7 @@ def run_rung(rung: str) -> dict:
                            cfg.scenario_params)
     sim = make_simulation(problem, cfg, setup)
     result = sim.run(setup)
-    return {"rung": rung, "unknowns": sim._nx, "kl": sim._layout.kl,
+    return {"rung": rung, "unknowns": sim.chord.n, "kl": sim.chord.layout.kl,
             "newton": result.newton_iterations,
             "builds": result.jacobian_builds,
             "interchanges": result.row_interchanges,

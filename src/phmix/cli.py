@@ -50,8 +50,8 @@ def _load(args, **overrides) -> RunConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _step_failure(exc: StepFailureError) -> str:
-    """The error line of a failed step, naming the step `run` attached."""
+def _error_line(exc: Exception) -> str:
+    """The error line of a failure, naming the step `run` attached."""
     step = getattr(exc, "step", None)
     return f"error: {exc}" if step is None else f"error: step {step}: {exc}"
 
@@ -94,15 +94,19 @@ def cmd_simulate(args) -> int:
         return 2
     try:
         result = sim.run(setup, cfg.output_dir)
-    except StepFailureError as exc:
+    except (PhmixError, OSError) as exc:
+        # a failed step, or a snapshot or the ledger that could not be
+        # written
         ledger = getattr(exc, "ledger", None)
         if ledger is not None and len(ledger):
             print(f"last ledger row: {ledger.records[-1].csv_row()}",
                   file=sys.stderr)
-        print(_step_failure(exc), file=sys.stderr)
-        return 1
-    except PhmixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if hasattr(exc, "ledger_path"):
+            print(f"partial ledger: {exc.ledger_path}", file=sys.stderr)
+        if hasattr(exc, "ledger_error"):
+            print(f"partial ledger not written: {exc.ledger_error}",
+                  file=sys.stderr)
+        print(_error_line(exc), file=sys.stderr)
         return 1
     led = result.ledger
     total = led.column("total")
@@ -135,13 +139,17 @@ def cmd_convergence(args) -> int:
         rows = convergence_study(cfg)
         gap = azimuthal_refinement_gap(cfg)
     except StepFailureError as exc:
-        print(_step_failure(exc), file=sys.stderr)
+        print(_error_line(exc), file=sys.stderr)
         return 1
     except PhmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     path = os.path.join(cfg.output_dir, "convergence.csv")
-    write_convergence_csv(rows, path)
+    try:
+        write_convergence_csv(rows, path)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for row in rows:
         order = "-" if row.observed_order is None else f"{row.observed_order:.3f}"
         print(f"dt={row.dt:.6e} steps={row.steps} "

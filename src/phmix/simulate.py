@@ -21,31 +21,8 @@ d_chi v as (d_chi m_psi^-1) times the wall output, with the dense matrix
 formed once from the assembled block d_chi, so the ledger's power residual
 also checks that block against the nodal pair.
 
-Newton factorizes the midpoint Jacobian with LAPACK's band LU (dgbtrf,
-partial pivoting) and reuses it (chord iterations) until convergence
-degrades, then rebuilds.  The coupling graph is a thin tensor-product box
-plus a 1D channel, so the unknowns, permuted once into an axial-slab order
-(slab by slab along the axis; inside a slab the free thickness layers from
-the external face down to the wall, the azimuth reflected as 0, n-1, 1,
-n-2, ... so that periodic neighbours stay close; the channel's (phi, vel,
-s) of a node right after its slab), give a band of half-width at most
-n_az (n_th + 1) + 5.  The Jacobian is built straight into LAPACK's band
-storage, which dgbtrf factors in place, and every column is exact: the
-mass minus dt/2 times the tangents of the subsystems' loads, which
-`HeatSystem.loads_tangent` (an 8x8 block per cell) and
-`FluidSystem.loads_tangent` give in closed form, with the columns of the
-pinned coupling dofs carried to the channel (phi, s) that pin them.  The
-slab order and the band position of every entry are fixed by the mesh and
-built on the first Jacobian build.  An exact zero pivot fails the Newton
-attempt like an invalid state does.
-
-When the factorization interchanged no rows (the pivots are the identity,
-as on every factor of the default cooldown and of the meshes up to
-32x16x4), U has only ku superdiagonals, and the build keeps contiguous
-copies of the two triangles in place of the band: the unit-lower one of
-half-width kl and the upper one of half-width ku, which a chord solve
-passes to two BLAS band-triangle solves (dtbsv).  A factor with row
-interchanges keeps the band and its pivots for dgbtrs, which applies them.
+Newton's chord iterations build, factor and solve with the midpoint
+Jacobian through the stepper's `chord.ChordSolver`.
 
 Each step starts from a prediction read off a backward-difference table of
 the accepted states, of the order the table's own terms support (up to
@@ -66,9 +43,8 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from .chord import ChordSolver
 from .errors import ConfigurationError, MeshCompatibilityError, PhmixError, \
     SingularJacobianError, StateValidityError, StepFailureError
 from .fem import CouplingOperators
@@ -290,52 +266,6 @@ def advance_table(table: np.ndarray, sums: np.ndarray,
     return new
 
 
-@dataclass(frozen=True)
-class JacobianLayout:
-    """Band positions of the midpoint Jacobian's entries, fixed by the mesh.
-
-    The band holds P J P^T, J in the packed unknowns (free solid entropy,
-    phi, vel, s) and P the axial-slab order: `order[i]` is the packed
-    unknown at band row and column i, `rank` its inverse.  Entry (i, j) of
-    the permuted matrix has LAPACK's band position (kl + ku + i - j, j), so
-    an (ldab, n) Fortran-ordered array with ldab = 2 kl + ku + 1 (the kl
-    extra rows take the fill of row pivoting) is, flat, the vector whose
-    position j ldab + kl + ku + i - j holds the entry.  A build sums into
-    `bins` flat positions: the band, then one wall slot per (row, channel
-    node) that the coupling dofs of that node reach, then a dump bin.
-
-    Entry e of `HeatSystem.loads_tangent`'s raveled blocks adds into flat
-    position pos[e]: its band position for a free column, the wall slot of
-    its row and node for a coupling dof's column, the dump bin for a held
-    row or external column.  `chan` (3 n_f, 3 n_f) are the flat positions
-    of `FluidSystem.loads_tangent`'s entries, the dump bin outside each
-    block's reach (the tangent is zero there); `diag` those of the
-    diagonal in the packed order.  Wall slot k enters the phi and s
-    columns of its node `wall_node[k]` at the band positions
-    `wall_cols[:, k]`, and `wall_rate[j]` is the slot of node j's own
-    entropy row.
-    """
-
-    pos: np.ndarray
-    chan: np.ndarray
-    diag: np.ndarray
-    wall_cols: np.ndarray
-    wall_node: np.ndarray
-    wall_rate: np.ndarray
-    order: np.ndarray
-    rank: np.ndarray
-    kl: int
-    ku: int
-
-    @property
-    def ldab(self) -> int:
-        return 2 * self.kl + self.ku + 1
-
-    @property
-    def bins(self) -> int:
-        return len(self.order) * self.ldab + len(self.wall_node) + 1
-
-
 class CoupledSimulation:
     """Implicit-midpoint stepper for the coupled (or channel-only) system."""
 
@@ -360,25 +290,21 @@ class CoupledSimulation:
                     f"coupling operators' line mesh {ops.line.mesh} does not "
                     f"match the channel mesh {fluid_sys.mesh}")
 
-        n_solid = heat_sys.n_dofs
-        pinned = []
+        self._free = None  # the free solid dofs, None for a channel alone
+        mass_rows = [fluid_sys.mass] * 3  # the residual's, packed
         if coupled:
-            pinned.append(heat_sys.coupling_dofs)
+            free = np.ones(heat_sys.n_dofs, dtype=bool)
+            free[heat_sys.coupling_dofs] = False
             if ext_temperature is not None:
-                pinned.append(heat_sys.external_dofs)
-        self._pinned = np.concatenate(pinned) if pinned else np.array([], int)
-        mask = np.ones(n_solid, dtype=bool)
-        mask[self._pinned] = False
-        self._free = np.nonzero(mask)[0]
+                free[heat_sys.external_dofs] = False
+            self._free = np.flatnonzero(free)
+            mass_rows.insert(0, heat_sys.mass[self._free])
         self._nf = fluid_sys.n_dofs
         self._nfree = len(self._free) if coupled else 0
-        self._nx = self._nfree + 3 * self._nf
-
-        self._layout = None  # JacobianLayout, built on the first build
-        self._lu = None  # (band, pivots), or (lower, upper) triangles
+        self._mass_rows = np.concatenate(mass_rows)
+        self.chord = ChordSolver(heat_sys, fluid_sys, ops, self._free,
+                                 self._mass_rows, cfg.dt)
         self.newton_iterations = 0
-        self.jacobian_builds = self.row_interchanges = 0
-        self.jacobian_build_s = self.chord_solve_s = 0.0
 
     # ---- state packing -------------------------------------------------
 
@@ -453,183 +379,12 @@ class CoupledSimulation:
 
     # ---- Newton ----------------------------------------------------------
 
-    def _slab_order(self, col_of: np.ndarray) -> np.ndarray:
-        """The packed unknowns in axial-slab order.  Slab i holds the free
-        solid dofs at axial node i, thickness layers from the external face
-        down to the wall-adjacent one, each layer's azimuth in the reflected
-        order 0, n-1, 1, n-2, ... (periodic neighbours at most two apart),
-        then the channel's (phi, vel, s) at node i.  `col_of` is the packed
-        column of each solid dof, -1 for a held one."""
-        nf, nfree = self._nf, self._nfree
-        # the channel's (phi, vel, s) of every node, one row per node
-        chan = nfree + nf * np.arange(3) + np.arange(nf)[:, None]
-        if not self.coupled:
-            return chan.ravel()
-        dom = self.heat.domain
-        n_az, n_th = dom.azimuthal.n_nodes, dom.thickness.n_nodes
-        reflected = np.empty(n_az, dtype=np.intp)
-        reflected[0::2] = np.arange((n_az + 1) // 2)
-        reflected[1::2] = n_az - 1 - np.arange(n_az // 2)
-        nodes = dom.node_index(np.arange(nf)[:, None, None], reflected,
-                               np.arange(n_th)[::-1, None])
-        slabs = np.hstack([col_of[nodes].reshape(nf, -1), chan])
-        return slabs[slabs >= 0]
-
-    def _jacobian_layout(self) -> JacobianLayout:
-        """The index arrays of every Jacobian build: the slab order, the
-        flat positions of the layout's entries, and the half-widths kl and
-        ku they span."""
-        nf, nfree, nx = self._nf, self._nfree, self._nx
-        heat = self.heat
-        col_of = np.full(heat.n_dofs, -1)  # packed column, -1 if held
-        if self.coupled:
-            col_of[self._free] = np.arange(nfree)
-        order = self._slab_order(col_of)
-        rank = np.empty(nx, dtype=np.intp)
-        rank[order] = np.arange(nx)
-        # the channel block: grad_pairing reaches the neighbouring nodes in
-        # the (phi, vel), (vel, phi) and (vel, s) blocks, the rest is diagonal
-        field, node = np.divmod(np.arange(3 * nf), nf)
-        reach = np.array([[0, 1, 0], [1, 0, 1], [0, 0, 0]])
-        near = np.abs(node[:, None] - node) <= reach[field[:, None], field]
-        chan_r, chan_c = rank[nfree:, None], rank[nfree:][None, :]
-        offsets = [(chan_r - chan_c)[near]]
-        keys = pos = wall_rate = np.empty(0, dtype=np.intp)
-        if self.coupled:
-            # the row of each solid dof's load: its free row, or for a
-            # coupling dof the entropy row of its channel node (embed_t)
-            node_of = np.full(heat.n_dofs, -1)
-            node_of[heat.coupling_dofs] = self.ops.embed(np.arange(nf))
-            row_of = np.where(node_of < 0, col_of, nfree + 2 * nf + node_of)
-            row = row_of[heat._gather][:, None, :]  # (a, ., cell)
-            col = col_of[heat._gather][None, :, :]  # (., b, cell)
-            wnode = node_of[heat._gather][None, :, :]
-            kept = (row >= 0) & (col >= 0)
-            wall = (row >= 0) & (wnode >= 0)
-            tan_c = rank[col]
-            tan = rank[row] - tan_c  # the offsets, garbage where not kept
-            offsets.append(tan[kept])
-            # one slot per (row, node) that a coupling column reaches
-            a, b, cell = np.nonzero(wall)
-            keys, slot = np.unique(row[a, 0, cell] * nf + wnode[0, b, cell],
-                                   return_inverse=True)
-            wall_r = rank[keys // nf]
-            wall_c = rank[nfree + np.array([[0], [2 * nf]]) + keys % nf]
-            offsets.append((wall_r - wall_c).ravel())
-            own = np.arange(nf)  # the slot of each node's own entropy row
-            wall_rate = np.searchsorted(keys,
-                                        (nfree + 2 * nf + own) * nf + own)
-        offsets = np.concatenate(offsets)
-        kl, ku = int(offsets.max()), int(-offsets.min())
-        ldab = 2 * kl + ku + 1
-        size = nx * ldab
-        dump = size + len(keys)
-
-        def flat(r, c):
-            return c * (ldab - 1) + r + (kl + ku)
-
-        wall_cols = np.empty((2, 0), dtype=np.intp)
-        if self.coupled:
-            pos = tan  # flat(rank[row], tan_c), in place on the offsets
-            pos += tan_c * ldab + (kl + ku)
-            pos[~kept] = dump
-            pos[wall] = size + slot
-            pos = pos.ravel()
-            wall_cols = flat(wall_r, wall_c)
-        return JacobianLayout(
-            pos=pos, chan=np.where(near, flat(chan_r, chan_c), dump),
-            diag=flat(rank, rank), wall_cols=wall_cols, wall_node=keys % nf,
-            wall_rate=wall_rate, order=order, rank=rank, kl=kl, ku=ku)
-
-    def _jacobian(self, x: np.ndarray) -> np.ndarray:
-        """The midpoint Jacobian at x, where `_residual` last ran (its port
-        fields are those at x), in slab order as the (ldab, nx)
-        Fortran-ordered band of the layout.
-
-        The residual is M (x1 - x0) - dt F(x_mid), so J = M - (dt/2)
-        dF/dx_mid.  On the channel rows dF/dx_mid is
-        `FluidSystem.loads_tangent`, whose sealed-end rows are zero, as the
-        rows mass vel1 need.  The wall rows dt wall = mass (s1 - s0) - dt
-        loads, with the end value s1 = 2 s_mid - s0 that the pin implies,
-        have the form of the free rows, and both take
-        `HeatSystem.loads_tangent` at the pinned midpoint.  A coupling dof
-        at node j is pinned to entropy_of_temperature(t_m[j]), so its
-        column, summed along the azimuth into the wall slots together with
-        its mass, enters the phi and s columns of node j times ds1/dx1 =
-        (rho c / t_m) dT/dx_mid.
-        """
-        if self._layout is None:
-            self._layout = self._jacobian_layout()
-        lay, nfree, nf = self._layout, self._nfree, self._nf
-        size = len(x) * lay.ldab
-        mid = 0.5 * (self._x_old[nfree:] + x[nfree:])  # the channel's
-        fluid_tan, t_grad = self.fluid.loads_tangent(
-            FluidState(*mid.reshape(3, nf)))
-        if self.coupled:
-            local = self.heat.loads_tangent(self._ports[1])
-            full = np.bincount(lay.pos, weights=local.ravel(),
-                               minlength=lay.bins)
-        else:
-            full = np.zeros(lay.bins)
-        full[lay.chan] += fluid_tan  # the far entries, all zero, share a bin
-        full *= -0.5 * self.cfg.dt
-        full[lay.diag] += self._mass_rows
-        if self.coupled:
-            heat, wall = self.heat, full[size:size + len(lay.wall_node)]
-            wall[lay.wall_rate] += self.ops.embed_t(
-                heat.mass[heat.coupling_dofs])
-            dsw = heat.material.rho_c / self._ports[0] * t_grad
-            full[lay.wall_cols] += wall * dsw[:, lay.wall_node]
-        return full[:size].reshape(len(x), lay.ldab).T
-
     def _build_jacobian(self, x: np.ndarray):
-        """Build the Jacobian at x, where `_residual` last ran, and
-        factorize it in place for the chord solves.  A factor that
-        interchanged no rows is kept as contiguous copies of its triangles:
-        the multipliers of L in band rows kl + ku on (the unit diagonal
-        first) and U's ku superdiagonals and diagonal in rows kl to kl + ku;
-        one with interchanges as the band and its pivots.  An exact zero
-        pivot raises SingularJacobianError naming its unknown."""
-        t0 = _time.perf_counter()
-        band = self._jacobian(x)
-        lay = self._layout
-        kl, ku = lay.kl, lay.ku
-        lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
-        moved = int(np.count_nonzero(piv != np.arange(len(piv))))
-        factor = (lu, piv) if moved else (
-            np.asfortranarray(lu[kl + ku:]),
-            np.asfortranarray(lu[kl:kl + ku + 1]))
-        self.jacobian_builds += 1
-        self.row_interchanges += moved
-        self.jacobian_build_s += _time.perf_counter() - t0
-        if info > 0:
-            unknown = int(lay.order[info - 1])
-            raise SingularJacobianError(unknown, self._unknown_name(unknown))
-        self._lu = factor
-
-    def _unknown_name(self, k: int) -> str:
-        """The field and node of packed unknown k."""
-        if k < self._nfree:
-            return f"solid entropy[{self._free[k]}]"
-        field, node = divmod(k - self._nfree, self._nf)
-        return f"{('phi', 'vel', 's')[field]}[{node}]"
-
-    def _chord_solve(self, r: np.ndarray) -> np.ndarray:
-        """The Newton correction J^-1 r from the factor: the two triangle
-        solves of a factor without row interchanges, dgbtrs for one with
-        them."""
-        t0 = _time.perf_counter()
-        lay = self._layout
-        a, b = self._lu
-        y = r[lay.order]
-        if b.ndim == 1:  # the band and its pivots
-            y, _ = dgbtrs(a, lay.kl, lay.ku, y, b, overwrite_b=1)
-        else:  # the lower and the upper triangle
-            y = dtbsv(lay.kl, a, y, lower=1, diag=1, overwrite_x=1)
-            y = dtbsv(lay.ku, b, y, overwrite_x=1)
-        dx = y[lay.rank]
-        self.chord_solve_s += _time.perf_counter() - t0
-        return dx
+        """Build and factor the Jacobian at x, where `_residual` last ran,
+        from the channel midpoint and the port fields that residual left."""
+        t_m, s_mid = self._ports[:2]
+        mid = 0.5 * (self._x_old[self._nfree:] + x[self._nfree:])
+        self.chord.build(FluidState(*mid.reshape(3, self._nf)), s_mid, t_m)
 
     def _newton(self, x: np.ndarray):
         """Chord-Newton iterations from x until the scaled residual is at
@@ -643,13 +398,13 @@ class CoupledSimulation:
         """
         r = self._residual(x)
         norm = self._scaled_norm(r)
-        stale = self._lu is None
+        stale = not self.chord.factored
         for _ in range(self.cfg.newton_max_iters):
             if norm <= self.cfg.newton_tol:
                 break
             if stale:
                 self._build_jacobian(x)
-            x = x - self._chord_solve(r)
+            x = x - self.chord.solve(r)
             self.newton_iterations += 1
             r = self._residual(x)
             new_norm = self._scaled_norm(r)
@@ -662,7 +417,7 @@ class CoupledSimulation:
 
     def _prepare(self, heat_state: HeatState, fluid_state: FluidState):
         """Typical magnitudes for the residual row scaling and the
-        predictor's term sizes, and the packed mass rows of the residual."""
+        predictor's term sizes."""
         typ = []
         if self.coupled:
             typ.append(np.full(self._nfree,
@@ -670,11 +425,6 @@ class CoupledSimulation:
         for arr in (fluid_state.phi, fluid_state.vel, fluid_state.s):
             typ.append(np.full(self._nf, max(1.0, float(np.max(np.abs(arr))))))
         self._typ = np.concatenate(typ)
-        mass_rows = []
-        if self.coupled:
-            mass_rows.append(self.heat.mass[self._free])
-        mass_rows.extend([self.fluid.mass] * 3)
-        self._mass_rows = np.concatenate(mass_rows)
         self._row_scale = self._mass_rows * self._typ
 
     def step(self, heat_state: HeatState, fluid_state: FluidState,
@@ -727,7 +477,7 @@ class CoupledSimulation:
                 norm, failure = np.inf, exc
             if norm <= self.cfg.newton_tol:
                 break
-            self._lu = None  # retry once from x0 with a fresh factorization
+            self.chord.discard()  # retry once from x0 with a fresh factor
         else:
             reason = "did not converge" if failure is None \
                 else f"failed: {failure}"
@@ -776,6 +526,9 @@ class CoupledSimulation:
         the result reports this run only, with the Newton iterations and
         the final scaled residual of every step.  An error raised by a step
         carries the step index (`step`) and the ledger so far (`ledger`).
+        With an output directory the run also writes that ledger before it
+        re-raises and names the file (`ledger_path`); if that write fails,
+        the step's error carries the OSError (`ledger_error`) instead.
         """
         t_start = _time.perf_counter()
         cfg = self.cfg
@@ -790,16 +543,15 @@ class CoupledSimulation:
         heat_state = setup.heat_state.copy()
         fluid_state = setup.fluid_state.copy()
         self._prepare(heat_state, fluid_state)
-        self._lu = None
+        self.chord.reset()
         self.newton_iterations = 0
-        self.jacobian_builds = self.row_interchanges = 0
-        self.jacobian_build_s = self.chord_solve_s = 0.0
 
         ledger = EnergyLedger()
         check_specific_volume(fluid_state.phi)
         ledger.append(self._record(0.0, heat_state, fluid_state, (0.0, 0.0),
                                    0.0))
         if output_dir is not None:
+            ledger_path = os.path.join(output_dir, f"{setup.name}_ledger.csv")
             # the coordinate fields of every snapshot row, formatted once
             prefixes = (node_prefixes([self.heat.domain.node_coordinates()]),
                         node_prefixes([self.fluid.mesh.nodes]))
@@ -819,6 +571,12 @@ class CoupledSimulation:
             except PhmixError as exc:
                 exc.step = k  # partial record for diagnostics
                 exc.ledger = ledger
+                if output_dir is not None:
+                    try:
+                        ledger.write(ledger_path)
+                        exc.ledger_path = ledger_path
+                    except OSError as err:  # the step's error stays
+                        exc.ledger_error = err
                 raise
             iterations[k - 1] = self.newton_iterations - before
             residuals[k - 1] = norm
@@ -830,14 +588,14 @@ class CoupledSimulation:
                 self._snapshot(output_dir, setup.name, k, heat_state,
                                fluid_state, prefixes)
         if output_dir is not None:
-            ledger.write(os.path.join(output_dir, f"{setup.name}_ledger.csv"))
+            ledger.write(ledger_path)
         return SimResult(
             ledger, heat_state, fluid_state, n_steps, self.newton_iterations,
             step_iterations=iterations, step_residuals=residuals,
-            jacobian_builds=self.jacobian_builds,
-            row_interchanges=self.row_interchanges,
-            jacobian_build_s=self.jacobian_build_s,
-            chord_solve_s=self.chord_solve_s,
+            jacobian_builds=self.chord.builds,
+            row_interchanges=self.chord.row_interchanges,
+            jacobian_build_s=self.chord.build_s,
+            chord_solve_s=self.chord.solve_s,
             wall_time=_time.perf_counter() - t_start)
 
     def _record(self, time, heat_state, fluid_state, powers,

@@ -314,7 +314,7 @@ def csc_jacobian_oracle(sim, x):
     end-of-step change of each solid dof per unknown (1 on a free dof's own
     column; ds_w/dx_mid = (rho c / t_m) dT/dx_mid from its node's phi and s
     for a coupling dof)."""
-    nf, nfree, nx = sim._nf, sim._nfree, sim._nx
+    nf, nfree, nx = sim._nf, sim._nfree, sim.chord.n
     dt = sim.cfg.dt
     mid = 0.5 * (sim._x_old + x)
     fluid_tan, t_grad = sim.fluid.loads_tangent(

@@ -7,9 +7,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 import phmix
+from phmix import build_problem, build_scenario, default_config, \
+    make_simulation
+from phmix.chord import ChordSolver
+from phmix.errors import StepFailureError
+from phmix.simulate import CoupledSimulation
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -43,3 +49,36 @@ def test_instrument_patches_and_restores(monkeypatch):
     after = snapshot()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_build_hook_is_on_the_build_path(monkeypatch, singular):
+    # the traced run times every Jacobian build through
+    # CoupledSimulation._build_jacobian: each build a run counts passes
+    # through it, the build of a zero-pivot step's retry too
+    calls = []
+    hook = CoupledSimulation._build_jacobian
+    monkeypatch.setattr(CoupledSimulation, "_build_jacobian",
+                        lambda sim, x: calls.append(x) or hook(sim, x))
+    if singular:
+        band = ChordSolver.band
+
+        def zero_column(solver, *args):
+            out = band(solver, *args)
+            out[:, 0] = 0.0
+            return out
+
+        monkeypatch.setattr(ChordSolver, "band", zero_column)
+    cfg = default_config(geometry={"n_ax": 6, "n_az": 4, "n_th": 3,
+                                   "n_fluid": 6},
+                         sim={"dt": 5e-4, "t_end": 5e-3})
+    problem = build_problem(cfg)
+    setup = build_scenario(cfg.scenario, problem.heat, problem.fluid, {})
+    sim = make_simulation(problem, cfg, setup)
+    if singular:
+        with pytest.raises(StepFailureError, match="zero pivot"):
+            sim.run(setup)
+        assert len(calls) == sim.chord.builds == 2
+    else:
+        result = sim.run(setup)
+        assert len(calls) == result.jacobian_builds >= 1

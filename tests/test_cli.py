@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from phmix import cli
+from phmix.chord import ChordSolver
 from phmix.config import config_from_dict, config_to_dict, default_config, \
     load_config
 from phmix.dirac import VerificationReport
 from phmix.errors import ConfigurationError
-from phmix.simulate import CoupledSimulation, LEDGER_HEADER
+from phmix.simulate import LEDGER_HEADER
 
 TINY = {
     "geometry": {"n_ax": 4, "n_az": 3, "n_th": 2, "n_fluid": 4},
@@ -20,6 +21,20 @@ def write_cfg(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+@pytest.fixture
+def singular_band(monkeypatch):
+    """Every Jacobian band with a zero column: each build has a zero
+    pivot."""
+    build = ChordSolver.band
+
+    def singular(solver, *args):
+        band = build(solver, *args)
+        band[:, solver.layout.rank[0]] = 0.0
+        return band
+
+    monkeypatch.setattr(ChordSolver, "band", singular)
 
 
 class TestConfig:
@@ -235,25 +250,55 @@ class TestSimulateCommand:
         assert int(report["row_interchanges"]) == moved
 
     def test_zero_pivot_exit_1_names_step_and_unknown(self, capsys, tmp_path,
-                                                       monkeypatch):
+                                                       singular_band):
         # a Jacobian with a zero column fails the step cleanly: the last
         # ledger row and the unknown behind the pivot, no traceback
-        build = CoupledSimulation._jacobian
-
-        def singular(sim, x):
-            band = build(sim, x)
-            band[:, sim._layout.rank[0]] = 0.0
-            return band
-
-        monkeypatch.setattr(CoupledSimulation, "_jacobian", singular)
         cfg = write_cfg(tmp_path, dict(TINY, scenario="hot-wall-cooldown"))
+        out_dir = tmp_path / "out"
         code = cli.main(["simulate", "--config", cfg,
-                         "--output", str(tmp_path / "out")])
+                         "--output", str(out_dir)])
         err = capsys.readouterr().err
         assert code == 1
         assert "last ledger row: 0.0," in err
         assert "error: step 1: implicit midpoint step failed: singular " \
             "Jacobian: zero pivot at unknown 0 (solid entropy[" in err
+        # the ledger so far, the header and the initial row, is on disk
+        ledger = out_dir / "hot-wall-cooldown_ledger.csv"
+        assert f"partial ledger: {ledger}" in err
+        header, row = ledger.read_text().splitlines()
+        assert header == LEDGER_HEADER
+        assert f"last ledger row: {row}" in err
+
+    def test_unwritable_partial_ledger_keeps_the_step_error(
+            self, capsys, tmp_path, singular_band):
+        # a directory in place of the ledger: the failed step is still the
+        # error reported, after the failed write of the ledger so far
+        out_dir = tmp_path / "out"
+        (out_dir / "hot-wall-cooldown_ledger.csv").mkdir(parents=True)
+        cfg = write_cfg(tmp_path, dict(TINY, scenario="hot-wall-cooldown"))
+        code = cli.main(["simulate", "--config", cfg,
+                         "--output", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "partial ledger not written: " in err
+        assert "partial ledger: " not in err
+        assert err.splitlines()[-1].startswith(
+            "error: step 1: implicit midpoint step failed: singular")
+
+    @pytest.mark.parametrize("blocked", ["hot-wall-cooldown_heat_0.csv",
+                                         "hot-wall-cooldown_ledger.csv"])
+    def test_unwritable_output_exit_1(self, capsys, tmp_path, blocked):
+        # a directory in place of a snapshot or of the ledger: an error
+        # line naming the file and exit 1, no traceback
+        out_dir = tmp_path / "out"
+        (out_dir / blocked).mkdir(parents=True)
+        cfg = write_cfg(tmp_path, dict(TINY, scenario="hot-wall-cooldown"))
+        code = cli.main(["simulate", "--config", cfg,
+                         "--output", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert str(out_dir / blocked) in err
 
     def test_unknown_scenario_exit_2_lists_names(self, capsys, tmp_path):
         data = dict(TINY)
@@ -349,6 +394,20 @@ class TestConvergenceCommand:
         assert "azimuthal_refinement_gap: 1.000e-06 (FAIL)" in \
             capsys.readouterr().out
         assert (out_dir / "convergence.csv").exists()
+
+    def test_unwritable_report_exit_1(self, capsys, tmp_path):
+        # a directory in place of convergence.csv: an error line naming it
+        # and exit 1, no traceback
+        out_dir = tmp_path / "conv"
+        (out_dir / "convergence.csv").mkdir(parents=True)
+        data = dict(TINY)
+        data["sim"] = {"dt": 5e-4, "t_end": 5e-3}
+        code = cli.main(["convergence", "--config", write_cfg(tmp_path, data),
+                         "--output", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert str(out_dir / "convergence.csv") in err
 
     def test_step_failure_exit_1_names_the_step(self, capsys, tmp_path):
         data = dict(TINY, scenario="hot-wall-cooldown")

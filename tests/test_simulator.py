@@ -91,18 +91,27 @@ def complex_step_solid_columns(sim, s_mid):
     heat, free, nf, nfree = sim.heat, sim._free, sim._nf, sim._nfree
     dloads = oracles.complex_step_loads_tangent(heat, s_mid)[:, free]
     half_dt = 0.5 * sim.cfg.dt
-    out = np.zeros((sim._nx, nfree))
+    out = np.zeros((sim.chord.n, nfree))
     out[:nfree] = np.diag(heat.mass[free]) - half_dt * dloads[free]
     out[nfree + 2 * nf:] = -half_dt * sim.ops.embed_t(
         dloads[heat.coupling_dofs])
     return out
 
 
+def build_args(sim, x):
+    """The channel midpoint and the port fields that a build at x takes,
+    after the residual at x, as `_build_jacobian` passes them."""
+    sim._residual(x)
+    t_m, s_mid = sim._ports[:2]
+    mid = 0.5 * (sim._x_old + x)[sim._nfree:]
+    return FluidState(*mid.reshape(3, sim._nf)), s_mid, t_m
+
+
 def built_jacobian(sim, x):
     """The Jacobian a build makes at x, after the residual at x, unpacked
     from its band to a dense matrix in the packed order."""
-    sim._residual(x)
-    return oracles.band_to_dense(sim._jacobian(x), sim._layout)
+    band = sim.chord.band(*build_args(sim, x))
+    return oracles.band_to_dense(band, sim.chord.layout)
 
 
 # every column of a build against the central difference, as a fraction of
@@ -138,7 +147,7 @@ class TestColoredNewton:
         # pattern and outside the entries a build writes
         _, sim, x = newton_point(name, geometry)
         dense = dense_cd_jacobian(sim, x)
-        structure = oracles.band_structure(sim._jacobian_layout(), len(x))
+        structure = oracles.band_structure(sim.chord.layout, len(x))
         reference = oracles.jacobian_pattern_oracle(sim).toarray()
         assert structure.shape == reference.shape == dense.shape
         assert np.all(dense[~reference] == 0.0)
@@ -192,9 +201,9 @@ def factored_point(name, geometry, dt):
     returns (sim, x, r, the rows that build interchanged)."""
     _, sim, x = newton_point(name, geometry, dt)
     r = sim._residual(x)
-    before = sim.row_interchanges  # the step's own builds counted too
+    before = sim.chord.row_interchanges  # the step's own builds counted too
     sim._build_jacobian(x)
-    return sim, x, r, sim.row_interchanges - before
+    return sim, x, r, sim.chord.row_interchanges - before
 
 
 class TestBandLU:
@@ -203,7 +212,7 @@ class TestBandLU:
                                              interchanged):
         sim, x, r, moved = factored_point(name, geometry, dt)
         assert (moved > 0) == interchanged
-        got = sim._chord_solve(r)
+        got = sim.chord.solve(r)
         dense = built_jacobian(sim, x)
         want = np.linalg.solve(dense, r)
         del dense
@@ -216,18 +225,20 @@ class TestBandLU:
         # solve of one with them, against LAPACK's on a factor of the same
         # band
         sim, x, r, moved = factored_point(name, geometry, dt)
-        lay = sim._layout
-        lu, piv, info = dgbtrf(sim._jacobian(x), lay.kl, lay.ku)
+        lay = sim.chord.layout
+        lu, piv, info = dgbtrf(sim.chord.band(*build_args(sim, x)), lay.kl,
+                               lay.ku)
         assert info == 0
         assert moved == np.count_nonzero(piv != np.arange(len(piv)))
         assert (moved > 0) == interchanged
         y, info = dgbtrs(lu, lay.kl, lay.ku, r[lay.order], piv)
         assert info == 0
         want = y[lay.rank]
-        got = sim._chord_solve(r)
+        got = sim.chord.solve(r)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         if interchanged:  # the band and its pivots, as dgbtrf left them
-            kept_lu, kept_piv = sim._lu
+            assert sim.chord.triangles is None
+            kept_lu, kept_piv = sim.chord.band_lu
             assert np.array_equal(kept_lu, lu)
             assert np.array_equal(kept_piv, piv)
 
@@ -236,18 +247,19 @@ class TestBandLU:
         # copied out of the factored band, which is not kept; a solve
         # allocates vectors only
         sim, x, r, moved = factored_point(*LADDER_CASES[0].values, 2.5e-4)
-        lay = sim._layout
+        lay = sim.chord.layout
         kl, ku = lay.kl, lay.ku
-        lu, _, info = dgbtrf(sim._jacobian(x), kl, ku)
+        lu, _, info = dgbtrf(sim.chord.band(*build_args(sim, x)), kl, ku)
         assert moved == 0 and info == 0
-        lower, upper = sim._lu
+        assert sim.chord.band_lu is None
+        lower, upper = sim.chord.triangles
         for kept, rows in ((lower, lu[kl + ku:]), (upper, lu[kl:kl + ku + 1])):
             assert kept.flags.f_contiguous and kept.base is None
             assert np.array_equal(kept, rows)
-        sim._chord_solve(r)
+        sim.chord.solve(r)
         tracemalloc.start()
         try:
-            sim._chord_solve(r)
+            sim.chord.solve(r)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -272,8 +284,8 @@ class TestBandLU:
         # the slab order: one slab of free layers plus a layer, the channel
         # triple and two azimuthal steps
         *_, sim = one_step_simulation(name, geometry)
-        lay = sim._jacobian_layout()
-        nx = sim._nx
+        lay = sim.chord.layout
+        nx = sim.chord.n
         assert np.array_equal(np.sort(lay.order), np.arange(nx))
         assert np.array_equal(lay.order[lay.rank], np.arange(nx))
         rows, cols = oracles.jacobian_pattern_oracle(sim).nonzero()
@@ -301,7 +313,7 @@ def test_sparsity_matches_references(name, geometry):
     grad_pairing's zero interior diagonal and the sealed-end rows."""
     *_, sim = one_step_simulation(name, geometry)
     nfree = sim._nfree
-    structure = oracles.band_structure(sim._jacobian_layout(), sim._nx)
+    structure = oracles.band_structure(sim.chord.layout, sim.chord.n)
     reference = oracles.jacobian_pattern_oracle(sim).toarray()
     assert np.all(structure[reference])
     assert np.array_equal(structure[:nfree], reference[:nfree])
@@ -1030,14 +1042,14 @@ class TestFailureModes:
                                problem.fluid, {})
         sim = make_simulation(problem, cfg, setup)
         dead = 7 if field == "solid" else sim._nfree + sim._nf + 3
-        build = sim._jacobian
+        build = sim.chord.band
 
-        def singular(x):
-            band = build(x)
-            band[:, sim._layout.rank[dead]] = 0.0
+        def singular(*args):
+            band = build(*args)
+            band[:, sim.chord.layout.rank[dead]] = 0.0
             return band
 
-        monkeypatch.setattr(sim, "_jacobian", singular)
+        monkeypatch.setattr(sim.chord, "band", singular)
         with pytest.raises(StepFailureError, match="zero pivot") as err:
             sim.run(setup)
         assert err.value.step == 1
@@ -1046,7 +1058,7 @@ class TestFailureModes:
         name = f"solid entropy[{sim._free[dead]}]" if field == "solid" \
             else "vel[3]"
         assert name in str(err.value)
-        assert sim.jacobian_builds == 2
+        assert sim.chord.builds == 2
 
     def test_second_run_matches_fresh_object(self):
         cfg = small_cfg()
