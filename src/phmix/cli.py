@@ -6,8 +6,9 @@ Subcommands, each with only the options it reads:
     phmix simulate [--config FILE] [--output DIR]
     phmix convergence [--config FILE] [--output DIR]
 
-verify runs the structural checks (exit 0/1); simulate runs a scenario and
-writes the ledger and snapshots; convergence runs the step-halving and
+verify runs the structural checks (exit 0/1); simulate runs a scenario,
+writes the ledger and snapshots, and fails when a step fails a run gate
+(`driver.run_gate_failures`); convergence runs the step-halving and
 azimuthal refinement study, and a refinement gap above its bound fails it.
 Exit codes: 0 success, 1 runtime or verification failure, 2 usage/config
 errors.
@@ -26,7 +27,7 @@ from .dirac import check_adjointness, check_dirac_pairing, \
     operator_norm_bound_check
 from .driver import REFINEMENT_GAP_TOL, azimuthal_refinement_gap, \
     build_coupling, build_problem, convergence_study, make_simulation, \
-    write_convergence_csv
+    run_gate_failures, write_convergence_csv
 from .errors import PhmixError, StepFailureError
 from .simulate import build_scenario
 
@@ -125,7 +126,10 @@ def cmd_simulate(args) -> int:
     print(f"jacobian_build_s: {result.jacobian_build_s:.6f}")
     print(f"chord_solve_s: {result.chord_solve_s:.6f}")
     print(f"ledger: {os.path.join(cfg.output_dir, cfg.scenario + '_ledger.csv')}")
-    return 0
+    failures = run_gate_failures(led)
+    for message in failures:
+        print(f"gate failed: {message}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_convergence(args) -> int:

@@ -14,6 +14,13 @@ K_1 (x) M_2 + M_1 (x) K_2 + ..., and on the wall m_psi = m_chi (x) M_az and
 d_chi = m_chi (x) l_az^T, with l_az the azimuthal hat integrals.  The
 nonlinear heat kernel alone needs the volume basis's per-cell tables.  All
 meshes are uniform, so one reference cell table serves every cell.
+
+The sparse operators are assembled straight into canonical CSR by numpy
+index arithmetic: a line matrix from its cell triplets
+(`_triplets_to_csr`), a Kronecker product from its factors' CSR arrays
+(`_kron_pair`).  Both give bitwise what scipy's COO conversion and its
+CSR Kronecker product give, without their COO round trips.  Every
+construction assembles its own operators; nothing is cached across them.
 """
 
 from __future__ import annotations
@@ -140,12 +147,63 @@ def line_matrix(line: LineBasis, quad: QuadratureRule, left: int,
     rows = np.broadcast_to(dofs[:, :, None], (nc, 2, 2)).ravel()
     cols = np.broadcast_to(dofs[:, None, :], (nc, 2, 2)).ravel()
     data = np.broadcast_to(local, (nc, 2, 2)).ravel()
-    return sp.coo_matrix((data, (rows, cols)),
-                         shape=(line.n_dofs, line.n_dofs)).tocsr()
+    return _triplets_to_csr(rows, cols, data, (line.n_dofs, line.n_dofs))
+
+
+def _triplets_to_csr(rows, cols, data, shape) -> sp.csr_matrix:
+    """The canonical CSR matrix (sorted, no duplicates) of the triplets
+    (rows, cols, data).  One stable argsort of the flat keys groups the
+    duplicates of an entry in their input order, and `bincount` sums them
+    in that order, as scipy's COO conversion does; `np.add.reduceat` would
+    add three or more in another order, and each entry of a one-cell
+    periodic factor has four."""
+    n_rows, n_cols = shape
+    keys = rows * n_cols + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    data = np.bincount(np.cumsum(first) - 1, weights=data[order])
+    keys = keys[first]
+    indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
+    return sp.csr_matrix((data, keys % n_cols, indptr), shape=shape)
+
+
+def _kron_pair(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """a (x) b of canonical CSR factors, in canonical CSR.  Row i p + k
+    holds, for each entry a_ij of row i in turn, the entries b_kl of row k:
+    column j q + l, value the single product a_ij b_kl.  The index
+    arithmetic runs in int32 whenever the result's indices fit, as scipy's
+    do, which halves its temporaries."""
+    (m, n), (p, q) = a.shape, b.shape
+    nnz_b = np.diff(b.indptr)
+    counts = np.multiply.outer(np.diff(a.indptr), nnz_b).ravel()
+    nnz = int(counts.sum())
+    idx = np.int32 if max(nnz, m * p, n * q) <= np.iinfo(np.int32).max \
+        else np.int64
+    indptr = np.zeros(m * p + 1, dtype=idx)
+    np.cumsum(counts, out=indptr[1:])
+
+    def per_entry(per_row):
+        return np.repeat(per_row.astype(idx, copy=False), counts)
+
+    # an entry's place t in row (i, k) is ea nnz_b[k] + eb, for its offsets
+    # ea in row i of a and eb in row k of b
+    t = np.arange(nnz, dtype=idx)
+    t -= per_entry(indptr[:-1])
+    ea, eb = np.divmod(t, per_entry(np.tile(nnz_b, m)))
+    del t
+    ea += per_entry(np.repeat(a.indptr[:-1], p))
+    eb += per_entry(np.tile(b.indptr[:-1], m))
+    data = a.data[ea]
+    data *= b.data[eb]
+    indices = a.indices[ea].astype(idx, copy=False)
+    indices *= q
+    indices += b.indices[eb]
+    return sp.csr_matrix((data, indices, indptr), shape=(m * p, n * q))
 
 
 def _kron(mats) -> sp.csr_matrix:
-    return reduce(lambda a, b: sp.kron(a, b, format="csr"), mats)
+    return reduce(_kron_pair, mats)
 
 
 def assemble_mass(basis: Basis, quad: QuadratureRule) -> sp.csr_matrix:
@@ -300,7 +358,9 @@ def assemble_coupling(surface: SurfaceBasis, line: LineBasis,
     m_chi = assemble_mass(line, quad)
     eta_integrals = lumped_mass(surface.eta, quad)
     m_psi = _kron([m_chi, assemble_mass(surface.eta, quad)])
-    d_chi = _kron([m_chi, eta_integrals[None, :]])
+    n_az = len(eta_integrals)
+    d_chi = _kron([m_chi, sp.csr_matrix(
+        (eta_integrals, np.arange(n_az), [0, n_az]), shape=(1, n_az))])
     d_psi = d_chi.transpose().tocsr()
     d_psi.sort_indices()
     return CouplingOperators(

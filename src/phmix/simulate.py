@@ -524,11 +524,12 @@ class CoupledSimulation:
 
         Counters and the chord factorization start afresh on every call, so
         the result reports this run only, with the Newton iterations and
-        the final scaled residual of every step.  An error raised by a step
-        carries the step index (`step`) and the ledger so far (`ledger`).
-        With an output directory the run also writes that ledger before it
-        re-raises and names the file (`ledger_path`); if that write fails,
-        the step's error carries the OSError (`ledger_error`) instead.
+        the final scaled residual of every step.  An error raised by a step,
+        or an OSError from its snapshot, carries the step index (`step`, 0
+        for the initial snapshot) and the ledger so far (`ledger`).  With an
+        output directory the run also writes that ledger before it re-raises
+        and names the file (`ledger_path`); if that write fails, the error
+        carries the OSError (`ledger_error`) instead.
         """
         t_start = _time.perf_counter()
         cfg = self.cfg
@@ -555,38 +556,41 @@ class CoupledSimulation:
             # the coordinate fields of every snapshot row, formatted once
             prefixes = (node_prefixes([self.heat.domain.node_coordinates()]),
                         node_prefixes([self.fluid.mesh.nodes]))
-            self._snapshot(output_dir, setup.name, 0, heat_state, fluid_state,
-                           prefixes)
 
         table = self._pack(heat_state.s, fluid_state)[None, :]
         iterations = np.zeros(n_steps, dtype=int)
         residuals = np.zeros(n_steps)
-        for k in range(1, n_steps + 1):
-            x_pred, sums = extrapolate(table, self._typ)
-            before = self.newton_iterations
-            try:
+        k = 0  # the step an error is attached to; 0 is the initial snapshot
+        try:
+            if output_dir is not None:
+                self._snapshot(output_dir, setup.name, 0, heat_state,
+                               fluid_state, prefixes)
+            for k in range(1, n_steps + 1):
+                x_pred, sums = extrapolate(table, self._typ)
+                before = self.newton_iterations
                 heat_state, fluid_state, powers, p_ext, norm, x_new = \
                     self.step(heat_state, fluid_state, x_pred=x_pred,
                               x_old=table[0])
-            except PhmixError as exc:
-                exc.step = k  # partial record for diagnostics
-                exc.ledger = ledger
-                if output_dir is not None:
-                    try:
-                        ledger.write(ledger_path)
-                        exc.ledger_path = ledger_path
-                    except OSError as err:  # the step's error stays
-                        exc.ledger_error = err
-                raise
-            iterations[k - 1] = self.newton_iterations - before
-            residuals[k - 1] = norm
-            table = advance_table(table, sums, x_new)
-            ledger.append(self._record(k * cfg.dt, heat_state, fluid_state,
-                                       powers, p_ext))
-            if output_dir is not None and \
-                    (k % cfg.output_every == 0 or k == n_steps):
-                self._snapshot(output_dir, setup.name, k, heat_state,
-                               fluid_state, prefixes)
+                iterations[k - 1] = self.newton_iterations - before
+                residuals[k - 1] = norm
+                table = advance_table(table, sums, x_new)
+                ledger.append(self._record(k * cfg.dt, heat_state,
+                                           fluid_state, powers, p_ext))
+                if output_dir is not None and \
+                        (k % cfg.output_every == 0 or k == n_steps):
+                    self._snapshot(output_dir, setup.name, k, heat_state,
+                                   fluid_state, prefixes)
+        except (PhmixError, OSError) as exc:
+            # a failed step, or a snapshot that could not be written
+            exc.step = k  # partial record for diagnostics
+            exc.ledger = ledger
+            if output_dir is not None:
+                try:
+                    ledger.write(ledger_path)
+                    exc.ledger_path = ledger_path
+                except OSError as err:  # the first error stays
+                    exc.ledger_error = err
+            raise
         if output_dir is not None:
             ledger.write(ledger_path)
         return SimResult(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from phmix.chord import ChordSolver
 from phmix.config import config_from_dict, config_to_dict, default_config, \
     load_config
 from phmix.dirac import VerificationReport
+from phmix.driver import build_problem
 from phmix.errors import ConfigurationError
 from phmix.simulate import LEDGER_HEADER
 
@@ -285,11 +287,14 @@ class TestSimulateCommand:
         assert err.splitlines()[-1].startswith(
             "error: step 1: implicit midpoint step failed: singular")
 
-    @pytest.mark.parametrize("blocked", ["hot-wall-cooldown_heat_0.csv",
-                                         "hot-wall-cooldown_ledger.csv"])
-    def test_unwritable_output_exit_1(self, capsys, tmp_path, blocked):
+    @pytest.mark.parametrize("blocked,step", [
+        ("hot-wall-cooldown_heat_0.csv", 0),
+        ("hot-wall-cooldown_ledger.csv", None)],
+        ids=["hot-wall-cooldown_heat_0.csv", "hot-wall-cooldown_ledger.csv"])
+    def test_unwritable_output_exit_1(self, capsys, tmp_path, blocked, step):
         # a directory in place of a snapshot or of the ledger: an error
-        # line naming the file and exit 1, no traceback
+        # line naming the file and exit 1, no traceback; the initial
+        # snapshot is step 0 and leaves the ledger so far on disk
         out_dir = tmp_path / "out"
         (out_dir / blocked).mkdir(parents=True)
         cfg = write_cfg(tmp_path, dict(TINY, scenario="hot-wall-cooldown"))
@@ -297,8 +302,57 @@ class TestSimulateCommand:
                          "--output", str(out_dir)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: ") and "Is a directory" in err
-        assert str(out_dir / blocked) in err
+        last = err.splitlines()[-1]
+        assert "Is a directory" in last and str(out_dir / blocked) in last
+        if step is None:
+            assert err.startswith("error: [Errno")
+        else:
+            assert last.startswith(f"error: step {step}: [Errno")
+            ledger = out_dir / "hot-wall-cooldown_ledger.csv"
+            assert f"partial ledger: {ledger}" in err
+            assert len(ledger.read_text().splitlines()) == 2
+
+    def test_unwritable_last_snapshot_keeps_the_ledger(self, capsys,
+                                                       tmp_path):
+        # the snapshot of the last of five steps cannot be written: the
+        # error names step 5 and the ledger of all five steps is on disk
+        out_dir = tmp_path / "out"
+        (out_dir / "hot-wall-cooldown_heat_5.csv").mkdir(parents=True)
+        cfg = write_cfg(tmp_path, dict(
+            TINY, scenario="hot-wall-cooldown",
+            sim={"dt": 5e-4, "t_end": 2.5e-3, "output_every": 5}))
+        code = cli.main(["simulate", "--config", cfg,
+                         "--output", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error: step 5: [Errno")
+        ledger = out_dir / "hot-wall-cooldown_ledger.csv"
+        assert f"partial ledger: {ledger}" in err
+        header, *rows = ledger.read_text().splitlines()
+        assert header == LEDGER_HEADER
+        assert [float(row.split(",")[0]) for row in rows] == \
+            pytest.approx([k * 5e-4 for k in range(6)])
+        assert f"last ledger row: {rows[-1]}" in err
+
+    def test_failed_run_gate_exit_1_names_the_step(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # d_chi scaled by 1.001: the channel's port power, taken through
+        # d_chi, misses the wall's by about 1e-3 of the power exchanged, and
+        # the power gate fails at the first step that exchanges any
+        def perturbed(cfg):
+            problem = build_problem(cfg)
+            ops = problem.ops
+            return dataclasses.replace(problem, ops=dataclasses.replace(
+                ops, d_chi=1.001 * ops.d_chi))
+
+        monkeypatch.setattr(cli, "build_problem", perturbed)
+        cfg = write_cfg(tmp_path, dict(TINY, scenario="hot-wall-cooldown"))
+        code = cli.main(["simulate", "--config", cfg,
+                         "--output", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out.splitlines()[0] == "scenario: hot-wall-cooldown"
+        assert err.startswith("gate failed: step 1: coupling power residual")
 
     def test_unknown_scenario_exit_2_lists_names(self, capsys, tmp_path):
         data = dict(TINY)

@@ -1,15 +1,20 @@
 import dataclasses
+from functools import reduce
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+from phmix.config import GeometryConfig, default_config
+from phmix.driver import build_problem
 from phmix.errors import ConfigurationError, MaterialError, \
     MeshCompatibilityError
 from phmix.fem import CouplingOperators, LineBasis, SurfaceBasis, \
     VolumeBasis, assemble_coupling, assemble_mass, assemble_stiffness, \
-    lumped_mass
+    line_matrix, lumped_mass
+from phmix.fluid import FluidSystem
+from phmix.heat import HeatSystem
 from phmix.geometry import IntervalMesh, TensorBoundary, build_solid_domain, \
     quadrature_rule
 
@@ -392,3 +397,120 @@ def test_lumped_mass_sums_to_measure(n_cells, extent):
     lumped = lumped_mass(LineBasis(mesh), QUAD)
     assert lumped.sum() == pytest.approx(extent, rel=1e-12)
     assert np.all(lumped > 0)
+
+
+def coo_line_matrix(line, quad, left, right):
+    """scipy's reference for `line_matrix`: the same triplets through
+    `coo_matrix(...).tocsr()`."""
+    t = line.tables(quad)
+    shapes = (t.values, t.gradients[:, :, 0])
+    local = np.einsum("q,qa,qb->ab", t.wdet, shapes[left], shapes[right])
+    dofs = line.cell_dofs()
+    nc = len(dofs)
+    rows = np.broadcast_to(dofs[:, :, None], (nc, 2, 2)).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], (nc, 2, 2)).ravel()
+    data = np.broadcast_to(local, (nc, 2, 2)).ravel()
+    return sp.coo_matrix((data, (rows, cols)),
+                         shape=(line.n_dofs, line.n_dofs)).tocsr()
+
+
+def coo_lumped_mass(basis, quad):
+    """scipy's reference for `lumped_mass`: each factor's hat integrals
+    summed by `coo_matrix`, then their Kronecker product."""
+    lumped = []
+    for line in basis.factors:
+        t = line.tables(quad)
+        dofs = line.cell_dofs().ravel()
+        weights = np.tile(t.wdet @ t.values, len(dofs) // 2)
+        lumped.append(sp.coo_matrix(
+            (weights, (dofs, np.zeros_like(dofs))),
+            shape=(line.n_dofs, 1)).toarray().ravel())
+    return reduce(np.kron, lumped)
+
+
+def scipy_kron(mats):
+    return reduce(lambda a, b: sp.kron(a, b, format="csr"), mats)
+
+
+def assert_same_csr(got, want):
+    """The same canonical CSR matrix, bit for bit, index dtype included."""
+    assert got.format == want.format == "csr"
+    assert got.shape == want.shape
+    assert got.has_canonical_format and want.has_canonical_format
+    for attr in ("indptr", "indices", "data"):
+        g, w = getattr(got, attr), getattr(want, attr)
+        assert g.dtype == w.dtype, attr
+        assert g.tobytes() == w.tobytes(), attr
+
+
+# (n_ax, n_az, n_th): the benchmark meshes, a one-cell and a two-cell
+# periodic azimuth, and a one-cell axis
+ORACLE_MESHES = [(16, 8, 4), (48, 24, 4), (3, 1, 1), (2, 2, 2), (1, 3, 2)]
+
+
+class TestAssemblyOracle:
+    """Every operator is bitwise scipy's COO / `kron` assembly of the same
+    triplets."""
+
+    @pytest.mark.parametrize("n_ax,n_az,n_th", ORACLE_MESHES)
+    def test_problem_operators_match_scipy(self, n_ax, n_az, n_th):
+        cfg = dataclasses.replace(default_config(), geometry=GeometryConfig(
+            n_ax=n_ax, n_az=n_az, n_th=n_th, n_fluid=n_ax))
+        problem = build_problem(cfg)
+        ops, quad = problem.ops, problem.heat.quad
+        m_chi = coo_line_matrix(ops.line, quad, 0, 0)
+        m_az = coo_line_matrix(ops.surface.eta, quad, 0, 0)
+        eta = coo_lumped_mass(ops.surface.eta, quad)
+        d_chi = sp.kron(m_chi, eta[None, :], format="csr")
+        d_psi = d_chi.transpose().tocsr()
+        d_psi.sort_indices()
+        assert_same_csr(ops.m_chi, m_chi)
+        assert_same_csr(assemble_mass(ops.surface.eta, quad), m_az)
+        assert_same_csr(ops.m_psi, scipy_kron([m_chi, m_az]))
+        assert_same_csr(ops.d_chi, d_chi)
+        assert_same_csr(ops.d_psi, d_psi)
+        assert ops.eta_integrals.tobytes() == eta.tobytes()
+
+        fluid = problem.fluid
+        grad = coo_line_matrix(fluid.basis, fluid.quad, 0, 1)
+        assert_same_csr(line_matrix(fluid.basis, fluid.quad, 0, 1), grad)
+        assert fluid.grad_pairing.tobytes() == grad.toarray().tobytes()
+        for system in (problem.heat, fluid):
+            want = coo_lumped_mass(system.basis, system.quad)
+            assert system.mass.tobytes() == want.tobytes()
+
+        basis = problem.heat.basis
+        mass = [coo_line_matrix(b, quad, 0, 0) for b in basis.factors]
+        stiff = [coo_line_matrix(b, quad, 1, 1) for b in basis.factors]
+        total = sum(scipy_kron(mass[:d] + [stiff[d]] + mass[d + 1:])
+                    for d in range(3))
+        assert_same_csr(assemble_stiffness(basis, 2.5, quad),
+                        (2.5 * total).tocsr())
+        assert_same_csr(assemble_mass(basis, quad), scipy_kron(mass))
+
+    @pytest.mark.parametrize("degree", range(2, 10))
+    @pytest.mark.parametrize("extent", [0.05, 0.5, 1.3, 2 * np.pi])
+    def test_one_cell_periodic_factor_sums_in_order(self, degree, extent):
+        # each entry of the one-node periodic line has four contributions,
+        # which scipy adds in their input order
+        line = LineBasis(IntervalMesh(0.0, extent, 1, periodic=True))
+        quad = quadrature_rule(degree)
+        for left, right in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            assert_same_csr(line_matrix(line, quad, left, right),
+                            coo_line_matrix(line, quad, left, right))
+
+    def test_problems_share_no_operator_array(self):
+        # each construction assembles its own operators: nothing is cached
+        # across build_problem calls
+        def arrays(problem):
+            ops = problem.ops
+            out = [ops.eta_integrals, problem.heat.mass, problem.fluid.mass,
+                   problem.fluid.grad_pairing]
+            for mat in (ops.m_psi, ops.m_chi, ops.d_chi, ops.d_psi):
+                out += [mat.indptr, mat.indices, mat.data]
+            return out
+
+        cfg = default_config()
+        first, second = (arrays(build_problem(cfg)) for _ in range(2))
+        for a in first:
+            assert not any(np.shares_memory(a, b) for b in second)
