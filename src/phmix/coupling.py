@@ -9,8 +9,9 @@ Discretely the relations are the two mass-system solves
 and because d_psi is the exact transpose of d_chi, the two port powers
 u' m_psi v + y' m_chi w cancel identically, independent of the mesh.  On
 the tensor-product wall the first solve is the nodal embedding u = B y, so
-resolve_ports uses `CouplingOperators.embed` and `integrate`, the operators
-the stepper uses.
+resolve_ports applies `CouplingOperators.embed` and `integrate`.  The
+stepper does not call it: its residual applies `embed` and its transpose
+`embed_t` in load form.
 """
 
 from __future__ import annotations

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MeshCompatibilityError
-from .fem import CouplingOperators
+from .fem import CouplingOperators, require_fit
 from .geometry import IntervalMesh, TensorBoundary
 
 STRUCT_TOL = 1e-11   # identities that are exact in exact arithmetic
@@ -78,20 +77,13 @@ class LineField:
 
 
 def _check_surface(ops: CouplingOperators, u: SurfaceField):
-    if u.boundary is not ops.surface.boundary and \
-            not np.array_equal(u.boundary.node_coordinates(),
-                               ops.surface.boundary.node_coordinates()):
-        raise MeshCompatibilityError(
-            f"surface field boundary {u.boundary} does not match the "
-            f"operators' boundary {ops.surface.boundary}")
+    require_fit(u.boundary, "surface field boundary", ops.surface.boundary,
+                "the operators' boundary")
 
 
 def _check_line(ops: CouplingOperators, v: LineField):
-    if v.mesh is not ops.line.mesh and \
-            not np.array_equal(v.mesh.nodes, ops.line.mesh.nodes):
-        raise MeshCompatibilityError(
-            f"line field mesh {v.mesh} does not match the operators' "
-            f"axial mesh {ops.line.mesh}")
+    require_fit(v.mesh, "line field mesh", ops.line.mesh,
+                "the operators' axial mesh")
 
 
 def integrate_out(ops: CouplingOperators, u: SurfaceField) -> LineField:

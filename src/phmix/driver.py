@@ -20,9 +20,9 @@ from .simulate import CoupledSimulation, EnergyLedger, ScenarioSetup, \
 
 @dataclass
 class Problem:
-    """The assembled discrete problem behind one configuration."""
+    """The assembled discrete problem behind one configuration; the solid
+    domain is `heat.domain`."""
 
-    domain: SolidDomain
     heat: HeatSystem
     fluid: FluidSystem
     ops: CouplingOperators
@@ -45,7 +45,7 @@ def build_problem(cfg: RunConfig) -> Problem:
     domain, channel, ops = build_coupling(cfg)
     heat = HeatSystem(domain, cfg.heat, cfg.quad_degree)
     fluid = FluidSystem(channel, cfg.fluid, cfg.quad_degree)
-    return Problem(domain=domain, heat=heat, fluid=fluid, ops=ops)
+    return Problem(heat=heat, fluid=fluid, ops=ops)
 
 
 def make_simulation(problem: Problem, cfg: RunConfig,

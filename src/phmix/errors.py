@@ -18,7 +18,8 @@ class MaterialError(PhmixError):
 
 
 class MeshCompatibilityError(PhmixError):
-    """Two meshes that must coincide node-for-node do not."""
+    """Two meshes, or two wall boundaries, that must be equal as values
+    are not (`fem.require_fit`)."""
 
 
 class StateValidityError(PhmixError):

@@ -243,6 +243,18 @@ def assemble_stiffness(basis: Basis, coefficient: float,
     return (coefficient * total).tocsr()
 
 
+def require_fit(a: IntervalMesh | TensorBoundary, a_name: str,
+                b: IntervalMesh | TensorBoundary, b_name: str) -> None:
+    """The fit rule, which every mesh check of phmix applies: raise
+    MeshCompatibilityError, naming both sides, unless the meshes (or wall
+    boundaries) `a` and `b` are equal as values, that is in the start,
+    end, cell count and periodicity of every factor.  Unlike node arrays,
+    values tell the circumferences of one-cell periodic factors apart."""
+    if a != b:
+        raise MeshCompatibilityError(
+            f"{a_name} {a} does not match {b_name} {b}")
+
+
 @dataclass(eq=False)
 class CouplingOperators:
     """Assembled interconnection matrices between the product surface and
@@ -344,17 +356,13 @@ def assemble_coupling(surface: SurfaceBasis, line: LineBasis,
                       quad: QuadratureRule) -> CouplingOperators:
     """Assemble the surface/line mass matrices and the coupling blocks.
 
-    The line mesh must coincide node-for-node with the axial factor of the
-    surface, so m_chi is also the surface's axial mass: m_psi = m_chi (x)
-    M_az and d_chi = m_chi (x) eta_integrals^T (rows line dofs, columns
-    surface dofs).  d_psi is set to the exact transpose of d_chi.
+    The line mesh must equal the axial factor of the surface
+    (`require_fit`), so m_chi is also the surface's axial mass: m_psi =
+    m_chi (x) M_az and d_chi = m_chi (x) eta_integrals^T (rows line dofs,
+    columns surface dofs).  d_psi is set to the exact transpose of d_chi.
     """
-    g1 = surface.boundary.gamma1
-    if g1.periodic != line.mesh.periodic or \
-            not np.array_equal(g1.nodes, line.mesh.nodes):
-        raise MeshCompatibilityError(
-            f"line mesh {line.mesh} does not match the axial factor {g1} "
-            f"of the surface")
+    require_fit(line.mesh, "line mesh", surface.boundary.gamma1,
+                "the surface's axial factor")
     m_chi = assemble_mass(line, quad)
     eta_integrals = lumped_mass(surface.eta, quad)
     m_psi = _kron([m_chi, assemble_mass(surface.eta, quad)])

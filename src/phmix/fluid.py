@@ -140,31 +140,16 @@ class FluidSystem:
         return FluidState(np.full(n, phi0), np.full(n, float(velocity)),
                           np.full(n, s0))
 
-    def temperature(self, state: FluidState) -> np.ndarray:
-        _, t, _ = eos(state.phi, state.s, self.material)
-        return t
-
-    def pressure(self, state: FluidState) -> np.ndarray:
-        p, _, _ = eos(state.phi, state.s, self.material)
-        return p
-
-    def hamiltonian(self, state: FluidState) -> float:
-        check_specific_volume(state.phi)
-        return self.totals(state)[0]
-
-    def total_entropy(self, state: FluidState) -> float:
-        return float(self.mass @ state.s)
-
     def totals(self, state: FluidState) -> tuple[float, float]:
         """The Hamiltonian sum_i m_i (v_i^2 / 2 + c_v T_i) and the total
         entropy sum_i m_i s_i, the ledger's H_fluid and S_fluid, from one
         temperature.  The specific volumes must be positive: the stepper
         checks every end state before its ledger row, so this does not
-        check them again (`hamiltonian` does)."""
+        check them again."""
         mat = self.material
         t = gas_temperature(state.phi, state.s, mat)
         return (float(self.mass @ (0.5 * state.vel ** 2 + mat.c_v * t)),
-                self.total_entropy(state))
+                float(self.mass @ state.s))
 
     def loads(self, state: FluidState) -> tuple[FluidState, np.ndarray]:
         """Semi-discrete rates in load form, M d(phi, vel, s)/dt, with the

@@ -146,20 +146,11 @@ class HeatSystem:
         s0 = entropy_of_temperature(temperature, self.material)
         return HeatState(np.full(self.n_dofs, float(s0)))
 
-    def temperature(self, state: HeatState) -> np.ndarray:
-        return temperature_of_entropy(state.s, self.material)
-
-    def hamiltonian(self, state: HeatState) -> float:
-        return self.totals(state)[0]
-
-    def total_entropy(self, state: HeatState) -> float:
-        return float(self.mass @ state.s)
-
     def totals(self, state: HeatState) -> tuple[float, float]:
         """The Hamiltonian sum_i m_i q(s_i) and the total entropy
         sum_i m_i s_i, the ledger's Q_heat and S_solid, in one pass."""
         return (float(self.mass @ energy_density(state.s, self.material)),
-                self.total_entropy(state))
+                float(self.mass @ state.s))
 
     def _quad_fields(self, s: np.ndarray):
         """Temperature (nq, n_cells) and its gradient (nq, 3, n_cells) at

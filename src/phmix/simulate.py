@@ -45,9 +45,9 @@ from operator import attrgetter
 import numpy as np
 
 from .chord import ChordSolver
-from .errors import ConfigurationError, MeshCompatibilityError, PhmixError, \
-    SingularJacobianError, StateValidityError, StepFailureError
-from .fem import CouplingOperators
+from .errors import ConfigurationError, PhmixError, SingularJacobianError, \
+    StateValidityError, StepFailureError
+from .fem import CouplingOperators, require_fit
 from .fluid import FluidState, FluidSystem, check_specific_volume, eos
 from .heat import HeatState, HeatSystem, entropy_of_temperature, \
     temperature_of_entropy
@@ -280,15 +280,12 @@ class CoupledSimulation:
         self.ext_temperature = ext_temperature
 
         if coupled:
-            if not np.array_equal(fluid_sys.mesh.nodes,
-                                  heat_sys.domain.axial.nodes):
-                raise MeshCompatibilityError(
-                    f"channel mesh {fluid_sys.mesh} does not match the solid "
-                    f"axial mesh {heat_sys.domain.axial}")
-            if not np.array_equal(ops.line.mesh.nodes, fluid_sys.mesh.nodes):
-                raise MeshCompatibilityError(
-                    f"coupling operators' line mesh {ops.line.mesh} does not "
-                    f"match the channel mesh {fluid_sys.mesh}")
+            require_fit(fluid_sys.mesh, "channel mesh", heat_sys.domain.axial,
+                        "the solid axial mesh")
+            require_fit(ops.line.mesh, "coupling operators' line mesh",
+                        fluid_sys.mesh, "the channel mesh")
+            require_fit(ops.surface.boundary, "coupling operators' wall",
+                        heat_sys.boundary, "the solid's coupling face")
 
         self._free = None  # the free solid dofs, None for a channel alone
         mass_rows = [fluid_sys.mass] * 3  # the residual's, packed
@@ -667,8 +664,8 @@ def measure_pulse_speed(system: FluidSystem, initial: FluidState,
     """
     z = system.mesh.nodes
     h = system.mesh.h
-    p0 = system.pressure(initial)
-    p1 = system.pressure(final)
+    p0, _, _ = eos(initial.phi, initial.s, system.material)
+    p1, _, _ = eos(final.phi, final.s, system.material)
     d0 = p0 - np.median(p0)
     d1 = p1 - np.median(p1)
     k0 = int(np.argmax(d0))

@@ -82,3 +82,20 @@ def test_build_hook_is_on_the_build_path(monkeypatch, singular):
     else:
         result = sim.run(setup)
         assert len(calls) == result.jacobian_builds >= 1
+
+
+def test_one_round_of_each_workload_is_correct(monkeypatch, tmp_path):
+    # the benchmark's construct and checks read phmix names in plain code
+    # (problem.heat, ops.surface.boundary, dirac.integrate_out, ...): one
+    # round of each workload, in process, keeps a prune of them from passing
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    for name in ("cooldown-pair", "large-mesh", "verify-large"):
+        workload = workloads.make_workload(name, 1, str(tmp_path),
+                                           traced=True)
+        workload.construct()
+        _, _, outputs = workload.execute([])
+        attempted, failed, _, problems = workload.check(outputs)
+        assert attempted > 0 and failed == 0, name
+        assert problems == [], name

@@ -13,7 +13,7 @@ from phmix.fem import LineBasis, SurfaceBasis, assemble_coupling
 from phmix.geometry import IntervalMesh, TensorBoundary, build_solid_domain, \
     quadrature_rule
 from phmix.heat import HeatMaterial, HeatState, HeatSystem, \
-    entropy_of_temperature
+    entropy_of_temperature, temperature_of_entropy
 
 import oracles
 
@@ -168,7 +168,7 @@ class TestPhysicalDirection:
         v_out = SurfaceField(ops.solve_psi(wall), sys.boundary)
 
         # gradient oracle: temperature rises away from the wall
-        t_nodal = sys.temperature(state)
+        t_nodal = temperature_of_entropy(state.s, mat)
         wall = t_nodal[sys.coupling_dofs]
         above = t_nodal[sys.coupling_dofs + 1]  # next thickness layer
         assert np.all(above > wall)

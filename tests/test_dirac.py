@@ -111,6 +111,29 @@ class TestEmbed:
         assert lhs == pytest.approx(ref, rel=1e-12)
 
 
+class TestMeshFit:
+    def test_one_cell_wall_of_another_circumference_rejected(self):
+        # both walls have the node list [x, 0.0]: only their values tell
+        # the circumferences apart, and integrating over the wrong one
+        # would use the wrong measure
+        ops = make_ops(n_az=1, circumference=1.0)
+        other = TensorBoundary(ops.line.mesh,
+                               IntervalMesh(0.0, 0.5, 1, periodic=True))
+        assert np.array_equal(other.node_coordinates(),
+                              ops.surface.boundary.node_coordinates())
+        with pytest.raises(MeshCompatibilityError, match="does not match"):
+            integrate_out(ops, SurfaceField.constant(other, 1.0))
+
+    def test_periodic_line_with_the_axial_nodes_rejected(self):
+        # a periodic line on [0, 1.5] with 3 cells lists the nodes of the
+        # one-cell wall's axial mesh on [0, 1] with 2 cells
+        ops = make_ops(n_ax=2, n_az=1, circumference=1.0)
+        other = IntervalMesh(0.0, 1.5, 3, periodic=True)
+        assert np.array_equal(other.nodes, ops.line.mesh.nodes)
+        with pytest.raises(MeshCompatibilityError, match="does not match"):
+            embed(ops, LineField.constant(other, 1.0))
+
+
 def apply_j(ops, e1, e2):
     """The block-skew structure map J(e1, e2) = (-integrate e2, embed e1)."""
     f1 = LineField(-integrate_out(ops, e2).values, ops.line.mesh)

@@ -10,9 +10,12 @@ from phmix.config import default_config
 from phmix.driver import POWER_RESIDUAL_TOL, build_problem, \
     convergence_study, drift_per_time, make_simulation, run_from_config, \
     run_gate_failures
-from phmix.errors import ConfigurationError, PhmixError, StepFailureError
+from phmix.errors import ConfigurationError, MeshCompatibilityError, \
+    PhmixError, StepFailureError
 from phmix.fem import CouplingOperators
-from phmix.fluid import FluidState, eos
+from phmix.fluid import FluidState, FluidSystem, eos
+from phmix.geometry import IntervalMesh
+from phmix.heat import temperature_of_entropy
 from phmix.simulate import CoupledSimulation, EnergyLedger, LEDGER_HEADER, \
     PREDICTOR_ORDER, SCENARIOS, SimConfig, advance_table, build_scenario, \
     extrapolate, measure_pulse_speed, node_prefixes, \
@@ -712,7 +715,7 @@ class TestCooldown:
         gaps = []
         for _ in range(60):
             heat_state, fluid_state, *_ = sim.step(heat_state, fluid_state)
-            t_solid = problem.heat.temperature(heat_state)
+            t_solid = temperature_of_entropy(heat_state.s, cfg.heat)
             _, t_fluid, _ = eos(fluid_state.phi, fluid_state.s,
                                 problem.fluid.material)
             gaps.append(abs(t_solid.max() - t_fluid.min()))
@@ -725,9 +728,9 @@ class TestCooldown:
         problem, result = run_scenario(cfg, "hot-wall-cooldown")
         led = result.ledger
         t_eq = oracles.two_body_equilibrium_temperature(
-            led.column("total")[0], cfg.heat, problem.domain.measure,
+            led.column("total")[0], cfg.heat, problem.heat.domain.measure,
             cfg.fluid, problem.fluid.mesh.measure)
-        t_solid = problem.heat.temperature(result.heat_state)
+        t_solid = temperature_of_entropy(result.heat_state.s, cfg.heat)
         _, t_fluid, _ = eos(result.fluid_state.phi, result.fluid_state.s,
                             cfg.fluid)
         assert np.abs(t_solid - t_eq).max() <= 0.02 * t_eq
@@ -850,8 +853,9 @@ def per_value(header, columns):
 
 def per_value_heat(heat, hs):
     xyz = heat.domain.node_coordinates()
-    return per_value("node,x,y,z,s,T", [xyz[:, 0], xyz[:, 1], xyz[:, 2],
-                                        hs.s, heat.temperature(hs)])
+    t = temperature_of_entropy(hs.s, heat.material)
+    return per_value("node,x,y,z,s,T",
+                     [xyz[:, 0], xyz[:, 1], xyz[:, 2], hs.s, t])
 
 
 def per_value_fluid(fluid, fs):
@@ -1073,6 +1077,38 @@ class TestFailureModes:
             assert res.newton_iterations == fresh.newton_iterations
             assert res.jacobian_builds == fresh.jacobian_builds == 1
             assert [r.csv_row() for r in res.ledger.records] == rows
+
+    @pytest.mark.parametrize("geometry", [{"n_az": 4},
+                                          {"circumference": 1.0}],
+                             ids=["n_az", "circumference"])
+    def test_operators_for_another_wall_rejected(self, geometry):
+        # operators for another azimuth on the default solid: another n_az
+        # broke the first residual on a shape mismatch, another
+        # circumference ran the whole cooldown on the wrong measure
+        cfg = default_config()
+        problem = build_problem(cfg)
+        _, _, ops = driver.build_coupling(default_config(geometry=geometry))
+        with pytest.raises(MeshCompatibilityError,
+                           match="does not match the solid's coupling face"):
+            CoupledSimulation(problem.heat, problem.fluid, ops, cfg.sim)
+
+    @pytest.mark.parametrize("side", ["channel", "line"])
+    def test_channel_and_line_meshes_rejected(self, side):
+        # a channel on another axial mesh, or operators whose line is not
+        # the channel's mesh, although the channel fits the solid
+        cfg = small_cfg()
+        problem = build_problem(cfg)
+        g = cfg.geometry
+        fluid, ops = problem.fluid, problem.ops
+        if side == "channel":
+            fluid = FluidSystem(IntervalMesh(g.a, g.b, g.n_ax + 1), cfg.fluid)
+            match = "does not match the solid axial mesh"
+        else:
+            _, _, ops = driver.build_coupling(default_config(
+                geometry={"n_ax": g.n_ax + 1, "n_fluid": g.n_ax + 1}))
+            match = "line mesh .* does not match the channel mesh"
+        with pytest.raises(MeshCompatibilityError, match=match):
+            CoupledSimulation(problem.heat, fluid, ops, cfg.sim)
 
     def test_perturbed_coupling_block_shows_in_power_residual(self):
         # P_couple_fluid comes from the assembled d_chi, the residual's
