@@ -6,8 +6,8 @@ power balance, entropy production)."""
 
 from .config import GeometryConfig, RunConfig, config_from_dict, \
     config_to_dict, default_config, load_config
-from .coupling import CoupledPorts, check_power_balance, \
-    check_transpose_identity, continuous_interconnect, resolve_ports
+from .coupling import check_power_balance, check_transpose_identity, \
+    continuous_interconnect, resolve_ports
 from .dirac import LineField, SurfaceField, VerificationReport, \
     check_adjointness, check_dirac_pairing, embed, integrate_out, j_matrix, \
     operator_norm_bound_check

@@ -16,8 +16,6 @@ stepper does not call it: its residual applies `embed` and its transpose
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dirac import LineField, SurfaceField, VerificationReport, STRUCT_TOL, \
@@ -25,29 +23,16 @@ from .dirac import LineField, SurfaceField, VerificationReport, STRUCT_TOL, \
 from .fem import CouplingOperators
 
 
-@dataclass
-class CoupledPorts:
-    """All four port fields after resolution."""
-
-    u_T: SurfaceField
-    v_out: SurfaceField
-    w_in: LineField
-    y_out: LineField
-
-
 # kept while bench/ traces resolve_ports (ROADMAP item 1)
 def resolve_ports(v_out: SurfaceField, y_out: LineField,
-                  ops: CouplingOperators) -> CoupledPorts:
-    """Solve the discrete interconnection for the two inputs."""
+                  ops: CouplingOperators) -> tuple[SurfaceField, LineField]:
+    """Solve the discrete interconnection for the two inputs: the wall
+    temperature u and the channel's entropy-rate input w."""
     _check_surface(ops, v_out)
     _check_line(ops, y_out)
     u = ops.embed(y_out.values)
     w = -ops.integrate(v_out.values)
-    return CoupledPorts(
-        u_T=SurfaceField(u, ops.surface.boundary),
-        v_out=v_out,
-        w_in=LineField(w, ops.line.mesh),
-        y_out=y_out)
+    return SurfaceField(u, ops.surface.boundary), LineField(w, ops.line.mesh)
 
 
 def continuous_interconnect(v_field: SurfaceField, y_field: LineField,

@@ -233,14 +233,16 @@ def operator_norm_bound_check(ops: CouplingOperators, trials: int = 100,
     """Verify the integration operator's norm bound: the squared line norm of
     the integrated field never exceeds the azimuthal measure times the squared
     surface norm, with equality for azimuthally constant fields."""
+    measure2 = ops.surface.boundary.measure2
+
     def residuals(u, y):
         au = ops.integrate(u)
         lhs = _dots(au, ops.m_chi @ au)
-        rhs = ops.measure2 * _dots(u, ops.m_psi @ u)
+        rhs = measure2 * _dots(u, ops.m_psi @ u)
         uc = ops.embed(y)
         auc = ops.integrate(uc)
         lhs_c = _dots(auc, ops.m_chi @ auc)
-        rhs_c = ops.measure2 * _dots(uc, ops.m_psi @ uc)
+        rhs_c = measure2 * _dots(uc, ops.m_psi @ uc)
         return np.max(lhs - rhs), \
             np.max(np.abs(lhs_c - rhs_c) / np.maximum(rhs_c, 1e-300))
     blocks = _field_blocks("operator_norm_bound", seed, trials, ops.n_psi,

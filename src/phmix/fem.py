@@ -299,11 +299,6 @@ class CouplingOperators:
     def n_chi(self) -> int:
         return self.line.n_dofs
 
-    @property
-    def measure2(self) -> float:
-        """Total azimuthal length of the wall."""
-        return self.surface.boundary.measure2
-
     def embed(self, y: np.ndarray) -> np.ndarray:
         """B y: line coefficients to azimuthally constant surface
         coefficients."""
@@ -338,18 +333,6 @@ class CouplingOperators:
         if self._chi_lu is None:
             self._chi_lu = spla.splu(sp.csc_matrix(self.m_chi))
         return self._chi_lu.solve(b)
-
-    def surface_inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(a @ (self.m_psi @ b))
-
-    def line_inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(a @ (self.m_chi @ b))
-
-    def surface_norm(self, a: np.ndarray) -> float:
-        return float(np.sqrt(max(self.surface_inner(a, a), 0.0)))
-
-    def line_norm(self, a: np.ndarray) -> float:
-        return float(np.sqrt(max(self.line_inner(a, a), 0.0)))
 
 
 def assemble_coupling(surface: SurfaceBasis, line: LineBasis,

@@ -22,7 +22,15 @@ formed once from the assembled block d_chi, so the ledger's power residual
 also checks that block against the nodal pair.
 
 Newton's chord iterations build, factor and solve with the midpoint
-Jacobian through the stepper's `chord.ChordSolver`.
+Jacobian through the stepper's `chord.ChordSolver`, `sim.chord`.
+
+The data flow of a step is explicit: `step` takes the old state and the
+row scale as arguments, `_residual` returns its port fields with the
+residual, `_build_jacobian` builds from those fields, and `_newton` counts
+its own iterations.  After construction the only state a
+`CoupledSimulation` changes is `sim.chord`'s factor and counters: a step
+continues the chord factor of the previous step on the same object, and
+`run` starts with none.
 
 Each step starts from a prediction read off a backward-difference table of
 the accepted states, of the order the table's own terms support (up to
@@ -301,7 +309,6 @@ class CoupledSimulation:
         self._mass_rows = np.concatenate(mass_rows)
         self.chord = ChordSolver(heat_sys, fluid_sys, ops, self._free,
                                  self._mass_rows, cfg.dt)
-        self.newton_iterations = 0
 
     # ---- state packing -------------------------------------------------
 
@@ -319,9 +326,12 @@ class CoupledSimulation:
 
     # ---- midpoint residual ----------------------------------------------
 
-    def _residual(self, x: np.ndarray) -> np.ndarray:
+    def _residual(self, x: np.ndarray, x_old: np.ndarray,
+                  s_old: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Residual M (x1 - x0) - dt F(x_mid) of the midpoint system at the
-        trial end-of-step state x.
+        trial end-of-step state x, for the step from the packed old state
+        x_old = x0 with solid entropy s_old, and the port fields of this
+        evaluation.
 
         Ports are eliminated in nodal form: the channel's midpoint
         temperature output, embedded along the azimuth, is the wall input
@@ -330,26 +340,25 @@ class CoupledSimulation:
         load.  The sealed-end velocity rows are the constraints vel1 = 0.
 
         Works on the packed vectors: the midpoint and M (x1 - x0) are
-        formed once from the old state and the mass rows that `step` and
-        `_prepare` keep packed, and dt times the solid, channel and wall
-        loads is subtracted from the rows in place.
+        formed once from x_old and the packed mass rows, and dt times the
+        solid, channel and wall loads is subtracted from the rows in place.
 
-        Leaves the port fields of this evaluation in `self._ports`: the
-        channel temperature output t_m, the solid midpoint entropy with its
-        pinned rows, the load-form wall and external outputs, and the wall
-        output's azimuthal sums embed_t(wall) (None for a face without a
-        port).  `step` builds the end-of-step state and the powers from
-        those of the residual at the converged x, and a Jacobian build takes
-        the solid tangent at that midpoint entropy and the wall entropy's
-        derivative at that temperature.
+        Returns (r, ports), ports = (fluid_mid, t_m, s_mid, wall, ext,
+        wall_sums): the channel midpoint state and its temperature output
+        t_m, the solid midpoint entropy with its pinned rows, the load-form
+        wall and external outputs, and the wall output's azimuthal sums
+        embed_t(wall) (the last four None for a channel alone, ext None for
+        a face without a port).  `step` builds the end-of-step state and
+        the powers from those of the residual at the converged x, and
+        `_build_jacobian` takes the tangents at that midpoint.
         """
         dt, nfree, nf = self.cfg.dt, self._nfree, self._nf
-        x0 = self._x_old
-        mid = x0 + x
+        mid = x_old + x
         mid *= 0.5
-        r = x - x0
+        r = x - x_old
         r *= self._mass_rows  # M (x1 - x0), every row
-        f, t_m = self.fluid.loads(FluidState(*mid[nfree:].reshape(3, nf)))
+        fluid_mid = FluidState(*mid[nfree:].reshape(3, nf))
+        f, t_m = self.fluid.loads(fluid_mid)
 
         if self.coupled:
             heat = self.heat
@@ -357,13 +366,12 @@ class CoupledSimulation:
             s_mid[self._free] = mid[:nfree]
             loads, wall, ext = heat.port_loads(
                 s_mid, self.ops.embed(t_m), self.ext_temperature,
-                s_old=self._s_old, dt=dt)
+                s_old=s_old, dt=dt)
             r[:nfree] -= dt * loads[self._free]
             wall_sums = self.ops.embed_t(wall)
             f.s -= wall_sums  # the wall's entropy-row load
         else:
             s_mid = wall = ext = wall_sums = None
-        self._ports = (t_m, s_mid, wall, ext, wall_sums)
 
         r_phi, r_vel, r_s = r[nfree:].reshape(3, nf)
         r_phi -= dt * f.phi
@@ -372,80 +380,96 @@ class CoupledSimulation:
         r_vel[0] = mf[0] * vel1[0]
         r_vel[-1] = mf[-1] * vel1[-1]
         r_s -= dt * f.s
-        return r
+        return r, (fluid_mid, t_m, s_mid, wall, ext, wall_sums)
 
     # ---- Newton ----------------------------------------------------------
 
-    def _build_jacobian(self, x: np.ndarray):
-        """Build and factor the Jacobian at x, where `_residual` last ran,
-        from the channel midpoint and the port fields that residual left."""
-        t_m, s_mid = self._ports[:2]
-        mid = 0.5 * (self._x_old[self._nfree:] + x[self._nfree:])
-        self.chord.build(FluidState(*mid.reshape(3, self._nf)), s_mid, t_m)
+    def _build_jacobian(self, ports: tuple) -> None:
+        """Build and factor the Jacobian at the midpoint of a residual from
+        its port fields: the channel midpoint state, its temperature output
+        and the pinned solid midpoint entropy.  Writes into none of them."""
+        fluid_mid, t_m, s_mid = ports[:3]
+        self.chord.build(fluid_mid, s_mid, t_m)
 
-    def _newton(self, x: np.ndarray):
-        """Chord-Newton iterations from x until the scaled residual is at
-        most newton_tol or newton_max_iters are spent; returns (x, norm,
-        ports), with the port fields of the residual at the returned x.
+    def _newton(self, x: np.ndarray, x_old: np.ndarray, s_old: np.ndarray,
+                row_scale: np.ndarray):
+        """Chord-Newton iterations of the step from x_old (solid entropy
+        s_old), from x until the residual, divided row by row by
+        row_scale, is at most newton_tol in max norm or newton_max_iters
+        are spent.
 
-        The factorization is rebuilt when there is none or when an
-        iteration fails to halve the residual.  A StateValidityError from a
-        trial iterate, or a SingularJacobianError from a build, propagates
-        to the caller.
+        The first iteration solves with the chord solver's factor if it
+        holds one; a factor is built when there is none or when an
+        iteration fails to halve the residual.
+
+        Returns (x, norm, ports, iterations, failure), with the port fields
+        of the residual at the returned x.  A StateValidityError from a
+        trial iterate or from the end state of a converged x, or a
+        SingularJacobianError from a build, ends the attempt with norm inf
+        and the error as failure (None otherwise).
         """
-        r = self._residual(x)
-        norm = self._scaled_norm(r)
-        stale = not self.chord.factored
-        for _ in range(self.cfg.newton_max_iters):
-            if norm <= self.cfg.newton_tol:
-                break
-            if stale:
-                self._build_jacobian(x)
-            x = x - self.chord.solve(r)
-            self.newton_iterations += 1
-            r = self._residual(x)
-            new_norm = self._scaled_norm(r)
-            stale = new_norm > 0.5 * norm  # chord Jacobian not contracting
-            norm = new_norm
-        return x, norm, self._ports
+        cfg = self.cfg
+        iterations = 0
+        try:
+            r, ports = self._residual(x, x_old, s_old)
+            norm = float((np.abs(r) / row_scale).max())
+            stale = not self.chord.factored
+            while norm > cfg.newton_tol and iterations < cfg.newton_max_iters:
+                if stale:
+                    self._build_jacobian(ports)
+                x = x - self.chord.solve(r)
+                iterations += 1
+                r, ports = self._residual(x, x_old, s_old)
+                new_norm = float((np.abs(r) / row_scale).max())
+                stale = new_norm > 0.5 * norm  # chord Jacobian not contracting
+                norm = new_norm
+            if norm <= cfg.newton_tol:
+                # the residual saw the midpoint; the end state 2 mid - old
+                # may still leave the ideal-gas states
+                check_specific_volume(self._unpack_fluid(x)[0])
+        except (StateValidityError, SingularJacobianError) as exc:
+            # an invalid iterate or end state, or a zero pivot
+            return x, np.inf, None, iterations, exc
+        return x, norm, ports, iterations, None
 
-    def _scaled_norm(self, r: np.ndarray) -> float:
-        return float((np.abs(r) / self._row_scale).max())
-
-    def _prepare(self, heat_state: HeatState, fluid_state: FluidState):
-        """Typical magnitudes for the residual row scaling and the
-        predictor's term sizes."""
+    def _magnitudes(self, heat_s: np.ndarray,
+                    fluid_state: FluidState) -> np.ndarray:
+        """Typical magnitudes of the packed unknowns, per field: the
+        predictor's term sizes and, times the mass rows, the residual's row
+        scale."""
         typ = []
         if self.coupled:
             typ.append(np.full(self._nfree,
-                               max(1.0, float(np.max(np.abs(heat_state.s))))))
+                               max(1.0, float(np.max(np.abs(heat_s))))))
         for arr in (fluid_state.phi, fluid_state.vel, fluid_state.s):
             typ.append(np.full(self._nf, max(1.0, float(np.max(np.abs(arr))))))
-        self._typ = np.concatenate(typ)
-        self._row_scale = self._mass_rows * self._typ
+        return np.concatenate(typ)
 
-    def step(self, heat_state: HeatState, fluid_state: FluidState,
-             x_pred: np.ndarray | None = None,
-             x_old: np.ndarray | None = None):
-        """One implicit-midpoint step.
+    def step(self, s_old: np.ndarray, x_old: np.ndarray, x_pred: np.ndarray,
+             row_scale: np.ndarray):
+        """One implicit-midpoint step from the old state: its solid entropy
+        s_old and the old state packed, x_old, as `_pack` gives it.  Newton
+        starts from x_pred and divides the residual's rows by row_scale,
+        the mass rows times the `_magnitudes` of a state (`run` passes
+        those of its initial state).
 
-        x_old is the old state packed, as `_pack` gives it; `run` passes
-        its predictor table's row 0, which is that vector, and without it
-        the step packs the old state itself.  Newton starts from x_pred
-        (default: the old state).  If it does not converge, a trial iterate
-        or the converged end state is not a valid state, or a Jacobian has
-        an exact zero pivot, it is retried once from the old state with a
-        fresh factorization; a second failure raises StepFailureError,
-        chained to the StateValidityError that names the field or the
-        SingularJacobianError that names the unknown, if there is one.
+        The step continues the chord factor of the previous step on this
+        object, if there is one; `sim.chord.discard()` starts afresh.  If
+        Newton does not converge, a trial iterate or the converged end
+        state is not a valid state, or a Jacobian has an exact zero pivot,
+        the step is retried once from x_old with a fresh factorization; a
+        second failure raises StepFailureError with the iterations of both
+        attempts, chained to the StateValidityError that names the field or
+        the SingularJacobianError that names the unknown, if there is one.
 
-        Returns (heat', fluid', powers, p_ext, norm, x): the converged
-        midpoint coupling powers (p_heat, p_fluid) and external power
-        entering the ledger, Newton's final scaled residual, and the packed
-        end-of-step unknowns x.  All of them come from the port fields of
-        Newton's last residual, the one at x, and the residual is not
-        evaluated again.  The ports are in load form: the wall output is
-        m_psi v for the nodal output field v, so no surface solve is
+        Returns (heat', fluid', powers, p_ext, norm, x, iterations): the
+        converged midpoint coupling powers (p_heat, p_fluid) and external
+        power entering the ledger, Newton's final scaled residual, the
+        packed end-of-step unknowns x and the Newton iterations of the
+        step, a retry's included.  The states and powers come from the port
+        fields of Newton's last residual, the one at x, and the residual is
+        not evaluated again.  The ports are in load form: the wall output
+        is m_psi v for the nodal output field v, so no surface solve is
         needed.  p_heat = embed(t_m) . m_psi v is t_m . embed_t(wall), the
         sums the residual formed; p_ext = T_ext sum(ext) likewise; and
         p_fluid = -t_m . d_chi v takes d_chi v = (d_chi m_psi^-1) wall from
@@ -453,41 +477,27 @@ class CoupledSimulation:
         so that the power residual compares that block with the nodal pair
         the residual applied.
         """
-        self._s_old = heat_state.s
-        if not hasattr(self, "_row_scale"):
-            self._prepare(heat_state, fluid_state)
-        if x_old is None:
-            x_old = self._pack(heat_state.s, fluid_state)
-        x0 = self._x_old = x_old
-
-        start = self.newton_iterations
-        for x_start in (x0 if x_pred is None else x_pred, x0):
-            try:
-                x, norm, ports = self._newton(x_start)
-                failure = None
-                if norm <= self.cfg.newton_tol:
-                    # the residual saw the midpoint; the end state 2 mid - old
-                    # may still leave the ideal-gas states
-                    check_specific_volume(self._unpack_fluid(x)[0])
-            except (StateValidityError, SingularJacobianError) as exc:
-                # an invalid iterate or end state, or a zero pivot
-                norm, failure = np.inf, exc
+        iterations = 0
+        for x_start in (x_pred, x_old):
+            x, norm, ports, n, failure = self._newton(x_start, x_old, s_old,
+                                                      row_scale)
+            iterations += n
             if norm <= self.cfg.newton_tol:
                 break
-            self.chord.discard()  # retry once from x0 with a fresh factor
+            self.chord.discard()  # retry once from x_old with a fresh factor
         else:
             reason = "did not converge" if failure is None \
                 else f"failed: {failure}"
             raise StepFailureError(
                 f"implicit midpoint step {reason}", residual=norm,
-                iterations=self.newton_iterations - start) from failure
+                iterations=iterations) from failure
 
         # the port fields of the residual at the converged x
-        t_m, s_mid, wall, ext, wall_sums = ports
+        _, t_m, s_mid, wall, ext, wall_sums = ports
         fluid_new = FluidState(*self._unpack_fluid(x))
         p_heat = p_fluid = p_ext = 0.0
         if self.coupled:
-            s1 = 2.0 * s_mid - self._s_old  # the pinned rows
+            s1 = 2.0 * s_mid - s_old  # the pinned rows
             s1[self._free] = x[:self._nfree]
             heat_new = HeatState(s1)
             p_heat = float(t_m @ wall_sums)
@@ -497,8 +507,9 @@ class CoupledSimulation:
             if ext is not None:
                 p_ext = self.ext_temperature * float(ext.sum())
         else:
-            heat_new = HeatState(self._s_old)
-        return heat_new, fluid_new, (p_heat, p_fluid), p_ext, norm, x
+            heat_new = HeatState(s_old)
+        return heat_new, fluid_new, (p_heat, p_fluid), p_ext, norm, x, \
+            iterations
 
     def run(self, setup: ScenarioSetup, output_dir=None) -> SimResult:
         """Integrate to t_end, recording one ledger row per step (plus the
@@ -508,20 +519,21 @@ class CoupledSimulation:
         accepted end-of-step vectors as an (m, nx) table, m <= PREDICTOR_ORDER
         + 1.  Step k starts Newton from `extrapolate` of it: the old state at
         step 1, linear at step 2, then each higher difference while its size,
-        scaled by the typical magnitudes behind Newton's norm, keeps
+        scaled by the `_magnitudes` of the initial state, keeps
         shrinking.  `advance_table` then takes in the accepted vector, at
         O(order) work per step.  A constant history gives the old state
         exactly.  Row 0 of the table is the old state packed, which each
-        step takes as it is.  Snapshot coordinates are formatted once per
-        call.
+        step takes as it is, with the row scale the same magnitudes give.
+        Snapshot coordinates are formatted once per call.
 
         A ledger row takes each subsystem's Hamiltonian and total entropy
         from one `totals` pass over its end state, which the step has
         validated.
 
-        Counters and the chord factorization start afresh on every call, so
-        the result reports this run only, with the Newton iterations and
-        the final scaled residual of every step.  An error raised by a step,
+        The run starts with no chord factor and zeroed chord counters, and
+        keeps its row scale and predictor magnitudes to itself, so the
+        result reports this run only, with the Newton iterations and the
+        final scaled residual of every step.  An error raised by a step,
         or an OSError from its snapshot, carries the step index (`step`, 0
         for the initial snapshot) and the ledger so far (`ledger`).  With an
         output directory the run also writes that ledger before it re-raises
@@ -540,9 +552,9 @@ class CoupledSimulation:
         n_steps = int(round(cfg.t_end / cfg.dt))
         heat_state = setup.heat_state.copy()
         fluid_state = setup.fluid_state.copy()
-        self._prepare(heat_state, fluid_state)
+        typ = self._magnitudes(heat_state.s, fluid_state)
+        row_scale = self._mass_rows * typ
         self.chord.reset()
-        self.newton_iterations = 0
 
         ledger = EnergyLedger()
         check_specific_volume(fluid_state.phi)
@@ -563,12 +575,10 @@ class CoupledSimulation:
                 self._snapshot(output_dir, setup.name, 0, heat_state,
                                fluid_state, prefixes)
             for k in range(1, n_steps + 1):
-                x_pred, sums = extrapolate(table, self._typ)
-                before = self.newton_iterations
-                heat_state, fluid_state, powers, p_ext, norm, x_new = \
-                    self.step(heat_state, fluid_state, x_pred=x_pred,
-                              x_old=table[0])
-                iterations[k - 1] = self.newton_iterations - before
+                x_pred, sums = extrapolate(table, typ)
+                heat_state, fluid_state, powers, p_ext, norm, x_new, n = \
+                    self.step(heat_state.s, table[0], x_pred, row_scale)
+                iterations[k - 1] = n
                 residuals[k - 1] = norm
                 table = advance_table(table, sums, x_new)
                 ledger.append(self._record(k * cfg.dt, heat_state,
@@ -591,7 +601,7 @@ class CoupledSimulation:
         if output_dir is not None:
             ledger.write(ledger_path)
         return SimResult(
-            ledger, heat_state, fluid_state, n_steps, self.newton_iterations,
+            ledger, heat_state, fluid_state, n_steps, int(iterations.sum()),
             step_iterations=iterations, step_residuals=residuals,
             jacobian_builds=self.chord.builds,
             row_interchanges=self.chord.row_interchanges,

@@ -222,19 +222,19 @@ def complex_step_loads_tangent(heat, s, h=1e-30):
     return out
 
 
-def midpoint_residual_oracle(sim, x):
+def midpoint_residual_oracle(sim, x, x_old, s_old):
     """The midpoint residual M (x1 - x0) - dt F(x_mid) at x, assembled field
-    by field from unpacked states, for the step `sim` is in (its `_s_old`
-    and packed `_x_old`), without touching `sim`.  Returns (residual,
-    (t_m, s_mid, wall, ext, wall_sums)), the port fields in the order
-    `_residual` leaves them in `sim._ports`, wall_sums = embed_t(wall)."""
+    by field from unpacked states, for the step of `sim` from the packed old
+    state x_old with solid entropy s_old.  Returns (residual, (fluid_mid,
+    t_m, s_mid, wall, ext, wall_sums)), the port fields in the order
+    `sim._residual` returns them, wall_sums = embed_t(wall)."""
     dt = sim.cfg.dt
-    s0 = sim._s_old
-    fl0 = FluidState(*sim._unpack_fluid(sim._x_old))
+    s0 = s_old
+    fl0 = FluidState(*sim._unpack_fluid(x_old))
     phi1, vel1, sf1 = sim._unpack_fluid(x)
-    f, t_m = sim.fluid.loads(FluidState(0.5 * (fl0.phi + phi1),
-                                        0.5 * (fl0.vel + vel1),
-                                        0.5 * (fl0.s + sf1)))
+    fluid_mid = FluidState(0.5 * (fl0.phi + phi1), 0.5 * (fl0.vel + vel1),
+                           0.5 * (fl0.s + sf1))
+    f, t_m = sim.fluid.loads(fluid_mid)
     if sim.coupled:
         heat, free, s1_free = sim.heat, sim._free, x[:sim._nfree]
         s_mid = np.empty(heat.n_dofs)
@@ -254,8 +254,8 @@ def midpoint_residual_oracle(sim, x):
     r_vel[0] = mf[0] * vel1[0]
     r_vel[-1] = mf[-1] * vel1[-1]
     r_s = mf * (sf1 - fl0.s) - dt * (f.s + w_load)
-    return np.concatenate([r_solid, r_phi, r_vel, r_s]), (t_m, s_mid, wall,
-                                                           ext, wall_sums)
+    return np.concatenate([r_solid, r_phi, r_vel, r_s]), (
+        fluid_mid, t_m, s_mid, wall, ext, wall_sums)
 
 
 def surface_solve_powers(ops, t_m, wall, ext, t_ext):
@@ -266,12 +266,12 @@ def surface_solve_powers(ops, t_m, wall, ext, t_ext):
     Returns (p_heat, p_fluid, p_ext), p_ext 0.0 without an external
     port."""
     v = ops.solve_psi(wall)
-    p_heat = ops.surface_inner(ops.embed(t_m), v)
+    p_heat = float(ops.embed(t_m) @ (ops.m_psi @ v))
     p_fluid = -float(t_m @ (ops.d_chi @ v))
     p_ext = 0.0
     if ext is not None:
         u_ext = np.full(ops.n_psi, t_ext)
-        p_ext = ops.surface_inner(u_ext, ops.solve_psi(ext))
+        p_ext = float(u_ext @ (ops.m_psi @ ops.solve_psi(ext)))
     return p_heat, p_fluid, p_ext
 
 
@@ -303,11 +303,12 @@ def band_structure(layout, n):
     return band_to_dense(band, layout) != 0.0
 
 
-def csc_jacobian_oracle(sim, x):
-    """The midpoint Jacobian at x (`sim._residual` last run at x) as a CSC
-    matrix in the packed order, composed with sparse blocks by the chain
-    rule of the residual: mass - (dt/2) `FluidSystem.loads_tangent` on the
-    channel block, plus R (mass - (dt/2) d loads) C for the solid loads,
+def csc_jacobian_oracle(sim, x, x_old, s_old):
+    """The midpoint Jacobian at x of the step of `sim` from x_old (solid
+    entropy s_old), at the port fields of `midpoint_residual_oracle`
+    there, as a CSC matrix in the packed order, composed with sparse blocks
+    by the chain rule of the residual: mass - (dt/2)
+    `FluidSystem.loads_tangent` on the channel block, plus R (mass - (dt/2) d loads) C for the solid loads,
     with d loads the tangent blocks summed into (n_solid, n_solid), R the
     residual row of each solid row (its free row, or its channel node's
     entropy row for a coupling dof; none for a held external dof) and C the
@@ -316,16 +317,16 @@ def csc_jacobian_oracle(sim, x):
     for a coupling dof)."""
     nf, nfree, nx = sim._nf, sim._nfree, sim.chord.n
     dt = sim.cfg.dt
-    mid = 0.5 * (sim._x_old + x)
-    fluid_tan, t_grad = sim.fluid.loads_tangent(
-        FluidState(*mid[nfree:].reshape(3, nf)))
+    fluid_mid, t_m, s_mid = midpoint_residual_oracle(sim, x, x_old,
+                                                     s_old)[1][:3]
+    fluid_tan, t_grad = sim.fluid.loads_tangent(fluid_mid)
     chan = sp.diags(sim._mass_rows[nfree:]) - 0.5 * dt * sp.csr_matrix(
         fluid_tan)
     jac = sp.block_diag([sp.csr_matrix((nfree, nfree)), chan], format="csr")
     if sim.coupled:
         heat, free = sim.heat, sim._free
         n_solid = heat.n_dofs
-        local = heat.loads_tangent(sim._ports[1])
+        local = heat.loads_tangent(s_mid)
         gather = heat._gather
         dloads = sp.csr_matrix(
             (local.ravel(),
@@ -339,7 +340,7 @@ def csc_jacobian_oracle(sim, x):
              (np.concatenate([np.arange(nfree), nfree + 2 * nf + node]),
               np.concatenate([free, cdofs]))),
             shape=(nx, n_solid))
-        dsw = heat.material.rho_c / sim._ports[0] * t_grad
+        dsw = heat.material.rho_c / t_m * t_grad
         cols = sp.csr_matrix(
             (np.concatenate([np.ones(nfree), dsw[0, node], dsw[1, node]]),
              (np.concatenate([free, cdofs, cdofs]),

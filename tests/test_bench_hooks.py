@@ -59,7 +59,8 @@ def test_build_hook_is_on_the_build_path(monkeypatch, singular):
     calls = []
     hook = CoupledSimulation._build_jacobian
     monkeypatch.setattr(CoupledSimulation, "_build_jacobian",
-                        lambda sim, x: calls.append(x) or hook(sim, x))
+                        lambda sim, ports: calls.append(ports)
+                        or hook(sim, ports))
     if singular:
         band = ChordSolver.band
 

@@ -46,28 +46,59 @@ def one_step_simulation(name, geometry, dt=2.5e-4):
     return problem, setup, make_simulation(problem, cfg, setup)
 
 
+def row_scale_of(sim, heat_state, fluid_state):
+    """The row scale `run` passes its steps when it starts from these
+    states."""
+    return sim._mass_rows * sim._magnitudes(heat_state.s, fluid_state)
+
+
+def step_from(sim, heat_state, fluid_state, row_scale):
+    """One step of `sim` from these states, Newton starting at the old
+    state."""
+    x_old = sim._pack(heat_state.s, fluid_state)
+    return sim.step(heat_state.s, x_old, x_old, row_scale)
+
+
+@dataclasses.dataclass
+class NewtonPoint:
+    """A trial end state x of one step of `sim`, the step from the packed
+    old state x_old with solid entropy s_old; typ are the `_magnitudes` of
+    that old state."""
+
+    sim: CoupledSimulation
+    x: np.ndarray
+    x_old: np.ndarray
+    s_old: np.ndarray
+    typ: np.ndarray
+
+    def residual(self, x):
+        """The step's residual at x and the port fields there."""
+        return self.sim._residual(x, self.x_old, self.s_old)
+
+
 def newton_point(name, geometry, dt=2.5e-4):
     """A simulation of one step on a small mesh and an unknown vector near
     its converged iterate, nudged so that no Jacobian entry vanishes by
     symmetry (rest, uniform temperature)."""
-    problem, setup, sim = one_step_simulation(name, geometry, dt)
-    *_, x = sim.step(setup.heat_state, setup.fluid_state)
-    x = x + 1e-6 * sim._typ * np.sin(np.arange(len(x)))
-    return problem, sim, x
+    _, setup, sim = one_step_simulation(name, geometry, dt)
+    heat0, fluid0 = setup.heat_state, setup.fluid_state
+    typ = sim._magnitudes(heat0.s, fluid0)
+    *_, x, _ = step_from(sim, heat0, fluid0, sim._mass_rows * typ)
+    x = x + 1e-6 * typ * np.sin(np.arange(len(x)))
+    return NewtonPoint(sim, x, sim._pack(heat0.s, fluid0), heat0.s, typ)
 
 
-def dense_cd_jacobian(sim, x):
-    """Reference: one central difference per column, with the step
-    h_j = 1e-5 max(|x_j|, typ_j).  Runs the residual at x last, so that
-    `sim._ports` are those at x."""
+def dense_cd_jacobian(point):
+    """Reference: one central difference per column at point.x, with the
+    step h_j = 1e-5 max(|x_j|, typ_j)."""
+    x = point.x
     jac = np.empty((len(x), len(x)))
     for j in range(len(x)):
-        h = 1e-5 * max(abs(x[j]), sim._typ[j])
+        h = 1e-5 * max(abs(x[j]), point.typ[j])
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        jac[:, j] = (sim._residual(xp) - sim._residual(xm)) / (2.0 * h)
-    sim._residual(x)
+        jac[:, j] = (point.residual(xp)[0] - point.residual(xm)[0]) / (2.0 * h)
     return jac
 
 
@@ -101,20 +132,18 @@ def complex_step_solid_columns(sim, s_mid):
     return out
 
 
-def build_args(sim, x):
-    """The channel midpoint and the port fields that a build at x takes,
-    after the residual at x, as `_build_jacobian` passes them."""
-    sim._residual(x)
-    t_m, s_mid = sim._ports[:2]
-    mid = 0.5 * (sim._x_old + x)[sim._nfree:]
-    return FluidState(*mid.reshape(3, sim._nf)), s_mid, t_m
+def build_args(point):
+    """The channel midpoint and the port fields that a build at point.x
+    takes from the residual there, as `_build_jacobian` passes them."""
+    fluid_mid, t_m, s_mid = point.residual(point.x)[1][:3]
+    return fluid_mid, s_mid, t_m
 
 
-def built_jacobian(sim, x):
-    """The Jacobian a build makes at x, after the residual at x, unpacked
-    from its band to a dense matrix in the packed order."""
-    band = sim.chord.band(*build_args(sim, x))
-    return oracles.band_to_dense(band, sim.chord.layout)
+def built_jacobian(point):
+    """The Jacobian a build makes at point.x, unpacked from its band to a
+    dense matrix in the packed order."""
+    band = point.sim.chord.band(*build_args(point))
+    return oracles.band_to_dense(band, point.sim.chord.layout)
 
 
 # every column of a build against the central difference, as a fraction of
@@ -124,13 +153,14 @@ def built_jacobian(sim, x):
 CD_TOL = 5e-11
 
 
-def jacobian_column_errors(sim, x):
-    """Each column's largest error in a build at x, relative to the
+def jacobian_column_errors(point):
+    """Each column's largest error in a build at point.x, relative to the
     column's largest entry: against the central difference for every
     column, and against the complex step for the free solid columns."""
-    dense = dense_cd_jacobian(sim, x)
-    s_mid = sim._ports[1]  # the pinned midpoint state at x
-    jac = built_jacobian(sim, x)
+    sim = point.sim
+    dense = dense_cd_jacobian(point)
+    s_mid = build_args(point)[1]  # the pinned midpoint state at x
+    jac = built_jacobian(point)
     cd_err = np.abs(jac - dense).max(axis=0) / np.abs(dense).max(axis=0)
     cs_err = np.zeros(0)
     if sim._nfree:
@@ -148,9 +178,10 @@ class TestColoredNewton:
     def test_dense_jacobian_inside_pattern(self, name, geometry):
         # the central differences vanish outside the block-composed
         # pattern and outside the entries a build writes
-        _, sim, x = newton_point(name, geometry)
-        dense = dense_cd_jacobian(sim, x)
-        structure = oracles.band_structure(sim.chord.layout, len(x))
+        point = newton_point(name, geometry)
+        sim = point.sim
+        dense = dense_cd_jacobian(point)
+        structure = oracles.band_structure(sim.chord.layout, len(point.x))
         reference = oracles.jacobian_pattern_oracle(sim).toarray()
         assert structure.shape == reference.shape == dense.shape
         assert np.all(dense[~reference] == 0.0)
@@ -160,8 +191,7 @@ class TestColoredNewton:
     def test_colored_jacobian_matches_dense(self, name, geometry):
         # every column against the central difference; the solid columns
         # also against the complex step, which a difference could not pass
-        _, sim, x = newton_point(name, geometry)
-        cd_err, cs_err = jacobian_column_errors(sim, x)
+        cd_err, cs_err = jacobian_column_errors(newton_point(name, geometry))
         assert cd_err.max() <= CD_TOL
         assert np.all(cs_err <= 1e-13)
 
@@ -171,7 +201,8 @@ class TestColoredNewton:
                                                       monkeypatch):
         # dp/dphi 1 % off: the central-difference gate sees it, the
         # solid columns' complex-step gate does not
-        _, sim, x = newton_point(name, geometry)
+        point = newton_point(name, geometry)
+        sim = point.sim
         exact = sim.fluid.loads_tangent
         nf = sim._nf
 
@@ -181,7 +212,7 @@ class TestColoredNewton:
             return jac, t_grad
 
         monkeypatch.setattr(sim.fluid, "loads_tangent", perturbed)
-        cd_err, cs_err = jacobian_column_errors(sim, x)
+        cd_err, cs_err = jacobian_column_errors(point)
         assert cd_err.max() > 100 * CD_TOL
         assert np.all(cs_err <= 1e-13)
 
@@ -201,22 +232,23 @@ FACTOR_CASES = [
 
 def factored_point(name, geometry, dt):
     """`newton_point` with the residual r at x and the factor built there;
-    returns (sim, x, r, the rows that build interchanged)."""
-    _, sim, x = newton_point(name, geometry, dt)
-    r = sim._residual(x)
+    returns (point, r, the rows that build interchanged)."""
+    point = newton_point(name, geometry, dt)
+    sim = point.sim
+    r, ports = point.residual(point.x)
     before = sim.chord.row_interchanges  # the step's own builds counted too
-    sim._build_jacobian(x)
-    return sim, x, r, sim.chord.row_interchanges - before
+    sim._build_jacobian(ports)
+    return point, r, sim.chord.row_interchanges - before
 
 
 class TestBandLU:
     @pytest.mark.parametrize("name,geometry,dt,interchanged", FACTOR_CASES)
     def test_chord_solve_matches_dense_solve(self, name, geometry, dt,
                                              interchanged):
-        sim, x, r, moved = factored_point(name, geometry, dt)
+        point, r, moved = factored_point(name, geometry, dt)
         assert (moved > 0) == interchanged
-        got = sim.chord.solve(r)
-        dense = built_jacobian(sim, x)
+        got = point.sim.chord.solve(r)
+        dense = built_jacobian(point)
         want = np.linalg.solve(dense, r)
         del dense
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -227,9 +259,10 @@ class TestBandLU:
         # the triangle solves of a factor without interchanges, and the
         # solve of one with them, against LAPACK's on a factor of the same
         # band
-        sim, x, r, moved = factored_point(name, geometry, dt)
+        point, r, moved = factored_point(name, geometry, dt)
+        sim = point.sim
         lay = sim.chord.layout
-        lu, piv, info = dgbtrf(sim.chord.band(*build_args(sim, x)), lay.kl,
+        lu, piv, info = dgbtrf(sim.chord.band(*build_args(point)), lay.kl,
                                lay.ku)
         assert info == 0
         assert moved == np.count_nonzero(piv != np.arange(len(piv)))
@@ -249,10 +282,11 @@ class TestBandLU:
         # a factor without interchanges is kept as its two triangles,
         # copied out of the factored band, which is not kept; a solve
         # allocates vectors only
-        sim, x, r, moved = factored_point(*LADDER_CASES[0].values, 2.5e-4)
+        point, r, moved = factored_point(*LADDER_CASES[0].values, 2.5e-4)
+        sim = point.sim
         lay = sim.chord.layout
         kl, ku = lay.kl, lay.ku
-        lu, _, info = dgbtrf(sim.chord.band(*build_args(sim, x)), kl, ku)
+        lu, _, info = dgbtrf(sim.chord.band(*build_args(point)), kl, ku)
         assert moved == 0 and info == 0
         assert sim.chord.band_lu is None
         lower, upper = sim.chord.triangles
@@ -301,9 +335,10 @@ class TestBandLU:
     def test_band_equals_csc_assembly(self, name, geometry):
         # the band layout against a sparse chain-rule composition of the
         # same tangents, column by column to round-off
-        _, sim, x = newton_point(name, geometry)
-        band = built_jacobian(sim, x)
-        reference = oracles.csc_jacobian_oracle(sim, x).toarray()
+        point = newton_point(name, geometry)
+        band = built_jacobian(point)
+        reference = oracles.csc_jacobian_oracle(
+            point.sim, point.x, point.x_old, point.s_old).toarray()
         err = np.abs(band - reference).max(axis=0)
         assert np.all(err <= 1e-14 * np.abs(reference).max(axis=0))
 
@@ -331,36 +366,49 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def port_arrays(ports):
+    """The port fields of a residual as arrays (or None): the channel
+    midpoint's three fields, then the others."""
+    fluid_mid, *rest = ports
+    return [fluid_mid.phi, fluid_mid.vel, fluid_mid.s, *rest]
+
+
 class TestPackedResidual:
     @pytest.mark.parametrize("name,geometry", NEWTON_CASES)
     def test_matches_unpacked_oracle_bitwise(self, name, geometry):
         # at the nudged iterate, at the old state and at a far trial point
-        _, sim, x = newton_point(name, geometry)
-        x_far = x + 1e-3 * sim._typ * np.cos(np.arange(len(x)))
-        for point in (x, sim._x_old, x_far):
-            want, want_ports = oracles.midpoint_residual_oracle(sim, point)
-            got = sim._residual(point)
+        point = newton_point(name, geometry)
+        x = point.x
+        x_far = x + 1e-3 * point.typ * np.cos(np.arange(len(x)))
+        for at in (x, point.x_old, x_far):
+            want, want_ports = oracles.midpoint_residual_oracle(
+                point.sim, at, point.x_old, point.s_old)
+            got, ports = point.residual(at)
             assert same_bits(got, want)
-            assert len(sim._ports) == len(want_ports)
-            for field, ref in zip(sim._ports, want_ports):
+            assert len(ports) == len(want_ports)
+            for field, ref in zip(port_arrays(ports),
+                                  port_arrays(want_ports)):
                 assert same_bits(field, ref)
 
     @pytest.mark.parametrize("name", ["hot-wall-cooldown", "heated-ext-face",
                                       "acoustic-pulse"])
-    def test_saved_ports_survive_a_jacobian_build(self, name):
-        # _newton returns the port fields of its last residual: a build
-        # evaluates no residual and leaves them as they are, and the next
-        # residual leaves fresh ones without writing into these
-        _, sim, x = newton_point(name, {"n_ax": 6, "n_az": 4, "n_th": 3,
-                                        "n_fluid": 6})
-        sim._residual(x)
-        ports = sim._ports
-        saved = [None if p is None else p.copy() for p in ports]
-        sim._build_jacobian(x)
-        assert sim._ports is ports
-        sim._residual(x + 1e-4 * sim._typ)
-        assert all(same_bits(p, q) for p, q in zip(ports, saved))
-        assert sim._ports is not ports
+    def test_build_writes_into_no_port_field(self, name):
+        # _newton hands `step` the port fields of its last residual after
+        # builds from them: a build writes into none of the fields it is
+        # given, and the next residual returns fresh ones that share no
+        # memory with these
+        point = newton_point(name, {"n_ax": 6, "n_az": 4, "n_th": 3,
+                                    "n_fluid": 6})
+        _, ports = point.residual(point.x)
+        fields = port_arrays(ports)
+        saved = [None if p is None else p.copy() for p in fields]
+        point.sim._build_jacobian(ports)
+        assert all(same_bits(p, q) for p, q in zip(fields, saved))
+        _, fresh = point.residual(point.x + 1e-4 * point.typ)
+        assert all(same_bits(p, q) for p, q in zip(fields, saved))
+        assert not any(np.shares_memory(p, q)
+                       for p, q in zip(port_arrays(fresh), fields)
+                       if p is not None)
 
 
 @pytest.mark.parametrize("rows", range(1, 9))
@@ -490,14 +538,18 @@ class TestPredictor:
                                problem.fluid, {})
         sim = make_simulation(problem, cfg, setup)
         preds, xs = [], [sim._pack(setup.heat_state.s, setup.fluid_state)]
+        typ = sim._magnitudes(setup.heat_state.s, setup.fluid_state)
         step = sim.step
 
-        def recording_step(heat_state, fluid_state, x_pred=None, x_old=None):
-            # the table's row 0 is the old state packed, bit for bit
-            assert same_bits(x_old, sim._pack(heat_state.s, fluid_state))
+        def recording_step(s_old, x_old, x_pred, row_scale):
+            # the table's row 0 is the old state packed, bit for bit, and
+            # every step is scaled by the initial state's magnitudes
+            assert same_bits(x_old, xs[-1])
+            assert same_bits(x_old[:sim._nfree], s_old[sim._free])
+            assert same_bits(row_scale, sim._mass_rows * typ)
             preds.append(x_pred)
-            out = step(heat_state, fluid_state, x_pred=x_pred, x_old=x_old)
-            xs.append(out[-1])
+            out = step(s_old, x_old, x_pred, row_scale)
+            xs.append(out[5])
             return out
 
         monkeypatch.setattr(sim, "step", recording_step)
@@ -506,7 +558,7 @@ class TestPredictor:
         assert np.array_equal(preds[0], xs[0])
         orders = []
         for k, pred in enumerate(preds[1:], start=1):
-            want, order = reference_prediction(xs[:k + 1], sim._typ)
+            want, order = reference_prediction(xs[:k + 1], typ)
             assert np.abs(pred - want).max() <= 1e-13 * np.abs(want).max()
             orders.append(order)
         assert orders[0] == 1 and max(orders) == PREDICTOR_ORDER
@@ -554,10 +606,16 @@ def test_step_outputs_match_fresh_residual_at_x(name):
     sim = make_simulation(problem, cfg, setup)
     dt, nf = cfg.sim.dt, fluid.n_dofs
     hs, fs = setup.heat_state, setup.fluid_state
+    row_scale = row_scale_of(sim, hs, fs)
+    iterations = 0
     for _ in range(4):
-        hs1, fs1, (p_heat, p_fluid), p_ext, norm, x = sim.step(hs, fs)
-        r, _ = oracles.midpoint_residual_oracle(sim, x)
-        assert norm == sim._scaled_norm(r) <= cfg.sim.newton_tol
+        x_old = sim._pack(hs.s, fs)
+        hs1, fs1, (p_heat, p_fluid), p_ext, norm, x, n = sim.step(
+            hs.s, x_old, x_old, row_scale)
+        iterations += n
+        r, _ = oracles.midpoint_residual_oracle(sim, x, x_old, hs.s)
+        assert norm == float((np.abs(r) / row_scale).max()) \
+            <= cfg.sim.newton_tol
         n_free = len(x) - 3 * nf
         phi1, vel1, sf1 = (x[n_free + i * nf:n_free + (i + 1) * nf]
                            for i in range(3))
@@ -588,7 +646,7 @@ def test_step_outputs_match_fresh_residual_at_x(name):
             for got, ref in zip((p_heat, p_fluid, p_ext), want):
                 assert abs(got - ref) <= 1e-13 * abs(ref)
         hs, fs = hs1, fs1
-    assert sim.newton_iterations >= 4  # every step iterated past its start
+    assert iterations >= 4  # every step iterated past its start
 
 
 @pytest.mark.parametrize("name,solves", [
@@ -712,9 +770,11 @@ class TestCooldown:
         sim = make_simulation(problem, cfg, setup)
         heat_state = setup.heat_state.copy()
         fluid_state = setup.fluid_state.copy()
+        row_scale = row_scale_of(sim, heat_state, fluid_state)
         gaps = []
         for _ in range(60):
-            heat_state, fluid_state, *_ = sim.step(heat_state, fluid_state)
+            heat_state, fluid_state, *_ = step_from(sim, heat_state,
+                                                    fluid_state, row_scale)
             t_solid = temperature_of_entropy(heat_state.s, cfg.heat)
             _, t_fluid, _ = eos(fluid_state.phi, fluid_state.s,
                                 problem.fluid.material)
@@ -998,9 +1058,11 @@ class TestFailureModes:
                                problem.fluid, {})
         sim = make_simulation(problem, cfg, setup)
         heat0, fluid0 = setup.heat_state, setup.fluid_state
-        *_, x_ref = sim.step(heat0, fluid0)
+        row_scale = row_scale_of(sim, heat0, fluid0)
+        *_, x_ref, _ = step_from(sim, heat0, fluid0, row_scale)
         # negative specific volume: the first trial iterate is not a state
-        *_, x = sim.step(heat0, fluid0, x_pred=-x_ref)
+        x_old = sim._pack(heat0.s, fluid0)
+        *_, x, _ = sim.step(heat0.s, x_old, -x_ref, row_scale)
         assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
 
     def test_large_pulse_fails_with_step_and_ledger(self):
@@ -1077,6 +1139,53 @@ class TestFailureModes:
             assert res.newton_iterations == fresh.newton_iterations
             assert res.jacobian_builds == fresh.jacobian_builds == 1
             assert [r.csv_row() for r in res.ledger.records] == rows
+
+    def test_run_and_step_set_no_attribute(self):
+        # the stepper's only state is sim.chord: a run and a direct step
+        # leave the same attributes, bound to the same objects
+        cfg = small_cfg()
+        problem = build_problem(cfg)
+        setup = build_scenario("hot-wall-cooldown", problem.heat,
+                               problem.fluid, {})
+        sim = make_simulation(problem, cfg, setup)
+        built = dict(vars(sim))
+
+        def unchanged():
+            now = vars(sim)
+            return now.keys() == built.keys() and \
+                all(now[key] is built[key] for key in built)
+
+        end = sim.run(setup)
+        assert unchanged()
+        hs, fs = end.heat_state, end.fluid_state
+        step_from(sim, hs, fs, row_scale_of(sim, hs, fs))
+        assert unchanged()
+
+    def test_step_after_run_matches_fresh_simulation(self):
+        # a step from a run's end state continues the run's last factor
+        # unless the factor is discarded; then it is bitwise the step of a
+        # fresh simulation, with the row scale the caller passes
+        cfg = small_cfg()
+        problem = build_problem(cfg)
+        setup = build_scenario("hot-wall-cooldown", problem.heat,
+                               problem.fluid, {})
+        sim = make_simulation(problem, cfg, setup)
+        end = sim.run(setup)
+        hs, fs = end.heat_state, end.fluid_state
+        row_scale = row_scale_of(sim, hs, fs)
+        sim.chord.discard()
+        got = step_from(sim, hs, fs, row_scale)
+        fresh = make_simulation(problem, cfg, setup)
+        want = step_from(fresh, hs, fs, row_scale)
+        assert sim.chord.builds == end.jacobian_builds + 1
+        assert fresh.chord.builds == 1
+        (heat1, fluid1, powers, p_ext, norm, x, iterations) = got
+        assert same_bits(x, want[5])
+        assert same_bits(heat1.s, want[0].s)
+        for field in ("phi", "vel", "s"):
+            assert same_bits(getattr(fluid1, field), getattr(want[1], field))
+        assert (powers, p_ext, norm, iterations) == \
+            (want[2], want[3], want[4], want[6])
 
     @pytest.mark.parametrize("geometry", [{"n_az": 4},
                                           {"circumference": 1.0}],
