@@ -19,8 +19,8 @@ from .errors import ConfigurationError, GeometryError, MaterialError, \
 from .fem import CouplingOperators, LineBasis, SurfaceBasis, VolumeBasis, \
     assemble_coupling, assemble_mass, assemble_stiffness, lumped_mass
 from .fluid import FluidMaterial, FluidState, FluidSystem, eos, sound_speed
-from .geometry import IntervalMesh, QuadratureRule, SolidDomain, \
-    TensorBoundary, build_solid_domain, quadrature_rule
+from .geometry import IntervalMesh, SolidDomain, TensorBoundary, \
+    build_solid_domain
 from .heat import HeatMaterial, HeatState, HeatSystem, energy_density, \
     entropy_of_temperature, temperature_of_entropy
 from .simulate import CoupledSimulation, EnergyLedger, LedgerRecord, \

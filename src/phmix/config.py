@@ -28,17 +28,7 @@ class GeometryConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run: geometry, materials, time stepping, scenario and output.
-
-    quad_degree is the polynomial degree the Gauss rules integrate exactly,
-    with (degree + 2) // 2 points per direction, and must lie in 2..9.  The
-    Q1 mass and stiffness integrands have degree 2 per direction, so degree
-    2 is exact for them; a higher degree only refines the quadrature of the
-    nonlinear heat closure.  The default 3 uses 8 points per solid cell and
-    9 uses 5 per direction, 125 per cell, about 16 times the default's
-    points.  A larger value reads as a typo: at 40 (9,261 points per cell)
-    the default run, 0.3 s at degree 3, had not finished after 60 s.
-    """
+    """One run: geometry, materials, time stepping, scenario and output."""
 
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     heat: HeatMaterial = field(default_factory=lambda: HeatMaterial(
@@ -52,7 +42,6 @@ class RunConfig:
     scenario: str = "hot-wall-cooldown"
     seed: int = 0
     output_dir: str = "out"
-    quad_degree: int = 3
     scenario_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -65,9 +54,6 @@ class RunConfig:
                 f"geometry.n_ax ({self.geometry.n_ax}) must equal "
                 f"geometry.n_fluid ({self.geometry.n_fluid}): the solid axial "
                 f"mesh and the channel mesh must coincide node-for-node")
-        if not 2 <= self.quad_degree <= 9:
-            raise ConfigurationError(
-                f"quad_degree must be between 2 and 9, got {self.quad_degree}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 

@@ -11,8 +11,7 @@ import numpy as np
 from .config import RunConfig
 from .fem import CouplingOperators, LineBasis, SurfaceBasis, assemble_coupling
 from .fluid import FluidSystem
-from .geometry import IntervalMesh, SolidDomain, build_solid_domain, \
-    quadrature_rule
+from .geometry import IntervalMesh, SolidDomain, build_solid_domain
 from .heat import HeatSystem
 from .simulate import CoupledSimulation, EnergyLedger, ScenarioSetup, \
     SimResult, build_scenario
@@ -35,16 +34,15 @@ def build_coupling(cfg: RunConfig
     domain = build_solid_domain(g.a, g.b, g.circumference, g.depth,
                                 g.n_ax, g.n_az, g.n_th)
     channel = IntervalMesh(g.a, g.b, g.n_fluid)
-    quad = quadrature_rule(cfg.quad_degree)
     ops = assemble_coupling(SurfaceBasis(domain.coupling_boundary()),
-                            LineBasis(channel), quad)
+                            LineBasis(channel))
     return domain, channel, ops
 
 
 def build_problem(cfg: RunConfig) -> Problem:
     domain, channel, ops = build_coupling(cfg)
-    heat = HeatSystem(domain, cfg.heat, cfg.quad_degree)
-    fluid = FluidSystem(channel, cfg.fluid, cfg.quad_degree)
+    heat = HeatSystem(domain, cfg.heat)
+    fluid = FluidSystem(channel, cfg.fluid)
     return Problem(heat=heat, fluid=fluid, ops=ops)
 
 

@@ -10,7 +10,7 @@ class GeometryError(PhmixError):
 
 
 class ConfigurationError(PhmixError):
-    """Invalid configuration value (quadrature degree, config file, ...)."""
+    """Invalid configuration value (config file, scenario parameter, ...)."""
 
 
 class MaterialError(PhmixError):

@@ -26,20 +26,19 @@ construction assembles its own operators; nothing is cached across them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, MaterialError, MeshCompatibilityError
-from .geometry import IntervalMesh, QuadratureRule, SolidDomain, TensorBoundary, \
-    quadrature_rule
+from .errors import MaterialError, MeshCompatibilityError
+from .geometry import IntervalMesh, SolidDomain, TensorBoundary
 
 
 @dataclass(frozen=True)
 class Tables:
-    """Per-quadrature-point reference data shared by all cells.
+    """Per-quadrature-point reference data shared by all cells, read-only.
 
     values:    (nq, n_local) shape function values
     gradients: (nq, n_local, dim) physical gradients (uniform cells)
@@ -50,6 +49,20 @@ class Tables:
     gradients: np.ndarray
     wdet: np.ndarray
 
+    def __post_init__(self):
+        for arr in (self.values, self.gradients, self.wdet):
+            arr.flags.writeable = False
+
+
+# The one quadrature rule, read-only: 2-point Gauss-Legendre on [0, 1],
+# exact to degree 3, so for every mass, stiffness and coupling integrand;
+# every line basis shares the values of its two hats at the points
+_x, _w = np.polynomial.legendre.leggauss(2)
+GAUSS_POINTS, GAUSS_WEIGHTS = 0.5 * (_x + 1.0), 0.5 * _w
+_HAT_VALUES = np.stack([1.0 - GAUSS_POINTS, GAUSS_POINTS], axis=1)
+for _arr in (GAUSS_POINTS, GAUSS_WEIGHTS, _HAT_VALUES):
+    _arr.flags.writeable = False
+
 
 class LineBasis:
     """P1 hat functions on an interval mesh (periodic wraps the last node)."""
@@ -58,30 +71,16 @@ class LineBasis:
         self.mesh = mesh
         self.n_dofs = mesh.n_nodes
         self.factors = (self,)
-        self._tables: dict[QuadratureRule, Tables] = {}
 
     def cell_dofs(self) -> np.ndarray:
         return self.mesh.cell_dofs()
 
-    def tables(self, quad: QuadratureRule) -> Tables:
-        """The reference tables under `quad`, computed on the first call
-        with that rule; their arrays are read-only, since every later call
-        returns the same ones."""
-        if quad.degree < 2:
-            raise ConfigurationError(
-                f"quadrature degree {quad.degree} insufficient for products "
-                f"of P1 functions (need >= 2)")
-        tab = self._tables.get(quad)
-        if tab is None:
-            h = self.mesh.h
-            tab = Tables(
-                np.stack([1.0 - quad.points, quad.points], axis=1),
-                np.tile([-1.0 / h, 1.0 / h], (quad.n_points, 1))[:, :, None],
-                quad.weights * h)
-            for arr in (tab.values, tab.gradients, tab.wdet):
-                arr.flags.writeable = False
-            self._tables[quad] = tab
-        return tab
+    @cached_property
+    def tables(self) -> Tables:
+        """The reference tables at the Gauss points, computed on first use."""
+        h = self.mesh.h
+        slopes = np.tile([-1.0 / h, 1.0 / h], (len(GAUSS_POINTS), 1))
+        return Tables(_HAT_VALUES, slopes[:, :, None], GAUSS_WEIGHTS * h)
 
 
 class SurfaceBasis:
@@ -117,16 +116,16 @@ class VolumeBasis:
             + d3[None, None, :, None, None, :]
         return glob.reshape(-1, 8)
 
-    def tables(self, quad: QuadratureRule) -> Tables:
-        t = [b.tables(quad) for b in self.factors]
-        nq = quad.n_points
+    @cached_property
+    def tables(self) -> Tables:
+        """The factors' tables multiplied out, computed on first use."""
+        t = [b.tables for b in self.factors]
         v1, v2, v3 = (ti.values for ti in t)
         g1, g2, g3 = (ti.gradients[:, :, 0] for ti in t)
-        vals = np.einsum("qa,rb,sc->qrsabc", v1, v2, v3).reshape(nq ** 3, 8)
-        gx = np.einsum("qa,rb,sc->qrsabc", g1, v2, v3).reshape(nq ** 3, 8)
-        gy = np.einsum("qa,rb,sc->qrsabc", v1, g2, v3).reshape(nq ** 3, 8)
-        gz = np.einsum("qa,rb,sc->qrsabc", v1, v2, g3).reshape(nq ** 3, 8)
-        grads = np.stack([gx, gy, gz], axis=2)
+        product = partial(np.einsum, "qa,rb,sc->qrsabc")
+        vals = product(v1, v2, v3).reshape(-1, 8)
+        grads = np.stack([product(g1, v2, v3), product(v1, g2, v3),
+                          product(v1, v2, g3)], axis=-1).reshape(-1, 8, 3)
         wdet = np.einsum("q,r,s->qrs", t[0].wdet, t[1].wdet, t[2].wdet).ravel()
         return Tables(vals, grads, wdet)
 
@@ -134,12 +133,11 @@ class VolumeBasis:
 Basis = LineBasis | SurfaceBasis | VolumeBasis
 
 
-def line_matrix(line: LineBasis, quad: QuadratureRule, left: int,
-                right: int) -> sp.csr_matrix:
+def line_matrix(line: LineBasis, left: int, right: int) -> sp.csr_matrix:
     """integral(phi_i^(left) phi_j^(right)) over a line, where phi^(0) is a
     hat and phi^(1) its derivative: the one quadrature assembly, which every
     other operator is built from."""
-    t = line.tables(quad)
+    t = line.tables
     shapes = (t.values, t.gradients[:, :, 0])
     local = np.einsum("q,qa,qb->ab", t.wdet, shapes[left], shapes[right])
     dofs = line.cell_dofs()
@@ -206,18 +204,18 @@ def _kron(mats) -> sp.csr_matrix:
     return reduce(_kron_pair, mats)
 
 
-def assemble_mass(basis: Basis, quad: QuadratureRule) -> sp.csr_matrix:
+def assemble_mass(basis: Basis) -> sp.csr_matrix:
     """Mass matrix M_ij = integral(phi_i phi_j), the Kronecker product of
     the factors' line masses; symmetric, row sums equal integral(phi_i)."""
-    return _kron(line_matrix(b, quad, 0, 0) for b in basis.factors)
+    return _kron(line_matrix(b, 0, 0) for b in basis.factors)
 
 
-def lumped_mass(basis: Basis, quad: QuadratureRule) -> np.ndarray:
+def lumped_mass(basis: Basis) -> np.ndarray:
     """Lumped (row-sum) mass vector m_i = integral(phi_i), the Kronecker
     product of the factors' hat integrals."""
     lumped = []
     for line in basis.factors:
-        t = line.tables(quad)
+        t = line.tables
         dofs = line.cell_dofs()
         lumped.append(np.bincount(dofs.ravel(),
                                   weights=np.tile(t.wdet @ t.values, len(dofs)),
@@ -225,8 +223,7 @@ def lumped_mass(basis: Basis, quad: QuadratureRule) -> np.ndarray:
     return reduce(np.kron, lumped)
 
 
-def assemble_stiffness(basis: Basis, coefficient: float,
-                       quad: QuadratureRule | None = None) -> sp.csr_matrix:
+def assemble_stiffness(basis: Basis, coefficient: float) -> sp.csr_matrix:
     """Stiffness matrix K_ij = coefficient * integral(grad(phi_i) .
     grad(phi_j)) for a positive constant coefficient: the Kronecker sum of
     the factors' line stiffness and mass matrices.  A non-positive
@@ -234,10 +231,8 @@ def assemble_stiffness(basis: Basis, coefficient: float,
     if not coefficient > 0:
         raise MaterialError(
             f"non-positive stiffness coefficient {coefficient!r}")
-    if quad is None:
-        quad = quadrature_rule(2)
-    mass = [line_matrix(b, quad, 0, 0) for b in basis.factors]
-    stiff = [line_matrix(b, quad, 1, 1) for b in basis.factors]
+    mass = [line_matrix(b, 0, 0) for b in basis.factors]
+    stiff = [line_matrix(b, 1, 1) for b in basis.factors]
     total = sum(_kron(mass[:d] + [stiff[d]] + mass[d + 1:])
                 for d in range(len(mass)))
     return (coefficient * total).tocsr()
@@ -335,8 +330,8 @@ class CouplingOperators:
         return self._chi_lu.solve(b)
 
 
-def assemble_coupling(surface: SurfaceBasis, line: LineBasis,
-                      quad: QuadratureRule) -> CouplingOperators:
+def assemble_coupling(surface: SurfaceBasis,
+                      line: LineBasis) -> CouplingOperators:
     """Assemble the surface/line mass matrices and the coupling blocks.
 
     The line mesh must equal the axial factor of the surface
@@ -346,9 +341,9 @@ def assemble_coupling(surface: SurfaceBasis, line: LineBasis,
     """
     require_fit(line.mesh, "line mesh", surface.boundary.gamma1,
                 "the surface's axial factor")
-    m_chi = assemble_mass(line, quad)
-    eta_integrals = lumped_mass(surface.eta, quad)
-    m_psi = _kron([m_chi, assemble_mass(surface.eta, quad)])
+    m_chi = assemble_mass(line)
+    eta_integrals = lumped_mass(surface.eta)
+    m_psi = _kron([m_chi, assemble_mass(surface.eta)])
     n_az = len(eta_integrals)
     d_chi = _kron([m_chi, sp.csr_matrix(
         (eta_integrals, np.arange(n_az), [0, n_az]), shape=(1, n_az))])

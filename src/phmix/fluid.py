@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import MaterialError, StateValidityError
 from .fem import LineBasis, line_matrix, lumped_mass
-from .geometry import IntervalMesh, quadrature_rule
+from .geometry import IntervalMesh
 
 
 @dataclass(frozen=True)
@@ -113,17 +113,15 @@ class FluidState:
 class FluidSystem:
     """Semi-discrete channel operator with sealed ends."""
 
-    def __init__(self, mesh: IntervalMesh, material: FluidMaterial,
-                 quad_degree: int = 3):
+    def __init__(self, mesh: IntervalMesh, material: FluidMaterial):
         if mesh.periodic:
             raise MaterialError("channel mesh must be non-periodic")
         self.mesh = mesh
         self.material = material
-        self.quad = quadrature_rule(quad_degree)
         self.basis = LineBasis(mesh)
-        self.mass = lumped_mass(self.basis, self.quad)
+        self.mass = lumped_mass(self.basis)
         # integral(phi_i dphi_j/dz), dense: a few dozen nodes
-        self.grad_pairing = line_matrix(self.basis, self.quad, 0, 1).toarray()
+        self.grad_pairing = line_matrix(self.basis, 0, 1).toarray()
 
     @property
     def n_dofs(self) -> int:

@@ -1,5 +1,5 @@
 """Computational domains: structured interval meshes, the tensor-product
-coupling face, the 3D solid box, and Gauss quadrature on the reference cell.
+coupling face and the 3D solid box.
 
 All meshes are uniform and immutable.  The solid box is axial x azimuthal x
 thickness, with the coupling face at thickness = 0 and the external face at
@@ -10,11 +10,10 @@ factors exactly into (axial interval) x (periodic azimuthal interval).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .errors import ConfigurationError, GeometryError
+from .errors import GeometryError
 
 
 @dataclass(frozen=True)
@@ -200,37 +199,3 @@ def build_solid_domain(a: float, b: float, circumference: float, depth: float,
         azimuthal=IntervalMesh(0.0, circumference, n_az, periodic=True),
         thickness=IntervalMesh(0.0, depth, n_th),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Gauss-Legendre rule on the reference cell [0, 1].
-
-    Exact for polynomials up to `degree`; weights sum to 1.  Rules compare
-    and hash by identity, so a rule can key the bases' table caches.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-    degree: int
-
-    @property
-    def n_points(self) -> int:
-        return len(self.points)
-
-
-@cache
-def quadrature_rule(degree: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [0, 1] exact to the given polynomial degree.
-
-    Memoized: every call with one degree returns the same rule, whose
-    arrays are read-only."""
-    if degree < 1:
-        raise ConfigurationError(f"quadrature degree must be >= 1, got {degree}")
-    n = (degree + 2) // 2  # n-point Gauss is exact to degree 2n - 1
-    pts, wts = np.polynomial.legendre.leggauss(n)
-    pts = 0.5 * (pts + 1.0)
-    wts = 0.5 * wts
-    pts.flags.writeable = False
-    wts.flags.writeable = False
-    return QuadratureRule(points=pts, weights=wts, degree=degree)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import MaterialError, StateValidityError
 from .fem import VolumeBasis, lumped_mass
-from .geometry import SolidDomain, quadrature_rule
+from .geometry import SolidDomain
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,11 @@ class HeatState:
 class HeatSystem:
     """Semi-discrete conduction operator on a solid domain."""
 
-    def __init__(self, domain: SolidDomain, material: HeatMaterial,
-                 quad_degree: int = 3):
+    def __init__(self, domain: SolidDomain, material: HeatMaterial):
         self.domain = domain
         self.material = material
-        self.quad = quadrature_rule(quad_degree)
         self.basis = VolumeBasis(domain)
-        tab = self.basis.tables(self.quad)
+        tab = self.basis.tables
         self.dofmap = self.basis.cell_dofs()
         # The kernel works point-major: every array is (point row, cell), so
         # the pointwise steps run along contiguous rows of n_cells values.
@@ -132,7 +130,7 @@ class HeatSystem:
         # [-lambda F, lambda P repeated over d] against the rows [u; u^2]
         self._back = np.hstack([-lam * self._flux_test,
                                 np.repeat(lam * self._prod_test, dim, axis=1)])
-        self.mass = lumped_mass(self.basis, self.quad)
+        self.mass = lumped_mass(self.basis)
 
         self.boundary = domain.coupling_boundary()
         self.coupling_dofs = domain.face_dofs("coupling")

@@ -56,7 +56,8 @@ from .chord import ChordSolver
 from .errors import ConfigurationError, PhmixError, SingularJacobianError, \
     StateValidityError, StepFailureError
 from .fem import CouplingOperators, require_fit
-from .fluid import FluidState, FluidSystem, check_specific_volume, eos
+from .fluid import FluidState, FluidSystem, check_specific_volume, eos, \
+    gas_temperature
 from .heat import HeatState, HeatSystem, entropy_of_temperature, \
     temperature_of_entropy
 
@@ -214,14 +215,23 @@ def build_scenario(name: str, heat_sys: HeatSystem, fluid_sys: FluidSystem,
         amp = p.pop("amplitude", 1e-3)
         width = p.pop("width", 0.05)
         center = p.pop("center", 0.5)
+        if not width > 0:
+            raise ConfigurationError(
+                f"acoustic-pulse width must be > 0, got {width!r}")
+        heat0 = heat_sys.uniform_state(t0)  # rejects a t_base <= 0 first
         fluid0 = fluid_sys.uniform_state(t0, phi=1.0)
         mesh = fluid_sys.mesh
         zc = mesh.start + center * mesh.measure
         sigma = width * mesh.measure
         bump = np.exp(-((mesh.nodes - zc) / sigma) ** 2)
-        fluid0.s = fluid0.s + amp * fluid_sys.material.c_v * bump
-        setup = ScenarioSetup(name, heat_sys.uniform_state(t0), fluid0,
-                              coupled=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            fluid0.s = fluid0.s + amp * fluid_sys.material.c_v * bump
+            t = gas_temperature(fluid0.phi, fluid0.s, fluid_sys.material)
+        if not (t.min() > 0 and t.max() < np.inf):  # NaN fails both
+            raise ConfigurationError(
+                f"acoustic-pulse amplitude {amp!r} makes the channel "
+                f"temperature non-finite or non-positive")
+        setup = ScenarioSetup(name, heat0, fluid0, coupled=False)
     else:
         raise ConfigurationError(
             f"unknown scenario {name!r}; valid: {', '.join(SCENARIOS)}")

@@ -19,12 +19,10 @@ from phmix.driver import build_problem, drift_per_time, make_simulation
 from phmix.fem import LineBasis, SurfaceBasis, assemble_coupling, \
     assemble_mass, assemble_stiffness
 from phmix.fluid import sound_speed
-from phmix.geometry import IntervalMesh, TensorBoundary, quadrature_rule
+from phmix.geometry import IntervalMesh, TensorBoundary
 from phmix.simulate import build_scenario, measure_pulse_speed
 
 import oracles
-
-QUAD = quadrature_rule(3)
 
 
 def gamma_ops(n_ax, n_az, circumference=2.0):
@@ -32,7 +30,7 @@ def gamma_ops(n_ax, n_az, circumference=2.0):
         IntervalMesh(0.0, 1.0, n_ax),
         IntervalMesh(0.0, circumference, n_az, periodic=True))
     return assemble_coupling(SurfaceBasis(boundary),
-                             LineBasis(IntervalMesh(0.0, 1.0, n_ax)), QUAD)
+                             LineBasis(IntervalMesh(0.0, 1.0, n_ax)))
 
 
 def report(num, name, passed, detail, elapsed, budget):
@@ -213,16 +211,15 @@ def test_criterion_10_quadrature_oracle_regression():
     t0 = time.perf_counter()
     worst = 0.0
 
-    mass = assemble_mass(LineBasis(IntervalMesh(0, 1, 2)), QUAD).toarray()
+    mass = assemble_mass(LineBasis(IntervalMesh(0, 1, 2))).toarray()
     worst = max(worst, np.abs(mass - oracles.mass_matrix_oracle(0, 1, 2)).max())
 
     per = assemble_mass(
-        LineBasis(IntervalMesh(0, 2 * np.pi, 4, periodic=True)), QUAD).toarray()
+        LineBasis(IntervalMesh(0, 2 * np.pi, 4, periodic=True))).toarray()
     worst = max(worst, np.abs(
         per - oracles.mass_matrix_oracle(0, 2 * np.pi, 4, periodic=True)).max())
 
-    stiff = assemble_stiffness(LineBasis(IntervalMesh(0, 1, 2)), 1.0,
-                               QUAD).toarray()
+    stiff = assemble_stiffness(LineBasis(IntervalMesh(0, 1, 2)), 1.0).toarray()
     worst = max(worst,
                 np.abs(stiff - oracles.stiffness_matrix_oracle(0, 1, 2)).max())
 

@@ -50,11 +50,18 @@ class TestConfig:
         assert cfg.heat.conductivity == 7.5
         assert config_to_dict(cfg)["heat"]["lambda"] == 7.5
 
-    def test_unknown_keys_are_located(self):
+    def test_unknown_keys_are_located(self, capsys, tmp_path):
         with pytest.raises(ConfigurationError, match="geometry.depht"):
             config_from_dict({"geometry": {"depht": 1.0}})
         with pytest.raises(ConfigurationError, match="top-level"):
             config_from_dict({"geomtry": {}})
+        # every assembly uses the one Gauss rule: no key selects a degree
+        code = cli.main(["simulate", "--config",
+                         write_cfg(tmp_path, {"quad_degree": 3}),
+                         "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown top-level key 'quad_degree'")
 
     def test_bad_material_value_reported_with_section(self):
         with pytest.raises(ConfigurationError, match="heat"):
@@ -76,7 +83,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("data,key", [
         ({"seed": "x"}, "seed"),
-        ({"quad_degree": 3.5}, "quad_degree"),
+        ({"output_dir": 3}, "output_dir"),
         ({"geometry": {"n_az": "8"}}, "geometry.n_az"),
         ({"geometry": {"n_az": 2.5}}, "geometry.n_az"),
         ({"scenario_params": 5}, "scenario_params"),
@@ -101,7 +108,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("data,message", [
         ({"sim": {"output_every": 0}}, "output_every must be >= 1"),
-        ({"quad_degree": 10}, "quad_degree must be between 2 and 9"),
+        ({"sim": {"newton_max_iters": 0}}, "newton_max_iters must be >= 1"),
         ({"sim": {"dt": 1e-3, "t_end": 3.5e-3}},
          "section 'sim': t_end = 0.0035 must be a whole number of steps "
          "of dt = 0.001"),
@@ -115,14 +122,8 @@ class TestConfig:
         assert code == 2
         assert err.startswith("error: ") and message in err
 
-    def test_largest_quad_degree_runs(self, tmp_path):
-        cfg = write_cfg(tmp_path, dict(TINY, quad_degree=9))
-        code = cli.main(["simulate", "--config", cfg,
-                         "--output", str(tmp_path / "out")])
-        assert code == 0
-
     def test_roundtrip(self, tmp_path):
-        cfg = default_config(seed=42, quad_degree=4)
+        cfg = default_config(seed=42)
         path = write_cfg(tmp_path, config_to_dict(cfg))
         again = load_config(path)
         assert again == cfg
@@ -394,6 +395,24 @@ class TestSimulateCommand:
         assert "error: step 34: " in err
         assert "invalid state: specific volume" in err
         assert "last ledger row" in err
+
+    @pytest.mark.parametrize("params,name", [
+        ({"width": 0}, "width"), ({"width": -0.05}, "width"),
+        ({"amplitude": 1e9}, "amplitude")])
+    def test_pulse_without_finite_start_exit_2(self, capsys, tmp_path,
+                                               params, name):
+        # rejected before the run: one error line naming the parameter,
+        # no ledger
+        data = {"scenario": "acoustic-pulse", "sim": {"t_end": 0.0025},
+                "scenario_params": params}
+        out_dir = tmp_path / "out"
+        code = cli.main(["simulate", "--config", write_cfg(tmp_path, data),
+                         "--output", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: acoustic-pulse {name} ")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
 
 
 class TestConvergenceCommand:

@@ -10,14 +10,11 @@ from phmix.dirac import LineField, SurfaceField, check_adjointness, \
     check_dirac_pairing, operator_norm_bound_check
 from phmix.errors import MeshCompatibilityError
 from phmix.fem import LineBasis, SurfaceBasis, assemble_coupling
-from phmix.geometry import IntervalMesh, TensorBoundary, build_solid_domain, \
-    quadrature_rule
+from phmix.geometry import IntervalMesh, TensorBoundary, build_solid_domain
 from phmix.heat import HeatMaterial, HeatState, HeatSystem, \
     entropy_of_temperature, temperature_of_entropy
 
 import oracles
-
-QUAD = quadrature_rule(3)
 
 
 def make_ops(n_ax=4, n_az=4, circumference=2.0):
@@ -25,7 +22,7 @@ def make_ops(n_ax=4, n_az=4, circumference=2.0):
         IntervalMesh(0.0, 1.0, n_ax),
         IntervalMesh(0.0, circumference, n_az, periodic=True))
     return assemble_coupling(SurfaceBasis(boundary),
-                             LineBasis(IntervalMesh(0.0, 1.0, n_ax)), QUAD)
+                             LineBasis(IntervalMesh(0.0, 1.0, n_ax)))
 
 
 class TestResolvePorts:
@@ -155,9 +152,9 @@ class TestPhysicalDirection:
         # coolant input positive; heat leaves the solid, enters the fluid
         mat = HeatMaterial(rho=10.0, c=10.0, conductivity=5.0, t_ref=300.0)
         domain = build_solid_domain(0, 1, 0.5, 0.05, 4, 4, 3)
-        sys = HeatSystem(domain, mat, 3)
+        sys = HeatSystem(domain, mat)
         ops = assemble_coupling(SurfaceBasis(sys.boundary),
-                                LineBasis(domain.axial), QUAD)
+                                LineBasis(domain.axial))
 
         t_cold, t_hot = 300.0, 380.0
         zeta = domain.node_coordinates()[:, 2]

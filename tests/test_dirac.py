@@ -12,11 +12,9 @@ from phmix.dirac import LineField, SurfaceField, check_adjointness, \
     operator_norm_bound_check
 from phmix.errors import MeshCompatibilityError
 from phmix.fem import LineBasis, SurfaceBasis, assemble_coupling
-from phmix.geometry import IntervalMesh, TensorBoundary, quadrature_rule
+from phmix.geometry import IntervalMesh, TensorBoundary
 
 import oracles
-
-QUAD = quadrature_rule(3)
 
 
 def make_ops(n_ax=4, n_az=4, circumference=2.0, length=1.0):
@@ -24,7 +22,7 @@ def make_ops(n_ax=4, n_az=4, circumference=2.0, length=1.0):
         IntervalMesh(0.0, length, n_ax),
         IntervalMesh(0.0, circumference, n_az, periodic=True))
     return assemble_coupling(SurfaceBasis(boundary),
-                             LineBasis(IntervalMesh(0.0, length, n_ax)), QUAD)
+                             LineBasis(IntervalMesh(0.0, length, n_ax)))
 
 
 class TestIntegrateOut:

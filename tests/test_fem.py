@@ -15,12 +15,9 @@ from phmix.fem import CouplingOperators, LineBasis, SurfaceBasis, \
     line_matrix, lumped_mass
 from phmix.fluid import FluidSystem
 from phmix.heat import HeatSystem
-from phmix.geometry import IntervalMesh, TensorBoundary, build_solid_domain, \
-    quadrature_rule
+from phmix.geometry import IntervalMesh, TensorBoundary, build_solid_domain
 
 import oracles
-
-QUAD = quadrature_rule(3)
 
 # frozen from the entrywise hat-product quadrature oracle (verified below)
 MASS_2CELL_UNIT = np.array([[2, 1, 0], [1, 4, 1], [0, 1, 2]]) / 12.0
@@ -36,14 +33,14 @@ def small_surface(n_ax=3, n_az=4, circumference=2 * np.pi, length=1.0):
 class TestMassMatrix:
     def test_p1_two_cells_matches_oracle(self):
         mesh = IntervalMesh(0, 1, 2)
-        m = assemble_mass(LineBasis(mesh), QUAD).toarray()
+        m = assemble_mass(LineBasis(mesh)).toarray()
         oracle = oracles.mass_matrix_oracle(0, 1, 2)
         assert np.abs(m - oracle).max() <= 1e-13
         assert np.abs(m - MASS_2CELL_UNIT).max() <= 1e-13
 
     def test_periodic_mass_matches_oracle(self):
         mesh = IntervalMesh(0, 2 * np.pi, 4, periodic=True)
-        m = assemble_mass(LineBasis(mesh), QUAD).toarray()
+        m = assemble_mass(LineBasis(mesh)).toarray()
         oracle = oracles.mass_matrix_oracle(0, 2 * np.pi, 4, periodic=True)
         assert np.abs(m - oracle).max() <= 1e-13
         h = np.pi / 2
@@ -58,13 +55,13 @@ class TestMassMatrix:
         (VolumeBasis(build_solid_domain(0, 1, 0.5, 0.1, 3, 3, 2)), 0.05),
     ])
     def test_entries_sum_to_domain_measure(self, basis, measure):
-        m = assemble_mass(basis, QUAD)
+        m = assemble_mass(basis)
         assert m.sum() == pytest.approx(measure, rel=1e-12)
 
     def test_row_sums_equal_lumped_mass(self):
         basis = small_surface()
-        m = assemble_mass(basis, QUAD)
-        lumped = lumped_mass(basis, QUAD)
+        m = assemble_mass(basis)
+        lumped = lumped_mass(basis)
         assert np.abs(np.asarray(m.sum(axis=1)).ravel() - lumped).max() <= 1e-14
 
     @pytest.mark.parametrize("basis", [
@@ -73,41 +70,36 @@ class TestMassMatrix:
         VolumeBasis(build_solid_domain(0, 1, 0.5, 0.1, 2, 3, 2)),
     ])
     def test_symmetric_and_positive_definite(self, basis):
-        m = assemble_mass(basis, QUAD).toarray()
+        m = assemble_mass(basis).toarray()
         assert np.abs(m - m.T).max() <= 1e-14 * np.abs(m).max()
         assert np.linalg.eigvalsh(m).min() > 0
 
-    def test_insufficient_quadrature_degree_rejected(self):
-        with pytest.raises(ConfigurationError, match="degree"):
-            assemble_mass(LineBasis(IntervalMesh(0, 1, 2)), quadrature_rule(1))
-
     def test_line_tables_computed_once_per_rule(self):
         line = LineBasis(IntervalMesh(0, 1, 3))
-        tab = line.tables(QUAD)
-        assert line.tables(QUAD) is tab
-        assert line.tables(quadrature_rule(5)) is not tab
+        tab = line.tables
+        assert line.tables is tab
         for arr in (tab.values, tab.gradients, tab.wdet):
             assert not arr.flags.writeable
 
     def test_cached_tables_assemble_the_same_bits(self):
-        # the memoized rule and the cached line tables against a fresh,
-        # unshared rule and fresh bases: every operator is bitwise equal
-        fresh = quadrature_rule.__wrapped__(3)
-        assert fresh is not QUAD
+        # bases whose tables are already cached against fresh ones: every
+        # operator is bitwise equal
+        def bases():
+            return (small_surface(n_ax=4, n_az=5),
+                    LineBasis(IntervalMesh(0, 1, 4)),
+                    VolumeBasis(build_solid_domain(0, 1, 0.5, 0.1, 4, 5, 2)))
 
-        def operators(quad):
-            surface = small_surface(n_ax=4, n_az=5)
-            ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)),
-                                    quad)
-            volume = VolumeBasis(build_solid_domain(0, 1, 0.5, 0.1, 4, 5, 2))
-            tab = volume.tables(quad)
+        def operators(surface, line, volume):
+            ops = assemble_coupling(surface, line)
+            tab = volume.tables
             return [ops.m_psi, ops.m_chi, ops.d_chi, ops.d_psi,
-                    assemble_mass(volume, quad),
-                    assemble_stiffness(volume, 5.0, quad),
-                    lumped_mass(volume, quad), ops.eta_integrals,
+                    assemble_mass(volume), assemble_stiffness(volume, 5.0),
+                    lumped_mass(volume), ops.eta_integrals,
                     tab.values, tab.gradients, tab.wdet]
 
-        for got, want in zip(operators(QUAD), operators(fresh)):
+        cached = bases()
+        operators(*cached)
+        for got, want in zip(operators(*cached), operators(*bases())):
             if sp.issparse(got):
                 for attr in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(got, attr),
@@ -117,8 +109,8 @@ class TestMassMatrix:
 
     def test_deterministic_assembly(self):
         basis = small_surface()
-        a = assemble_mass(basis, QUAD)
-        b = assemble_mass(basis, QUAD)
+        a = assemble_mass(basis)
+        b = assemble_mass(basis)
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.data, b.data)
@@ -132,32 +124,31 @@ class TestPartitionOfUnity:
         VolumeBasis(build_solid_domain(0, 1, 0.5, 0.1, 2, 3, 2)),
     ])
     def test_shape_functions_sum_to_one(self, basis):
-        t = basis.tables(QUAD)
+        t = basis.tables
         assert np.abs(t.values.sum(axis=1) - 1.0).max() <= 1e-13
 
 
 class TestStiffness:
     def test_two_cell_oracle(self):
         mesh = IntervalMesh(0, 1, 2)
-        k = assemble_stiffness(LineBasis(mesh), 1.0, QUAD).toarray()
+        k = assemble_stiffness(LineBasis(mesh), 1.0).toarray()
         oracle = oracles.stiffness_matrix_oracle(0, 1, 2)
         assert np.abs(k - oracle).max() <= 1e-13
         assert np.abs(k - STIFF_2CELL_UNIT).max() <= 1e-13
 
     def test_constant_in_kernel(self):
         dom = build_solid_domain(0, 1, 0.5, 0.1, 3, 4, 2)
-        k = assemble_stiffness(VolumeBasis(dom), 2.5, QUAD)
+        k = assemble_stiffness(VolumeBasis(dom), 2.5)
         ones = np.ones(k.shape[0])
         assert np.abs(k @ ones).max() <= 1e-12 * abs(k).max()
 
     def test_positive_semidefinite(self):
-        k = assemble_stiffness(LineBasis(IntervalMesh(0, 2, 5)), 1.3,
-                               QUAD).toarray()
+        k = assemble_stiffness(LineBasis(IntervalMesh(0, 2, 5)), 1.3).toarray()
         assert np.linalg.eigvalsh(k).min() >= -1e-12
 
     def test_non_positive_coefficient_rejected(self):
         with pytest.raises(MaterialError, match="coefficient"):
-            assemble_stiffness(LineBasis(IntervalMesh(0, 1, 4)), 0.0, QUAD)
+            assemble_stiffness(LineBasis(IntervalMesh(0, 1, 4)), 0.0)
 
 
 class TestTensorOperators:
@@ -165,7 +156,7 @@ class TestTensorOperators:
 
     def test_surface_mass_against_2d_hat_products(self):
         n_ax, n_az, circ = 3, 3, 1.5
-        m = assemble_mass(small_surface(n_ax, n_az, circ), QUAD).toarray()
+        m = assemble_mass(small_surface(n_ax, n_az, circ)).toarray()
         x1 = oracles.mesh_nodes(0.0, 1.0, n_ax)
         x2 = oracles.mesh_nodes(0.0, circ, n_az, periodic=True)
         h1, h2 = 1.0 / n_ax, circ / n_az
@@ -194,13 +185,13 @@ class TestTensorOperators:
             + np.kron(np.kron(m1[0], k1[1]), m1[2]) \
             + np.kron(np.kron(m1[0], m1[1]), k1[2])
         basis = VolumeBasis(dom)
-        m = assemble_mass(basis, QUAD).toarray()
-        k = assemble_stiffness(basis, 2.5, QUAD).toarray()
+        m = assemble_mass(basis).toarray()
+        k = assemble_stiffness(basis, 2.5).toarray()
         assert np.abs(m - mass).max() <= 1e-13 * np.abs(mass).max()
         assert np.abs(k - 2.5 * stiff).max() <= 1e-13 * np.abs(stiff).max()
         lumped = np.kron(np.kron(*(m.sum(axis=1) for m in m1[:2])),
                          m1[2].sum(axis=1))
-        assert np.abs(lumped_mass(basis, QUAD) - lumped).max() \
+        assert np.abs(lumped_mass(basis) - lumped).max() \
             <= 1e-13 * lumped.max()
 
     def test_coupling_blocks_are_bitwise_kronecker(self):
@@ -215,7 +206,7 @@ class TestTensorOperators:
 
 def coupling_of(surface):
     """assemble_coupling on the surface and its own axial factor."""
-    return assemble_coupling(surface, LineBasis(surface.boundary.gamma1), QUAD)
+    return assemble_coupling(surface, LineBasis(surface.boundary.gamma1))
 
 
 class TestCollapse:
@@ -250,7 +241,7 @@ class TestCollapse:
 class TestCoupling:
     def test_tensor_factorization_against_oracle(self):
         surface = small_surface(n_ax=3, n_az=4)
-        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 3)), QUAD)
+        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 3)))
         oracle = oracles.coupling_block_oracle(0, 1, 3, 2 * np.pi, 4)
         assert np.abs(ops.d_chi.toarray() - oracle).max() <= 1e-13
         kron = sp.kron(ops.m_chi, np.atleast_2d(ops.eta_integrals)).toarray()
@@ -258,14 +249,14 @@ class TestCoupling:
 
     def test_row_sums(self):
         surface = small_surface(n_ax=4, n_az=5, circumference=1.5)
-        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)), QUAD)
+        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)))
         rows = np.asarray(ops.d_chi.sum(axis=1)).ravel()
         mass_rows = np.asarray(ops.m_chi.sum(axis=1)).ravel()
         assert np.abs(rows - 1.5 * mass_rows).max() <= 1e-12
 
     def test_transpose_identity_bitwise(self):
         surface = small_surface(n_ax=6, n_az=5)
-        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 6)), QUAD)
+        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 6)))
         a = ops.d_psi.sorted_indices()
         b = ops.d_chi.transpose().tocsr().sorted_indices()
         assert np.array_equal(a.indptr, b.indptr)
@@ -275,14 +266,14 @@ class TestCoupling:
     def test_mesh_mismatch_lists_both(self):
         surface = small_surface(n_ax=3)
         with pytest.raises(MeshCompatibilityError, match="does not match"):
-            assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)), QUAD)
+            assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)))
 
     def test_assembly_matches_defining_integral(self):
         # y' D v must equal the reference quadrature of the product of the
         # interpolated line field and the collapsed-surface field
         surface = small_surface(n_ax=3, n_az=4, circumference=1.0)
         line = LineBasis(IntervalMesh(0, 1, 3))
-        ops = assemble_coupling(surface, line, QUAD)
+        ops = assemble_coupling(surface, line)
         rng = np.random.default_rng(7)
         nodes = line.mesh.nodes
         h = line.mesh.h
@@ -306,7 +297,7 @@ class TestCoupling:
 
     def test_sparsity_bound(self):
         surface = small_surface(n_ax=8, n_az=6)
-        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 8)), QUAD)
+        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 8)))
         d = ops.d_chi.tocsr()
         m = ops.m_chi.tocsr()
         nnz_d = np.diff(d.indptr)
@@ -318,13 +309,13 @@ class TestCoupling:
         sums = []
         for n_az in (4, 8):
             surface = small_surface(n_ax=4, n_az=n_az, circumference=1.5)
-            ops = assemble_coupling(surface, line, QUAD)
+            ops = assemble_coupling(surface, line)
             sums.append(np.asarray(ops.d_chi.sum(axis=1)).ravel())
         assert np.abs(sums[0] - sums[1]).max() <= 1e-12
 
     def test_mass_blocks_positive_definite(self):
         surface = small_surface(n_ax=4, n_az=4)
-        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)), QUAD)
+        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)))
         assert np.linalg.eigvalsh(ops.m_psi.toarray()).min() > 0
         assert np.linalg.eigvalsh(ops.m_chi.toarray()).min() > 0
 
@@ -334,7 +325,7 @@ class TestEmbedPair:
         # B^T is the transpose of B in the coefficient dot product, and a
         # column stack of fields gives each field's result column by column
         surface = small_surface(n_ax=4, n_az=5)
-        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)), QUAD)
+        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)))
         rng = np.random.default_rng(3)
         y = rng.standard_normal((ops.n_chi, 3))
         b = rng.standard_normal((ops.n_psi, 3))
@@ -351,7 +342,7 @@ class TestEmbedPair:
     def test_line_load_is_the_block_through_one_solve(self, monkeypatch):
         # d_chi m_psi^-1 b, formed once by one solve of d_chi^T
         surface = small_surface(n_ax=4, n_az=5)
-        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)), QUAD)
+        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)))
         b = np.random.default_rng(8).standard_normal((ops.n_psi, 2))
         expected = ops.d_chi @ ops.solve_psi(b)
         calls = []
@@ -368,7 +359,7 @@ class TestEmbedPair:
         # the factorizations and line_load's matrix belong to the blocks
         # they came from: a copy with new blocks must not solve with them
         surface = small_surface(n_ax=4, n_az=5)
-        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)), QUAD)
+        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)))
         rng = np.random.default_rng(9)
         b, c = rng.standard_normal(ops.n_psi), rng.standard_normal(ops.n_chi)
         u = rng.standard_normal(ops.n_psi)
@@ -384,7 +375,7 @@ class TestEmbedPair:
 
     def test_integrate_is_the_mass_consistent_block(self):
         surface = small_surface(n_ax=3, n_az=4)
-        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 3)), QUAD)
+        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 3)))
         u = np.random.default_rng(4).standard_normal(ops.n_psi)
         expected = np.linalg.solve(ops.m_chi.toarray(), ops.d_chi @ u)
         assert np.abs(ops.integrate(u) - expected).max() \
@@ -394,15 +385,15 @@ class TestEmbedPair:
 @given(st.integers(1, 6), st.floats(0.2, 5.0))
 def test_lumped_mass_sums_to_measure(n_cells, extent):
     mesh = IntervalMesh(0.0, extent, n_cells)
-    lumped = lumped_mass(LineBasis(mesh), QUAD)
+    lumped = lumped_mass(LineBasis(mesh))
     assert lumped.sum() == pytest.approx(extent, rel=1e-12)
     assert np.all(lumped > 0)
 
 
-def coo_line_matrix(line, quad, left, right):
+def coo_line_matrix(line, left, right):
     """scipy's reference for `line_matrix`: the same triplets through
     `coo_matrix(...).tocsr()`."""
-    t = line.tables(quad)
+    t = line.tables
     shapes = (t.values, t.gradients[:, :, 0])
     local = np.einsum("q,qa,qb->ab", t.wdet, shapes[left], shapes[right])
     dofs = line.cell_dofs()
@@ -414,12 +405,12 @@ def coo_line_matrix(line, quad, left, right):
                          shape=(line.n_dofs, line.n_dofs)).tocsr()
 
 
-def coo_lumped_mass(basis, quad):
+def coo_lumped_mass(basis):
     """scipy's reference for `lumped_mass`: each factor's hat integrals
     summed by `coo_matrix`, then their Kronecker product."""
     lumped = []
     for line in basis.factors:
-        t = line.tables(quad)
+        t = line.tables
         dofs = line.cell_dofs().ravel()
         weights = np.tile(t.wdet @ t.values, len(dofs) // 2)
         lumped.append(sp.coo_matrix(
@@ -457,47 +448,49 @@ class TestAssemblyOracle:
         cfg = dataclasses.replace(default_config(), geometry=GeometryConfig(
             n_ax=n_ax, n_az=n_az, n_th=n_th, n_fluid=n_ax))
         problem = build_problem(cfg)
-        ops, quad = problem.ops, problem.heat.quad
-        m_chi = coo_line_matrix(ops.line, quad, 0, 0)
-        m_az = coo_line_matrix(ops.surface.eta, quad, 0, 0)
-        eta = coo_lumped_mass(ops.surface.eta, quad)
+        ops = problem.ops
+        m_chi = coo_line_matrix(ops.line, 0, 0)
+        m_az = coo_line_matrix(ops.surface.eta, 0, 0)
+        eta = coo_lumped_mass(ops.surface.eta)
         d_chi = sp.kron(m_chi, eta[None, :], format="csr")
         d_psi = d_chi.transpose().tocsr()
         d_psi.sort_indices()
         assert_same_csr(ops.m_chi, m_chi)
-        assert_same_csr(assemble_mass(ops.surface.eta, quad), m_az)
+        assert_same_csr(assemble_mass(ops.surface.eta), m_az)
         assert_same_csr(ops.m_psi, scipy_kron([m_chi, m_az]))
         assert_same_csr(ops.d_chi, d_chi)
         assert_same_csr(ops.d_psi, d_psi)
         assert ops.eta_integrals.tobytes() == eta.tobytes()
 
         fluid = problem.fluid
-        grad = coo_line_matrix(fluid.basis, fluid.quad, 0, 1)
-        assert_same_csr(line_matrix(fluid.basis, fluid.quad, 0, 1), grad)
+        grad = coo_line_matrix(fluid.basis, 0, 1)
+        assert_same_csr(line_matrix(fluid.basis, 0, 1), grad)
         assert fluid.grad_pairing.tobytes() == grad.toarray().tobytes()
         for system in (problem.heat, fluid):
-            want = coo_lumped_mass(system.basis, system.quad)
+            want = coo_lumped_mass(system.basis)
             assert system.mass.tobytes() == want.tobytes()
 
         basis = problem.heat.basis
-        mass = [coo_line_matrix(b, quad, 0, 0) for b in basis.factors]
-        stiff = [coo_line_matrix(b, quad, 1, 1) for b in basis.factors]
+        mass = [coo_line_matrix(b, 0, 0) for b in basis.factors]
+        stiff = [coo_line_matrix(b, 1, 1) for b in basis.factors]
         total = sum(scipy_kron(mass[:d] + [stiff[d]] + mass[d + 1:])
                     for d in range(3))
-        assert_same_csr(assemble_stiffness(basis, 2.5, quad),
-                        (2.5 * total).tocsr())
-        assert_same_csr(assemble_mass(basis, quad), scipy_kron(mass))
+        assert_same_csr(assemble_stiffness(basis, 2.5), (2.5 * total).tocsr())
+        assert_same_csr(assemble_mass(basis), scipy_kron(mass))
 
-    @pytest.mark.parametrize("degree", range(2, 10))
+    @pytest.mark.parametrize("n_ax", range(2, 10))
     @pytest.mark.parametrize("extent", [0.05, 0.5, 1.3, 2 * np.pi])
-    def test_one_cell_periodic_factor_sums_in_order(self, degree, extent):
+    def test_one_cell_periodic_factor_sums_in_order(self, n_ax, extent):
         # each entry of the one-node periodic line has four contributions,
-        # which scipy adds in their input order
-        line = LineBasis(IntervalMesh(0.0, extent, 1, periodic=True))
-        quad = quadrature_rule(degree)
+        # which scipy adds in their input order; the wall mass carries them
+        # into its Kronecker product with an n_ax-cell axial factor
+        surface = small_surface(n_ax=n_ax, n_az=1, circumference=extent)
+        axial, line = surface.factors
         for left, right in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            assert_same_csr(line_matrix(line, quad, left, right),
-                            coo_line_matrix(line, quad, left, right))
+            assert_same_csr(line_matrix(line, left, right),
+                            coo_line_matrix(line, left, right))
+        assert_same_csr(assemble_mass(surface), scipy_kron(
+            [coo_line_matrix(axial, 0, 0), coo_line_matrix(line, 0, 0)]))
 
     def test_problems_share_no_operator_array(self):
         # each construction assembles its own operators: nothing is cached

@@ -6,7 +6,7 @@ from phmix.errors import MaterialError, StateValidityError
 from phmix.fem import LineBasis, assemble_mass
 from phmix.fluid import FluidMaterial, FluidState, FluidSystem, eos, \
     gas_temperature, sound_speed
-from phmix.geometry import IntervalMesh, quadrature_rule
+from phmix.geometry import IntervalMesh
 
 import oracles
 
@@ -17,7 +17,7 @@ MAT = FluidMaterial(r_gas=0.4, c_v=1.0, friction=0.1, phi_ref=1.0,
 def small_system(n=8, friction=0.1):
     mat = FluidMaterial(r_gas=0.4, c_v=1.0, friction=friction, phi_ref=1.0,
                         s_ref=0.0, t_ref=300.0)
-    return FluidSystem(IntervalMesh(0.0, 1.0, n), mat, 3)
+    return FluidSystem(IntervalMesh(0.0, 1.0, n), mat)
 
 
 class TestEos:
@@ -108,7 +108,7 @@ class TestRhs:
         st_.vel[0] = st_.vel[-1] = 0.0
         st_.s = st_.s + 0.1 * rng.standard_normal(sys.n_dofs)
         w = rng.standard_normal(sys.n_dofs)
-        m_chi = assemble_mass(LineBasis(sys.mesh), quadrature_rule(3))
+        m_chi = assemble_mass(LineBasis(sys.mesh))
         w_load = m_chi @ w  # the port input enters as a line load
         rates, y = sys.loads(st_)
         rates.s = rates.s + w_load
@@ -173,7 +173,7 @@ class TestRhs:
 
     def test_periodic_channel_rejected(self):
         with pytest.raises(MaterialError, match="non-periodic"):
-            FluidSystem(IntervalMesh(0, 1, 8, periodic=True), MAT, 3)
+            FluidSystem(IntervalMesh(0, 1, 8, periodic=True), MAT)
 
 
 class TestHamiltonian:

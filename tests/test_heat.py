@@ -14,7 +14,7 @@ MAT = HeatMaterial(rho=10.0, c=10.0, conductivity=5.0, t_ref=300.0)
 
 def small_system(n_ax=3, n_az=3, n_th=2, depth=0.1, **kwargs):
     domain = build_solid_domain(0, 1, 0.5, depth, n_ax, n_az, n_th)
-    return HeatSystem(domain, kwargs.pop("material", MAT), 3)
+    return HeatSystem(domain, kwargs.pop("material", MAT))
 
 
 class TestConstitutiveLaw:
@@ -123,7 +123,7 @@ class TestClosure:
 def einsum_kernel(sys, s):
     """The contraction form of the Q1 kernel, straight from the reference
     tables: loads, total production and the point fields, cell-major."""
-    tab = sys.basis.tables(sys.quad)
+    tab = sys.basis.tables
     lam = sys.material.conductivity
     tc = temperature_of_entropy(s, sys.material)[sys.dofmap]
     tq = tc @ tab.values.T
@@ -289,7 +289,7 @@ class TestHamiltonian:
 
     def test_closed_form_on_unit_volume(self):
         domain = build_solid_domain(0, 1, 1, 1, 2, 2, 2)
-        sys = HeatSystem(domain, MAT, 3)
+        sys = HeatSystem(domain, MAT)
         state = HeatState(np.full(sys.n_dofs, MAT.rho_c))
         expected = MAT.rho_c * MAT.t_ref * (np.e - 1.0)
         assert sys.totals(state)[0] == pytest.approx(expected, rel=1e-12)
@@ -314,7 +314,7 @@ class TestSteadyConduction:
         # steady state has a linear temperature profile through the thickness
         mat = HeatMaterial(rho=10.0, c=10.0, conductivity=2.0, t_ref=300.0)
         domain = build_solid_domain(0, 1, 1, 1, 1, 1, 8)
-        sys = HeatSystem(domain, mat, 3)
+        sys = HeatSystem(domain, mat)
         t_cold, t_hot = 300.0, 400.0
         u = np.full(sys.boundary.n_nodes, t_cold)
 
