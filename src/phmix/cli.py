@@ -26,8 +26,8 @@ from .coupling import check_power_balance, check_transpose_identity
 from .dirac import check_adjointness, check_dirac_pairing, \
     operator_norm_bound_check
 from .driver import REFINEMENT_GAP_TOL, azimuthal_refinement_gap, \
-    build_coupling, build_problem, convergence_study, make_simulation, \
-    run_gate_failures, write_convergence_csv
+    build_coupling, build_problem, convergence_study, energy_drift, \
+    make_simulation, run_gate_failures, write_convergence_csv
 from .errors import PhmixError, StepFailureError
 from .simulate import build_scenario
 
@@ -43,12 +43,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load(args, **overrides) -> RunConfig:
-    """The --config file (or the defaults) with the given command-line
-    overrides; an override left at None keeps the config's value."""
+def _load(args, seed: int | None = None) -> RunConfig:
+    """The --config file (or the defaults), with --seed when given."""
     cfg = load_config(args.config) if args.config else default_config()
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **overrides) if overrides else cfg
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def _error_line(exc: Exception) -> str:
@@ -84,17 +82,17 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        cfg = _load(args, output_dir=args.output)
+        cfg = _load(args)
         problem = build_problem(cfg)
         setup = build_scenario(cfg.scenario, problem.heat, problem.fluid,
                                cfg.scenario_params)
         sim = make_simulation(problem, cfg, setup)
-        os.makedirs(cfg.output_dir, exist_ok=True)
+        os.makedirs(args.output, exist_ok=True)
     except (PhmixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        result = sim.run(setup, cfg.output_dir)
+        result = sim.run(setup, args.output)
     except (PhmixError, OSError) as exc:
         # a failed step, or a snapshot or the ledger that could not be
         # written
@@ -115,7 +113,7 @@ def cmd_simulate(args) -> int:
     print(f"steps: {result.steps}")
     print(f"energy_total_initial: {float(total[0])!r}")
     print(f"energy_total_final: {float(total[-1])!r}")
-    print(f"energy_drift: {float(total[-1] - total[0])!r}")
+    print(f"energy_drift: {energy_drift(led)!r}")
     print(f"max_coupling_residual: "
           f"{float(abs(led.column('P_couple_residual')).max())!r}")
     print(f"newton_iterations: {result.newton_iterations}")
@@ -125,7 +123,7 @@ def cmd_simulate(args) -> int:
     print(f"row_interchanges: {result.row_interchanges}")
     print(f"jacobian_build_s: {result.jacobian_build_s:.6f}")
     print(f"chord_solve_s: {result.chord_solve_s:.6f}")
-    print(f"ledger: {os.path.join(cfg.output_dir, cfg.scenario + '_ledger.csv')}")
+    print(f"ledger: {os.path.join(args.output, cfg.scenario + '_ledger.csv')}")
     failures = run_gate_failures(led)
     for message in failures:
         print(f"gate failed: {message}", file=sys.stderr)
@@ -134,8 +132,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_convergence(args) -> int:
     try:
-        cfg = _load(args, output_dir=args.output)
-        os.makedirs(cfg.output_dir, exist_ok=True)
+        cfg = _load(args)
+        os.makedirs(args.output, exist_ok=True)
     except (PhmixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -148,7 +146,7 @@ def cmd_convergence(args) -> int:
     except PhmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    path = os.path.join(cfg.output_dir, "convergence.csv")
+    path = os.path.join(args.output, "convergence.csv")
     try:
         write_convergence_csv(rows, path)
     except OSError as exc:
@@ -168,7 +166,7 @@ def cmd_convergence(args) -> int:
 # each subcommand takes the options it reads, and no other
 _OPTIONS = {
     "--config": dict(help="JSON config file (defaults built in)"),
-    "--output": dict(help="output directory override"),
+    "--output": dict(default="out", help="output directory (default out)"),
     "--seed": dict(type=int, help="seed override"),
     "--trials": dict(type=_positive_int, default=200,
                      help="random trials for each verification check "

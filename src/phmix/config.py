@@ -1,6 +1,7 @@
 """Run configuration: nested dataclass blocks, JSON (de)serialization and
-validation.  The material and time-stepping blocks reuse the library's own
-dataclasses, so constructing a config validates the physical parameters."""
+validation.  The JSON keys are the dataclass fields, with no alias, and the
+material and time-stepping blocks are the library's own dataclasses, so
+constructing a config validates the physical parameters."""
 
 from __future__ import annotations
 
@@ -28,20 +29,18 @@ class GeometryConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run: geometry, materials, time stepping, scenario and output."""
+    """One run: geometry, materials, time stepping and scenario.  The
+    output directory is the command line's."""
 
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     heat: HeatMaterial = field(default_factory=lambda: HeatMaterial(
         rho=10.0, c=10.0, conductivity=5.0, t_ref=300.0))
     fluid: FluidMaterial = field(default_factory=lambda: FluidMaterial(
-        r_gas=0.4, c_v=1.0, friction=0.1, phi_ref=1.0, s_ref=0.0,
-        t_ref=300.0))
+        r_gas=0.4, c_v=1.0, friction=0.1, t_ref=300.0))
     sim: SimConfig = field(default_factory=lambda: SimConfig(
-        dt=2.5e-4, t_end=5e-2, newton_tol=1e-12, newton_max_iters=40,
-        output_every=20))
+        dt=2.5e-4, t_end=5e-2, output_every=20))
     scenario: str = "hot-wall-cooldown"
     seed: int = 0
-    output_dir: str = "out"
     scenario_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -58,18 +57,10 @@ class RunConfig:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
-# JSON keys that differ from the dataclass field names, per section: "lambda"
-# is friendlier than "conductivity"
-_KEY_MAPS = {"heat": {"lambda": "conductivity"}}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_finite_number(value) -> bool:
     # JSON as Python reads it has NaN and Infinity
-    return _is_number(value) and math.isfinite(value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 def _check_type(key: str, value, default) -> None:
@@ -91,7 +82,7 @@ def _check_type(key: str, value, default) -> None:
         raise ConfigurationError(f"{key} must be {kind}, got {value!r}")
 
 
-def _block_from_dict(data: dict, section: str, base, key_map: dict):
+def _block_from_dict(data: dict, section: str, base):
     """Build a config block, overriding the defaults in `base` field by
     field."""
     if not isinstance(data, dict):
@@ -99,18 +90,15 @@ def _block_from_dict(data: dict, section: str, base, key_map: dict):
     cls = type(base)
     kwargs = {f.name: getattr(base, f.name) for f in fields(cls)}
     for key, value in data.items():
-        name = key_map.get(key, key)
-        if name not in kwargs:
+        if key not in kwargs:
             raise ConfigurationError(
                 f"unknown key {section}.{key} (valid: "
                 f"{', '.join(sorted(kwargs))})")
-        _check_type(f"{section}.{key}", value, kwargs[name])
-        kwargs[name] = value
+        _check_type(f"{section}.{key}", value, kwargs[key])
+        kwargs[key] = value
     try:
         return cls(**kwargs)
-    except (MaterialError, ConfigurationError) as exc:
-        raise ConfigurationError(f"section {section!r}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (MaterialError, ConfigurationError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"section {section!r}: {exc}") from exc
 
 
@@ -131,23 +119,16 @@ def config_from_dict(data: dict) -> RunConfig:
     for name in (name for name in names if name in data):
         default = getattr(base, name)
         if is_dataclass(default):
-            kwargs[name] = _block_from_dict(data[name], name, default,
-                                            _KEY_MAPS.get(name, {}))
+            kwargs[name] = _block_from_dict(data[name], name, default)
         else:
             _check_type(name, data[name], default)
             kwargs[name] = data[name]
-    try:
-        return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(str(exc)) from exc
+    return RunConfig(**kwargs)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    out = asdict(cfg)
-    for section, key_map in _KEY_MAPS.items():
-        json_key = {name: key for key, name in key_map.items()}
-        out[section] = {json_key.get(k, k): v for k, v in out[section].items()}
-    return out
+    """The JSON form of a config: its dataclass fields, key for key."""
+    return asdict(cfg)
 
 
 def load_config(path) -> RunConfig:
@@ -164,4 +145,4 @@ def load_config(path) -> RunConfig:
 
 
 def default_config(**overrides) -> RunConfig:
-    return config_from_dict(overrides) if overrides else RunConfig()
+    return config_from_dict(overrides)

@@ -70,15 +70,19 @@ class ConvergenceRow:
     observed_order: float | None
 
 
+def energy_drift(ledger: EnergyLedger) -> float:
+    """The energy-balance error of a run: the change of the total energy
+    less the external port's work sum dt * P_ext.  With no external port it
+    is the plain change of the total."""
+    total = ledger.column("total")
+    work = np.sum(np.diff(ledger.column("time")) * ledger.column("P_ext")[1:])
+    return float(total[-1] - total[0] - work)
+
+
 def drift_per_time(result: SimResult) -> float:
-    """The energy-balance error per unit time: the change of the total
-    energy less the external port's work sum dt * P_ext, over the run's
-    duration.  With no external port it is the plain energy drift."""
-    led = result.ledger
-    total = led.column("total")
-    t = led.column("time")
-    work = np.sum(np.diff(t) * led.column("P_ext")[1:])
-    return float(abs(total[-1] - total[0] - work) / (t[-1] - t[0]))
+    """The size of the run's `energy_drift` over its duration."""
+    t = result.ledger.column("time")
+    return abs(energy_drift(result.ledger)) / float(t[-1] - t[0])
 
 
 def convergence_study(cfg: RunConfig, levels: int = 3) -> list[ConvergenceRow]:

@@ -33,25 +33,25 @@ from .geometry import IntervalMesh
 @dataclass(frozen=True)
 class FluidMaterial:
     """Ideal-gas coolant: gas constant, heat capacity at constant volume,
-    friction coefficient and the reference point of the entropy scale."""
+    friction coefficient and t_ref, the temperature at the entropy origin
+    phi_ref = 1, s_ref = 0 (a gauge: class constants, not fields)."""
 
     r_gas: float
     c_v: float
     friction: float = 0.0
-    phi_ref: float = 1.0
-    s_ref: float = 0.0
     t_ref: float = 1.0
 
+    phi_ref = 1.0
+    s_ref = 0.0
+
     def __post_init__(self):
-        for name in ("r_gas", "c_v", "phi_ref", "t_ref"):
+        for name in ("r_gas", "c_v", "t_ref"):
             if not 0 < getattr(self, name) < np.inf:
                 raise MaterialError(f"fluid material {name} must be positive "
                                     f"and finite, got {getattr(self, name)}")
         if not 0 <= self.friction < np.inf:
             raise MaterialError(
                 f"friction must be >= 0 and finite, got {self.friction}")
-        if not np.isfinite(self.s_ref):
-            raise MaterialError(f"s_ref must be finite, got {self.s_ref}")
 
     @property
     def gamma(self) -> float:

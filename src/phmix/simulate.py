@@ -129,9 +129,6 @@ class EnergyLedger:
     def __init__(self):
         self.records: list[LedgerRecord] = []
 
-    def append(self, rec: LedgerRecord):
-        self.records.append(rec)
-
     def column(self, name: str) -> np.ndarray:
         if name not in _LEDGER_COLUMNS:
             raise KeyError(name)
@@ -192,11 +189,13 @@ def build_scenario(name: str, heat_sys: HeatSystem, fluid_sys: FluidSystem,
     p = dict(params or {})
     if name == "equilibrium":
         t0 = p.pop("t_common", 320.0)
+        temperatures = {"t_common": t0}
         setup = ScenarioSetup(name, heat_sys.uniform_state(t0),
                               fluid_sys.uniform_state(t0))
     elif name == "hot-wall-cooldown":
         t_solid = p.pop("t_solid", 390.0)
         t_fluid = p.pop("t_fluid", 300.0)
+        temperatures = {"t_solid": t_solid, "t_fluid": t_fluid}
         zeta = heat_sys.domain.node_coordinates()[:, 2]
         depth = heat_sys.domain.thickness.measure
         t_profile = t_fluid + (t_solid - t_fluid) * _smoothstep(zeta / depth)
@@ -205,6 +204,7 @@ def build_scenario(name: str, heat_sys: HeatSystem, fluid_sys: FluidSystem,
     elif name == "heated-ext-face":
         t0 = p.pop("t_common", 300.0)
         t_ext = p.pop("t_ext", 380.0)
+        temperatures = {"t_common": t0, "t_ext": t_ext}
         heat0 = heat_sys.uniform_state(t0)
         heat0.s[heat_sys.external_dofs] = entropy_of_temperature(
             t_ext, heat_sys.material)
@@ -212,6 +212,7 @@ def build_scenario(name: str, heat_sys: HeatSystem, fluid_sys: FluidSystem,
                               ext_temperature=t_ext)
     elif name == "acoustic-pulse":
         t0 = p.pop("t_base", 300.0)
+        temperatures = {"t_base": t0}
         amp = p.pop("amplitude", 1e-3)
         width = p.pop("width", 0.05)
         center = p.pop("center", 0.5)
@@ -221,12 +222,18 @@ def build_scenario(name: str, heat_sys: HeatSystem, fluid_sys: FluidSystem,
         heat0 = heat_sys.uniform_state(t0)  # rejects a t_base <= 0 first
         fluid0 = fluid_sys.uniform_state(t0, phi=1.0)
         mesh = fluid_sys.mesh
-        zc = mesh.start + center * mesh.measure
-        sigma = width * mesh.measure
-        bump = np.exp(-((mesh.nodes - zc) / sigma) ** 2)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            fluid0.s = fluid0.s + amp * fluid_sys.material.c_v * bump
+        with np.errstate(all="ignore"):  # checked below
+            zc = mesh.start + center * mesh.measure
+            exponent = ((mesh.nodes - zc) / (width * mesh.measure)) ** 2
+            fluid0.s = fluid0.s + amp * fluid_sys.material.c_v \
+                * np.exp(-exponent)
             t = gas_temperature(fluid0.phi, fluid0.s, fluid_sys.material)
+        if not np.isfinite(exponent).all():  # a center off [0, 1] is at fault
+            key, value = ("width", width) if 0 <= center <= 1 else \
+                ("center", center)
+            raise ConfigurationError(
+                f"acoustic-pulse {key} {value!r} puts the channel nodes a "
+                f"non-finite number of widths from the pulse center")
         if not (t.min() > 0 and t.max() < np.inf):  # NaN fails both
             raise ConfigurationError(
                 f"acoustic-pulse amplitude {amp!r} makes the channel "
@@ -238,6 +245,14 @@ def build_scenario(name: str, heat_sys: HeatSystem, fluid_sys: FluidSystem,
     if p:
         raise ConfigurationError(
             f"unknown scenario parameters for {name!r}: {sorted(p)}")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        totals = (*heat_sys.totals(setup.heat_state),
+                  *fluid_sys.totals(setup.fluid_state))
+    if not np.isfinite(totals).all():  # name the largest temperature
+        key = max(temperatures, key=temperatures.get)
+        raise ConfigurationError(
+            f"{name} {key} {temperatures[key]!r} with this material and "
+            f"geometry gives a non-finite initial energy or entropy")
     return setup
 
 
@@ -568,8 +583,8 @@ class CoupledSimulation:
 
         ledger = EnergyLedger()
         check_specific_volume(fluid_state.phi)
-        ledger.append(self._record(0.0, heat_state, fluid_state, (0.0, 0.0),
-                                   0.0))
+        ledger.records.append(self._record(0.0, heat_state, fluid_state,
+                                           (0.0, 0.0), 0.0))
         if output_dir is not None:
             ledger_path = os.path.join(output_dir, f"{setup.name}_ledger.csv")
             # the coordinate fields of every snapshot row, formatted once
@@ -591,8 +606,8 @@ class CoupledSimulation:
                 iterations[k - 1] = n
                 residuals[k - 1] = norm
                 table = advance_table(table, sums, x_new)
-                ledger.append(self._record(k * cfg.dt, heat_state,
-                                           fluid_state, powers, p_ext))
+                ledger.records.append(self._record(
+                    k * cfg.dt, heat_state, fluid_state, powers, p_ext))
                 if output_dir is not None and \
                         (k % cfg.output_every == 0 or k == n_steps):
                     self._snapshot(output_dir, setup.name, k, heat_state,

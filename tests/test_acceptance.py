@@ -167,8 +167,7 @@ def test_criterion_8_acoustic_sanity():
     cfg = default_config(
         geometry={"n_ax": 128, "n_fluid": 128, "n_az": 2, "n_th": 1},
         fluid={"r_gas": base.fluid.r_gas, "c_v": base.fluid.c_v,
-               "friction": 0.0, "phi_ref": 1.0, "s_ref": 0.0,
-               "t_ref": 300.0},
+               "friction": 0.0, "t_ref": 300.0},
         sim={"dt": 0.4 * h / c, "t_end": 0.35 / c},
         scenario="acoustic-pulse")
     problem = build_problem(cfg)

@@ -45,10 +45,26 @@ class TestConfig:
         assert cfg.scenario == "hot-wall-cooldown"
         assert cfg.geometry.n_ax == cfg.geometry.n_fluid
 
-    def test_lambda_key_maps_to_conductivity(self):
-        cfg = config_from_dict({"heat": {"lambda": 7.5}})
+    def test_conductivity_key_roundtrips(self):
+        cfg = config_from_dict({"heat": {"conductivity": 7.5}})
         assert cfg.heat.conductivity == 7.5
-        assert config_to_dict(cfg)["heat"]["lambda"] == 7.5
+        assert config_to_dict(cfg)["heat"]["conductivity"] == 7.5
+
+    @pytest.mark.parametrize("data,key", [
+        ({"heat": {"lambda": 5.0}}, "key heat.lambda"),
+        ({"fluid": {"phi_ref": 1.0}}, "key fluid.phi_ref"),
+        ({"fluid": {"s_ref": 0.0}}, "key fluid.s_ref"),
+        ({"output_dir": "out"}, "top-level key 'output_dir'"),
+    ], ids=["heat.lambda", "fluid.phi_ref", "fluid.s_ref", "output_dir"])
+    def test_removed_key_exit_2_names_it(self, capsys, tmp_path, data, key):
+        # the JSON keys are the dataclass fields: no alias, no gauge
+        # knob, and the output directory is --output alone
+        code = cli.main(["simulate", "--config", write_cfg(tmp_path, data),
+                         "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: unknown {key}")
+        assert err.count("\n") == 1
 
     def test_unknown_keys_are_located(self, capsys, tmp_path):
         with pytest.raises(ConfigurationError, match="geometry.depht"):
@@ -83,7 +99,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("data,key", [
         ({"seed": "x"}, "seed"),
-        ({"output_dir": 3}, "output_dir"),
+        ({"scenario": 3}, "scenario"),
         ({"geometry": {"n_az": "8"}}, "geometry.n_az"),
         ({"geometry": {"n_az": 2.5}}, "geometry.n_az"),
         ({"scenario_params": 5}, "scenario_params"),
@@ -91,7 +107,7 @@ class TestConfig:
         # Python's JSON reader takes NaN and Infinity
         ({"sim": {"t_end": float("inf")}}, "sim.t_end"),
         ({"sim": {"dt": float("nan")}}, "sim.dt"),
-        ({"heat": {"lambda": float("inf")}}, "heat.lambda"),
+        ({"heat": {"conductivity": float("inf")}}, "heat.conductivity"),
         ({"heat": {"rho": float("inf")}}, "heat.rho"),
         ({"fluid": {"c_v": float("inf")}}, "fluid.c_v"),
         ({"geometry": {"b": float("inf")}}, "geometry.b"),
@@ -252,6 +268,27 @@ class TestSimulateCommand:
                       for line in capsys.readouterr().out.splitlines())
         assert int(report["row_interchanges"]) == moved
 
+    @pytest.mark.parametrize("scenario", [
+        "hot-wall-cooldown", "heated-ext-face"])
+    def test_energy_drift_is_the_balance_error(self, capsys, tmp_path,
+                                               scenario):
+        # the total's change less the external port's work sum dt P_ext:
+        # the heated face's supply (about 18 here) is no drift, and with no
+        # external port the drift is the total's change to the bit
+        cfg = write_cfg(tmp_path, dict(TINY, scenario=scenario))
+        code = cli.main(["simulate", "--config", cfg,
+                         "--output", str(tmp_path / "out")])
+        assert code == 0
+        report = dict(line.split(": ", 1)
+                      for line in capsys.readouterr().out.splitlines())
+        first, last = (float(report[f"energy_total_{end}"])
+                       for end in ("initial", "final"))
+        drift = float(report["energy_drift"])
+        if scenario == "hot-wall-cooldown":
+            assert drift == last - first
+        else:
+            assert 0 < abs(drift) <= 1e-4 * (last - first)
+
     def test_zero_pivot_exit_1_names_step_and_unknown(self, capsys, tmp_path,
                                                        singular_band):
         # a Jacobian with a zero column fails the step cleanly: the last
@@ -398,7 +435,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("params,name", [
         ({"width": 0}, "width"), ({"width": -0.05}, "width"),
-        ({"amplitude": 1e9}, "amplitude")])
+        ({"amplitude": 1e9}, "amplitude"), ({"width": 1e-310}, "width"),
+        ({"center": 1e308}, "center")])
     def test_pulse_without_finite_start_exit_2(self, capsys, tmp_path,
                                                params, name):
         # rejected before the run: one error line naming the parameter,
@@ -413,6 +451,32 @@ class TestSimulateCommand:
         assert err.startswith(f"error: acoustic-pulse {name} ")
         assert err.count("\n") == 1
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("scenario,params,name", [
+        ("hot-wall-cooldown", {"t_solid": 1e308}, "t_solid"),
+        ("equilibrium", {"t_common": 1e308}, "t_common"),
+        ("heated-ext-face", {"t_common": 1e308}, "t_common"),
+        ("heated-ext-face", {"t_ext": 1e308}, "t_ext"),
+        ("acoustic-pulse", {"t_base": 1e308}, "t_base")])
+    def test_overflowing_temperature_exit_2(self, capsys, tmp_path,
+                                            scenario, params, name):
+        # finite and positive, but the initial energy overflows: one error
+        # line naming the parameter before the run, no ledger
+        data = dict(TINY, scenario=scenario, scenario_params=params)
+        out_dir = tmp_path / "out"
+        code = cli.main(["simulate", "--config", write_cfg(tmp_path, data),
+                         "--output", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {scenario} {name} 1e+308 ")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_huge_but_representable_temperature_runs(self, capsys, tmp_path):
+        data = dict(TINY, scenario_params={"t_solid": 1e300})
+        code = cli.main(["simulate", "--config", write_cfg(tmp_path, data),
+                         "--output", str(tmp_path / "out")])
+        assert code == 0
 
 
 class TestConvergenceCommand:

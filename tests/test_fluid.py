@@ -10,13 +10,11 @@ from phmix.geometry import IntervalMesh
 
 import oracles
 
-MAT = FluidMaterial(r_gas=0.4, c_v=1.0, friction=0.1, phi_ref=1.0,
-                    s_ref=0.0, t_ref=300.0)
+MAT = FluidMaterial(r_gas=0.4, c_v=1.0, friction=0.1, t_ref=300.0)
 
 
 def small_system(n=8, friction=0.1):
-    mat = FluidMaterial(r_gas=0.4, c_v=1.0, friction=friction, phi_ref=1.0,
-                        s_ref=0.0, t_ref=300.0)
+    mat = FluidMaterial(r_gas=0.4, c_v=1.0, friction=friction, t_ref=300.0)
     return FluidSystem(IntervalMesh(0.0, 1.0, n), mat)
 
 
@@ -65,8 +63,6 @@ class TestEos:
                 FluidMaterial(r_gas=1.0, c_v=bad)
             with pytest.raises(MaterialError, match="friction"):
                 FluidMaterial(r_gas=1.0, c_v=1.0, friction=bad)
-            with pytest.raises(MaterialError, match="s_ref"):
-                FluidMaterial(r_gas=1.0, c_v=1.0, s_ref=bad)
 
     def test_sound_speed_closed_form(self):
         c = sound_speed(300.0, MAT)

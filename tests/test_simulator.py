@@ -851,7 +851,7 @@ def default_ledgers():
 def copy_ledger(ledger):
     out = EnergyLedger()
     for rec in ledger.records:
-        out.append(dataclasses.replace(rec))
+        out.records.append(dataclasses.replace(rec))
     return out
 
 
@@ -887,7 +887,7 @@ class TestAcousticPulse:
         cfg = default_config(
             geometry={"n_ax": 64, "n_fluid": 64, "n_az": 2, "n_th": 1},
             fluid={"r_gas": 0.4, "c_v": 1.0, "friction": 0.0,
-                   "phi_ref": 1.0, "s_ref": 0.0, "t_ref": 300.0},
+                   "t_ref": 300.0},
             sim={"dt": 0.4 * h / c, "t_end": 0.35 / c},
             scenario="acoustic-pulse")
         problem = build_problem(cfg)
