@@ -37,8 +37,7 @@ class RunConfig:
         rho=10.0, c=10.0, conductivity=5.0, t_ref=300.0))
     fluid: FluidMaterial = field(default_factory=lambda: FluidMaterial(
         r_gas=0.4, c_v=1.0, friction=0.1, t_ref=300.0))
-    sim: SimConfig = field(default_factory=lambda: SimConfig(
-        dt=2.5e-4, t_end=5e-2, output_every=20))
+    sim: SimConfig = SimConfig(dt=2.5e-4, t_end=5e-2)
     scenario: str = "hot-wall-cooldown"
     seed: int = 0
     scenario_params: dict = field(default_factory=dict)

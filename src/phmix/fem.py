@@ -25,7 +25,7 @@ construction assembles its own operators; nothing is cached across them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 
 import numpy as np
@@ -269,9 +269,8 @@ class CouplingOperators:
     three take one field (dofs,) or a column stack of them (dofs, trials),
     so sparse products take the stack as it is, without a transposed copy.
 
-    The factorizations and `line_load`'s matrix are formed on first use
-    from the blocks, and they are not init fields, so `dataclasses.replace`
-    with new blocks starts without them.
+    The factorizations and `line_load`'s matrix are cached properties:
+    `dataclasses.replace` with new blocks starts without them.
     """
 
     m_psi: sp.csr_matrix
@@ -281,10 +280,6 @@ class CouplingOperators:
     surface: SurfaceBasis
     line: LineBasis
     eta_integrals: np.ndarray
-    _psi_lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
-    _chi_lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
-    _load_block: np.ndarray | None = field(default=None, init=False,
-                                           repr=False)
 
     @property
     def n_psi(self) -> int:
@@ -314,19 +309,24 @@ class CouplingOperators:
         whose load m_psi v is b, from the assembled blocks.  The dense
         (n_chi, n_psi) matrix d_chi m_psi^-1 is formed on the first call by
         one `solve_psi` of d_chi^T (m_psi is symmetric)."""
-        if self._load_block is None:
-            self._load_block = np.ascontiguousarray(
-                self.solve_psi(self.d_chi.T.toarray()).T)
         return self._load_block @ b
 
+    @cached_property
+    def _load_block(self) -> np.ndarray:
+        return np.ascontiguousarray(self.solve_psi(self.d_chi.T.toarray()).T)
+
+    @cached_property
+    def _psi_lu(self) -> spla.SuperLU:
+        return spla.splu(sp.csc_matrix(self.m_psi))
+
+    @cached_property
+    def _chi_lu(self) -> spla.SuperLU:
+        return spla.splu(sp.csc_matrix(self.m_chi))
+
     def solve_psi(self, b: np.ndarray) -> np.ndarray:
-        if self._psi_lu is None:
-            self._psi_lu = spla.splu(sp.csc_matrix(self.m_psi))
         return self._psi_lu.solve(b)
 
     def solve_chi(self, b: np.ndarray) -> np.ndarray:
-        if self._chi_lu is None:
-            self._chi_lu = spla.splu(sp.csc_matrix(self.m_chi))
         return self._chi_lu.solve(b)
 
 

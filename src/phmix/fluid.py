@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaterialError, StateValidityError
+from .errors import GeometryError, MaterialError, StateValidityError
 from .fem import LineBasis, line_matrix, lumped_mass
 from .geometry import IntervalMesh
 
@@ -49,6 +49,9 @@ class FluidMaterial:
             if not 0 < getattr(self, name) < np.inf:
                 raise MaterialError(f"fluid material {name} must be positive "
                                     f"and finite, got {getattr(self, name)}")
+        if not self.r_gas / self.c_v < np.inf:
+            raise MaterialError(f"fluid material r_gas / c_v = {self.r_gas} "
+                                f"/ {self.c_v} must be finite")
         if not 0 <= self.friction < np.inf:
             raise MaterialError(
                 f"friction must be >= 0 and finite, got {self.friction}")
@@ -115,7 +118,7 @@ class FluidSystem:
 
     def __init__(self, mesh: IntervalMesh, material: FluidMaterial):
         if mesh.periodic:
-            raise MaterialError("channel mesh must be non-periodic")
+            raise GeometryError("channel mesh must be non-periodic")
         self.mesh = mesh
         self.material = material
         self.basis = LineBasis(mesh)

@@ -58,6 +58,9 @@ class HeatMaterial:
             if not 0 < getattr(self, name) < np.inf:
                 raise MaterialError(f"heat material {name} must be positive "
                                     f"and finite, got {getattr(self, name)}")
+        if not 0 < self.rho_c < np.inf:
+            raise MaterialError(f"heat material rho * c = {self.rho} * "
+                                f"{self.c} must be positive and finite")
 
     @property
     def rho_c(self) -> float:

@@ -69,12 +69,9 @@ SCENARIOS = ("equilibrium", "hot-wall-cooldown", "heated-ext-face",
 class SimConfig:
     dt: float
     t_end: float
-    newton_tol: float = 1e-12
-    newton_max_iters: int = 40
-    output_every: int = 10
 
     def __post_init__(self):
-        for name in ("dt", "t_end", "newton_tol"):
+        for name in ("dt", "t_end"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(
                     f"{name} must be finite, got {getattr(self, name)}")
@@ -84,18 +81,15 @@ class SimConfig:
             raise ConfigurationError(
                 f"t_end ({self.t_end}) must be at least dt ({self.dt})")
         ratio = self.t_end / self.dt
+        if not np.isfinite(ratio):
+            raise ConfigurationError(f"t_end / dt overflows: t_end = "
+                                     f"{self.t_end}, dt = {self.dt}")
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             # run() takes round(t_end / dt) steps and would stop short of
             # t_end or step past it
             raise ConfigurationError(
                 f"t_end = {self.t_end} must be a whole number of steps of "
                 f"dt = {self.dt} (t_end / dt = {ratio!r})")
-        if not self.newton_tol > 0:
-            raise ConfigurationError("newton_tol must be positive")
-        if self.newton_max_iters < 1:
-            raise ConfigurationError("newton_max_iters must be >= 1")
-        if self.output_every < 1:
-            raise ConfigurationError("output_every must be >= 1")
 
 
 @dataclass
@@ -257,6 +251,9 @@ def build_scenario(name: str, heat_sys: HeatSystem, fluid_sys: FluidSystem,
 
 
 PREDICTOR_ORDER = 7  # highest backward difference the predictor may add
+NEWTON_TOL = 1e-12  # a step converges at this max-norm scaled residual
+NEWTON_MAX_ITERS = 40  # Newton iterations of one attempt at a step
+OUTPUT_EVERY = 20  # steps between snapshots; the last step writes one too
 
 
 def extrapolate(table: np.ndarray,
@@ -420,7 +417,7 @@ class CoupledSimulation:
                 row_scale: np.ndarray):
         """Chord-Newton iterations of the step from x_old (solid entropy
         s_old), from x until the residual, divided row by row by
-        row_scale, is at most newton_tol in max norm or newton_max_iters
+        row_scale, is at most NEWTON_TOL in max norm or NEWTON_MAX_ITERS
         are spent.
 
         The first iteration solves with the chord solver's factor if it
@@ -433,13 +430,12 @@ class CoupledSimulation:
         SingularJacobianError from a build, ends the attempt with norm inf
         and the error as failure (None otherwise).
         """
-        cfg = self.cfg
         iterations = 0
         try:
             r, ports = self._residual(x, x_old, s_old)
             norm = float((np.abs(r) / row_scale).max())
             stale = not self.chord.factored
-            while norm > cfg.newton_tol and iterations < cfg.newton_max_iters:
+            while norm > NEWTON_TOL and iterations < NEWTON_MAX_ITERS:
                 if stale:
                     self._build_jacobian(ports)
                 x = x - self.chord.solve(r)
@@ -448,7 +444,7 @@ class CoupledSimulation:
                 new_norm = float((np.abs(r) / row_scale).max())
                 stale = new_norm > 0.5 * norm  # chord Jacobian not contracting
                 norm = new_norm
-            if norm <= cfg.newton_tol:
+            if norm <= NEWTON_TOL:
                 # the residual saw the midpoint; the end state 2 mid - old
                 # may still leave the ideal-gas states
                 check_specific_volume(self._unpack_fluid(x)[0])
@@ -507,7 +503,7 @@ class CoupledSimulation:
             x, norm, ports, n, failure = self._newton(x_start, x_old, s_old,
                                                       row_scale)
             iterations += n
-            if norm <= self.cfg.newton_tol:
+            if norm <= NEWTON_TOL:
                 break
             self.chord.discard()  # retry once from x_old with a fresh factor
         else:
@@ -566,7 +562,6 @@ class CoupledSimulation:
         carries the OSError (`ledger_error`) instead.
         """
         t_start = _time.perf_counter()
-        cfg = self.cfg
         if setup.coupled != self.coupled or \
                 setup.ext_temperature != self.ext_temperature:
             raise ConfigurationError(
@@ -574,7 +569,7 @@ class CoupledSimulation:
                 f"ext_temperature={setup.ext_temperature}; the simulation was "
                 f"built with coupled={self.coupled}, "
                 f"ext_temperature={self.ext_temperature}")
-        n_steps = int(round(cfg.t_end / cfg.dt))
+        n_steps = int(round(self.cfg.t_end / self.cfg.dt))
         heat_state = setup.heat_state.copy()
         fluid_state = setup.fluid_state.copy()
         typ = self._magnitudes(heat_state.s, fluid_state)
@@ -592,8 +587,7 @@ class CoupledSimulation:
                         node_prefixes([self.fluid.mesh.nodes]))
 
         table = self._pack(heat_state.s, fluid_state)[None, :]
-        iterations = np.zeros(n_steps, dtype=int)
-        residuals = np.zeros(n_steps)
+        iterations, residuals = [], []  # per step, as the steps complete
         k = 0  # the step an error is attached to; 0 is the initial snapshot
         try:
             if output_dir is not None:
@@ -603,13 +597,13 @@ class CoupledSimulation:
                 x_pred, sums = extrapolate(table, typ)
                 heat_state, fluid_state, powers, p_ext, norm, x_new, n = \
                     self.step(heat_state.s, table[0], x_pred, row_scale)
-                iterations[k - 1] = n
-                residuals[k - 1] = norm
+                iterations.append(n)
+                residuals.append(norm)
                 table = advance_table(table, sums, x_new)
                 ledger.records.append(self._record(
-                    k * cfg.dt, heat_state, fluid_state, powers, p_ext))
+                    k * self.cfg.dt, heat_state, fluid_state, powers, p_ext))
                 if output_dir is not None and \
-                        (k % cfg.output_every == 0 or k == n_steps):
+                        (k % OUTPUT_EVERY == 0 or k == n_steps):
                     self._snapshot(output_dir, setup.name, k, heat_state,
                                    fluid_state, prefixes)
         except (PhmixError, OSError) as exc:
@@ -626,8 +620,8 @@ class CoupledSimulation:
         if output_dir is not None:
             ledger.write(ledger_path)
         return SimResult(
-            ledger, heat_state, fluid_state, n_steps, int(iterations.sum()),
-            step_iterations=iterations, step_residuals=residuals,
+            ledger, heat_state, fluid_state, n_steps, sum(iterations),
+            np.array(iterations, dtype=int), np.array(residuals),
             jacobian_builds=self.chord.builds,
             row_interchanges=self.chord.row_interchanges,
             jacobian_build_s=self.chord.build_s,

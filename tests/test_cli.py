@@ -1,16 +1,17 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from phmix import cli
+from phmix import cli, simulate
 from phmix.chord import ChordSolver
 from phmix.config import config_from_dict, config_to_dict, default_config, \
     load_config
 from phmix.dirac import VerificationReport
 from phmix.driver import build_problem
-from phmix.errors import ConfigurationError
+from phmix.errors import ConfigurationError, StepFailureError
 from phmix.simulate import LEDGER_HEADER
 
 TINY = {
@@ -55,10 +56,15 @@ class TestConfig:
         ({"fluid": {"phi_ref": 1.0}}, "key fluid.phi_ref"),
         ({"fluid": {"s_ref": 0.0}}, "key fluid.s_ref"),
         ({"output_dir": "out"}, "top-level key 'output_dir'"),
-    ], ids=["heat.lambda", "fluid.phi_ref", "fluid.s_ref", "output_dir"])
+        ({"sim": {"newton_tol": 1e-12}}, "key sim.newton_tol"),
+        ({"sim": {"newton_max_iters": 40}}, "key sim.newton_max_iters"),
+        ({"sim": {"output_every": 20}}, "key sim.output_every"),
+    ], ids=["heat.lambda", "fluid.phi_ref", "fluid.s_ref", "output_dir",
+            "sim.newton_tol", "sim.newton_max_iters", "sim.output_every"])
     def test_removed_key_exit_2_names_it(self, capsys, tmp_path, data, key):
         # the JSON keys are the dataclass fields: no alias, no gauge
-        # knob, and the output directory is --output alone
+        # knob, the output directory is --output alone, and Newton's
+        # tolerance and cap and the snapshot cadence are stepper constants
         code = cli.main(["simulate", "--config", write_cfg(tmp_path, data),
                          "--output", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -123,20 +129,31 @@ class TestConfig:
         assert f"error: {key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("data,message", [
-        ({"sim": {"output_every": 0}}, "output_every must be >= 1"),
-        ({"sim": {"newton_max_iters": 0}}, "newton_max_iters must be >= 1"),
+        ({"sim": {"dt": 0.0}}, "dt must be positive"),
+        # a step count past the float range
+        ({"sim": {"dt": 1e-300, "t_end": 1e300}}, "t_end / dt overflows"),
         ({"sim": {"dt": 1e-3, "t_end": 3.5e-3}},
          "section 'sim': t_end = 0.0035 must be a whole number of steps "
          "of dt = 0.001"),
+        # each factor finite, the product or ratio not
+        ({"heat": {"rho": 1e200, "c": 1e200}},
+         "heat material rho * c = 1e+200 * 1e+200 must be positive and "
+         "finite"),
+        ({"heat": {"rho": 1e-200, "c": 1e-200}},
+         "heat material rho * c = 1e-200 * 1e-200 must be positive and "
+         "finite"),
+        ({"fluid": {"r_gas": 1e200, "c_v": 1e-200}},
+         "fluid material r_gas / c_v = 1e+200 / 1e-200 must be finite"),
     ])
     def test_out_of_range_value_exit_2(self, capsys, tmp_path, data, message):
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             config_from_dict(data)
         code = cli.main(["simulate", "--config", write_cfg(tmp_path, data),
                          "--output", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_roundtrip(self, tmp_path):
         cfg = default_config(seed=42)
@@ -358,7 +375,7 @@ class TestSimulateCommand:
         (out_dir / "hot-wall-cooldown_heat_5.csv").mkdir(parents=True)
         cfg = write_cfg(tmp_path, dict(
             TINY, scenario="hot-wall-cooldown",
-            sim={"dt": 5e-4, "t_end": 2.5e-3, "output_every": 5}))
+            sim={"dt": 5e-4, "t_end": 2.5e-3}))
         code = cli.main(["simulate", "--config", cfg,
                          "--output", str(out_dir)])
         err = capsys.readouterr().err
@@ -408,10 +425,12 @@ class TestSimulateCommand:
         assert code == 2
         assert "line" in capsys.readouterr().err
 
-    def test_step_failure_exit_1_with_last_row(self, capsys, tmp_path):
+    def test_step_failure_exit_1_with_last_row(self, capsys, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setattr(simulate, "NEWTON_TOL", 1e-30)
+        monkeypatch.setattr(simulate, "NEWTON_MAX_ITERS", 2)
         data = dict(TINY, scenario="hot-wall-cooldown")
-        data["sim"] = {"dt": 50.0, "t_end": 50.0, "newton_tol": 1e-30,
-                       "newton_max_iters": 2}
+        data["sim"] = {"dt": 50.0, "t_end": 50.0}
         cfg = write_cfg(tmp_path, data)
         code = cli.main(["simulate", "--config", cfg,
                          "--output", str(tmp_path / "out")])
@@ -420,10 +439,33 @@ class TestSimulateCommand:
         assert "error: step 1: implicit midpoint step did not converge" in err
         assert "last ledger row" in err
 
-    def test_invalid_end_state_exit_1_with_last_row(self, capsys, tmp_path):
+    def test_huge_step_count_reaches_step_1(self, capsys, tmp_path,
+                                            monkeypatch):
+        # 1e20 steps pass validation and the run allocates nothing per
+        # planned step: a failure of step 1 names it, with its ledger
+        def fail(*args):
+            raise StepFailureError("implicit midpoint step did not converge",
+                                   residual=1.0, iterations=0)
+
+        monkeypatch.setattr(simulate.CoupledSimulation, "step", fail)
+        data = dict(TINY, scenario="hot-wall-cooldown",
+                    sim={"dt": 1e-10, "t_end": 1e10})
+        out_dir = tmp_path / "out"
+        code = cli.main(["simulate", "--config", write_cfg(tmp_path, data),
+                         "--output", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: step 1: implicit midpoint step did not converge" in err
+        ledger = out_dir / "hot-wall-cooldown_ledger.csv"
+        assert f"partial ledger: {ledger}" in err
+        assert len(ledger.read_text().splitlines()) == 2
+
+    def test_invalid_end_state_exit_1_with_last_row(self, capsys, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(simulate, "NEWTON_MAX_ITERS", 80)
         data = {"scenario": "acoustic-pulse",
                 "scenario_params": {"amplitude": 3.0},
-                "sim": {"dt": 0.001, "t_end": 0.05, "newton_max_iters": 80}}
+                "sim": {"dt": 0.001, "t_end": 0.05}}
         cfg = write_cfg(tmp_path, data)
         code = cli.main(["simulate", "--config", cfg,
                          "--output", str(tmp_path / "out")])
@@ -546,10 +588,12 @@ class TestConvergenceCommand:
         assert err.startswith("error: ") and "Is a directory" in err
         assert str(out_dir / "convergence.csv") in err
 
-    def test_step_failure_exit_1_names_the_step(self, capsys, tmp_path):
+    def test_step_failure_exit_1_names_the_step(self, capsys, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(simulate, "NEWTON_TOL", 1e-30)
+        monkeypatch.setattr(simulate, "NEWTON_MAX_ITERS", 2)
         data = dict(TINY, scenario="hot-wall-cooldown")
-        data["sim"] = {"dt": 50.0, "t_end": 50.0, "newton_tol": 1e-30,
-                       "newton_max_iters": 2}
+        data["sim"] = {"dt": 50.0, "t_end": 50.0}
         cfg = write_cfg(tmp_path, data)
         code = cli.main(["convergence", "--config", cfg,
                          "--output", str(tmp_path / "conv")])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phmix.errors import MaterialError, StateValidityError
+from phmix.errors import GeometryError, MaterialError, StateValidityError
 from phmix.fem import LineBasis, assemble_mass
 from phmix.fluid import FluidMaterial, FluidState, FluidSystem, eos, \
     gas_temperature, sound_speed
@@ -168,7 +168,7 @@ class TestRhs:
             <= 1e-8 * np.abs(t_grad).max()
 
     def test_periodic_channel_rejected(self):
-        with pytest.raises(MaterialError, match="non-periodic"):
+        with pytest.raises(GeometryError, match="non-periodic"):
             FluidSystem(IntervalMesh(0, 1, 8, periodic=True), MAT)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from phmix import driver
+from phmix import driver, simulate
 from phmix.config import default_config
 from phmix.driver import POWER_RESIDUAL_TOL, build_problem, \
     convergence_study, drift_per_time, make_simulation, run_from_config, \
@@ -25,7 +25,7 @@ import oracles
 
 
 def small_cfg(**sim_overrides):
-    sim = {"dt": 5e-4, "t_end": 5e-3, "newton_tol": 1e-12}
+    sim = {"dt": 5e-4, "t_end": 5e-3}
     sim.update(sim_overrides)
     return default_config(
         geometry={"n_ax": 6, "n_az": 4, "n_th": 3, "n_fluid": 6}, sim=sim)
@@ -577,7 +577,7 @@ class TestPredictor:
         assert result.step_iterations.shape == (200,)
         assert result.step_iterations.sum() == result.newton_iterations
         assert result.step_residuals.shape == (200,)
-        assert 0 < result.step_residuals.max() <= cfg.sim.newton_tol
+        assert 0 < result.step_residuals.max() <= simulate.NEWTON_TOL
 
     def test_large_mesh_newton_count(self):
         # the benchmark's 24x12x4 rung, 20 steps
@@ -615,7 +615,7 @@ def test_step_outputs_match_fresh_residual_at_x(name):
         iterations += n
         r, _ = oracles.midpoint_residual_oracle(sim, x, x_old, hs.s)
         assert norm == float((np.abs(r) / row_scale).max()) \
-            <= cfg.sim.newton_tol
+            <= simulate.NEWTON_TOL
         n_free = len(x) - 3 * nf
         phi1, vel1, sf1 = (x[n_free + i * nf:n_free + (i + 1) * nf]
                            for i in range(3))
@@ -679,16 +679,16 @@ class TestSimConfig:
         with pytest.raises(ConfigurationError):
             SimConfig(dt=0.0, t_end=1.0)
         for bad in (np.inf, np.nan):
-            for key in ("dt", "t_end", "newton_tol"):
-                kwargs = dict(dt=0.1, t_end=1.0, newton_tol=1e-12)
+            for key in ("dt", "t_end"):
+                kwargs = dict(dt=0.1, t_end=1.0)
                 kwargs[key] = bad
                 with pytest.raises(ConfigurationError,
                                    match=f"{key} must be finite"):
                     SimConfig(**kwargs)
         with pytest.raises(ConfigurationError):
             SimConfig(dt=0.1, t_end=0.05)
-        with pytest.raises(ConfigurationError):
-            SimConfig(dt=0.1, t_end=1.0, newton_tol=-1.0)
+        with pytest.raises(ConfigurationError, match="t_end / dt overflows"):
+            SimConfig(dt=1e-300, t_end=1e300)
 
     @pytest.mark.parametrize("t_end", [3.5e-3, 2.5e-3, 4.0004e-3])
     def test_fractional_step_count_rejected(self, t_end):
@@ -925,8 +925,9 @@ def per_value_fluid(fluid, fs):
 
 
 class TestLedgerAndSnapshots:
-    def test_header_and_files(self, tmp_path):
-        cfg = small_cfg(output_every=5)
+    def test_header_and_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulate, "OUTPUT_EVERY", 5)
+        cfg = small_cfg()
         problem = build_problem(cfg)
         setup = build_scenario("hot-wall-cooldown", problem.heat,
                                problem.fluid, {})
@@ -986,7 +987,7 @@ class TestLedgerAndSnapshots:
         # after the other, and two runs on one object: nothing formatted
         # for one mesh or run may reach the files of another
         for depth in (0.05, 0.08):
-            cfg = small_cfg(t_end=2e-3, output_every=2)
+            cfg = small_cfg(t_end=2e-3)
             cfg = dataclasses.replace(cfg, geometry=dataclasses.replace(
                 cfg.geometry, depth=depth, b=20 * depth))
             problem = build_problem(cfg)
@@ -1037,13 +1038,14 @@ class TestFailureModes:
             build_scenario("equilibrium", problem.heat, problem.fluid,
                            {"t_blue": 1.0})
 
-    def test_nonconvergence_raises_with_residual(self):
+    def test_nonconvergence_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(simulate, "NEWTON_TOL", 1e-30)
+        monkeypatch.setattr(simulate, "NEWTON_MAX_ITERS", 2)
         cfg = small_cfg()
         problem = build_problem(cfg)
         setup = build_scenario("hot-wall-cooldown", problem.heat,
                                problem.fluid, {})
-        bad = SimConfig(dt=50.0, t_end=50.0, newton_tol=1e-30,
-                        newton_max_iters=2)
+        bad = SimConfig(dt=50.0, t_end=50.0)
         sim = CoupledSimulation(problem.heat, problem.fluid, problem.ops, bad)
         with pytest.raises(StepFailureError) as err:
             sim.run(setup)
@@ -1079,12 +1081,13 @@ class TestFailureModes:
         else:
             assert len(result.ledger) == result.steps + 1
 
-    def test_invalid_end_state_fails_with_step_ledger_and_field(self):
+    def test_invalid_end_state_fails_with_step_ledger_and_field(
+            self, monkeypatch):
         # Newton converges on the midpoint, whose specific volume stays
         # positive, while the end state 2 mid - old goes negative: the step
         # must fail as a step, not leak the state to the ledger's eos
-        cfg = default_config(sim={"dt": 1e-3, "t_end": 0.05,
-                                  "newton_max_iters": 80},
+        monkeypatch.setattr(simulate, "NEWTON_MAX_ITERS", 80)
+        cfg = default_config(sim={"dt": 1e-3, "t_end": 0.05},
                              scenario="acoustic-pulse")
         problem = build_problem(cfg)
         setup = build_scenario("acoustic-pulse", problem.heat, problem.fluid,
