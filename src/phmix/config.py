@@ -9,6 +9,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError, MaterialError
 from .fluid import FluidMaterial
 from .heat import HeatMaterial
@@ -25,6 +27,16 @@ class GeometryConfig:
     n_az: int = 8
     n_th: int = 4
     n_fluid: int = 16
+
+    def __post_init__(self):
+        # every mesh lays its nodes out in index arrays
+        limit = np.iinfo(np.intp).max
+        for name in ("n_ax", "n_az", "n_th", "n_fluid"):
+            count = getattr(self, name)
+            if count >= limit:
+                raise ConfigurationError(
+                    f"{name} = {count} cells: the node count must fit "
+                    f"np.intp (at most {limit})")
 
 
 @dataclass(frozen=True)
@@ -57,9 +69,14 @@ class RunConfig:
 
 
 def _is_finite_number(value) -> bool:
-    # JSON as Python reads it has NaN and Infinity
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
+    # JSON as Python reads it has NaN, Infinity and integers past the float
+    # range
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_type(key: str, value, default) -> None:
@@ -140,6 +157,9 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # an integer literal past Python's digit limit for int conversion
+        raise ConfigurationError(f"{path}: {exc}") from exc
     return config_from_dict(data)
 
 

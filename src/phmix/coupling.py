@@ -16,6 +16,8 @@ stepper does not call it: its residual applies `embed` and its transpose
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import numpy as np
 
 from .dirac import LineField, SurfaceField, VerificationReport, STRUCT_TOL, \
@@ -81,8 +83,9 @@ def check_power_balance(ops: CouplingOperators, trials: int = 100,
         p_fluid = _dots(y, ops.m_chi @ w)
         scale = np.abs(p_heat) + np.abs(p_fluid) + 1.0
         return np.max(np.abs(p_heat + p_fluid) / scale)
-    blocks = _field_blocks("power_balance", seed, trials, ops.n_psi, ops.n_chi)
-    worst = float(np.max([residual(*stacks) for stacks in blocks]))
+    with closing(_field_blocks("power_balance", seed, trials, ops.n_psi,
+                               ops.n_chi)) as blocks:
+        worst = float(np.max([residual(*stacks) for stacks in blocks]))
     return VerificationReport(
         name="power_balance", passed=bool(worst <= STRUCT_TOL),
         max_residual=worst, tolerance=STRUCT_TOL, trials=trials, seed=seed)

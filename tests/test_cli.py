@@ -144,6 +144,14 @@ class TestConfig:
          "finite"),
         ({"fluid": {"r_gas": 1e200, "c_v": 1e-200}},
          "fluid material r_gas / c_v = 1e+200 / 1e-200 must be finite"),
+        # JSON integers past the float range, and a cell count whose node
+        # count no index array holds
+        ({"sim": {"t_end": 10 ** 400}}, "sim.t_end must be a finite number"),
+        ({"scenario_params": {"t_solid": 10 ** 400}},
+         "scenario_params must be an object of finite numbers"),
+        ({"geometry": {"n_ax": 10 ** 30, "n_fluid": 10 ** 30}},
+         "section 'geometry': n_ax = 1000000000000000000000000000000 cells: "
+         "the node count must fit np.intp"),
     ])
     def test_out_of_range_value_exit_2(self, capsys, tmp_path, data, message):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
@@ -154,6 +162,17 @@ class TestConfig:
         assert code == 2
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+    def test_integer_past_digit_limit_exit_2(self, capsys, tmp_path):
+        # Python's JSON reader refuses an integer of more than 4300 digits
+        path = tmp_path / "cfg.json"
+        path.write_text('{"sim": {"t_end": 1' + "0" * 5000 + "}}")
+        with pytest.raises(ConfigurationError, match="4300 digits"):
+            load_config(path)
+        code = cli.main(["verify", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     def test_roundtrip(self, tmp_path):
         cfg = default_config(seed=42)

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,8 @@ from phmix.dirac import LineField, SurfaceField, check_adjointness, \
     check_dirac_pairing, embed, integrate_out, j_matrix, \
     operator_norm_bound_check
 from phmix.errors import MeshCompatibilityError
-from phmix.fem import LineBasis, SurfaceBasis, assemble_coupling
+from phmix.fem import CouplingOperators, LineBasis, SurfaceBasis, \
+    assemble_coupling
 from phmix.geometry import IntervalMesh, TensorBoundary
 
 import oracles
@@ -347,6 +350,123 @@ class TestFieldBlocks:
         for k in (1, 2, 9, 50):
             for few, full in zip(fields(k), many):
                 assert np.array_equal(few, full[:, :k])
+
+    @pytest.mark.parametrize("trials,block", [
+        (200, 2), (200, 7), (200, 30), (201, 50)])
+    def test_blocks_match_an_oracle_draw(self, monkeypatch, trials, block):
+        # the oracle draws each whole stack trial-major from its child of
+        # the check's stream in one call, on this thread, and cuts it at
+        # the block bounds, folding a last single trial into the block
+        # before it
+        ops = make_ops(n_ax=6, n_az=5)
+        sizes = (ops.n_chi, ops.n_psi, ops.n_chi, ops.n_psi)
+        children = np.random.SeedSequence(
+            [3, dirac._STREAMS["dirac_pairing"]]).spawn(len(sizes))
+        whole = [np.random.default_rng(child).standard_normal((trials, n)).T
+                 for child, n in zip(children, sizes)]
+        starts = list(range(0, trials, block))
+        if trials - starts[-1] == 1:
+            starts.pop()
+        bounds = [*starts, trials]
+        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * block)
+        blocks = list(dirac._field_blocks("dirac_pairing", 3, trials, *sizes))
+        assert len(blocks) == len(starts)
+        for stacks, start, stop in zip(blocks, bounds, bounds[1:]):
+            for stack, full in zip(stacks, whole):
+                assert stack.flags.c_contiguous
+                assert stack.tobytes() == \
+                    np.ascontiguousarray(full[:, start:stop]).tobytes()
+
+    def test_closed_generator_leaves_no_thread(self, monkeypatch):
+        ops = make_ops(n_ax=6, n_az=5)
+        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 2)
+        fresh = check_adjointness(make_ops(n_ax=6, n_az=5), 200, 0).lines()
+        before = threading.active_count()
+        blocks = dirac._field_blocks("adjointness", 0, 200, ops.n_psi,
+                                     ops.n_chi)
+        next(blocks)  # the worker fills the queue while this block waits
+        blocks.close()
+        assert threading.active_count() == before
+        assert check_adjointness(ops, 200, 0).lines() == fresh
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_raising_check_leaves_no_thread(self, monkeypatch, check):
+        ops = make_ops(n_ax=6, n_az=5)
+        fresh = check(make_ops(n_ax=6, n_az=5), 200, 4).lines()
+        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 2)
+        before = threading.active_count()
+        with monkeypatch.context() as patch:
+            def failing(self, u):
+                raise RuntimeError("integrate failed")
+            patch.setattr(CouplingOperators, "integrate", failing)
+            # the kept traceback holds the check's frame and its generator
+            with pytest.raises(RuntimeError, match="integrate failed") as kept:
+                check(ops, 200, 4)
+            assert threading.active_count() == before
+        monkeypatch.undo()
+        assert check(ops, 200, 4).lines() == fresh
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        default_rng = np.random.default_rng
+
+        class FailingOnSecondDraw:
+            def __init__(self, seq):
+                self.rng, self.draws = default_rng(seq), 0
+
+            def standard_normal(self, shape):
+                self.draws += 1
+                if self.draws == 2:
+                    raise RuntimeError("second draw failed")
+                return self.rng.standard_normal(shape)
+
+        ops = make_ops(n_ax=6, n_az=5)
+        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 2)
+        monkeypatch.setattr(np.random, "default_rng", FailingOnSecondDraw)
+        before = threading.active_count()
+        errors = []
+
+        def run():
+            try:
+                check_adjointness(ops, 200, 4)
+            except RuntimeError as exc:
+                errors.append(exc)
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive(), "the check hung on a failed draw"
+        assert [str(exc) for exc in errors] == ["second draw failed"]
+        assert threading.active_count() == before
+
+    def test_concurrent_checks_match_sequential(self, monkeypatch):
+        # more callers than cores, each with its own worker, switching
+        # threads often: a block lost, repeated or reordered on the way
+        # through a queue changes some report
+        ops = make_ops(n_ax=6, n_az=5)
+        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 3)
+        expected = self.reports(ops, 100)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(
+                target=lambda: results.append(self.reports(ops, 100)),
+                daemon=True) for _ in range(6)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [expected] * len(callers)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_no_trials_starts_no_thread(self, monkeypatch, check):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a worker thread was started")
+        monkeypatch.setattr(dirac.threading, "Thread", no_thread)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check(make_ops(), 0, 0)
 
     def test_memory_independent_of_trials(self):
         # one (n_psi, 2000) stack at 48x24 is 18.8 MB; the blocks keep the
