@@ -47,27 +47,34 @@ class JacobianLayout:
     dofs at axial node i, thickness layers from the external face down to
     the wall-adjacent one, each layer's azimuth in the reflected order 0,
     n-1, 1, n-2, ... (periodic neighbours at most two apart), then the
-    channel's (phi, vel, s) at node i.  The entries span the half-widths kl
-    and ku.
+    channel's (phi, vel, s) at node i.  Every axial node holds the same
+    free dofs, so every slab has the same size m.  The entries span the
+    half-widths kl and ku.
 
     Entry (i, j) of the permuted matrix has LAPACK's band position
     (kl + ku + i - j, j), so an (ldab, n) Fortran-ordered array with
     ldab = 2 kl + ku + 1 (the kl extra rows take the fill of row pivoting)
     is, flat, the vector whose position j ldab + kl + ku + i - j holds the
-    entry.  A build sums into `bins` flat positions: the band, then one
-    wall slot per (row, channel node) that the coupling dofs of that node
-    reach, then a dump bin.
+    entry.  A build sums into `bins` flat positions: the band, then the
+    wall slots, then a dump bin.  Channel node j has 3 (n_az + 1) wall
+    slots, one per row that the coupling dofs of node j may reach: for each
+    row node j - 1, j and j + 1 in turn, the free rows next to the wall by
+    azimuth, then the node's entropy row.
 
     Entry e of `HeatSystem.loads_tangent`'s raveled blocks adds into flat
     position pos[e]: its band position for a free column, the wall slot of
     its row and node for a coupling dof's column, the dump bin for a held
-    row or external column.  `chan` (3 n_f, 3 n_f) are the flat positions
-    of `FluidSystem.loads_tangent`'s entries, the dump bin outside each
-    block's reach (the tangent is zero there); `diag` those of the
-    diagonal in the packed order.  Wall slot k enters the phi and s
-    columns of its node `wall_node[k]` at the band positions
-    `wall_cols[:, k]`, and `wall_rate[j]` is the slot of node j's own
-    entropy row.
+    row or external column.  The cells are axial-major and the pattern
+    repeats along the axis, so the positions are worked out on the cells of
+    axial layer 0 alone and tiled: layer i's band positions are layer 0's
+    plus i m ldab, and its wall slots layer 0's plus 3 i (n_az + 1).  `chan`
+    (3 n_f, 3 n_f) are the flat positions of `FluidSystem.loads_tangent`'s
+    entries, the dump bin outside each block's reach (the tangent is zero
+    there); `diag` those of the diagonal in the packed order.  Wall slot k
+    enters the phi and s columns of its node `wall_node[k]` at the band
+    positions `wall_cols[:, k]`, the dump bin for a slot whose row is held
+    or past an axial end (no entry reaches it), and `wall_rate[j]` is the
+    slot of node j's own entropy row.
     """
 
     def __init__(self, heat: HeatSystem, ops: CouplingOperators,
@@ -98,52 +105,74 @@ class JacobianLayout:
         near = np.abs(node[:, None] - node) <= reach[field[:, None], field]
         chan_r, chan_c = rank[nfree:, None], rank[nfree:][None, :]
         offsets = [(chan_r - chan_c)[near]]
-        keys = pos = wall_rate = np.empty(0, dtype=np.intp)
+        wall_node = wall_rate = np.empty(0, dtype=np.intp)
         if coupled:
             # the row of each solid dof's load: its free row, or for a
             # coupling dof the entropy row of its channel node (embed_t)
             node_of = np.full(heat.n_dofs, -1)
             node_of[heat.coupling_dofs] = ops.embed(np.arange(nf))
             row_of = np.where(node_of < 0, col_of, nfree + 2 * nf + node_of)
-            row = row_of[heat._gather][:, None, :]  # (a, ., cell)
-            col = col_of[heat._gather][None, :, :]  # (., b, cell)
-            wnode = node_of[heat._gather][None, :, :]
+            n_layers = dom.axial.n_cells
+            layer = heat._gather[:, :dom.n_cells // n_layers]  # axial layer 0
+            row = row_of[layer][:, None, :]  # (a, ., cell)
+            col = col_of[layer][None, :, :]  # (., b, cell)
+            wnode = node_of[layer][None, :, :]
             kept = (row >= 0) & (col >= 0)
             wall = (row >= 0) & (wnode >= 0)
             tan_c = rank[col]
             tan = rank[row] - tan_c  # the offsets, garbage where not kept
             offsets.append(tan[kept])
-            # one slot per (row, node) that a coupling column reaches
-            a, b, cell = np.nonzero(wall)
-            keys, slot = np.unique(row[a, 0, cell] * nf + wnode[0, b, cell],
-                                   return_inverse=True)
-            wall_r = rank[keys // nf]
-            wall_c = rank[nfree + np.array([[0], [2 * nf]]) + keys % nf]
-            offsets.append((wall_r - wall_c).ravel())
-            own = np.arange(nf)  # the slot of each node's own entropy row
-            wall_rate = np.searchsorted(keys,
-                                        (nfree + 2 * nf + own) * nf + own)
+            # the wall slots of every node j: row node i = j - 1, j, j + 1,
+            # then the free row at azimuth q next to the wall, or q = n_az
+            # for node i's entropy row
+            n_rows = n_az + 1
+            j = np.arange(nf)[:, None, None]
+            i = j + np.arange(-1, 2)[:, None]
+            q = np.arange(n_rows)
+            inside = (i >= 0) & (i < nf)
+            i = i.clip(0, nf - 1)
+            wall_row = np.where(
+                q < n_az, col_of[dom.node_index(i, q.clip(max=n_az - 1), 1)],
+                nfree + 2 * nf + i)
+            live = (inside & (wall_row >= 0)).ravel()
+            wall_node = np.arange(nf).repeat(3 * n_rows)
+            wall_r = rank[wall_row.ravel()]
+            wall_c = rank[nfree + np.array([[0], [2 * nf]]) + wall_node]
+            offsets.append((wall_r - wall_c)[:, live].ravel())
+            wall_rate = (3 * np.arange(nf) + 1) * n_rows + n_az
+            # the slot of each layer-0 wall entry, from its row's dof
+            i_r, rest = np.divmod(layer, n_az * n_th)
+            az_r, k_r = np.divmod(rest, n_th)
+            slot = (2 * wnode + i_r[:, None, :] + 1) * n_rows \
+                + np.where(k_r == 0, n_az, az_r)[:, None, :]
         offsets = np.concatenate(offsets)
         self.kl, self.ku = kl, ku = int(offsets.max()), int(-offsets.min())
         self.ldab = ldab = 2 * kl + ku + 1
         size = nx * ldab
-        dump = size + len(keys)
+        dump = size + len(wall_node)
         self.bins = dump + 1
 
         def flat(r, c):
             return c * (ldab - 1) + r + (kl + ku)
 
+        pos = np.empty(0, dtype=np.intp)
         self.wall_cols = np.empty((2, 0), dtype=np.intp)
         if coupled:
             pos = tan  # flat(rank[row], tan_c), in place on the offsets
             pos += tan_c * ldab + (kl + ku)
             pos[~kept] = dump
-            pos[wall] = size + slot
-            pos = pos.ravel()
-            self.wall_cols = flat(wall_r, wall_c)
+            pos[wall] = size + slot[wall]
+            # how far each entry moves per axial layer: one slab of the
+            # band, one node's wall slots, or not at all into the dump bin
+            shift = np.where(kept, len(order) // nf * ldab, 0)
+            shift[wall] = 3 * n_rows
+            tiled = shift[:, :, None, :] * np.arange(n_layers)[:, None]
+            tiled += pos[:, :, None, :]
+            pos = tiled.ravel()
+            self.wall_cols = np.where(live, flat(wall_r, wall_c), dump)
         self.pos, self.chan = pos, np.where(near, flat(chan_r, chan_c), dump)
         self.diag, self.wall_node, self.wall_rate = \
-            flat(rank, rank), keys % nf, wall_rate
+            flat(rank, rank), wall_node, wall_rate
 
 
 class ChordSolver:

@@ -29,7 +29,8 @@ class GeometryConfig:
     n_fluid: int = 16
 
     def __post_init__(self):
-        # every mesh lays its nodes out in index arrays
+        # every mesh lays its nodes out in index arrays, the solid box
+        # the most of them
         limit = np.iinfo(np.intp).max
         for name in ("n_ax", "n_az", "n_th", "n_fluid"):
             count = getattr(self, name)
@@ -37,6 +38,11 @@ class GeometryConfig:
                 raise ConfigurationError(
                     f"{name} = {count} cells: the node count must fit "
                     f"np.intp (at most {limit})")
+        nodes = (self.n_ax + 1) * self.n_az * (self.n_th + 1)
+        if nodes > limit:
+            raise ConfigurationError(
+                f"geometry {self.n_ax}x{self.n_az}x{self.n_th}: the solid's "
+                f"{nodes} nodes must fit np.intp (at most {limit})")
 
 
 @dataclass(frozen=True)

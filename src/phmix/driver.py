@@ -4,11 +4,13 @@ run scenarios, and drive the refinement studies behind the CLI."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RunConfig
+from .config import GeometryConfig, RunConfig
+from .errors import GeometryError
 from .fem import CouplingOperators, LineBasis, SurfaceBasis, assemble_coupling
 from .fluid import FluidSystem
 from .geometry import IntervalMesh, SolidDomain, build_solid_domain
@@ -27,6 +29,19 @@ class Problem:
     ops: CouplingOperators
 
 
+@contextmanager
+def _arrays_of(g: GeometryConfig):
+    """Turn numpy's refusal of an array of the mesh `g`, too big to index
+    (ValueError) or to allocate (MemoryError), into a GeometryError that
+    names the geometry."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise GeometryError(
+            f"geometry {g.n_ax}x{g.n_az}x{g.n_th} (n_fluid {g.n_fluid}): its "
+            f"arrays cannot be built: {exc}") from exc
+
+
 def build_coupling(cfg: RunConfig
                    ) -> tuple[SolidDomain, IntervalMesh, CouplingOperators]:
     """The solid domain, the channel mesh and their coupling operators."""
@@ -34,15 +49,17 @@ def build_coupling(cfg: RunConfig
     domain = build_solid_domain(g.a, g.b, g.circumference, g.depth,
                                 g.n_ax, g.n_az, g.n_th)
     channel = IntervalMesh(g.a, g.b, g.n_fluid)
-    ops = assemble_coupling(SurfaceBasis(domain.coupling_boundary()),
-                            LineBasis(channel))
+    with _arrays_of(g):
+        ops = assemble_coupling(SurfaceBasis(domain.coupling_boundary()),
+                                LineBasis(channel))
     return domain, channel, ops
 
 
 def build_problem(cfg: RunConfig) -> Problem:
     domain, channel, ops = build_coupling(cfg)
-    heat = HeatSystem(domain, cfg.heat)
-    fluid = FluidSystem(channel, cfg.fluid)
+    with _arrays_of(cfg.geometry):
+        heat = HeatSystem(domain, cfg.heat)
+        fluid = FluidSystem(channel, cfg.fluid)
     return Problem(heat=heat, fluid=fluid, ops=ops)
 
 

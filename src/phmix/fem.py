@@ -337,7 +337,11 @@ def assemble_coupling(surface: SurfaceBasis,
     The line mesh must equal the axial factor of the surface
     (`require_fit`), so m_chi is also the surface's axial mass: m_psi =
     m_chi (x) M_az and d_chi = m_chi (x) eta_integrals^T (rows line dofs,
-    columns surface dofs).  d_psi is set to the exact transpose of d_chi.
+    columns surface dofs).  d_psi = m_chi (x) eta_integrals is assembled
+    from the same factors on its own, not transposed from d_chi, so that
+    `check_transpose_identity` compares two assemblies: m_chi is symmetric
+    bit for bit and each entry is the one product m_chi_ik eta_j, so they
+    agree exactly.
     """
     require_fit(line.mesh, "line mesh", surface.boundary.gamma1,
                 "the surface's axial factor")
@@ -347,8 +351,9 @@ def assemble_coupling(surface: SurfaceBasis,
     n_az = len(eta_integrals)
     d_chi = _kron([m_chi, sp.csr_matrix(
         (eta_integrals, np.arange(n_az), [0, n_az]), shape=(1, n_az))])
-    d_psi = d_chi.transpose().tocsr()
-    d_psi.sort_indices()
+    d_psi = _kron([m_chi, sp.csr_matrix(
+        (eta_integrals, np.zeros(n_az, dtype=np.intp), np.arange(n_az + 1)),
+        shape=(n_az, 1))])
     return CouplingOperators(
         m_psi=m_psi, m_chi=m_chi, d_chi=d_chi, d_psi=d_psi,
         surface=surface, line=line, eta_integrals=eta_integrals)

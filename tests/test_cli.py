@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from phmix import cli, simulate
+from phmix import cli, driver, simulate
 from phmix.chord import ChordSolver
 from phmix.config import config_from_dict, config_to_dict, default_config, \
     load_config
@@ -152,6 +152,10 @@ class TestConfig:
         ({"geometry": {"n_ax": 10 ** 30, "n_fluid": 10 ** 30}},
          "section 'geometry': n_ax = 1000000000000000000000000000000 cells: "
          "the node count must fit np.intp"),
+        # each count fits, the solid's node count does not
+        ({"geometry": {"n_ax": 2 ** 61, "n_fluid": 2 ** 61}},
+         "section 'geometry': geometry 2305843009213693952x8x4: the "
+         "solid's 92233720368547758120 nodes must fit np.intp"),
     ])
     def test_out_of_range_value_exit_2(self, capsys, tmp_path, data, message):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
@@ -629,3 +633,43 @@ def test_uncreatable_output_dir_exit_2(capsys, tmp_path, command):
                      "--output", str(blocker / "out")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# a mesh that numpy refuses to lay out: a real one whose arrays cannot be
+# indexed (numpy raises before it allocates), and a build that runs out of
+# memory, faked so that no test allocates it
+HUGE = 2 ** 60
+UNBUILDABLE = [
+    pytest.param(command, None, id=f"{command}-too-big")
+    for command in ("verify", "simulate", "convergence")] + [
+    pytest.param(command, patched, id=f"{command}-{patched}")
+    for command, patched in (
+        ("verify", "assemble_coupling"), ("simulate", "assemble_coupling"),
+        ("simulate", "HeatSystem"), ("simulate", "FluidSystem"),
+        ("convergence", "HeatSystem"))]
+
+
+@pytest.mark.parametrize("command,patched", UNBUILDABLE)
+def test_unbuildable_mesh_exit_2_names_the_geometry(capsys, tmp_path,
+                                                    monkeypatch, command,
+                                                    patched):
+    if patched is None:
+        data = {"geometry": {"n_ax": HUGE, "n_az": 1, "n_th": 1,
+                             "n_fluid": HUGE}}
+        geometry = f"geometry {HUGE}x1x1 (n_fluid {HUGE})"
+        reason = "array is too big"
+    else:
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 37.3 GiB")
+
+        monkeypatch.setattr(driver, patched, out_of_memory)
+        data, geometry = TINY, "geometry 4x3x2 (n_fluid 4)"
+        reason = "Unable to allocate 37.3 GiB"
+    argv = [command, "--config", write_cfg(tmp_path, data)]
+    if command != "verify":
+        argv += ["--output", str(tmp_path / "out")]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {geometry}: its arrays cannot be built: ")
+    assert reason in err and err.count("\n") == 1

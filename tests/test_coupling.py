@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from phmix import coupling, dirac
+from phmix import coupling, dirac, fem
 from phmix.coupling import check_power_balance, check_transpose_identity, \
     continuous_interconnect, resolve_ports
 from phmix.dirac import LineField, SurfaceField, check_adjointness, \
@@ -196,6 +196,29 @@ class TestChecks:
         rep = check_power_balance(bad, trials=50, seed=4)
         assert not rep.passed
         assert rep.max_residual > 1e3 * rep.tolerance
+
+    def test_transpose_identity_fails_on_perturbed_d_psi_factor(
+            self, monkeypatch):
+        # d_psi is assembled from its own factors, not transposed from
+        # d_chi: one eta integral a unit in the last place off in d_psi's
+        # column factor alone fails the check by that much
+        kron_pair = fem._kron_pair
+
+        def perturbed(a, b):
+            if b.shape[1] == 1 < b.shape[0]:  # d_psi's azimuthal column
+                b = b.copy()
+                b.data[1] = np.nextafter(b.data[1], np.inf)
+            return kron_pair(a, b)
+
+        exact = make_ops()
+        monkeypatch.setattr(fem, "_kron_pair", perturbed)
+        ops = make_ops()
+        assert ops.d_chi.data.tobytes() == exact.d_chi.data.tobytes()
+        assert ops.d_psi.data.tobytes() != exact.d_psi.data.tobytes()
+        rep = check_transpose_identity(ops)
+        assert not rep.passed and not rep.details["bitwise_equal"]
+        gap = np.spacing(ops.eta_integrals[1]) * ops.m_chi.data.max()
+        assert 0.0 < rep.max_residual <= 2 * gap
 
     def test_transpose_identity_fails_on_shape_mismatch(self):
         ops = make_ops()

@@ -230,6 +230,34 @@ FACTOR_CASES = [
                  id="hot-wall-cooldown-6x4x3-16dt")]
 
 
+# the edges of the layout's tiling along the axis: one axial layer
+# (nothing to tile), a one-cell periodic azimuth (each cell holds its
+# azimuthal node twice), a heated one-cell thickness (every wall-adjacent
+# row is held, so no solid row reaches a wall slot), the channel alone (no
+# solid), and a factor with row interchanges
+TILING_CASES = [
+    pytest.param("hot-wall-cooldown",
+                 {"n_ax": 1, "n_az": 4, "n_th": 3, "n_fluid": 1}, 2.5e-4,
+                 id="one-layer-1x4x3"),
+    pytest.param("hot-wall-cooldown",
+                 {"n_ax": 3, "n_az": 1, "n_th": 1, "n_fluid": 3}, 2.5e-4,
+                 id="one-cell-azimuth-3x1x1"),
+    pytest.param("heated-ext-face",
+                 {"n_ax": 4, "n_az": 2, "n_th": 1, "n_fluid": 4}, 2.5e-4,
+                 id="heated-ext-face-4x2x1"),
+    pytest.param("acoustic-pulse",
+                 {"n_ax": 5, "n_az": 3, "n_th": 2, "n_fluid": 5}, 2.5e-4,
+                 id="acoustic-pulse-5x3x2"),
+    pytest.param("hot-wall-cooldown",
+                 {"n_ax": 6, "n_az": 4, "n_th": 3, "n_fluid": 6}, 4e-3,
+                 id="hot-wall-cooldown-6x4x3-16dt")]
+
+
+def at_dt(cases, dt=2.5e-4):
+    """(name, geometry) cases as (name, geometry, dt) ones, ids kept."""
+    return [pytest.param(*case.values, dt, id=case.id) for case in cases]
+
+
 def factored_point(name, geometry, dt):
     """`newton_point` with the residual r at x and the factor built there;
     returns (point, r, the rows that build interchanged)."""
@@ -331,11 +359,13 @@ class TestBandLU:
         assert lay.kl == lay.ku == \
             geometry["n_az"] * (geometry["n_th"] + 1) + 5
 
-    @pytest.mark.parametrize("name,geometry", NEWTON_CASES + LADDER_CASES[:2])
-    def test_band_equals_csc_assembly(self, name, geometry):
+    @pytest.mark.parametrize("name,geometry,dt",
+                             at_dt(NEWTON_CASES + LADDER_CASES[:2])
+                             + TILING_CASES)
+    def test_band_equals_csc_assembly(self, name, geometry, dt):
         # the band layout against a sparse chain-rule composition of the
         # same tangents, column by column to round-off
-        point = newton_point(name, geometry)
+        point = newton_point(name, geometry, dt)
         band = built_jacobian(point)
         reference = oracles.csc_jacobian_oracle(
             point.sim, point.x, point.x_old, point.s_old).toarray()
@@ -343,19 +373,40 @@ class TestBandLU:
         assert np.all(err <= 1e-14 * np.abs(reference).max(axis=0))
 
 
-@pytest.mark.parametrize("name,geometry", NEWTON_CASES + LADDER_CASES)
-def test_sparsity_matches_references(name, geometry):
+@pytest.mark.parametrize("name,geometry,dt",
+                         at_dt(NEWTON_CASES + LADDER_CASES) + TILING_CASES)
+def test_sparsity_matches_references(name, geometry, dt):
     """The entries a build writes are the block-composed pattern's, on the
     solid rows and columns exactly; on the channel block they cover it,
     plus entries that are zero there: the node diagonal of every block,
     grad_pairing's zero interior diagonal and the sealed-end rows."""
-    *_, sim = one_step_simulation(name, geometry)
+    *_, sim = one_step_simulation(name, geometry, dt)
     nfree = sim._nfree
     structure = oracles.band_structure(sim.chord.layout, sim.chord.n)
     reference = oracles.jacobian_pattern_oracle(sim).toarray()
     assert np.all(structure[reference])
     assert np.array_equal(structure[:nfree], reference[:nfree])
     assert np.array_equal(structure[:, :nfree], reference[:, :nfree])
+
+
+@pytest.mark.parametrize("name,geometry,dt", TILING_CASES[:3])
+def test_wall_slots_enter_the_rows_they_reach(name, geometry, dt):
+    # every wall slot of a row that exists enters the band; on the
+    # heated one-cell thickness those are the entropy rows alone, each
+    # node reaching its own and its neighbours' (3 nf - 2 slots)
+    *_, sim = one_step_simulation(name, geometry, dt)
+    lay = sim.chord.layout
+    nf, nfree = sim._nf, sim._nfree
+    live = lay.wall_cols[0] != lay.bins - 1
+    assert np.array_equal(live, lay.wall_cols[1] != lay.bins - 1)
+    col, d = np.divmod(lay.wall_cols[:, live], lay.ldab)
+    rows = lay.order[col + d - (lay.kl + lay.ku)]
+    assert np.array_equal(rows[0], rows[1])
+    on_entropy = rows[0] >= nfree + 2 * nf
+    assert np.count_nonzero(on_entropy) == 3 * nf - 2
+    n_solid = np.count_nonzero(~on_entropy)
+    assert n_solid == (0 if name == "heated-ext-face" else
+                       (3 * nf - 2) * geometry["n_az"])
 
 
 def same_bits(a, b):
