@@ -93,9 +93,9 @@ def cmd_simulate(args) -> int:
         return 2
     try:
         result = sim.run(setup, args.output)
-    except (PhmixError, OSError) as exc:
-        # a failed step, or a snapshot or the ledger that could not be
-        # written
+    except (PhmixError, OSError, MemoryError) as exc:
+        # a failed step, a snapshot or the ledger that could not be
+        # written, or an array the run could not allocate
         ledger = getattr(exc, "ledger", None)
         if ledger is not None and len(ledger):
             print(f"last ledger row: {ledger.records[-1].csv_row()}",
@@ -140,7 +140,7 @@ def cmd_convergence(args) -> int:
     try:
         rows = convergence_study(cfg)
         gap = azimuthal_refinement_gap(cfg)
-    except StepFailureError as exc:
+    except (StepFailureError, MemoryError) as exc:  # in a run, at a step
         print(_error_line(exc), file=sys.stderr)
         return 1
     except PhmixError as exc:

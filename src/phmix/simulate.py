@@ -25,9 +25,11 @@ Newton's chord iterations build, factor and solve with the midpoint
 Jacobian through the stepper's `chord.ChordSolver`, `sim.chord`.
 
 The data flow of a step is explicit: `step` takes the old state and the
-row scale as arguments, `_residual` returns its port fields with the
-residual, `_build_jacobian` builds from those fields, and `_newton` counts
-its own iterations.  After construction the only state a
+row scale as arguments and returns one `StepOutcome`, `_residual` returns
+its `Ports` with the residual, `_build_jacobian` builds from those ports,
+and `_newton` counts its own iterations and puts the residual and ports at
+the converged x into the outcome.  `run` reads the outcome by name and
+`_record` makes the ledger row of it.  After construction the only state a
 `CoupledSimulation` changes is `sim.chord`'s factor and counters: a step
 continues the chord factor of the previous step on the same object, and
 `run` starts with none.
@@ -35,7 +37,7 @@ continues the chord factor of the previous step on the same object, and
 Each step starts from a prediction read off a backward-difference table of
 the accepted states, of the order the table's own terms support (up to
 PREDICTOR_ORDER), whose row 0 is the old state packed, and takes its end
-state and port powers from the port fields of Newton's last residual, so an
+state and port powers from the ports of Newton's last residual, so an
 accepted step costs one residual per iteration plus one to start.  Its
 ledger row takes each subsystem's Hamiltonian and total entropy in one
 `totals` pass over the end state the step has validated.
@@ -49,6 +51,7 @@ import os
 import time as _time
 from dataclasses import dataclass, fields
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -296,6 +299,44 @@ def advance_table(table: np.ndarray, sums: np.ndarray,
     return new
 
 
+class Ports(NamedTuple):
+    """The port fields of one residual evaluation.  The last four are None
+    for a channel alone, ext also for a face without a port."""
+
+    fluid_mid: FluidState  # the channel midpoint state
+    t_m: np.ndarray        # its temperature output
+    s_mid: np.ndarray      # the solid midpoint entropy, pinned rows included
+    wall: np.ndarray       # the load-form wall output, m_psi v
+    ext: np.ndarray        # the load-form external-face output
+    wall_sums: np.ndarray  # the wall output's azimuthal sums embed_t(wall)
+
+
+@dataclass(frozen=True)
+class StepOutcome:
+    """One implicit-midpoint step, as `step` returns it.  Given only its
+    states, it stands for the initial state, whose ledger row no step made.
+
+    The end states and powers come from the ports of Newton's last
+    residual, the one at x, which is not evaluated again.  The ports are
+    in load form, so no surface solve is needed: p_heat = embed(t_m) .
+    m_psi v is t_m . wall_sums; p_ext = T_ext sum(ext); and p_fluid =
+    -t_m . d_chi v takes d_chi v = (d_chi m_psi^-1) wall from
+    `CouplingOperators.line_load`, built on the assembled block d_chi, so
+    that the power residual compares that block with the nodal pair the
+    residual applied."""
+
+    heat_state: HeatState    # the end-of-step states
+    fluid_state: FluidState
+    p_heat: float = 0.0      # the midpoint coupling and external powers
+    p_fluid: float = 0.0
+    p_ext: float = 0.0
+    norm: float = 0.0        # Newton's final scaled residual
+    iterations: int = 0      # Newton iterations of the step, a retry's too
+    x: np.ndarray | None = None  # the packed end-of-step unknowns
+    r: np.ndarray | None = None  # Newton's residual at x, unscaled
+    ports: Ports | None = None   # the port fields of that residual
+
+
 class CoupledSimulation:
     """Implicit-midpoint stepper for the coupled (or channel-only) system."""
 
@@ -349,11 +390,11 @@ class CoupledSimulation:
     # ---- midpoint residual ----------------------------------------------
 
     def _residual(self, x: np.ndarray, x_old: np.ndarray,
-                  s_old: np.ndarray) -> tuple[np.ndarray, tuple]:
+                  s_old: np.ndarray) -> tuple[np.ndarray, Ports]:
         """Residual M (x1 - x0) - dt F(x_mid) of the midpoint system at the
         trial end-of-step state x, for the step from the packed old state
-        x_old = x0 with solid entropy s_old, and the port fields of this
-        evaluation.
+        x_old = x0 with solid entropy s_old, and the `Ports` of this
+        evaluation, at whose midpoint `_build_jacobian` takes the tangents.
 
         Ports are eliminated in nodal form: the channel's midpoint
         temperature output, embedded along the azimuth, is the wall input
@@ -364,15 +405,6 @@ class CoupledSimulation:
         Works on the packed vectors: the midpoint and M (x1 - x0) are
         formed once from x_old and the packed mass rows, and dt times the
         solid, channel and wall loads is subtracted from the rows in place.
-
-        Returns (r, ports), ports = (fluid_mid, t_m, s_mid, wall, ext,
-        wall_sums): the channel midpoint state and its temperature output
-        t_m, the solid midpoint entropy with its pinned rows, the load-form
-        wall and external outputs, and the wall output's azimuthal sums
-        embed_t(wall) (the last four None for a channel alone, ext None for
-        a face without a port).  `step` builds the end-of-step state and
-        the powers from those of the residual at the converged x, and
-        `_build_jacobian` takes the tangents at that midpoint.
         """
         dt, nfree, nf = self.cfg.dt, self._nfree, self._nf
         mid = x_old + x
@@ -402,35 +434,36 @@ class CoupledSimulation:
         r_vel[0] = mf[0] * vel1[0]
         r_vel[-1] = mf[-1] * vel1[-1]
         r_s -= dt * f.s
-        return r, (fluid_mid, t_m, s_mid, wall, ext, wall_sums)
+        return r, Ports(fluid_mid, t_m, s_mid, wall, ext, wall_sums)
 
     # ---- Newton ----------------------------------------------------------
 
-    def _build_jacobian(self, ports: tuple) -> None:
+    def _build_jacobian(self, ports: Ports) -> None:
         """Build and factor the Jacobian at the midpoint of a residual from
-        its port fields: the channel midpoint state, its temperature output
-        and the pinned solid midpoint entropy.  Writes into none of them."""
-        fluid_mid, t_m, s_mid = ports[:3]
-        self.chord.build(fluid_mid, s_mid, t_m)
+        its ports: the channel midpoint state, its temperature output and
+        the pinned solid midpoint entropy.  Writes into none of them."""
+        self.chord.build(ports.fluid_mid, ports.s_mid, ports.t_m)
 
     def _newton(self, x: np.ndarray, x_old: np.ndarray, s_old: np.ndarray,
-                row_scale: np.ndarray):
-        """Chord-Newton iterations of the step from x_old (solid entropy
-        s_old), from x until the residual, divided row by row by
-        row_scale, is at most NEWTON_TOL in max norm or NEWTON_MAX_ITERS
-        are spent.
+                row_scale: np.ndarray, spent: int = 0) -> StepOutcome:
+        """One attempt at the step from x_old (solid entropy s_old):
+        chord-Newton iterations from x until the residual, divided row by
+        row by row_scale, is at most NEWTON_TOL in max norm or
+        NEWTON_MAX_ITERS are spent.  `spent` are the iterations of an
+        earlier attempt at the step, which the outcome and the error count.
 
         The first iteration solves with the chord solver's factor if it
         holds one; a factor is built when there is none or when an
         iteration fails to halve the residual.
 
-        Returns (x, norm, ports, iterations, failure), with the port fields
-        of the residual at the returned x.  A StateValidityError from a
-        trial iterate or from the end state of a converged x, or a
-        SingularJacobianError from a build, ends the attempt with norm inf
-        and the error as failure (None otherwise).
+        A converged attempt returns the step's `StepOutcome`, with the
+        residual r and the ports it already holds at x.  An attempt that
+        does not converge, or that a StateValidityError from a trial
+        iterate or from the converged end state or a SingularJacobianError
+        from a build ends, discards the factor and raises
+        StepFailureError, chained to that error if there is one.
         """
-        iterations = 0
+        iterations, failure = 0, None
         try:
             r, ports = self._residual(x, x_old, s_old)
             norm = float((np.abs(r) / row_scale).max())
@@ -444,14 +477,38 @@ class CoupledSimulation:
                 new_norm = float((np.abs(r) / row_scale).max())
                 stale = new_norm > 0.5 * norm  # chord Jacobian not contracting
                 norm = new_norm
+            fluid_new = FluidState(*self._unpack_fluid(x))
             if norm <= NEWTON_TOL:
                 # the residual saw the midpoint; the end state 2 mid - old
                 # may still leave the ideal-gas states
-                check_specific_volume(self._unpack_fluid(x)[0])
+                check_specific_volume(fluid_new.phi)
         except (StateValidityError, SingularJacobianError) as exc:
             # an invalid iterate or end state, or a zero pivot
-            return x, np.inf, None, iterations, exc
-        return x, norm, ports, iterations, None
+            failure, norm = exc, np.inf
+        iterations += spent
+        if not norm <= NEWTON_TOL:
+            self.chord.discard()
+            reason = "did not converge" if failure is None \
+                else f"failed: {failure}"
+            raise StepFailureError(
+                f"implicit midpoint step {reason}", residual=norm,
+                iterations=iterations) from failure
+
+        p_heat = p_fluid = p_ext = 0.0
+        if self.coupled:
+            s1 = 2.0 * ports.s_mid - s_old  # the pinned rows
+            s1[self._free] = x[:self._nfree]
+            heat_new = HeatState(s1)
+            p_heat = float(ports.t_m @ ports.wall_sums)
+            # from the assembled block, not from the row sums the residual
+            # applied, so that the power residual compares the two
+            p_fluid = -float(ports.t_m @ self.ops.line_load(ports.wall))
+            if ports.ext is not None:
+                p_ext = self.ext_temperature * float(ports.ext.sum())
+        else:
+            heat_new = HeatState(s_old)
+        return StepOutcome(heat_new, fluid_new, p_heat, p_fluid, p_ext, norm,
+                           iterations, x, r, ports)
 
     def _magnitudes(self, heat_s: np.ndarray,
                     fluid_state: FluidState) -> np.ndarray:
@@ -467,7 +524,7 @@ class CoupledSimulation:
         return np.concatenate(typ)
 
     def step(self, s_old: np.ndarray, x_old: np.ndarray, x_pred: np.ndarray,
-             row_scale: np.ndarray):
+             row_scale: np.ndarray) -> StepOutcome:
         """One implicit-midpoint step from the old state: its solid entropy
         s_old and the old state packed, x_old, as `_pack` gives it.  Newton
         starts from x_pred and divides the residual's rows by row_scale,
@@ -482,55 +539,12 @@ class CoupledSimulation:
         second failure raises StepFailureError with the iterations of both
         attempts, chained to the StateValidityError that names the field or
         the SingularJacobianError that names the unknown, if there is one.
-
-        Returns (heat', fluid', powers, p_ext, norm, x, iterations): the
-        converged midpoint coupling powers (p_heat, p_fluid) and external
-        power entering the ledger, Newton's final scaled residual, the
-        packed end-of-step unknowns x and the Newton iterations of the
-        step, a retry's included.  The states and powers come from the port
-        fields of Newton's last residual, the one at x, and the residual is
-        not evaluated again.  The ports are in load form: the wall output
-        is m_psi v for the nodal output field v, so no surface solve is
-        needed.  p_heat = embed(t_m) . m_psi v is t_m . embed_t(wall), the
-        sums the residual formed; p_ext = T_ext sum(ext) likewise; and
-        p_fluid = -t_m . d_chi v takes d_chi v = (d_chi m_psi^-1) wall from
-        `CouplingOperators.line_load`, built on the assembled block d_chi,
-        so that the power residual compares that block with the nodal pair
-        the residual applied.
         """
-        iterations = 0
-        for x_start in (x_pred, x_old):
-            x, norm, ports, n, failure = self._newton(x_start, x_old, s_old,
-                                                      row_scale)
-            iterations += n
-            if norm <= NEWTON_TOL:
-                break
-            self.chord.discard()  # retry once from x_old with a fresh factor
-        else:
-            reason = "did not converge" if failure is None \
-                else f"failed: {failure}"
-            raise StepFailureError(
-                f"implicit midpoint step {reason}", residual=norm,
-                iterations=iterations) from failure
-
-        # the port fields of the residual at the converged x
-        _, t_m, s_mid, wall, ext, wall_sums = ports
-        fluid_new = FluidState(*self._unpack_fluid(x))
-        p_heat = p_fluid = p_ext = 0.0
-        if self.coupled:
-            s1 = 2.0 * s_mid - s_old  # the pinned rows
-            s1[self._free] = x[:self._nfree]
-            heat_new = HeatState(s1)
-            p_heat = float(t_m @ wall_sums)
-            # from the assembled block, not from the row sums the residual
-            # applied, so that the power residual compares the two
-            p_fluid = -float(t_m @ self.ops.line_load(wall))
-            if ext is not None:
-                p_ext = self.ext_temperature * float(ext.sum())
-        else:
-            heat_new = HeatState(s_old)
-        return heat_new, fluid_new, (p_heat, p_fluid), p_ext, norm, x, \
-            iterations
+        try:
+            return self._newton(x_pred, x_old, s_old, row_scale)
+        except StepFailureError as first:  # retry once, with a fresh factor
+            return self._newton(x_old, x_old, s_old, row_scale,
+                                first.iterations)
 
     def run(self, setup: ScenarioSetup, output_dir=None) -> SimResult:
         """Integrate to t_end, recording one ledger row per step (plus the
@@ -547,19 +561,19 @@ class CoupledSimulation:
         step takes as it is, with the row scale the same magnitudes give.
         Snapshot coordinates are formatted once per call.
 
-        A ledger row takes each subsystem's Hamiltonian and total entropy
-        from one `totals` pass over its end state, which the step has
-        validated.
+        `_record` makes each ledger row from a `StepOutcome`, the initial
+        row from one of the initial state.  No outcome outlives the next
+        step: the run keeps its Newton iterations and final scaled residual.
 
         The run starts with no chord factor and zeroed chord counters, and
         keeps its row scale and predictor magnitudes to itself, so the
-        result reports this run only, with the Newton iterations and the
-        final scaled residual of every step.  An error raised by a step,
-        or an OSError from its snapshot, carries the step index (`step`, 0
-        for the initial snapshot) and the ledger so far (`ledger`).  With an
-        output directory the run also writes that ledger before it re-raises
-        and names the file (`ledger_path`); if that write fails, the error
-        carries the OSError (`ledger_error`) instead.
+        result reports this run only.  An error raised by a step, an
+        OSError from its snapshot or a MemoryError from either carries the
+        step index (`step`, 0 for the initial snapshot) and the ledger so
+        far (`ledger`).  With an output directory the run also writes that
+        ledger before it re-raises and names the file (`ledger_path`); if
+        that write fails, the error carries the OSError (`ledger_error`)
+        instead.
         """
         t_start = _time.perf_counter()
         if setup.coupled != self.coupled or \
@@ -570,44 +584,43 @@ class CoupledSimulation:
                 f"built with coupled={self.coupled}, "
                 f"ext_temperature={self.ext_temperature}")
         n_steps = int(round(self.cfg.t_end / self.cfg.dt))
-        heat_state = setup.heat_state.copy()
-        fluid_state = setup.fluid_state.copy()
-        typ = self._magnitudes(heat_state.s, fluid_state)
+        outcome = StepOutcome(setup.heat_state.copy(),
+                              setup.fluid_state.copy())
+        heat0, fluid0 = outcome.heat_state, outcome.fluid_state
+        typ = self._magnitudes(heat0.s, fluid0)
         row_scale = self._mass_rows * typ
         self.chord.reset()
 
         ledger = EnergyLedger()
-        check_specific_volume(fluid_state.phi)
-        ledger.records.append(self._record(0.0, heat_state, fluid_state,
-                                           (0.0, 0.0), 0.0))
+        check_specific_volume(fluid0.phi)
+        ledger.records.append(self._record(0.0, outcome))
         if output_dir is not None:
             ledger_path = os.path.join(output_dir, f"{setup.name}_ledger.csv")
             # the coordinate fields of every snapshot row, formatted once
             prefixes = (node_prefixes([self.heat.domain.node_coordinates()]),
                         node_prefixes([self.fluid.mesh.nodes]))
 
-        table = self._pack(heat_state.s, fluid_state)[None, :]
+        table = self._pack(heat0.s, fluid0)[None, :]
         iterations, residuals = [], []  # per step, as the steps complete
         k = 0  # the step an error is attached to; 0 is the initial snapshot
         try:
             if output_dir is not None:
-                self._snapshot(output_dir, setup.name, 0, heat_state,
-                               fluid_state, prefixes)
+                self._snapshot(output_dir, setup.name, 0, outcome, prefixes)
             for k in range(1, n_steps + 1):
                 x_pred, sums = extrapolate(table, typ)
-                heat_state, fluid_state, powers, p_ext, norm, x_new, n = \
-                    self.step(heat_state.s, table[0], x_pred, row_scale)
-                iterations.append(n)
-                residuals.append(norm)
-                table = advance_table(table, sums, x_new)
-                ledger.records.append(self._record(
-                    k * self.cfg.dt, heat_state, fluid_state, powers, p_ext))
+                outcome = self.step(outcome.heat_state.s, table[0], x_pred,
+                                    row_scale)
+                iterations.append(outcome.iterations)
+                residuals.append(outcome.norm)
+                table = advance_table(table, sums, outcome.x)
+                ledger.records.append(self._record(k * self.cfg.dt, outcome))
                 if output_dir is not None and \
                         (k % OUTPUT_EVERY == 0 or k == n_steps):
-                    self._snapshot(output_dir, setup.name, k, heat_state,
-                                   fluid_state, prefixes)
-        except (PhmixError, OSError) as exc:
-            # a failed step, or a snapshot that could not be written
+                    self._snapshot(output_dir, setup.name, k, outcome,
+                                   prefixes)
+        except (PhmixError, OSError, MemoryError) as exc:
+            # a failed step, a snapshot that could not be written, or an
+            # array the run could not allocate
             exc.step = k  # partial record for diagnostics
             exc.ledger = ledger
             if output_dir is not None:
@@ -620,32 +633,31 @@ class CoupledSimulation:
         if output_dir is not None:
             ledger.write(ledger_path)
         return SimResult(
-            ledger, heat_state, fluid_state, n_steps, sum(iterations),
-            np.array(iterations, dtype=int), np.array(residuals),
+            ledger, outcome.heat_state, outcome.fluid_state, n_steps,
+            sum(iterations), np.array(iterations, dtype=int),
+            np.array(residuals),
             jacobian_builds=self.chord.builds,
             row_interchanges=self.chord.row_interchanges,
             jacobian_build_s=self.chord.build_s,
             chord_solve_s=self.chord.solve_s,
             wall_time=_time.perf_counter() - t_start)
 
-    def _record(self, time, heat_state, fluid_state, powers,
-                p_ext) -> LedgerRecord:
-        """The ledger row of a valid state: one `totals` pass per
-        subsystem."""
-        q, s_solid = self.heat.totals(heat_state)
-        h, s_fluid = self.fluid.totals(fluid_state)
-        p_heat, p_fluid = powers
+    def _record(self, time, outcome: StepOutcome) -> LedgerRecord:
+        """The ledger row of a step's outcome, whose states are valid: one
+        `totals` pass per subsystem."""
+        q, s_solid = self.heat.totals(outcome.heat_state)
+        h, s_fluid = self.fluid.totals(outcome.fluid_state)
+        p_heat, p_fluid = outcome.p_heat, outcome.p_fluid
         return LedgerRecord(time, q, h, q + h, p_heat, p_fluid,
-                            p_heat + p_fluid, p_ext, s_solid, s_fluid)
+                            p_heat + p_fluid, outcome.p_ext, s_solid, s_fluid)
 
-    def _snapshot(self, output_dir, scenario, step, heat_state, fluid_state,
-                  prefixes):
+    def _snapshot(self, output_dir, scenario, step, outcome, prefixes):
         write_heat_snapshot(
             os.path.join(output_dir, f"{scenario}_heat_{step}.csv"),
-            self.heat, heat_state, prefixes[0])
+            self.heat, outcome.heat_state, prefixes[0])
         write_fluid_snapshot(
             os.path.join(output_dir, f"{scenario}_fluid_{step}.csv"),
-            self.fluid, fluid_state, prefixes[1])
+            self.fluid, outcome.fluid_state, prefixes[1])
 
 
 def node_prefixes(columns) -> list[str]:

@@ -12,6 +12,7 @@ from phmix.config import config_from_dict, config_to_dict, default_config, \
 from phmix.dirac import VerificationReport
 from phmix.driver import build_problem
 from phmix.errors import ConfigurationError, StepFailureError
+from phmix.heat import HeatSystem
 from phmix.simulate import LEDGER_HEADER
 
 TINY = {
@@ -24,6 +25,29 @@ def write_cfg(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+# the ways step 1 of a hot-wall-cooldown run on TINY fails: Newton does not
+# converge, or its first Jacobian build cannot allocate the tangent blocks
+# (faked, so that no test allocates them)
+STEP_FAILURES = ["not-converged", "out-of-memory"]
+
+
+def fail_step_1(monkeypatch, failure):
+    """Make step 1 fail as `failure` says; returns the config data and the
+    message of the error line."""
+    data = dict(TINY, scenario="hot-wall-cooldown")
+    if failure == "not-converged":
+        monkeypatch.setattr(simulate, "NEWTON_TOL", 1e-30)
+        monkeypatch.setattr(simulate, "NEWTON_MAX_ITERS", 2)
+        data["sim"] = {"dt": 50.0, "t_end": 50.0}
+        return data, "implicit midpoint step did not converge"
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 91.6 MiB")
+
+    monkeypatch.setattr(HeatSystem, "loads_tangent", out_of_memory)
+    return data, "Unable to allocate 91.6 MiB"
 
 
 @pytest.fixture
@@ -448,19 +472,20 @@ class TestSimulateCommand:
         assert code == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("failure", STEP_FAILURES)
     def test_step_failure_exit_1_with_last_row(self, capsys, tmp_path,
-                                               monkeypatch):
-        monkeypatch.setattr(simulate, "NEWTON_TOL", 1e-30)
-        monkeypatch.setattr(simulate, "NEWTON_MAX_ITERS", 2)
-        data = dict(TINY, scenario="hot-wall-cooldown")
-        data["sim"] = {"dt": 50.0, "t_end": 50.0}
-        cfg = write_cfg(tmp_path, data)
-        code = cli.main(["simulate", "--config", cfg,
-                         "--output", str(tmp_path / "out")])
+                                               monkeypatch, failure):
+        data, message = fail_step_1(monkeypatch, failure)
+        out_dir = tmp_path / "out"
+        code = cli.main(["simulate", "--config", write_cfg(tmp_path, data),
+                         "--output", str(out_dir)])
         err = capsys.readouterr().err
         assert code == 1
-        assert "error: step 1: implicit midpoint step did not converge" in err
+        assert f"error: step 1: {message}" in err
         assert "last ledger row" in err
+        ledger = out_dir / "hot-wall-cooldown_ledger.csv"
+        assert f"partial ledger: {ledger}" in err
+        assert len(ledger.read_text().splitlines()) == 2
 
     def test_huge_step_count_reaches_step_1(self, capsys, tmp_path,
                                             monkeypatch):
@@ -611,18 +636,16 @@ class TestConvergenceCommand:
         assert err.startswith("error: ") and "Is a directory" in err
         assert str(out_dir / "convergence.csv") in err
 
+    @pytest.mark.parametrize("failure", STEP_FAILURES)
     def test_step_failure_exit_1_names_the_step(self, capsys, tmp_path,
-                                                monkeypatch):
-        monkeypatch.setattr(simulate, "NEWTON_TOL", 1e-30)
-        monkeypatch.setattr(simulate, "NEWTON_MAX_ITERS", 2)
-        data = dict(TINY, scenario="hot-wall-cooldown")
-        data["sim"] = {"dt": 50.0, "t_end": 50.0}
-        cfg = write_cfg(tmp_path, data)
-        code = cli.main(["convergence", "--config", cfg,
+                                                monkeypatch, failure):
+        data, message = fail_step_1(monkeypatch, failure)
+        code = cli.main(["convergence", "--config", write_cfg(tmp_path, data),
                          "--output", str(tmp_path / "conv")])
+        err = capsys.readouterr().err
         assert code == 1
-        assert "error: step 1: implicit midpoint step did not converge" in \
-            capsys.readouterr().err
+        assert err.startswith(f"error: step 1: {message}")
+        assert err.count("\n") == 1  # the error line alone, no traceback
 
 
 @pytest.mark.parametrize("command", ["simulate", "convergence"])

@@ -53,8 +53,8 @@ def row_scale_of(sim, heat_state, fluid_state):
 
 
 def step_from(sim, heat_state, fluid_state, row_scale):
-    """One step of `sim` from these states, Newton starting at the old
-    state."""
+    """The `StepOutcome` of one step of `sim` from these states, Newton
+    starting at the old state."""
     x_old = sim._pack(heat_state.s, fluid_state)
     return sim.step(heat_state.s, x_old, x_old, row_scale)
 
@@ -83,7 +83,7 @@ def newton_point(name, geometry, dt=2.5e-4):
     _, setup, sim = one_step_simulation(name, geometry, dt)
     heat0, fluid0 = setup.heat_state, setup.fluid_state
     typ = sim._magnitudes(heat0.s, fluid0)
-    *_, x, _ = step_from(sim, heat0, fluid0, sim._mass_rows * typ)
+    x = step_from(sim, heat0, fluid0, sim._mass_rows * typ).x
     x = x + 1e-6 * typ * np.sin(np.arange(len(x)))
     return NewtonPoint(sim, x, sim._pack(heat0.s, fluid0), heat0.s, typ)
 
@@ -589,6 +589,7 @@ class TestPredictor:
                                problem.fluid, {})
         sim = make_simulation(problem, cfg, setup)
         preds, xs = [], [sim._pack(setup.heat_state.s, setup.fluid_state)]
+        outcomes = []
         typ = sim._magnitudes(setup.heat_state.s, setup.fluid_state)
         step = sim.step
 
@@ -599,13 +600,25 @@ class TestPredictor:
             assert same_bits(x_old[:sim._nfree], s_old[sim._free])
             assert same_bits(row_scale, sim._mass_rows * typ)
             preds.append(x_pred)
-            out = step(s_old, x_old, x_pred, row_scale)
-            xs.append(out[5])
-            return out
+            outcomes.append(step(s_old, x_old, x_pred, row_scale))
+            xs.append(outcomes[-1].x)
+            return outcomes[-1]
 
         monkeypatch.setattr(sim, "step", recording_step)
-        sim.run(setup)
+        result = sim.run(setup)
         assert len(preds) == 20
+        # the run reports each step's outcome by name: its iterations, its
+        # final residual and, in its ledger row, its powers; it ends in the
+        # last outcome's state
+        assert result.step_iterations.tolist() == \
+            [out.iterations for out in outcomes]
+        assert result.step_residuals.tolist() == \
+            [out.norm for out in outcomes]
+        for row, out in zip(result.ledger.records[1:], outcomes, strict=True):
+            assert (row.P_couple_heat, row.P_couple_fluid, row.P_ext) == \
+                (out.p_heat, out.p_fluid, out.p_ext)
+            assert row.P_couple_residual == out.p_heat + out.p_fluid
+        assert result.heat_state is outcomes[-1].heat_state
         assert np.array_equal(preds[0], xs[0])
         orders = []
         for k, pred in enumerate(preds[1:], start=1):
@@ -661,12 +674,19 @@ def test_step_outputs_match_fresh_residual_at_x(name):
     iterations = 0
     for _ in range(4):
         x_old = sim._pack(hs.s, fs)
-        hs1, fs1, (p_heat, p_fluid), p_ext, norm, x, n = sim.step(
-            hs.s, x_old, x_old, row_scale)
-        iterations += n
-        r, _ = oracles.midpoint_residual_oracle(sim, x, x_old, hs.s)
-        assert norm == float((np.abs(r) / row_scale).max()) \
+        out = sim.step(hs.s, x_old, x_old, row_scale)
+        hs1, fs1, x = out.heat_state, out.fluid_state, out.x
+        p_heat, p_fluid, p_ext = out.p_heat, out.p_fluid, out.p_ext
+        iterations += out.iterations
+        # the outcome's residual is the oracle's at x, and its norm the
+        # scaled max norm of that residual
+        r, ports = oracles.midpoint_residual_oracle(sim, x, x_old, hs.s)
+        assert same_bits(out.r, r)
+        assert out.norm == float((np.abs(r) / row_scale).max()) \
             <= simulate.NEWTON_TOL
+        for field, ref in zip(port_arrays(out.ports), port_arrays(ports),
+                              strict=True):
+            assert same_bits(field, ref)
         n_free = len(x) - 3 * nf
         phi1, vel1, sf1 = (x[n_free + i * nf:n_free + (i + 1) * nf]
                            for i in range(3))
@@ -824,8 +844,8 @@ class TestCooldown:
         row_scale = row_scale_of(sim, heat_state, fluid_state)
         gaps = []
         for _ in range(60):
-            heat_state, fluid_state, *_ = step_from(sim, heat_state,
-                                                    fluid_state, row_scale)
+            outcome = step_from(sim, heat_state, fluid_state, row_scale)
+            heat_state, fluid_state = outcome.heat_state, outcome.fluid_state
             t_solid = temperature_of_entropy(heat_state.s, cfg.heat)
             _, t_fluid, _ = eos(fluid_state.phi, fluid_state.s,
                                 problem.fluid.material)
@@ -1112,10 +1132,10 @@ class TestFailureModes:
         sim = make_simulation(problem, cfg, setup)
         heat0, fluid0 = setup.heat_state, setup.fluid_state
         row_scale = row_scale_of(sim, heat0, fluid0)
-        *_, x_ref, _ = step_from(sim, heat0, fluid0, row_scale)
+        x_ref = step_from(sim, heat0, fluid0, row_scale).x
         # negative specific volume: the first trial iterate is not a state
         x_old = sim._pack(heat0.s, fluid0)
-        *_, x, _ = sim.step(heat0.s, x_old, -x_ref, row_scale)
+        x = sim.step(heat0.s, x_old, -x_ref, row_scale).x
         assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
 
     def test_large_pulse_fails_with_step_and_ledger(self):
@@ -1233,13 +1253,14 @@ class TestFailureModes:
         want = step_from(fresh, hs, fs, row_scale)
         assert sim.chord.builds == end.jacobian_builds + 1
         assert fresh.chord.builds == 1
-        (heat1, fluid1, powers, p_ext, norm, x, iterations) = got
-        assert same_bits(x, want[5])
-        assert same_bits(heat1.s, want[0].s)
+        for name in ("x", "r"):
+            assert same_bits(getattr(got, name), getattr(want, name))
+        assert same_bits(got.heat_state.s, want.heat_state.s)
         for field in ("phi", "vel", "s"):
-            assert same_bits(getattr(fluid1, field), getattr(want[1], field))
-        assert (powers, p_ext, norm, iterations) == \
-            (want[2], want[3], want[4], want[6])
+            assert same_bits(getattr(got.fluid_state, field),
+                             getattr(want.fluid_state, field))
+        for name in ("p_heat", "p_fluid", "p_ext", "norm", "iterations"):
+            assert getattr(got, name) == getattr(want, name)
 
     @pytest.mark.parametrize("geometry", [{"n_az": 4},
                                           {"circumference": 1.0}],
