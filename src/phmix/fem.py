@@ -258,7 +258,8 @@ class CouplingOperators:
     m_psi: surface mass, m_chi: line mass (both SPD); d_chi maps surface
     coefficients to line load vectors through the surface basis integrated
     over the azimuth (the line mass times `eta_integrals`, the integrals of
-    the azimuthal hats), and d_psi is its exact transpose.
+    the azimuthal hats), and d_psi is its exact transpose.  m_az is the
+    azimuthal mass, the factor of m_psi = m_chi (x) m_az.
 
     Surface dofs are axial-major, azimuthal-minor; past assembly, `embed`
     and `embed_t` are the only code that relies on that layout.  `embed` is
@@ -269,7 +270,7 @@ class CouplingOperators:
     three take one field (dofs,) or a column stack of them (dofs, trials),
     so sparse products take the stack as it is, without a transposed copy.
 
-    The factorizations and `line_load`'s matrix are cached properties:
+    The factorizations and `line_load`'s weights are cached properties:
     `dataclasses.replace` with new blocks starts without them.
     """
 
@@ -280,6 +281,7 @@ class CouplingOperators:
     surface: SurfaceBasis
     line: LineBasis
     eta_integrals: np.ndarray
+    m_az: sp.csr_matrix
 
     @property
     def n_psi(self) -> int:
@@ -305,15 +307,16 @@ class CouplingOperators:
         return self.solve_chi(self.d_chi @ u)
 
     def line_load(self, b: np.ndarray) -> np.ndarray:
-        """d_chi m_psi^-1 b: the line load d_chi v of the surface field v
-        whose load m_psi v is b, from the assembled blocks.  The dense
-        (n_chi, n_psi) matrix d_chi m_psi^-1 is formed on the first call by
-        one `solve_psi` of d_chi^T (m_psi is symmetric)."""
-        return self._load_block @ b
+        """d_chi m_psi^-1 b: the line load d_chi v of the surface load
+        b = m_psi v (n_psi,), from the azimuthal factor.  d_chi m_psi^-1 =
+        I (x) w^T with w = m_az^-1 eta_integrals (m_az is symmetric), so
+        each line entry is one azimuthal row of b against w."""
+        n_az = self.surface.eta.n_dofs
+        return b.reshape(self.n_chi, n_az) @ self._az_weights
 
     @cached_property
-    def _load_block(self) -> np.ndarray:
-        return np.ascontiguousarray(self.solve_psi(self.d_chi.T.toarray()).T)
+    def _az_weights(self) -> np.ndarray:
+        return np.linalg.solve(self.m_az.toarray(), self.eta_integrals)
 
     @cached_property
     def _psi_lu(self) -> spla.SuperLU:
@@ -347,7 +350,8 @@ def assemble_coupling(surface: SurfaceBasis,
                 "the surface's axial factor")
     m_chi = assemble_mass(line)
     eta_integrals = lumped_mass(surface.eta)
-    m_psi = _kron([m_chi, assemble_mass(surface.eta)])
+    m_az = assemble_mass(surface.eta)
+    m_psi = _kron([m_chi, m_az])
     n_az = len(eta_integrals)
     d_chi = _kron([m_chi, sp.csr_matrix(
         (eta_integrals, np.arange(n_az), [0, n_az]), shape=(1, n_az))])
@@ -356,4 +360,4 @@ def assemble_coupling(surface: SurfaceBasis,
         shape=(n_az, 1))])
     return CouplingOperators(
         m_psi=m_psi, m_chi=m_chi, d_chi=d_chi, d_psi=d_psi,
-        surface=surface, line=line, eta_integrals=eta_integrals)
+        surface=surface, line=line, eta_integrals=eta_integrals, m_az=m_az)

@@ -165,7 +165,7 @@ class HeatSystem:
         # the output
         temperature_of_entropy(s, self.material).take(
             self._gather, out=cell_t, mode="clip")
-        q = np.matmul(self._interp, cell_t, out=points)
+        q = np.matmul(self._interp, cell_t, out=points[:len(self._interp)])
         nq = self._wdet.size
         return q[:nq], q[nq:].reshape(nq, -1, q.shape[1])
 
@@ -184,30 +184,30 @@ class HeatSystem:
         points, which makes the temperature-weighted sum of the loads vanish
         identically (the flux work against the temperature gradient equals
         minus the production heating).  Gather, GEMM to the points,
-        u = grad T / T and u^2 into one stack, one GEMM back to the 8 local
-        loads of every cell (lambda folded into the table), scatter.  Every
-        step but the scatter writes into the system's workspaces; the
-        returned loads are a fresh array.
+        u = grad T / T in place of grad T and u^2 in the rows after it, one
+        GEMM of that stack back to the 8 local loads of every cell (lambda
+        folded into the table), scatter.  Every step but the scatter writes
+        into the system's workspaces; the returned loads are a fresh array.
         """
         tq, gq = self._quad_fields(s)
-        stack, local = self._work[2:]
-        u = stack[:gq.shape[0] * 3]
-        np.divide(gq, tq[:, None, :], out=u.reshape(gq.shape))
-        np.square(u, out=stack[len(u):])
-        np.matmul(self._back, stack, out=local)
+        points, local = self._work[1:]
+        np.divide(gq, tq[:, None, :], out=gq)
+        np.square(gq, out=points[len(self._interp):].reshape(gq.shape))
+        np.matmul(self._back, points[len(tq):], out=local)
         return np.bincount(self._gather.ravel(), weights=local.ravel(),
                            minlength=self.n_dofs)
 
     @cached_property
     def _work(self):
         """The kernel's work arrays, reused by every call: the gathered cell
-        temperatures, the point rows [T; grad T], the stack [u; u^2] and the
-        local loads.  Allocated on the first call, so that a system whose
-        loads are never evaluated (set-up, `phmix verify`) holds none."""
+        temperatures, the point rows [T; grad T] with room after them for
+        u^2, so that [u; u^2] is one contiguous block, and the local loads.
+        Allocated on the first call, so that a system whose loads are never
+        evaluated (set-up, `phmix verify`) holds none."""
         nb, n_cells = self._gather.shape
+        nq = self._wdet.size
         return (np.empty((nb, n_cells)),
-                np.empty((len(self._interp), n_cells)),
-                np.empty((self._back.shape[1], n_cells)),
+                np.empty((nq + self._back.shape[1], n_cells)),
                 np.empty((nb, n_cells)))
 
     def loads_tangent(self, s: np.ndarray) -> np.ndarray:

@@ -17,9 +17,9 @@ ledger's port powers are taken in load form as well, so no step needs a
 surface solve either: the wall output is m_psi v, its power against the
 embedded channel temperature is the pairing of that temperature with the
 azimuthal sums the residual formed, and the channel's coupling power takes
-d_chi v as (d_chi m_psi^-1) times the wall output, with the dense matrix
-formed once from the assembled block d_chi, so the ledger's power residual
-also checks that block against the nodal pair.
+d_chi v as (d_chi m_psi^-1) times the wall output from the assembled
+azimuthal pair (m_az, eta_integrals) (`CouplingOperators.line_load`), so the
+ledger's power residual also checks that pair against the nodal row sums.
 
 Newton's chord iterations build, factor and solve with the midpoint
 Jacobian through the stepper's `chord.ChordSolver`, `sim.chord`.
@@ -321,9 +321,9 @@ class StepOutcome:
     in load form, so no surface solve is needed: p_heat = embed(t_m) .
     m_psi v is t_m . wall_sums; p_ext = T_ext sum(ext); and p_fluid =
     -t_m . d_chi v takes d_chi v = (d_chi m_psi^-1) wall from
-    `CouplingOperators.line_load`, built on the assembled block d_chi, so
-    that the power residual compares that block with the nodal pair the
-    residual applied."""
+    `CouplingOperators.line_load`, built on the assembled azimuthal pair
+    (m_az, eta_integrals), so that the power residual compares that pair
+    with the nodal row sums the residual applied."""
 
     heat_state: HeatState    # the end-of-step states
     fluid_state: FluidState
@@ -500,8 +500,8 @@ class CoupledSimulation:
             s1[self._free] = x[:self._nfree]
             heat_new = HeatState(s1)
             p_heat = float(ports.t_m @ ports.wall_sums)
-            # from the assembled block, not from the row sums the residual
-            # applied, so that the power residual compares the two
+            # from the assembled azimuthal pair, not from the row sums the
+            # residual applied, so that the power residual compares the two
             p_fluid = -float(ports.t_m @ self.ops.line_load(ports.wall))
             if ports.ext is not None:
                 p_ext = self.ext_temperature * float(ports.ext.sum())

@@ -438,14 +438,15 @@ class TestSimulateCommand:
 
     def test_failed_run_gate_exit_1_names_the_step(self, capsys, tmp_path,
                                                     monkeypatch):
-        # d_chi scaled by 1.001: the channel's port power, taken through
-        # d_chi, misses the wall's by about 1e-3 of the power exchanged, and
-        # the power gate fails at the first step that exchanges any
+        # eta_integrals scaled by 1.001: the channel's port power, taken
+        # through the azimuthal pair (m_az, eta_integrals), misses the
+        # wall's by about 1e-3 of the power exchanged, and the power gate
+        # fails at the first step that exchanges any
         def perturbed(cfg):
             problem = build_problem(cfg)
             ops = problem.ops
             return dataclasses.replace(problem, ops=dataclasses.replace(
-                ops, d_chi=1.001 * ops.d_chi))
+                ops, eta_integrals=1.001 * ops.eta_integrals))
 
         monkeypatch.setattr(cli, "build_problem", perturbed)
         cfg = write_cfg(tmp_path, dict(TINY, scenario="hot-wall-cooldown"))

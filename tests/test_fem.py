@@ -339,24 +339,38 @@ class TestEmbedPair:
             assert np.abs(ops.integrate(b[:, k]) - ops.integrate(b)[:, k]).max() \
                 <= 1e-14 * np.abs(ops.integrate(b[:, k])).max()
 
-    def test_line_load_is_the_block_through_one_solve(self, monkeypatch):
-        # d_chi m_psi^-1 b, formed once by one solve of d_chi^T
+    def test_line_load_is_the_block_without_a_surface_solve(self,
+                                                            monkeypatch):
+        # d_chi m_psi^-1 b from the azimuthal factor, which solves with
+        # m_az alone: m_psi is never solved with
         surface = small_surface(n_ax=4, n_az=5)
         ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)))
-        b = np.random.default_rng(8).standard_normal((ops.n_psi, 2))
+        b = np.random.default_rng(8).standard_normal(ops.n_psi)
         expected = ops.d_chi @ ops.solve_psi(b)
         calls = []
         solve = CouplingOperators.solve_psi
         monkeypatch.setattr(CouplingOperators, "solve_psi",
                             lambda self, rhs: calls.append(1) or solve(self, rhs))
-        for _ in range(3):
-            got = ops.line_load(b)
-            assert np.abs(got - expected).max() \
-                <= 1e-14 * np.abs(expected).max()
-        assert len(calls) == 1
+        got = ops.line_load(b)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert calls == []
+
+    @pytest.mark.parametrize("n_az", [1, 2, 3, 4, 5, 8, 12, 24, 32])
+    def test_line_load_weights_are_one(self, n_az):
+        # m_az^-1 eta_integrals = 1 (the mass rows sum to the hat
+        # integrals), so line_load is the azimuthal row sums embed_t to
+        # round-off; n_az = 1 is the one-cell periodic azimuth, whose four
+        # contributions sum into one entry.  Weight j is the line load of
+        # the unit azimuthal row j on every axial node
+        surface = small_surface(n_ax=3, n_az=n_az)
+        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 3)))
+        unit = np.eye(n_az)
+        weights = np.array([ops.line_load(np.tile(e, ops.n_chi))[0]
+                            for e in unit])
+        assert np.abs(weights - 1.0).max() <= 4 * np.finfo(float).eps
 
     def test_replace_forms_the_cached_operators_again(self):
-        # the factorizations and line_load's matrix belong to the blocks
+        # the factorizations and line_load's weights belong to the blocks
         # they came from: a copy with new blocks must not solve with them
         surface = small_surface(n_ax=4, n_az=5)
         ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)))
@@ -366,7 +380,9 @@ class TestEmbedPair:
         before = ops.integrate(u), ops.line_load(b)
         ops.solve_psi(b), ops.solve_chi(c)
         new = dataclasses.replace(ops, m_psi=2 * ops.m_psi,
-                                  m_chi=2 * ops.m_chi, d_chi=3 * ops.d_chi)
+                                  m_chi=2 * ops.m_chi, d_chi=3 * ops.d_chi,
+                                  m_az=2 * ops.m_az,
+                                  eta_integrals=3 * ops.eta_integrals)
         x, y = new.solve_psi(b), new.solve_chi(c)
         assert np.abs(new.m_psi @ x - b).max() <= 1e-13 * np.abs(b).max()
         assert np.abs(new.m_chi @ y - c).max() <= 1e-13 * np.abs(c).max()
