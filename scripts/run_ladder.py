@@ -11,8 +11,12 @@ environment sets the thread counts.  For each rung the script prints the
 unknowns, the Jacobian band's lower half-width kl, the Newton iterations,
 the Jacobian builds, the pivot rows their factorizations interchanged (0:
 every chord solve took the two triangle solves; otherwise dgbtrs), the
-seconds spent building (and factoring) and in chord solves, the run
-seconds and the peak RSS.
+set-up seconds, the seconds spent building (and factoring) and in chord
+solves, the run seconds and the peak RSS.  The set-up seconds (`setup_s`)
+time one cold construction: `build_problem`, `build_scenario` and
+`make_simulation`, run once in the rung's own subprocess after its
+imports, so they include first-use costs that a repeated construction
+does not pay.
 
 It exits non-zero if a rung fails: a step fails, or a step fails a run
 gate (`phmix.driver.run_gate_failures`): its coupling power residual
@@ -26,6 +30,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 RUNGS = ("16x8x4", "24x12x4", "32x16x4", "48x24x4", "64x32x8")
 TOP_RUNG = "96x48x8"
@@ -44,15 +49,17 @@ def run_rung(rung: str) -> dict:
                                    "n_fluid": n_ax})
     cfg = dataclasses.replace(cfg, sim=dataclasses.replace(
         cfg.sim, t_end=STEPS * cfg.sim.dt))
+    t0 = time.perf_counter()
     problem = build_problem(cfg)
     setup = build_scenario(cfg.scenario, problem.heat, problem.fluid,
                            cfg.scenario_params)
     sim = make_simulation(problem, cfg, setup)
+    setup_s = time.perf_counter() - t0
     result = sim.run(setup)
     return {"rung": rung, "unknowns": sim.chord.n, "kl": sim.chord.layout.kl,
             "newton": result.newton_iterations,
             "builds": result.jacobian_builds,
-            "interchanges": result.row_interchanges,
+            "interchanges": result.row_interchanges, "setup_s": setup_s,
             "build_s": result.jacobian_build_s,
             "solve_s": result.chord_solve_s, "run_s": result.wall_time,
             "peak_rss_mb": resource.getrusage(
@@ -79,8 +86,8 @@ def main() -> int:
     for var in BLAS_THREADS:
         env.setdefault(var, "1")
     print(f"{'rung':>8} {'unknowns':>8} {'kl':>4} {'newton':>6} "
-          f"{'builds':>6} {'interchanges':>12} {'build_s':>8} {'solve_s':>8} "
-          f"{'run_s':>7} {'rss_MB':>7}")
+          f"{'builds':>6} {'interchanges':>12} {'setup_s':>8} {'build_s':>8} "
+          f"{'solve_s':>8} {'run_s':>7} {'rss_MB':>7}")
     failed = 0
     for rung in rungs:
         proc = subprocess.run([sys.executable, __file__, "--rung", rung],
@@ -92,8 +99,9 @@ def main() -> int:
         row = json.loads(proc.stdout.splitlines()[-1])
         print(f"{rung:>8} {row['unknowns']:>8} {row['kl']:>4} "
               f"{row['newton']:>6} {row['builds']:>6} "
-              f"{row['interchanges']:>12} {row['build_s']:>8.3f} "
-              f"{row['solve_s']:>8.3f} {row['run_s']:>7.3f} "
+              f"{row['interchanges']:>12} {row['setup_s']:>8.4f} "
+              f"{row['build_s']:>8.3f} {row['solve_s']:>8.3f} "
+              f"{row['run_s']:>7.3f} "
               f"{row['peak_rss_mb']:>7.1f}")
         for problem in row["problems"]:
             failed += 1

@@ -26,7 +26,7 @@ from .coupling import check_power_balance, check_transpose_identity
 from .dirac import check_adjointness, check_dirac_pairing, \
     operator_norm_bound_check
 from .driver import REFINEMENT_GAP_TOL, azimuthal_refinement_gap, \
-    build_coupling, build_problem, convergence_study, energy_drift, \
+    build_checked_coupling, build_problem, convergence_study, energy_drift, \
     make_simulation, run_gate_failures, write_convergence_csv
 from .errors import PhmixError, StepFailureError
 from .simulate import build_scenario
@@ -58,7 +58,7 @@ def _error_line(exc: Exception) -> str:
 def cmd_verify(args) -> int:
     try:
         cfg = _load(args, seed=args.seed)
-        _, _, ops = build_coupling(cfg)
+        ops = build_checked_coupling(cfg)
     except PhmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

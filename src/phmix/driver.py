@@ -55,6 +55,17 @@ def build_coupling(cfg: RunConfig
     return domain, channel, ops
 
 
+def build_checked_coupling(cfg: RunConfig) -> CouplingOperators:
+    """The coupling operators with the four blocks that `phmix verify`'s
+    checks read already assembled, so that a mesh too big for the blocks
+    raises the GeometryError of one too big for their factors."""
+    _, _, ops = build_coupling(cfg)
+    with _arrays_of(cfg.geometry):
+        for block in ("m_chi", "m_psi", "d_chi", "d_psi"):
+            getattr(ops, block)
+    return ops
+
+
 def build_problem(cfg: RunConfig) -> Problem:
     domain, channel, ops = build_coupling(cfg)
     with _arrays_of(cfg.geometry):

@@ -21,6 +21,9 @@ index arithmetic: a line matrix from its cell triplets
 (`_kron_pair`).  Both give bitwise what scipy's COO conversion and its
 CSR Kronecker product give, without their COO round trips.  Every
 construction assembles its own operators; nothing is cached across them.
+The coupling operators hold the wall's factors; their four blocks m_chi,
+m_psi, d_chi and d_psi are assembled on first read, which the stepper
+never makes: only the structural checks and the fiber integral read them.
 """
 
 from __future__ import annotations
@@ -252,32 +255,33 @@ def require_fit(a: IntervalMesh | TensorBoundary, a_name: str,
 
 @dataclass(eq=False)
 class CouplingOperators:
-    """Assembled interconnection matrices between the product surface and
-    its axial factor.
+    """The interconnection between the product surface and its axial
+    factor, held as the wall's factors: the two bases, the azimuthal hat
+    integrals `eta_integrals` and the azimuthal mass m_az.
 
-    m_psi: surface mass, m_chi: line mass (both SPD); d_chi maps surface
-    coefficients to line load vectors through the surface basis integrated
-    over the azimuth (the line mass times `eta_integrals`, the integrals of
-    the azimuthal hats), and d_psi is its exact transpose.  m_az is the
-    azimuthal mass, the factor of m_psi = m_chi (x) m_az.
+    The assembled blocks are cached properties, each built from the
+    factors on its first read: m_chi (line mass) and m_psi = m_chi (x) m_az
+    (surface mass), both SPD; d_chi = m_chi (x) eta_integrals^T, which maps
+    surface coefficients to line load vectors through the surface basis
+    integrated over the azimuth; and d_psi, its exact transpose.  The
+    stepper applies only `embed`, `embed_t` and `line_load`, which read the
+    factors, so no run assembles a block.
 
-    Surface dofs are axial-major, azimuthal-minor; past assembly, `embed`
-    and `embed_t` are the only code that relies on that layout.  `embed` is
-    the nodal embedding B (replicate along the azimuth), `embed_t` its
-    transpose (azimuthal row sums) and `integrate` the mass-consistent fiber
-    integral m_chi^-1 d_chi.  On the tensor-product wall B = m_psi^-1 d_psi
-    and d_chi m_psi^-1 = B^T, so B^T takes surface loads to line loads.  All
-    three take one field (dofs,) or a column stack of them (dofs, trials),
-    so sparse products take the stack as it is, without a transposed copy.
+    Surface dofs are axial-major, azimuthal-minor; besides the blocks'
+    assembly, `embed`, `embed_t` and `line_load` are the only code that
+    relies on that layout.  `embed` is the nodal embedding B (replicate
+    along the azimuth), `embed_t` its transpose (azimuthal row sums) and
+    `integrate` the mass-consistent fiber integral m_chi^-1 d_chi.  On the
+    tensor-product wall B = m_psi^-1 d_psi and d_chi m_psi^-1 = B^T, so B^T
+    takes surface loads to line loads.  All three take one field (dofs,) or
+    a column stack of them (dofs, trials), so sparse products take the
+    stack as it is, without a transposed copy.
 
-    The factorizations and `line_load`'s weights are cached properties:
-    `dataclasses.replace` with new blocks starts without them.
+    The blocks, the factorizations and `line_load`'s weights are cached
+    properties: `dataclasses.replace` with new factors starts without
+    them, and a block set on an instance overrides its assembly.
     """
 
-    m_psi: sp.csr_matrix
-    m_chi: sp.csr_matrix
-    d_chi: sp.csr_matrix
-    d_psi: sp.csr_matrix
     surface: SurfaceBasis
     line: LineBasis
     eta_integrals: np.ndarray
@@ -315,6 +319,32 @@ class CouplingOperators:
         return b.reshape(self.n_chi, n_az) @ self._az_weights
 
     @cached_property
+    def m_chi(self) -> sp.csr_matrix:
+        return assemble_mass(self.line)
+
+    @cached_property
+    def m_psi(self) -> sp.csr_matrix:
+        return _kron([self.m_chi, self.m_az])
+
+    @cached_property
+    def d_chi(self) -> sp.csr_matrix:
+        n_az = len(self.eta_integrals)
+        return _kron([self.m_chi, sp.csr_matrix(
+            (self.eta_integrals, np.arange(n_az), [0, n_az]),
+            shape=(1, n_az))])
+
+    @cached_property
+    def d_psi(self) -> sp.csr_matrix:
+        """m_chi (x) eta_integrals, assembled from the factors on its own,
+        not transposed from d_chi, so that `check_transpose_identity`
+        compares two assemblies: m_chi is symmetric bit for bit and each
+        entry is the one product m_chi_ik eta_j, so they agree exactly."""
+        n_az = len(self.eta_integrals)
+        return _kron([self.m_chi, sp.csr_matrix(
+            (self.eta_integrals, np.zeros(n_az, dtype=np.intp),
+             np.arange(n_az + 1)), shape=(n_az, 1))])
+
+    @cached_property
     def _az_weights(self) -> np.ndarray:
         return np.linalg.solve(self.m_az.toarray(), self.eta_integrals)
 
@@ -335,29 +365,17 @@ class CouplingOperators:
 
 def assemble_coupling(surface: SurfaceBasis,
                       line: LineBasis) -> CouplingOperators:
-    """Assemble the surface/line mass matrices and the coupling blocks.
+    """The coupling operators of a surface and a line: their azimuthal
+    factors, the hat integrals and the mass, with no block assembled.
 
     The line mesh must equal the axial factor of the surface
-    (`require_fit`), so m_chi is also the surface's axial mass: m_psi =
-    m_chi (x) M_az and d_chi = m_chi (x) eta_integrals^T (rows line dofs,
-    columns surface dofs).  d_psi = m_chi (x) eta_integrals is assembled
-    from the same factors on its own, not transposed from d_chi, so that
-    `check_transpose_identity` compares two assemblies: m_chi is symmetric
-    bit for bit and each entry is the one product m_chi_ik eta_j, so they
-    agree exactly.
+    (`require_fit`), so m_chi is also the surface's axial mass and the
+    blocks m_psi = m_chi (x) m_az, d_chi = m_chi (x) eta_integrals^T (rows
+    line dofs, columns surface dofs) and d_psi = m_chi (x) eta_integrals
+    follow from the factors on first read.
     """
     require_fit(line.mesh, "line mesh", surface.boundary.gamma1,
                 "the surface's axial factor")
-    m_chi = assemble_mass(line)
-    eta_integrals = lumped_mass(surface.eta)
-    m_az = assemble_mass(surface.eta)
-    m_psi = _kron([m_chi, m_az])
-    n_az = len(eta_integrals)
-    d_chi = _kron([m_chi, sp.csr_matrix(
-        (eta_integrals, np.arange(n_az), [0, n_az]), shape=(1, n_az))])
-    d_psi = _kron([m_chi, sp.csr_matrix(
-        (eta_integrals, np.zeros(n_az, dtype=np.intp), np.arange(n_az + 1)),
-        shape=(n_az, 1))])
     return CouplingOperators(
-        m_psi=m_psi, m_chi=m_chi, d_chi=d_chi, d_psi=d_psi,
-        surface=surface, line=line, eta_integrals=eta_integrals, m_az=m_az)
+        surface=surface, line=line, eta_integrals=lumped_mass(surface.eta),
+        m_az=assemble_mass(surface.eta))

@@ -193,8 +193,11 @@ def build_scenario(name: str, heat_sys: HeatSystem, fluid_sys: FluidSystem,
         t_solid = p.pop("t_solid", 390.0)
         t_fluid = p.pop("t_fluid", 300.0)
         temperatures = {"t_solid": t_solid, "t_fluid": t_fluid}
-        zeta = heat_sys.domain.node_coordinates()[:, 2]
-        depth = heat_sys.domain.thickness.measure
+        domain = heat_sys.domain
+        # the thickness coordinate of every node (thickness fastest)
+        zeta = np.tile(domain.thickness.nodes,
+                       domain.axial.n_nodes * domain.azimuthal.n_nodes)
+        depth = domain.thickness.measure
         t_profile = t_fluid + (t_solid - t_fluid) * _smoothstep(zeta / depth)
         heat0 = HeatState(entropy_of_temperature(t_profile, heat_sys.material))
         setup = ScenarioSetup(name, heat0, fluid_sys.uniform_state(t_fluid))

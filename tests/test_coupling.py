@@ -192,7 +192,8 @@ class TestChecks:
     def test_power_balance_fails_on_non_adjoint_pair(self):
         # integrating 1 % too much leaves 1 % of the port power uncancelled
         ops = make_ops()
-        bad = dataclasses.replace(ops, d_chi=1.01 * ops.d_chi)
+        bad = dataclasses.replace(ops)
+        bad.d_chi = 1.01 * ops.d_chi
         rep = check_power_balance(bad, trials=50, seed=4)
         assert not rep.passed
         assert rep.max_residual > 1e3 * rep.tolerance
@@ -211,6 +212,7 @@ class TestChecks:
             return kron_pair(a, b)
 
         exact = make_ops()
+        exact.d_psi  # assembled before the patch
         monkeypatch.setattr(fem, "_kron_pair", perturbed)
         ops = make_ops()
         assert ops.d_chi.data.tobytes() == exact.d_chi.data.tobytes()
@@ -222,7 +224,8 @@ class TestChecks:
 
     def test_transpose_identity_fails_on_shape_mismatch(self):
         ops = make_ops()
-        bad = dataclasses.replace(ops, d_psi=ops.d_psi[:-1])
+        bad = dataclasses.replace(ops)
+        bad.d_psi = ops.d_psi[:-1]
         rep = check_transpose_identity(bad)
         assert not rep.passed
         assert rep.max_residual == np.inf

@@ -204,7 +204,8 @@ class TestAdjointness:
     def test_non_adjoint_pair_fails(self):
         # integrating 1 % too much breaks <f, embed v> = <integrate f, v>
         ops = make_ops(n_ax=6, n_az=5, circumference=3.0)
-        bad = dataclasses.replace(ops, d_chi=1.01 * ops.d_chi)
+        bad = dataclasses.replace(ops)
+        bad.d_chi = 1.01 * ops.d_chi
         report = check_adjointness(bad, trials=100, seed=3)
         assert not report.passed
         assert report.max_residual > 1e3 * report.tolerance
@@ -251,7 +252,8 @@ class TestDiracPairing:
     def test_non_adjoint_pair_fails(self):
         # integrating 1 % too much breaks the skew pairing with the embedding
         ops = make_ops(n_ax=3, n_az=4)
-        bad = dataclasses.replace(ops, d_chi=1.01 * ops.d_chi)
+        bad = dataclasses.replace(ops)
+        bad.d_chi = 1.01 * ops.d_chi
         report = check_dirac_pairing(bad, trials=100, seed=5)
         assert not report.passed
         assert report.max_residual > 1e3 * report.tolerance
@@ -310,7 +312,8 @@ class TestNormBound:
         # integrating 1 % too much scales the integrated norm of an
         # azimuthally constant field by 1.0201, off the equality case
         ops = make_ops(n_ax=5, n_az=6, circumference=1.7)
-        bad = dataclasses.replace(ops, d_chi=1.01 * ops.d_chi)
+        bad = dataclasses.replace(ops)
+        bad.d_chi = 1.01 * ops.d_chi
         report = operator_norm_bound_check(bad, trials=100, seed=8)
         assert not report.passed
         gap = float(report.details["equality_rel_gap_constant_fields"])

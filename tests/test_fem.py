@@ -369,9 +369,21 @@ class TestEmbedPair:
                             for e in unit])
         assert np.abs(weights - 1.0).max() <= 4 * np.finfo(float).eps
 
+    def test_blocks_are_assembled_once_on_first_read(self):
+        # assembly leaves every block to its first read, which keeps it: a
+        # second read returns the same matrix
+        surface = small_surface(n_ax=4, n_az=5)
+        ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)))
+        blocks = ("m_chi", "m_psi", "d_chi", "d_psi")
+        assert not vars(ops).keys() & set(blocks)
+        first = [getattr(ops, name) for name in blocks]
+        for name, block in zip(blocks, first):
+            assert getattr(ops, name) is block
+
     def test_replace_forms_the_cached_operators_again(self):
         # the factorizations and line_load's weights belong to the blocks
-        # they came from: a copy with new blocks must not solve with them
+        # they came from: a copy with new factors, and new blocks set on
+        # it, must not solve with them
         surface = small_surface(n_ax=4, n_az=5)
         ops = assemble_coupling(surface, LineBasis(IntervalMesh(0, 1, 4)))
         rng = np.random.default_rng(9)
@@ -379,10 +391,10 @@ class TestEmbedPair:
         u = rng.standard_normal(ops.n_psi)
         before = ops.integrate(u), ops.line_load(b)
         ops.solve_psi(b), ops.solve_chi(c)
-        new = dataclasses.replace(ops, m_psi=2 * ops.m_psi,
-                                  m_chi=2 * ops.m_chi, d_chi=3 * ops.d_chi,
-                                  m_az=2 * ops.m_az,
+        new = dataclasses.replace(ops, m_az=2 * ops.m_az,
                                   eta_integrals=3 * ops.eta_integrals)
+        new.m_psi, new.m_chi, new.d_chi = \
+            2 * ops.m_psi, 2 * ops.m_chi, 3 * ops.d_chi
         x, y = new.solve_psi(b), new.solve_chi(c)
         assert np.abs(new.m_psi @ x - b).max() <= 1e-13 * np.abs(b).max()
         assert np.abs(new.m_chi @ y - c).max() <= 1e-13 * np.abs(c).max()

@@ -744,6 +744,18 @@ def test_powers_need_no_surface_solve(name, monkeypatch):
             == (setup.ext_temperature is not None)
 
 
+@pytest.mark.parametrize("name", ["hot-wall-cooldown", "heated-ext-face"])
+def test_coupled_run_assembles_no_block(name):
+    # the stepper applies the wall in factor form (embed, embed_t and
+    # line_load): neither the construction nor a coupled run assembles a
+    # block or factors a mass
+    cfg = small_cfg()
+    problem, result = run_scenario(cfg, name)
+    assert np.abs(result.ledger.column("P_couple_heat")).max() > 0
+    assert not vars(problem.ops).keys() & {
+        "m_chi", "m_psi", "d_chi", "d_psi", "_psi_lu", "_chi_lu"}
+
+
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
