@@ -10,10 +10,12 @@ run_seconds, and keeps each one's result line (the end-to-end metrics,
 with the correct / attempted / failed counts).  Runs scripts/run_ladder.py's
 rungs through 64x32x8, one subprocess each with one BLAS thread, and keeps
 each rung's figures: Newton iterations, Jacobian builds, row interchanges,
-set-up, build and solve seconds, run seconds and peak RSS.  Runs the
-24x12x4 rung once more with the BLAS thread variables unset, at the
-library's default thread count.  Adds machine notes: CPU count, the Python, numpy and scipy
-versions, and the BLAS library that numpy and scipy were built with.
+set-up seconds (the median of five constructions after one warm-up, as
+`bench/run.py` times its `setup_s`), build and solve seconds, run seconds
+and peak RSS.  Runs the 24x12x4 rung once more with the BLAS thread
+variables unset, at the library's default thread count.  Adds machine
+notes: CPU count, the Python, numpy and scipy versions, and the BLAS
+library that numpy and scipy were built with.
 
 It exits non-zero, after writing the file, if a workload's run fails or is
 not correct, or if a rung fails or fails a run gate.

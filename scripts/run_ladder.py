@@ -13,10 +13,10 @@ the Jacobian builds, the pivot rows their factorizations interchanged (0:
 every chord solve took the two triangle solves; otherwise dgbtrs), the
 set-up seconds, the seconds spent building (and factoring) and in chord
 solves, the run seconds and the peak RSS.  The set-up seconds (`setup_s`)
-time one cold construction: `build_problem`, `build_scenario` and
-`make_simulation`, run once in the rung's own subprocess after its
-imports, so they include first-use costs that a repeated construction
-does not pay.
+are the median of five constructions (`build_problem`, `build_scenario`
+and `make_simulation`) after one untimed warm-up, as `bench/run.py` times
+its `setup_s`, so first-use costs stay out of them; the last construction
+is the one that runs.
 
 It exits non-zero if a rung fails: a step fails, or a step fails a run
 gate (`phmix.driver.run_gate_failures`): its coupling power residual
@@ -28,6 +28,7 @@ import dataclasses
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -35,6 +36,7 @@ import time
 RUNGS = ("16x8x4", "24x12x4", "32x16x4", "48x24x4", "64x32x8")
 TOP_RUNG = "96x48x8"
 STEPS = 20
+SETUP_REPEATS = 5  # timed constructions per rung, after one warm-up
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -49,12 +51,16 @@ def run_rung(rung: str) -> dict:
                                    "n_fluid": n_ax})
     cfg = dataclasses.replace(cfg, sim=dataclasses.replace(
         cfg.sim, t_end=STEPS * cfg.sim.dt))
-    t0 = time.perf_counter()
-    problem = build_problem(cfg)
-    setup = build_scenario(cfg.scenario, problem.heat, problem.fluid,
-                           cfg.scenario_params)
-    sim = make_simulation(problem, cfg, setup)
-    setup_s = time.perf_counter() - t0
+    times = []
+    for _ in range(SETUP_REPEATS + 1):  # the first is the warm-up
+        problem = setup = sim = None  # one construction alive at a time
+        t0 = time.perf_counter()
+        problem = build_problem(cfg)
+        setup = build_scenario(cfg.scenario, problem.heat, problem.fluid,
+                               cfg.scenario_params)
+        sim = make_simulation(problem, cfg, setup)
+        times.append(time.perf_counter() - t0)
+    setup_s = statistics.median(times[1:])
     result = sim.run(setup)
     return {"rung": rung, "unknowns": sim.chord.n, "kl": sim.chord.layout.kl,
             "newton": result.newton_iterations,

@@ -13,23 +13,29 @@ lumped mass l_1 (x) l_2 (x) ..., the stiffness the Kronecker sum
 K_1 (x) M_2 + M_1 (x) K_2 + ..., and on the wall m_psi = m_chi (x) M_az and
 d_chi = m_chi (x) l_az^T, with l_az the azimuthal hat integrals.  The
 nonlinear heat kernel alone needs the volume basis's per-cell tables.  All
-meshes are uniform, so one reference cell table serves every cell.
+meshes are uniform, so one reference cell table serves every cell.  The
+lumped mass (the outer product of the hat integrals) and the volume tables
+(one broadcast product of the line tables) are built from the factors by
+direct array arithmetic, bitwise the Kronecker and `einsum` products.
 
 The sparse operators are assembled straight into canonical CSR by numpy
 index arithmetic: a line matrix from its cell triplets
 (`_triplets_to_csr`), a Kronecker product from its factors' CSR arrays
 (`_kron_pair`).  Both give bitwise what scipy's COO conversion and its
-CSR Kronecker product give, without their COO round trips.  Every
-construction assembles its own operators; nothing is cached across them.
-The coupling operators hold the wall's factors; their four blocks m_chi,
-m_psi, d_chi and d_psi are assembled on first read, which the stepper
-never makes: only the structural checks and the fiber integral read them.
+CSR Kronecker product give, without their COO round trips; the channel's
+dense gradient pairing scatters the same triplets straight into an array
+(`dense_line_matrix`).  Every construction assembles its own operators;
+nothing is cached across them.  A run's construction makes one sparse
+matrix, the azimuthal mass m_az: the coupling operators hold the wall's
+factors, and their four blocks m_chi, m_psi, d_chi and d_psi are assembled
+on first read, which the stepper never makes: only the structural checks
+and the fiber integral read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,8 +88,20 @@ class LineBasis:
     def tables(self) -> Tables:
         """The reference tables at the Gauss points, computed on first use."""
         h = self.mesh.h
-        slopes = np.tile([-1.0 / h, 1.0 / h], (len(GAUSS_POINTS), 1))
-        return Tables(_HAT_VALUES, slopes[:, :, None], GAUSS_WEIGHTS * h)
+        slopes = np.array([[[-1.0 / h], [1.0 / h]]] * len(GAUSS_POINTS))
+        return Tables(_HAT_VALUES, slopes, GAUSS_WEIGHTS * h)
+
+    def hat_integrals(self) -> np.ndarray:
+        """integral(phi_i) of every hat: the sum of a cell's two local
+        integrals w at each node that two cell ends meet at (both ends of
+        the one cell of a one-node periodic mesh), w alone at the two ends
+        of a non-periodic mesh."""
+        t = self.tables
+        w = t.wdet @ t.values
+        lumped = np.full(self.n_dofs, w[0] + w[1])
+        if not self.mesh.periodic:
+            lumped[[0, -1]] = w
+        return lumped
 
 
 class SurfaceBasis:
@@ -111,44 +129,67 @@ class VolumeBasis:
         self.n_dofs = domain.n_nodes
 
     def cell_dofs(self) -> np.ndarray:
-        d1, d2, d3 = (b.cell_dofs() for b in self.factors)
+        """(n_cells, 8) global dofs of each cell's local dofs l = 4 l1 +
+        2 l2 + l3, cells axial-major and thickness fastest: the transpose
+        of a local-major array, so that each sum runs along the cells."""
+        d1, d2, d3 = (b.cell_dofs().T for b in self.factors)
         n2, n3 = self.factors[1].n_dofs, self.factors[2].n_dofs
-        # local dof l = 4*l1 + 2*l2 + l3; cells axial-major, thickness fastest
-        glob = (d1[:, None, None, :, None, None] * n2
-                + d2[None, :, None, None, :, None]) * n3 \
-            + d3[None, None, :, None, None, :]
-        return glob.reshape(-1, 8)
+        face = (d1[:, None, :, None] * n2 + d2[:, None, :]).reshape(4, -1)
+        return (face[:, None, :, None] * n3 + d3[:, None, :]).reshape(8, -1).T
 
     @cached_property
     def tables(self) -> Tables:
-        """The factors' tables multiplied out, computed on first use."""
+        """The factors' tables multiplied out, computed on first use: factor
+        d's table, extended to (q, a, 4) with its gradient in component d
+        and its values in the others, gives in one broadcast product every
+        x_qa y_rb z_sc over (q, r, s, a, b, c, component), the gradient
+        along d in component d and the values in component 3."""
         t = [b.tables for b in self.factors]
-        v1, v2, v3 = (ti.values for ti in t)
-        g1, g2, g3 = (ti.gradients[:, :, 0] for ti in t)
-        product = partial(np.einsum, "qa,rb,sc->qrsabc")
-        vals = product(v1, v2, v3).reshape(-1, 8)
-        grads = np.stack([product(g1, v2, v3), product(v1, g2, v3),
-                          product(v1, v2, g3)], axis=-1).reshape(-1, 8, 3)
-        wdet = np.einsum("q,r,s->qrs", t[0].wdet, t[1].wdet, t[2].wdet).ravel()
-        return Tables(vals, grads, wdet)
+        ext = []
+        for d, ti in enumerate(t):
+            e = ti.values[:, :, None].repeat(4, axis=2)
+            e[:, :, d] = ti.gradients[:, :, 0]
+            ext.append(e)
+        x, y, z = ext
+        product = x[:, None, None, :, None, None] * y[:, None, None, :, None] \
+            * z[:, None, None, :]
+        wdet = reduce(np.multiply.outer, (ti.wdet for ti in t)).ravel()
+        return Tables(product[..., 3].reshape(-1, 8),
+                      product[..., :3].reshape(-1, 8, 3), wdet)
 
 
 Basis = LineBasis | SurfaceBasis | VolumeBasis
 
 
-def line_matrix(line: LineBasis, left: int, right: int) -> sp.csr_matrix:
-    """integral(phi_i^(left) phi_j^(right)) over a line, where phi^(0) is a
-    hat and phi^(1) its derivative: the one quadrature assembly, which every
-    other operator is built from."""
+def _line_triplets(line: LineBasis, left: int, right: int):
+    """The cell triplets (rows, cols, data) of integral(phi_i^(left)
+    phi_j^(right)) over a line, where phi^(0) is a hat and phi^(1) its
+    derivative: the one quadrature assembly, which every other operator is
+    built from.  Each cell's 2x2 local matrix in turn, row-major."""
     t = line.tables
     shapes = (t.values, t.gradients[:, :, 0])
     local = np.einsum("q,qa,qb->ab", t.wdet, shapes[left], shapes[right])
     dofs = line.cell_dofs()
-    nc = len(dofs)
-    rows = np.broadcast_to(dofs[:, :, None], (nc, 2, 2)).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], (nc, 2, 2)).ravel()
-    data = np.broadcast_to(local, (nc, 2, 2)).ravel()
-    return _triplets_to_csr(rows, cols, data, (line.n_dofs, line.n_dofs))
+    return (dofs.repeat(2), dofs.repeat(2, axis=0).ravel(),
+            local.reshape(1, 4).repeat(len(dofs), axis=0).ravel())
+
+
+def line_matrix(line: LineBasis, left: int, right: int) -> sp.csr_matrix:
+    """integral(phi_i^(left) phi_j^(right)) over a line (`_line_triplets`),
+    in canonical CSR."""
+    return _triplets_to_csr(*_line_triplets(line, left, right),
+                            (line.n_dofs, line.n_dofs))
+
+
+def dense_line_matrix(line: LineBasis, left: int,
+                      right: int) -> np.ndarray:
+    """`line_matrix` as a dense array: the cell triplets scattered by one
+    `bincount`, which sums each entry's contributions in their input order
+    as `_triplets_to_csr` does."""
+    rows, cols, data = _line_triplets(line, left, right)
+    n = line.n_dofs
+    return np.bincount(rows * n + cols, weights=data,
+                       minlength=n * n).reshape(n, n)
 
 
 def _triplets_to_csr(rows, cols, data, shape) -> sp.csr_matrix:
@@ -215,15 +256,9 @@ def assemble_mass(basis: Basis) -> sp.csr_matrix:
 
 def lumped_mass(basis: Basis) -> np.ndarray:
     """Lumped (row-sum) mass vector m_i = integral(phi_i), the Kronecker
-    product of the factors' hat integrals."""
-    lumped = []
-    for line in basis.factors:
-        t = line.tables
-        dofs = line.cell_dofs()
-        lumped.append(np.bincount(dofs.ravel(),
-                                  weights=np.tile(t.wdet @ t.values, len(dofs)),
-                                  minlength=line.n_dofs))
-    return reduce(np.kron, lumped)
+    product of the factors' hat integrals: their outer product, raveled."""
+    return reduce(np.multiply.outer,
+                  (b.hat_integrals() for b in basis.factors)).ravel()
 
 
 def assemble_stiffness(basis: Basis, coefficient: float) -> sp.csr_matrix:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, MaterialError, StateValidityError
-from .fem import LineBasis, line_matrix, lumped_mass
+from .fem import LineBasis, dense_line_matrix, lumped_mass
 from .geometry import IntervalMesh
 
 
@@ -124,7 +124,7 @@ class FluidSystem:
         self.basis = LineBasis(mesh)
         self.mass = lumped_mass(self.basis)
         # integral(phi_i dphi_j/dz), dense: a few dozen nodes
-        self.grad_pairing = line_matrix(self.basis, 0, 1).toarray()
+        self.grad_pairing = dense_line_matrix(self.basis, 0, 1)
 
     @property
     def n_dofs(self) -> int:

@@ -55,11 +55,10 @@ class IntervalMesh:
 
     def cell_dofs(self) -> np.ndarray:
         """(n_cells, 2) array of the left/right node index of each cell."""
-        left = np.arange(self.n_cells)
-        right = left + 1
+        dofs = np.arange(self.n_cells + 1).repeat(2)[1:-1].reshape(-1, 2)
         if self.periodic:
-            right = right % self.n_cells
-        return np.stack([left, right], axis=1)
+            dofs[-1, 1] = 0
+        return dofs
 
 
 @dataclass(frozen=True)
@@ -167,11 +166,8 @@ class SolidDomain:
             k = self.thickness.n_nodes - 1
         else:
             raise GeometryError(f"unknown face tag {face!r}")
-        n1 = self.axial.n_nodes
-        n2 = self.azimuthal.n_nodes
-        ii = np.repeat(np.arange(n1), n2)
-        jj = np.tile(np.arange(n2), n1)
-        return self.node_index(ii, jj, k)
+        n_face = self.axial.n_nodes * self.azimuthal.n_nodes
+        return self.node_index(0, np.arange(n_face), k)
 
 
 def build_solid_domain(a: float, b: float, circumference: float, depth: float,

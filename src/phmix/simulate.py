@@ -600,7 +600,9 @@ class CoupledSimulation:
         if output_dir is not None:
             ledger_path = os.path.join(output_dir, f"{setup.name}_ledger.csv")
             # the coordinate fields of every snapshot row, formatted once
-            prefixes = (node_prefixes([self.heat.domain.node_coordinates()]),
+            dom = self.heat.domain
+            prefixes = (node_prefixes([dom.axial.nodes, dom.azimuthal.nodes,
+                                       dom.thickness.nodes]),
                         node_prefixes([self.fluid.mesh.nodes]))
 
         table = self._pack(heat0.s, fluid0)[None, :]
@@ -663,12 +665,16 @@ class CoupledSimulation:
             self.fluid, outcome.fluid_state, prefixes[1])
 
 
-def node_prefixes(columns) -> list[str]:
-    """The constant leading fields `i,c0,c1,...,` of every row of a nodal
-    CSV: the node index, then each column (coordinates) at full precision."""
-    rows = np.column_stack(columns).tolist()
-    fmt = "%d" + ",%r" * len(rows[0]) + ","
-    return [fmt % (i, *row) for i, row in enumerate(rows)]
+def node_prefixes(axes) -> list[str]:
+    """The constant leading fields `i,x0,x1,...,` of every row of a nodal
+    CSV on the grid of the node coordinate arrays `axes`: the node index,
+    then its coordinate on each axis at full precision, nodes in dof order
+    (the last axis fastest).  Each coordinate is formatted once."""
+    fields = [""]
+    for axis in axes:
+        coords = [f",{x!r}" for x in axis.tolist()]
+        fields = [f + c for f in fields for c in coords]
+    return [f"{i}{f}," for i, f in enumerate(fields)]
 
 
 def _write_nodal_csv(path, header: str, prefixes, columns) -> None:
@@ -683,8 +689,8 @@ def _write_nodal_csv(path, header: str, prefixes, columns) -> None:
 def write_heat_snapshot(path, system: HeatSystem, state: HeatState,
                         prefixes) -> None:
     """Nodal CSV of the solid: node, x, y, z, s, T.  `prefixes` are the
-    formatted `node,x,y,z,` fields (`node_prefixes` of the node
-    coordinates), which a run formats once for all its snapshots."""
+    formatted `node,x,y,z,` fields (`node_prefixes` of the domain's three
+    axes), which a run formats once for all its snapshots."""
     t = temperature_of_entropy(state.s, system.material)
     _write_nodal_csv(path, "node,x,y,z,s,T", prefixes, (state.s, t))
 

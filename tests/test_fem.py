@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from phmix.config import GeometryConfig, default_config
-from phmix.driver import build_problem
+from phmix.driver import build_problem, make_simulation
 from phmix.errors import ConfigurationError, MaterialError, \
     MeshCompatibilityError
 from phmix.fem import CouplingOperators, LineBasis, SurfaceBasis, \
@@ -15,6 +15,7 @@ from phmix.fem import CouplingOperators, LineBasis, SurfaceBasis, \
     line_matrix, lumped_mass
 from phmix.fluid import FluidSystem
 from phmix.heat import HeatSystem
+from phmix.simulate import build_scenario
 from phmix.geometry import IntervalMesh, TensorBoundary, build_solid_domain
 
 import oracles
@@ -469,7 +470,8 @@ ORACLE_MESHES = [(16, 8, 4), (48, 24, 4), (3, 1, 1), (2, 2, 2), (1, 3, 2)]
 
 class TestAssemblyOracle:
     """Every operator is bitwise scipy's COO / `kron` assembly of the same
-    triplets."""
+    triplets, and every table and dof map numpy's `einsum` / `stack` form
+    of the same factors."""
 
     @pytest.mark.parametrize("n_ax,n_az,n_th", ORACLE_MESHES)
     def test_problem_operators_match_scipy(self, n_ax, n_az, n_th):
@@ -519,6 +521,66 @@ class TestAssemblyOracle:
                             coo_line_matrix(line, left, right))
         assert_same_csr(assemble_mass(surface), scipy_kron(
             [coo_line_matrix(axial, 0, 0), coo_line_matrix(line, 0, 0)]))
+
+    @pytest.mark.parametrize("n_ax,n_az,n_th", ORACLE_MESHES)
+    def test_volume_tables_match_einsum_products(self, n_ax, n_az, n_th):
+        heat = HeatSystem(build_solid_domain(0.0, 1.3, 0.7, 0.05, n_ax, n_az,
+                                             n_th), default_config().heat)
+        basis = heat.basis
+        t = [b.tables for b in basis.factors]
+        v1, v2, v3 = (ti.values for ti in t)
+        g1, g2, g3 = (ti.gradients[:, :, 0] for ti in t)
+
+        def product(x, y, z):
+            return np.einsum("qa,rb,sc->qrsabc", x, y, z)
+
+        values = product(v1, v2, v3).reshape(-1, 8)
+        gradients = np.stack([product(g1, v2, v3), product(v1, g2, v3),
+                              product(v1, v2, g3)], axis=-1).reshape(-1, 8, 3)
+        wdet = np.einsum("q,r,s->qrs", *(ti.wdet for ti in t)).ravel()
+        for got, want in zip((basis.tables.values, basis.tables.gradients,
+                              basis.tables.wdet), (values, gradients, wdet)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+        d1, d2, d3 = (b.cell_dofs() for b in basis.factors)
+        n2, n3 = basis.factors[1].n_dofs, basis.factors[2].n_dofs
+        dofs = ((d1[:, None, None, :, None, None] * n2
+                 + d2[None, :, None, None, :, None]) * n3
+                + d3[None, None, :, None, None, :]).reshape(-1, 8)
+        assert np.array_equal(heat.dofmap, dofs)
+        assert heat._gather.tobytes() == dofs.T.tobytes()
+
+    @pytest.mark.parametrize("n_cells,periodic",
+                             [(1, True), (2, True), (3, True), (1, False),
+                              (4, False)])
+    def test_interval_cell_dofs_match_stack(self, n_cells, periodic):
+        left = np.arange(n_cells)
+        right = left + 1
+        if periodic:
+            right = right % n_cells
+        want = np.stack([left, right], axis=1)
+        got = IntervalMesh(0.0, 1.0, n_cells, periodic).cell_dofs()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_construction_makes_one_csr_matrix(self, monkeypatch):
+        # a run's construction assembles the azimuthal mass m_az and no
+        # other sparse matrix: each pays scipy's format checks
+        made = []
+        init = sp.csr_matrix.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
+        cfg = default_config()
+        problem = build_problem(cfg)
+        setup = build_scenario(cfg.scenario, problem.heat, problem.fluid,
+                               cfg.scenario_params)
+        make_simulation(problem, cfg, setup)
+        assert len(made) == 1 and made[0] is problem.ops.m_az
 
     def test_problems_share_no_operator_array(self):
         # each construction assembles its own operators: nothing is cached

@@ -1006,6 +1006,25 @@ def per_value_fluid(fluid, fs):
                      [fluid.mesh.nodes, fs.phi, fs.vel, fs.s, t, p])
 
 
+def domain_axes(domain):
+    return [domain.axial.nodes, domain.azimuthal.nodes, domain.thickness.nodes]
+
+
+@pytest.mark.parametrize("n_ax,n_az,n_th", [(16, 8, 4), (3, 1, 2), (4, 3, 1)])
+def test_node_prefixes_match_row_formatting(n_ax, n_az, n_th):
+    # the grid's axes joined in dof order against each row formatted from
+    # its coordinates, on the default mesh, a one-cell periodic azimuth and
+    # a one-cell thickness, and on the channel's single axis
+    problem = build_problem(default_config(geometry={
+        "n_ax": n_ax, "n_az": n_az, "n_th": n_th, "n_fluid": n_ax}))
+    domain, channel = problem.heat.domain, problem.fluid.mesh
+    for axes, coords in ((domain_axes(domain), domain.node_coordinates()),
+                         ([channel.nodes], channel.nodes[:, None])):
+        fmt = "%d" + ",%r" * coords.shape[1] + ","
+        assert node_prefixes(axes) == \
+            [fmt % (i, *row) for i, row in enumerate(coords.tolist())]
+
+
 class TestLedgerAndSnapshots:
     def test_header_and_files(self, tmp_path, monkeypatch):
         monkeypatch.setattr(simulate, "OUTPUT_EVERY", 5)
@@ -1056,7 +1075,7 @@ class TestLedgerAndSnapshots:
         fs.vel = fs.vel + rng.standard_normal(fluid.n_dofs)
 
         write_heat_snapshot(tmp_path / "heat.csv", heat, hs,
-                            node_prefixes([heat.domain.node_coordinates()]))
+                            node_prefixes(domain_axes(heat.domain)))
         assert (tmp_path / "heat.csv").read_bytes() == \
             per_value_heat(heat, hs)
         write_fluid_snapshot(tmp_path / "fluid.csv", fluid, fs,
