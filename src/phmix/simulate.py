@@ -50,6 +50,7 @@ from __future__ import annotations
 import os
 import time as _time
 from dataclasses import dataclass, fields
+from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -132,10 +133,12 @@ class EnergyLedger:
         return np.array([getattr(r, name) for r in self.records])
 
     def write(self, path) -> None:
+        """The header, then one row per record with every field at full
+        precision (`repr`), written in one call."""
+        text = "\n".join([LEDGER_HEADER,
+                          *map(LedgerRecord.csv_row, self.records), ""])
         with open(path, "w") as fh:
-            fh.write(LEDGER_HEADER + "\n")
-            for rec in self.records:
-                fh.write(rec.csv_row() + "\n")
+            fh.write(text)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -678,19 +681,28 @@ def node_prefixes(axes) -> list[str]:
 
 
 def _write_nodal_csv(path, header: str, prefixes, columns) -> None:
-    """One row per node: its prefix, then every column at full precision."""
-    fmt = "%s" + ",".join(["%r"] * len(columns)) + "\n"
-    rows = zip(prefixes, *(col.tolist() for col in columns), strict=True)
-    text = "".join(map(fmt.__mod__, rows))
+    """One row per node: its prefix, then every column at full precision
+    (`repr`); the file is written in one call.  Each distinct row of column
+    values is formatted once, keyed by its bit pattern, not by value, so
+    `0.0` and `-0.0` print apart.  An azimuthally uniform state repeats
+    each row `n_az` times."""
+    fmt = ",".join(["%r"] * len(columns)) + "\n"
+    table = np.array(columns).T.copy()  # a row's key is its values' bytes
+    keys = table.view(f"V{table.shape[1] * table.itemsize}").ravel().tolist()
+    first = dict(zip(keys, zip(*(col.tolist() for col in columns))))
+    text = dict(zip(first, map(fmt.__mod__, first.values())))
+    rows = zip(prefixes, map(text.__getitem__, keys), strict=True)
     with open(path, "w") as fh:
-        fh.write(header + "\n" + text)
+        fh.write("".join(chain((header, "\n"), chain.from_iterable(rows))))
 
 
 def write_heat_snapshot(path, system: HeatSystem, state: HeatState,
                         prefixes) -> None:
-    """Nodal CSV of the solid: node, x, y, z, s, T.  `prefixes` are the
-    formatted `node,x,y,z,` fields (`node_prefixes` of the domain's three
-    axes), which a run formats once for all its snapshots."""
+    """Nodal CSV of the solid: node, x, y, z, s, T, every value at full
+    precision (`repr`) and each distinct bit pattern of a row's (s, T)
+    formatted once.  `prefixes` are the formatted `node,x,y,z,` fields
+    (`node_prefixes` of the domain's three axes), which a run formats once
+    for all its snapshots."""
     t = temperature_of_entropy(state.s, system.material)
     _write_nodal_csv(path, "node,x,y,z,s,T", prefixes, (state.s, t))
 

@@ -1083,6 +1083,67 @@ class TestLedgerAndSnapshots:
         assert (tmp_path / "fluid.csv").read_bytes() == \
             per_value_fluid(fluid, fs)
 
+    def test_repeated_values_keep_every_bit(self, tmp_path):
+        # rows formatted once per distinct bit pattern: the azimuthally
+        # uniform setup state, whose rows repeat, then 0.0 beside -0.0 and
+        # two adjacent floats among repeated values, each row printed as
+        # per-value formatting prints it
+        problem = build_problem(small_cfg())
+        heat, fluid = problem.heat, problem.fluid
+        setup = build_scenario("hot-wall-cooldown", heat, fluid, {})
+        mixed_hs = setup.heat_state.copy()
+        mixed_fs = setup.fluid_state.copy()
+        x = mixed_hs.s[-1]
+        mixed_hs.s[:6] = [0.0, -0.0, x, np.nextafter(x, np.inf), -0.0, 0.0]
+        mixed_fs.vel[:4] = [0.0, -0.0, -0.0, 0.0]
+        mixed_fs.phi[5] = np.nextafter(mixed_fs.phi[4], np.inf)
+        heat_prefixes = node_prefixes(domain_axes(heat.domain))
+        fluid_prefixes = node_prefixes([fluid.mesh.nodes])
+        for hs, fs in ((setup.heat_state, setup.fluid_state),
+                       (mixed_hs, mixed_fs)):
+            write_heat_snapshot(tmp_path / "heat.csv", heat, hs,
+                                heat_prefixes)
+            assert (tmp_path / "heat.csv").read_bytes() == \
+                per_value_heat(heat, hs)
+            write_fluid_snapshot(tmp_path / "fluid.csv", fluid, fs,
+                                 fluid_prefixes)
+            assert (tmp_path / "fluid.csv").read_bytes() == \
+                per_value_fluid(fluid, fs)
+
+    def test_ledger_bytes_match_per_field_formatting(self, tmp_path):
+        # the ledger of a complete run and the partial ledger a run leaves
+        # when its last snapshot cannot be written, against the header and
+        # the repr of each field read by name
+        def per_field(records):
+            names = LEDGER_HEADER.split(",")
+            rows = [",".join(repr(getattr(rec, name)) for name in names)
+                    for rec in records]
+            return "".join(f"{line}\n"
+                           for line in [LEDGER_HEADER, *rows]).encode()
+
+        cfg = small_cfg()
+        problem = build_problem(cfg)
+        setup = build_scenario("heated-ext-face", problem.heat,
+                               problem.fluid, {})
+        sim = make_simulation(problem, cfg, setup)
+        done, failed = tmp_path / "done", tmp_path / "failed"
+        done.mkdir()
+        result = sim.run(setup, str(done))
+        assert (done / "heated-ext-face_ledger.csv").read_bytes() == \
+            per_field(result.ledger.records)
+        result.ledger.write(tmp_path / "ledger.csv")
+        assert (tmp_path / "ledger.csv").read_bytes() == \
+            per_field(result.ledger.records)
+
+        (failed / f"heated-ext-face_heat_{result.steps}.csv").mkdir(
+            parents=True)
+        with pytest.raises(OSError) as err:
+            sim.run(setup, str(failed))
+        assert err.value.step == result.steps
+        assert len(err.value.ledger) == result.steps + 1
+        with open(err.value.ledger_path, "rb") as fh:
+            assert fh.read() == per_field(err.value.ledger.records)
+
     def test_run_snapshots_match_per_value_formatting(self, tmp_path):
         # two meshes with equal node counts and different coordinates, one
         # after the other, and two runs on one object: nothing formatted
