@@ -7,12 +7,12 @@ write BENCH_<pr>.json at the repository root.
 Runs `bench/run.py --seed 1 --trace 0` once per workload that
 BENCHMARK.json lists, each in its own subprocess, for BENCHMARK.json's
 run_seconds, and keeps each one's result line (the end-to-end metrics,
-with the correct / attempted / failed counts).  Runs scripts/run_ladder.py's
-rungs through 64x32x8, one subprocess each with one BLAS thread, and keeps
-each rung's figures: Newton iterations, Jacobian builds, row interchanges,
-set-up seconds (the median of five constructions after one warm-up, as
-`bench/run.py` times its `setup_s`), build and solve seconds, run seconds
-and peak RSS.  Runs the 24x12x4 rung once more with the BLAS thread
+with the correct / attempted / failed counts).  Runs every rung of
+scripts/run_ladder.py, 16x8x4 through 128x64x8, one subprocess each with
+one BLAS thread, and keeps each rung's figures: Newton iterations,
+Jacobian builds, row interchanges, set-up seconds (the median of five
+constructions after one warm-up, as `bench/run.py` times its `setup_s`),
+build and solve seconds, run seconds and peak RSS.  Runs the 24x12x4 rung once more with the BLAS thread
 variables unset, at the library's default thread count.  Adds machine
 notes: CPU count, the Python, numpy and scipy versions, and the BLAS
 library that numpy and scipy were built with.

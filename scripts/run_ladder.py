@@ -1,22 +1,23 @@
 #!/usr/bin/env python3
 """Run the 20-step hot-wall cooldown on the mesh ladder and check each rung.
 
-    python scripts/run_ladder.py [--up-to RUNG] [--with-96x48x8]
+    python scripts/run_ladder.py [--up-to RUNG]
 
-The rungs are 16x8x4, 24x12x4, 32x16x4, 48x24x4 and 64x32x8 (n_ax x n_az x
-n_th, with a channel of n_ax cells), plus 96x48x8 with --with-96x48x8;
---up-to stops after the named rung.  Each rung runs in its own subprocess,
-so that its peak RSS is its own, with one BLAS thread unless the
-environment sets the thread counts.  For each rung the script prints the
-unknowns, the Jacobian band's lower half-width kl, the Newton iterations,
-the Jacobian builds, the pivot rows their factorizations interchanged (0:
-every chord solve took the two triangle solves; otherwise dgbtrs), the
-set-up seconds, the seconds spent building (and factoring) and in chord
-solves, the run seconds and the peak RSS.  The set-up seconds (`setup_s`)
-are the median of five constructions (`build_problem`, `build_scenario`
-and `make_simulation`) after one untimed warm-up, as `bench/run.py` times
-its `setup_s`, so first-use costs stay out of them; the last construction
-is the one that runs.
+The rungs are 16x8x4, 24x12x4, 32x16x4, 48x24x4, 64x32x8, 96x48x8 and
+128x64x8 (n_ax x n_az x n_th, with a channel of n_ax cells); --up-to stops
+after the named rung, and the default stops at 64x32x8.  Each rung runs in
+its own subprocess, so that its peak RSS is its own, with one BLAS thread
+unless the environment sets the thread counts.  For each rung the script
+prints the unknowns, the lower half-width kl of the stacked azimuthal-mode
+band that the chord solver factors (n_th + 5 on every rung), the Newton
+iterations, the Jacobian builds, the pivot rows their factorizations of
+that band interchanged (0: every chord solve took the two triangle solves;
+otherwise dgbtrs), the set-up seconds, the seconds spent building (and
+factoring) and in chord solves, the run seconds and the peak RSS.  The
+set-up seconds (`setup_s`) are the median of five constructions
+(`build_problem`, `build_scenario` and `make_simulation`) after one
+untimed warm-up, as `bench/run.py` times its `setup_s`, so first-use costs
+stay out of them; the last construction is the one that runs.
 
 It exits non-zero if a rung fails: a step fails, or a step fails a run
 gate (`phmix.driver.run_gate_failures`): its coupling power residual
@@ -33,8 +34,9 @@ import subprocess
 import sys
 import time
 
-RUNGS = ("16x8x4", "24x12x4", "32x16x4", "48x24x4", "64x32x8")
-TOP_RUNG = "96x48x8"
+RUNGS = ("16x8x4", "24x12x4", "32x16x4", "48x24x4", "64x32x8", "96x48x8",
+         "128x64x8")
+DEFAULT_TOP = "64x32x8"
 STEPS = 20
 SETUP_REPEATS = 5  # timed constructions per rung, after one warm-up
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -75,19 +77,15 @@ def run_rung(rung: str) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--up-to", choices=RUNGS + (TOP_RUNG,),
-                        help="last rung to run")
-    parser.add_argument("--with-96x48x8", dest="top", action="store_true",
-                        help=f"also run {TOP_RUNG}")
+    parser.add_argument("--up-to", choices=RUNGS, default=DEFAULT_TOP,
+                        help=f"last rung to run (default {DEFAULT_TOP})")
     parser.add_argument("--rung", help=argparse.SUPPRESS)  # one child run
     args = parser.parse_args()
     if args.rung:
         print(json.dumps(run_rung(args.rung)))
         return 0
 
-    rungs = list(RUNGS) + [TOP_RUNG] * (args.top or args.up_to == TOP_RUNG)
-    if args.up_to:
-        rungs = rungs[:rungs.index(args.up_to) + 1]
+    rungs = RUNGS[:RUNGS.index(args.up_to) + 1]
     env = dict(os.environ)
     for var in BLAS_THREADS:
         env.setdefault(var, "1")

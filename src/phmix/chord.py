@@ -1,197 +1,194 @@
 """The chord solver of the midpoint Newton iteration: the midpoint
-Jacobian in LAPACK's band storage, its band LU (dgbtrf, partial pivoting)
-and the solves with it.
+Jacobian split by azimuthal Fourier modes into one narrow band, its band LU
+(dgbtrf, partial pivoting) and the solves with it.
 
 Newton reuses a factor (chord iterations) until convergence degrades, then
-rebuilds.  The coupling graph is a thin tensor-product box plus a 1D
-channel, so in the axial-slab order of `JacobianLayout` the Jacobian is a
-band of half-width at most n_az (n_th + 1) + 5, into which a build sums its
-entries and which dgbtrf factors in place.  Every column is exact: the
-mass minus dt/2 times the tangents of the subsystems' loads, which
-`HeatSystem.loads_tangent` (an 8x8 block per cell) and
-`FluidSystem.loads_tangent` give in closed form, with the columns of the
-pinned coupling dofs carried to the channel (phi, s) that pin them.  An
-exact zero pivot raises SingularJacobianError, which fails the Newton
-attempt like an invalid state does.
+rebuilds.  The azimuth is periodic and uniform, the wall trace is pinned to
+the channel temperature, which is constant along the azimuth, and the
+channel's entropy rows take the azimuthal sums of the wall rows.  So once
+each cell's 8x8 `HeatSystem.loads_tangent` block is replaced by its mean
+over the cells that share its axial and thickness index, the Jacobian is
+block-circulant in the azimuth, and a real Fourier transform along the
+azimuth makes it block diagonal.  Mode 0 holds the azimuthal sums of the
+solid rows, the azimuthal means of the solid unknowns and the channel: the
+Jacobian of an n_az = 1 mesh with the cell blocks summed over the azimuth.
+Every other mode holds the solid alone, once for its cos and once for its
+sin.  Mode k's block contracts the mean blocks' azimuthal local pairs (l2,
+l2') with cos(2 pi k (l2' - l2) / n_az), which leaves one 4x4 block per
+(axial, thickness) cell, a 9-point stencil on those nodes.
 
-When the factorization interchanged no rows (the pivots are the identity,
-as on every factor of the default cooldown and of the meshes up to
-32x16x4), U has only ku superdiagonals, and the build keeps contiguous
-copies of the two triangles in place of the band, which a chord solve
-passes to two BLAS band-triangle solves (dtbsv).  A factor with row
-interchanges keeps the band and its pivots for dgbtrs, which applies them.
+The cosine is exact when the mean blocks are symmetric under the mirror
+theta -> -theta, as they are at every azimuthally uniform state, where the
+averaged matrix is the Jacobian itself.  Elsewhere the mode blocks are a
+chord matrix like a stale factor is, and the residual that Newton drives to
+its tolerance stays exact.  The mass is constant along the azimuth; the
+columns of the pinned coupling dofs are carried to the channel (phi, s)
+that pin them.  An exact zero pivot raises SingularJacobianError naming its
+mode and unknown, which fails the Newton attempt like an invalid state
+does.
+
+When the factorization interchanged no rows, U has only ku superdiagonals,
+and the build keeps contiguous copies of the two triangles in place of the
+band, which a chord solve passes to two BLAS band-triangle solves (dtbsv).
+A factor with row interchanges keeps the band and its pivots for dgbtrs,
+which applies them.
 """
 
 from __future__ import annotations
 
 import time as _time
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import SingularJacobianError
-from .fem import CouplingOperators
 from .fluid import FluidState, FluidSystem
 from .heat import HeatSystem
 
+# the places of a node's channel (phi, vel, s) in its mode-0 slab: (vel, s,
+# phi) leaves the factors of the ladder's rungs up to 48x24x4 at dt without
+# row interchanges
+_CHANNEL_SLOTS = np.array([2, 0, 1])
 
-class JacobianLayout:
-    """Band positions of the midpoint Jacobian's entries, fixed by the mesh.
 
-    The band holds P J P^T, J in the packed unknowns (the solid entropy at
-    the dofs `free`, None for a channel alone, then the channel's phi, vel
-    and s) and P the axial-slab order: `order[i]` is the packed unknown at
-    band row and column i, `rank` its inverse.  Slab i holds the free solid
-    dofs at axial node i, thickness layers from the external face down to
-    the wall-adjacent one, each layer's azimuth in the reflected order 0,
-    n-1, 1, n-2, ... (periodic neighbours at most two apart), then the
-    channel's (phi, vel, s) at node i.  Every axial node holds the same
-    free dofs, so every slab has the same size m.  The entries span the
-    half-widths kl and ku.
+class ModeLayout:
+    """The azimuthal transform and the stacked mode band of one stepper,
+    fixed by the mesh.
 
-    Entry (i, j) of the permuted matrix has LAPACK's band position
-    (kl + ku + i - j, j), so an (ldab, n) Fortran-ordered array with
-    ldab = 2 kl + ku + 1 (the kl extra rows take the fill of row pivoting)
-    is, flat, the vector whose position j ldab + kl + ku + i - j holds the
-    entry.  A build sums into `bins` flat positions: the band, then the
-    wall slots, then a dump bin.  Channel node j has 3 (n_az + 1) wall
-    slots, one per row that the coupling dofs of node j may reach: for each
-    row node j - 1, j and j + 1 in turn, the free rows next to the wall by
-    azimuth, then the node's entropy row.
+    The stepper's packed unknowns are the free solid entropy, in dof order
+    (axial node i, azimuthal node j, thickness node k, with nk free k from
+    1 up; none for a channel alone), then the channel's phi, vel and s.
+    `forward` (n_az, n_az) transforms the solid rows along the azimuth: its
+    row 0 sums, its other rows are the orthonormal cos rows of modes 1 to
+    n_az // 2 (the Nyquist mode's is (-1)^j / sqrt(n_az)), then the sin
+    rows of modes 1 to (n_az - 1) // 2; `mode` is each row's Fourier mode.
+    Its transpose takes mode values back to the azimuth, so row 0's values
+    are azimuthal means, and forward J forward^T is block diagonal.
+    `az_major` gathers the packed solid as (n_az, (i, k)) for the GEMM.
 
-    Entry e of `HeatSystem.loads_tangent`'s raveled blocks adds into flat
-    position pos[e]: its band position for a free column, the wall slot of
-    its row and node for a coupling dof's column, the dump bin for a held
-    row or external column.  The cells are axial-major and the pattern
-    repeats along the axis, so the positions are worked out on the cells of
-    axial layer 0 alone and tiled: layer i's band positions are layer 0's
-    plus i m ldab, and its wall slots layer 0's plus 3 i (n_az + 1).  `chan`
-    (3 n_f, 3 n_f) are the flat positions of `FluidSystem.loads_tangent`'s
-    entries, the dump bin outside each block's reach (the tangent is zero
-    there); `diag` those of the diagonal in the packed order.  Wall slot k
-    enters the phi and s columns of its node `wall_node[k]` at the band
-    positions `wall_cols[:, k]`, the dump bin for a slot whose row is held
-    or past an axial end (no entry reaches it), and `wall_rate[j]` is the
-    slot of node j's own entropy row.
+    The transformed vector is the (n_az, (i, k)) mode values, row-major,
+    then the channel.  The band holds it in the order `order` (`rank` the
+    inverse): first mode 0 in slabs of `slab` = nk + 3, node i's channel
+    (vel, s, phi) and then its nk mode-0 values, the wall-adjacent layer
+    first; then each other row of `forward` in turn, in slabs of nk.  Every
+    entry lies within kl = ku = slab + 2 of the diagonal, the reach of phi
+    of node i + 1 to vel of node i and back, of the wall-adjacent row of
+    node i + 1 to s of node i through the wall and of s of node i to the
+    wall-adjacent row of node i + 1: the half-widths of an n_az = 1 mesh,
+    which a channel alone or a thickness without free nodes may not fill.
+
+    For the solid, `az_sum` sums the cell blocks over the azimuth as a
+    GEMM from the right, `to_stencil` scatters each summed entry into the
+    9-point stencil (pair 2 l2 + l2', di + 1, dk + 1, i, k) of its local
+    azimuthal pair on the (axial, thickness) `nodes`, and `weights`
+    (distinct modes, pair) contract the pairs into each distinct mode's
+    stencil with -dt/2 folded in: mode 0 the sum over the azimuth, the
+    others the mean times the cosine; `mass_weights` scale the lumped mass
+    likewise.  `chan_src` and `chan_pos` take the channel tangent's entries
+    within grad_pairing's reach to their flat positions in the (n, ldab)
+    transposed band, `chan_diag` its diagonal.
     """
 
-    def __init__(self, heat: HeatSystem, ops: CouplingOperators,
-                 free: np.ndarray | None, nf: int):
-        coupled = free is not None
-        nfree = len(free) if coupled else 0
-        nx = nfree + 3 * nf
-        col_of = np.full(heat.n_dofs, -1)  # packed column, -1 if held
-        # the channel's (phi, vel, s) of every node, one row per node
-        slabs = nfree + nf * np.arange(3) + np.arange(nf)[:, None]
-        if coupled:
-            col_of[free] = np.arange(nfree)
+    def __init__(self, heat: HeatSystem, free: np.ndarray | None, nf: int,
+                 dt: float):
+        n_az = 1 if free is None else heat.domain.azimuthal.n_nodes
+        nfree = 0 if free is None else len(free)
+        self.n_az = n_az
+        self.nk = nk = nfree // (nf * n_az)
+        self.slab = slab = nk + 3
+        self.kl = self.ku = kl = slab + 2
+        self.ldab = 3 * kl + 1
+
+        half = n_az // 2
+        self.mode = mode = np.concatenate([np.arange(half + 1),
+                                           np.arange(1, (n_az + 1) // 2)])
+        angle = (2 * np.pi / n_az) * np.outer(mode, np.arange(n_az))
+        forward = np.cos(angle)
+        forward[half + 1:] = np.sin(angle[half + 1:])
+        forward[1:] *= np.sqrt(np.where(2 * mode[1:] == n_az, 1.0, 2.0)
+                               / n_az)[:, None]
+        self.forward = forward
+        self.az_major = np.arange(nfree).reshape(nf, n_az, nk) \
+            .transpose(1, 0, 2).reshape(n_az, -1)
+
+        channel = nfree + _CHANNEL_SLOTS.argsort() * nf \
+            + np.arange(nf)[:, None]
+        head = np.hstack([channel, np.arange(nf * nk).reshape(nf, nk)])
+        self.order = np.concatenate([head.ravel(),
+                                     np.arange(nf * nk, nfree)])
+        self.rank = np.empty_like(self.order)
+        self.rank[self.order] = np.arange(len(self.order))
+
+        if free is not None:
             dom = heat.domain
-            n_az, n_th = dom.azimuthal.n_nodes, dom.thickness.n_nodes
-            reflected = np.empty(n_az, dtype=np.intp)
-            reflected[0::2] = np.arange((n_az + 1) // 2)
-            reflected[1::2] = n_az - 1 - np.arange(n_az // 2)
-            nodes = dom.node_index(np.arange(nf)[:, None, None], reflected,
-                                   np.arange(n_th)[::-1, None])
-            slabs = np.hstack([col_of[nodes].reshape(nf, -1), slabs])
-        self.order = order = slabs[slabs >= 0]
-        self.rank = rank = np.empty(nx, dtype=np.intp)
-        rank[order] = np.arange(nx)
+            nac, ntc = dom.axial.n_cells, dom.thickness.n_cells
+            self.nodes = (nf, ntc + 1)
+            self.az_sum = np.tile(np.eye(ntc), (n_az, 1))
+            l1, l2, l3, m1, m2, m3, ca, ct = np.indices((2,) * 6 + (nac, ntc))
+            self.to_stencil = np.ravel_multi_index(
+                (2 * l2 + m2, m1 - l1 + 1, m3 - l3 + 1, ca + l1, ct + l3),
+                (4, 3, 3) + self.nodes).ravel()
+            distinct = np.arange(half + 1)
+            cos = np.cos((2 * np.pi / n_az) * distinct)
+            self.mass_weights = np.where(distinct == 0, n_az, 1.0)
+            self.weights = np.stack([np.ones(half + 1), cos, cos,
+                                     np.ones(half + 1)], axis=1)
+            self.weights[1:] *= 1.0 / n_az  # the other modes' mean blocks
+            self.weights *= -0.5 * dt
+
         # the channel block: grad_pairing reaches the neighbouring nodes in
         # the (phi, vel), (vel, phi) and (vel, s) blocks, the rest is diagonal
         field, node = np.divmod(np.arange(3 * nf), nf)
         reach = np.array([[0, 1, 0], [1, 0, 1], [0, 0, 0]])
         near = np.abs(node[:, None] - node) <= reach[field[:, None], field]
-        chan_r, chan_c = rank[nfree:, None], rank[nfree:][None, :]
-        offsets = [(chan_r - chan_c)[near]]
-        wall_node = wall_rate = np.empty(0, dtype=np.intp)
-        if coupled:
-            # the row of each solid dof's load: its free row, or for a
-            # coupling dof the entropy row of its channel node (embed_t)
-            node_of = np.full(heat.n_dofs, -1)
-            node_of[heat.coupling_dofs] = ops.embed(np.arange(nf))
-            row_of = np.where(node_of < 0, col_of, nfree + 2 * nf + node_of)
-            n_layers = dom.axial.n_cells
-            layer = heat._gather[:, :dom.n_cells // n_layers]  # axial layer 0
-            row = row_of[layer][:, None, :]  # (a, ., cell)
-            col = col_of[layer][None, :, :]  # (., b, cell)
-            wnode = node_of[layer][None, :, :]
-            kept = (row >= 0) & (col >= 0)
-            wall = (row >= 0) & (wnode >= 0)
-            tan_c = rank[col]
-            tan = rank[row] - tan_c  # the offsets, garbage where not kept
-            offsets.append(tan[kept])
-            # the wall slots of every node j: row node i = j - 1, j, j + 1,
-            # then the free row at azimuth q next to the wall, or q = n_az
-            # for node i's entropy row
-            n_rows = n_az + 1
-            j = np.arange(nf)[:, None, None]
-            i = j + np.arange(-1, 2)[:, None]
-            q = np.arange(n_rows)
-            inside = (i >= 0) & (i < nf)
-            i = i.clip(0, nf - 1)
-            wall_row = np.where(
-                q < n_az, col_of[dom.node_index(i, q.clip(max=n_az - 1), 1)],
-                nfree + 2 * nf + i)
-            live = (inside & (wall_row >= 0)).ravel()
-            wall_node = np.arange(nf).repeat(3 * n_rows)
-            wall_r = rank[wall_row.ravel()]
-            wall_c = rank[nfree + np.array([[0], [2 * nf]]) + wall_node]
-            offsets.append((wall_r - wall_c)[:, live].ravel())
-            wall_rate = (3 * np.arange(nf) + 1) * n_rows + n_az
-            # the slot of each layer-0 wall entry, from its row's dof
-            i_r, rest = np.divmod(layer, n_az * n_th)
-            az_r, k_r = np.divmod(rest, n_th)
-            slot = (2 * wnode + i_r[:, None, :] + 1) * n_rows \
-                + np.where(k_r == 0, n_az, az_r)[:, None, :]
-        offsets = np.concatenate(offsets)
-        self.kl, self.ku = kl, ku = int(offsets.max()), int(-offsets.min())
-        self.ldab = ldab = 2 * kl + ku + 1
-        size = nx * ldab
-        dump = size + len(wall_node)
-        self.bins = dump + 1
+        rows, cols = np.nonzero(near)
+        at = node * slab + _CHANNEL_SLOTS[field]
 
         def flat(r, c):
-            return c * (ldab - 1) + r + (kl + ku)
+            return c * self.ldab + 2 * kl + r - c
 
-        pos = np.empty(0, dtype=np.intp)
-        self.wall_cols = np.empty((2, 0), dtype=np.intp)
-        if coupled:
-            pos = tan  # flat(rank[row], tan_c), in place on the offsets
-            pos += tan_c * ldab + (kl + ku)
-            pos[~kept] = dump
-            pos[wall] = size + slot[wall]
-            # how far each entry moves per axial layer: one slab of the
-            # band, one node's wall slots, or not at all into the dump bin
-            shift = np.where(kept, len(order) // nf * ldab, 0)
-            shift[wall] = 3 * n_rows
-            tiled = shift[:, :, None, :] * np.arange(n_layers)[:, None]
-            tiled += pos[:, :, None, :]
-            pos = tiled.ravel()
-            self.wall_cols = np.where(live, flat(wall_r, wall_c), dump)
-        self.pos, self.chan = pos, np.where(near, flat(chan_r, chan_c), dump)
-        self.diag, self.wall_node, self.wall_rate = \
-            flat(rank, rank), wall_node, wall_rate
+        self.chan_src = rows * (3 * nf) + cols
+        self.chan_pos = flat(at[rows], at[cols])
+        self.chan_diag = flat(at, at)
+
+
+def _add_stencil(band, stencil, first, kk):
+    """Add 9-point stencils on the (axial, thickness) nodes into the
+    transposed band `band` (..., node i, slab position, band row), whose
+    slabs hold the free thickness nodes k = 1, 2, ... from position
+    `first`: stencil[..., di + 1, dk + 1, i, k], the entry of row (i, k)
+    and column (i + di, k + dk), for every free k and k + dk, goes to
+    column (i + di, first + k + dk - 1), band row kk - di slab - dk."""
+    n, slab = band.shape[-3:-1]
+    nk = slab - first
+    for di, dk in product((-1, 0, 1), repeat=2):
+        i0, i1 = max(0, -di), n - max(0, di)
+        k0, k1 = max(1, 1 - dk), min(nk, nk - dk) + 1
+        band[..., i0 + di:i1 + di, first + k0 + dk - 1:first + k1 + dk - 1,
+             kk - di * slab - dk] += stencil[..., di + 1, dk + 1, i0:i1, k0:k1]
 
 
 class ChordSolver:
-    """Builds and factors the midpoint Jacobian of one stepper (`build`) and
-    solves with the factor (`solve`) until the next build, `discard` or
-    `reset`.
+    """Builds and factors the midpoint Jacobian of one stepper in its
+    azimuthal modes (`build`) and solves with the factor (`solve`) until
+    the next build, `discard` or `reset`.
 
-    The n unknowns are the stepper's packed vector, as `JacobianLayout`
-    orders them; `mass_rows` are the residual's mass rows in that order and
-    dt the step.  The factor is `triangles` (lower, upper) or `band_lu`
-    (band, pivots), the other None.  The counters add up since the last
-    `reset`: `builds`, `row_interchanges` (pivot rows moved), `build_s`
-    (building and factoring) and `solve_s`.
+    The n unknowns are the stepper's packed vector (free solid entropy at
+    the dofs `free`, None for a channel alone, then the channel's phi, vel
+    and s); `mass_rows` are the residual's mass rows in that order and dt
+    the step.  The factor of the stacked mode band (`ModeLayout`) is
+    `triangles` (lower, upper) or `band_lu` (band, pivots), the other None.
+    The counters add up since the last `reset`: `builds`,
+    `row_interchanges` (pivot rows moved), `build_s` (building and
+    factoring) and `solve_s`.
     """
 
     def __init__(self, heat: HeatSystem, fluid: FluidSystem,
-                 ops: CouplingOperators, free: np.ndarray | None,
-                 mass_rows: np.ndarray, dt: float):
-        self.heat, self.fluid, self.ops = heat, fluid, ops
+                 free: np.ndarray | None, mass_rows: np.ndarray, dt: float):
+        self.heat, self.fluid = heat, fluid
         self.free, self.mass_rows, self.dt = free, mass_rows, dt
         self.n = len(mass_rows)
         self.reset()
@@ -211,49 +208,84 @@ class ChordSolver:
         return self.triangles is not None or self.band_lu is not None
 
     @cached_property
-    def layout(self) -> JacobianLayout:
-        """The band positions, formed on first use: the first build."""
-        return JacobianLayout(self.heat, self.ops, self.free,
-                              self.fluid.n_dofs)
+    def layout(self) -> ModeLayout:
+        """The transform and the band's order, formed on first use: the
+        first build."""
+        return ModeLayout(self.heat, self.free, self.fluid.n_dofs, self.dt)
+
+    def _stencils(self, s_mid: np.ndarray) -> np.ndarray:
+        """Each distinct mode's solid block as a 9-point stencil (modes,
+        di + 1, dk + 1, axial node i, thickness node k) at the pinned
+        midpoint s_mid: mass - dt/2 times the loads' tangent blocks summed
+        over the azimuth and contracted with the mode's weights, mode 0's
+        scaled by n_az (the azimuthal sum of its rows), on every node,
+        the wall's and the held external face's too."""
+        lay = self.layout
+        local = self.heat.loads_tangent(s_mid)
+        summed = local.reshape(-1, len(lay.az_sum)) @ lay.az_sum
+        pairs = np.bincount(lay.to_stencil, summed.reshape(-1),
+                            minlength=36 * lay.nodes[0] * lay.nodes[1])
+        stencils = (lay.weights @ pairs.reshape(4, -1)).reshape(
+            -1, 3, 3, *lay.nodes)
+        mass = self.heat.mass.reshape(lay.nodes[0], lay.n_az, -1)[:, 0]
+        stencils[:, 1, 1] += lay.mass_weights[:, None, None] * mass
+        return stencils
 
     def band(self, fluid_mid: FluidState, s_mid: np.ndarray | None,
              t_m: np.ndarray) -> np.ndarray:
-        """The midpoint Jacobian as the layout's (ldab, n) Fortran-ordered
-        band, at the channel midpoint `fluid_mid` and the residual's pinned
-        solid midpoint entropy s_mid (None for a channel alone) and channel
-        temperature output t_m there.
+        """The midpoint Jacobian in azimuthal modes as the layout's (ldab,
+        n) Fortran-ordered band, at the channel midpoint `fluid_mid` and the
+        residual's pinned solid midpoint entropy s_mid (None for a channel
+        alone) and channel temperature output t_m there.
 
         The residual is M (x1 - x0) - dt F(x_mid), so J = M - (dt/2)
         dF/dx_mid.  On the channel rows dF/dx_mid is
         `FluidSystem.loads_tangent`, whose sealed-end rows are zero, as the
         rows mass vel1 need.  The wall rows dt wall = mass (s1 - s0) - dt
         loads, with the end value s1 = 2 s_mid - s0 that the pin implies,
-        have the form of the free rows, and both take
-        `HeatSystem.loads_tangent` at the pinned midpoint.  A coupling dof
-        at node j is pinned to entropy_of_temperature(t_m[j]), so its
-        column, summed along the azimuth into the wall slots together with
-        its mass, enters the phi and s columns of node j times ds1/dx1 =
-        (rho c / t_m) dT/dx_mid.
+        have the form of the free rows and, summed along the azimuth, enter
+        the channel's entropy rows: mode 0's wall row of node i is the
+        entropy row of node i.  A coupling dof at node j is pinned to
+        entropy_of_temperature(t_m[j]), so mode 0's wall column of node j
+        enters the phi and s columns of node j times ds1/dx1 = (rho c /
+        t_m) dT/dx_mid.
         """
         lay = self.layout
-        size = self.n * lay.ldab
+        nf, kk = self.fluid.n_dofs, lay.kl + lay.ku
         fluid_tan, t_grad = self.fluid.loads_tangent(fluid_mid)
+        bt = np.zeros((self.n, lay.ldab))  # entry (r, c) at [c, kk + r - c]
+        flat = bt.reshape(-1)
+        flat[lay.chan_pos] = (-0.5 * self.dt) * fluid_tan.reshape(-1)[
+            lay.chan_src]
+        flat[lay.chan_diag] += self.mass_rows[-3 * nf:]
         if s_mid is not None:
-            local = self.heat.loads_tangent(s_mid)
-            full = np.bincount(lay.pos, weights=local.ravel(),
-                               minlength=lay.bins)
-        else:
-            full = np.zeros(lay.bins)
-        full[lay.chan] += fluid_tan  # the far entries, all zero, share a bin
-        full *= -0.5 * self.dt
-        full[lay.diag] += self.mass_rows
-        if s_mid is not None:
-            heat, wall = self.heat, full[size:size + len(lay.wall_node)]
-            wall[lay.wall_rate] += self.ops.embed_t(
-                heat.mass[heat.coupling_dofs])
-            dsw = heat.material.rho_c / t_m * t_grad
-            full[lay.wall_cols] += wall * dsw[:, lay.wall_node]
-        return full[:size].reshape(self.n, lay.ldab).T
+            stencils = self._stencils(s_mid)
+            slab, ldab = lay.slab, lay.ldab
+            head = bt[:nf * slab].reshape(nf, slab, ldab)
+            _add_stencil(head, stencils[0], 3, kk)
+            _add_stencil(bt[nf * slab:].reshape(lay.n_az - 1, nf, lay.nk,
+                                                ldab),
+                         stencils[lay.mode[1:]], 0, kk)
+            dsw = self.heat.material.rho_c / t_m * t_grad
+            wall = stencils[0, :, :, :, 0]  # the wall rows (di, dk, i)
+            # mode 0's wall row of node i is its entropy row, and the
+            # wall-adjacent free row follows the channel; the wall columns
+            # of node j go to its phi and s, times dsw
+            phi_at, s_at = _CHANNEL_SLOTS[[0, 2]]
+            rows = [(s_at, wall[:, 1])]
+            if lay.nk:
+                rows.append((3, stencils[0, :, 0, :, 1]))
+            cols = ((phi_at, dsw[0]), (s_at, dsw[1]))
+            for di in (-1, 0, 1):
+                i0, i1 = max(0, -di), nf - max(0, di)
+                j = slice(i0 + di, i1 + di)
+                for (a, values), (b, ds) in product(rows, cols):
+                    head[j, b, kk + a - b - di * slab] += \
+                        values[di + 1, i0:i1] * ds[j]
+                if lay.nk:  # the wall rows' wall-adjacent columns
+                    head[j, 3, kk + s_at - 3 - di * slab] += \
+                        wall[di + 1, 2, i0:i1]
+        return bt.T
 
     def build(self, fluid_mid: FluidState, s_mid: np.ndarray | None,
               t_m: np.ndarray) -> None:
@@ -263,8 +295,8 @@ class ChordSolver:
         band rows kl + ku on (the unit diagonal first) and U's ku
         superdiagonals and diagonal in rows kl to kl + ku; one with
         interchanges as the band and its pivots.  An exact zero pivot
-        raises SingularJacobianError naming its unknown and leaves no
-        factor."""
+        raises SingularJacobianError naming its mode and unknown and leaves
+        no factor."""
         t0 = _time.perf_counter()
         lay = self.layout
         kl, ku = lay.kl, lay.ku
@@ -280,25 +312,35 @@ class ChordSolver:
         self.build_s += _time.perf_counter() - t0
         if info > 0:
             self.discard()
-            unknown = int(lay.order[info - 1])
-            raise SingularJacobianError(unknown, self._unknown_name(unknown))
+            raise SingularJacobianError(*self._unknown(info - 1))
 
-    def _unknown_name(self, k: int) -> str:
-        """The field and node of packed unknown k."""
-        nf = self.fluid.n_dofs
-        nfree = self.n - 3 * nf
-        if k < nfree:
-            return f"solid entropy[{self.free[k]}]"
-        field, node = divmod(k - nfree, nf)
-        return f"{('phi', 'vel', 's')[field]}[{node}]"
+    def _unknown(self, p: int) -> tuple[int, str, int]:
+        """The packed unknown, its field and node, and the azimuthal mode of
+        band position p; a solid mode's unknown is its azimuthal line's at
+        azimuthal node 0."""
+        lay = self.layout
+        q, nfree = int(lay.order[p]), self.n - 3 * self.fluid.n_dofs
+        if q >= nfree:
+            field, node = divmod(q - nfree, self.fluid.n_dofs)
+            return q, f"{('phi', 'vel', 's')[field]}[{node}]", 0
+        row, line = divmod(q, nfree // lay.n_az)
+        unknown = int(lay.az_major[0, line])
+        return (unknown, f"solid entropy[{self.free[unknown]}]",
+                int(lay.mode[row]))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """The Newton correction J^-1 r from the factor: the two triangle
-        solves of a factor without row interchanges, dgbtrs for one with
-        them."""
+        """The Newton correction J^-1 r from the factor: the azimuthal
+        transform of the solid rows (one GEMM), the band solve (the two
+        triangle solves of a factor without row interchanges, dgbtrs for
+        one with them) and the inverse transform (one GEMM)."""
         t0 = _time.perf_counter()
         lay = self.layout
-        y = r[lay.order]
+        nfree = self.n - 3 * self.fluid.n_dofs
+        y = np.empty(self.n)
+        np.matmul(lay.forward, r.take(lay.az_major),
+                  out=y[:nfree].reshape(lay.n_az, -1))
+        y[nfree:] = r[nfree:]
+        y = y.take(lay.order)
         if self.triangles is None:
             lu, piv = self.band_lu
             y, _ = dgbtrs(lu, lay.kl, lay.ku, y, piv, overwrite_b=1)
@@ -306,6 +348,9 @@ class ChordSolver:
             lower, upper = self.triangles
             y = dtbsv(lay.kl, lower, y, lower=1, diag=1, overwrite_x=1)
             y = dtbsv(lay.ku, upper, y, overwrite_x=1)
-        dx = y[lay.rank]
+        y = y.take(lay.rank)
+        dx = np.empty(self.n)
+        dx[lay.az_major] = lay.forward.T @ y[:nfree].reshape(lay.n_az, -1)
+        dx[nfree:] = y[nfree:]
         self.solve_s += _time.perf_counter() - t0
         return dx

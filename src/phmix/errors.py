@@ -44,10 +44,13 @@ class StepFailureError(PhmixError):
 class SingularJacobianError(PhmixError):
     """The midpoint Jacobian has an exact zero pivot.
 
-    `unknown` is the packed unknown (index into the stepper's x) whose
-    column the factorization found no pivot for."""
+    The factorization found no pivot for the column of azimuthal mode
+    `mode` of packed unknown `unknown` (an index into the stepper's x); a
+    solid unknown stands for its azimuthal line, the channel's are in mode
+    0."""
 
-    def __init__(self, unknown: int, name: str):
+    def __init__(self, unknown: int, name: str, mode: int):
         self.unknown = unknown
+        self.mode = mode
         super().__init__(f"singular Jacobian: zero pivot at unknown {unknown} "
-                         f"({name})")
+                         f"({name}), azimuthal mode {mode}")

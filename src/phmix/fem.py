@@ -23,13 +23,13 @@ index arithmetic: a line matrix from its cell triplets
 (`_triplets_to_csr`), a Kronecker product from its factors' CSR arrays
 (`_kron_pair`).  Both give bitwise what scipy's COO conversion and its
 CSR Kronecker product give, without their COO round trips; the channel's
-dense gradient pairing scatters the same triplets straight into an array
-(`dense_line_matrix`).  Every construction assembles its own operators;
-nothing is cached across them.  A run's construction makes one sparse
-matrix, the azimuthal mass m_az: the coupling operators hold the wall's
-factors, and their four blocks m_chi, m_psi, d_chi and d_psi are assembled
-on first read, which the stepper never makes: only the structural checks
-and the fiber integral read them.
+dense gradient pairing and the dense azimuthal mass scatter the same
+triplets straight into an array (`dense_line_matrix`).  Every construction
+assembles its own operators; nothing is cached across them.  A run's
+construction makes no sparse matrix: the coupling operators hold the
+wall's factors, and their four blocks m_chi, m_psi, d_chi and d_psi are
+assembled on first read, which the stepper never makes: only the
+structural checks and the fiber integral read them.
 """
 
 from __future__ import annotations
@@ -320,7 +320,7 @@ class CouplingOperators:
     surface: SurfaceBasis
     line: LineBasis
     eta_integrals: np.ndarray
-    m_az: sp.csr_matrix
+    m_az: np.ndarray
 
     @property
     def n_psi(self) -> int:
@@ -359,7 +359,7 @@ class CouplingOperators:
 
     @cached_property
     def m_psi(self) -> sp.csr_matrix:
-        return _kron([self.m_chi, self.m_az])
+        return _kron([self.m_chi, sp.csr_matrix(self.m_az)])
 
     @cached_property
     def d_chi(self) -> sp.csr_matrix:
@@ -381,7 +381,7 @@ class CouplingOperators:
 
     @cached_property
     def _az_weights(self) -> np.ndarray:
-        return np.linalg.solve(self.m_az.toarray(), self.eta_integrals)
+        return np.linalg.solve(self.m_az, self.eta_integrals)
 
     @cached_property
     def _psi_lu(self) -> spla.SuperLU:
@@ -401,7 +401,7 @@ class CouplingOperators:
 def assemble_coupling(surface: SurfaceBasis,
                       line: LineBasis) -> CouplingOperators:
     """The coupling operators of a surface and a line: their azimuthal
-    factors, the hat integrals and the mass, with no block assembled.
+    factors, the hat integrals and the dense mass, with no block assembled.
 
     The line mesh must equal the axial factor of the surface
     (`require_fit`), so m_chi is also the surface's axial mass and the
@@ -413,4 +413,4 @@ def assemble_coupling(surface: SurfaceBasis,
                 "the surface's axial factor")
     return CouplingOperators(
         surface=surface, line=line, eta_integrals=lumped_mass(surface.eta),
-        m_az=assemble_mass(surface.eta))
+        m_az=dense_line_matrix(surface.eta, 0, 0))

@@ -22,7 +22,11 @@ azimuthal pair (m_az, eta_integrals) (`CouplingOperators.line_load`), so the
 ledger's power residual also checks that pair against the nodal row sums.
 
 Newton's chord iterations build, factor and solve with the midpoint
-Jacobian through the stepper's `chord.ChordSolver`, `sim.chord`.
+Jacobian through the stepper's `chord.ChordSolver`, `sim.chord`, which
+splits it by azimuthal Fourier modes into one narrow band: exact at the
+azimuthally uniform states every committed scenario keeps, and the
+azimuthal mean of the solid's tangent blocks elsewhere, a chord matrix
+under an exact residual.
 
 The data flow of a step is explicit: `step` takes the old state and the
 row scale as arguments and returns one `StepOutcome`, `_residual` returns
@@ -376,7 +380,7 @@ class CoupledSimulation:
         self._nf = fluid_sys.n_dofs
         self._nfree = len(self._free) if coupled else 0
         self._mass_rows = np.concatenate(mass_rows)
-        self.chord = ChordSolver(heat_sys, fluid_sys, ops, self._free,
+        self.chord = ChordSolver(heat_sys, fluid_sys, self._free,
                                  self._mass_rows, cfg.dt)
 
     # ---- state packing -------------------------------------------------

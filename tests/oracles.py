@@ -7,8 +7,12 @@ derivatives use central differences.  The Jacobian references are its
 pattern composed from block matrices, the heat kernel's tangent by the
 complex step, which differentiates the kernel's arithmetic on its own
 reference tables, and the midpoint Jacobian composed from sparse blocks by
-the chain rule of the residual, as a CSC matrix in the packed order, which
-the stepper's band must equal to round-off.  The midpoint residual's
+the chain rule of the residual, as a CSC matrix in the packed order.  The
+chord solver's mode band, taken back by the real Fourier rows of the
+azimuth (`azimuthal_rows`, built from complex exponentials, and
+`mode_transform`), must equal it to round-off at an azimuthally uniform
+state, and at any state once its cell blocks are averaged along the
+azimuth, as the chord matrix averages them.  The midpoint residual's
 reference composes the subsystems' own operators field by field, in the
 unpacked form the stepper's packed residual must match bit for bit, and
 the ledger's port powers are also formed through surface mass solves, the
@@ -275,35 +279,94 @@ def surface_solve_powers(ops, t_m, wall, ext, t_ext):
     return p_heat, p_fluid, p_ext
 
 
-def band_to_dense(band, layout):
-    """The Jacobian held in the (ldab, n) LAPACK band `band` of `layout`
-    (slab order), as a dense matrix in the packed order.  The kl fill rows
-    on top, which only the factorization writes, must be empty."""
-    kl, ku = layout.kl, layout.ku
+def band_to_csr(band, kl, ku):
+    """The matrix held in the (2 kl + ku + 1, n) LAPACK band `band`, as a
+    CSR matrix of its nonzero entries in the band's own order.  The kl fill
+    rows on top, which only the factorization writes, must be empty."""
     n = band.shape[1]
-    assert band.shape == (layout.ldab, n)
+    assert band.shape == (2 * kl + ku + 1, n)
     assert not band[:kl].any()
-    d, j = np.mgrid[kl:layout.ldab, 0:n]
+    d, j = np.nonzero(band)
     i = j + d - (kl + ku)  # band row d of column j is matrix row i
-    inside = (i >= 0) & (i < n)
-    dense = np.zeros((n, n))
-    order = layout.order
-    dense[order[i[inside]], order[j[inside]]] = band[d[inside], j[inside]]
-    return dense
+    assert np.all((i >= 0) & (i < n))
+    return sp.csr_matrix((band[d, j], (i, j)), shape=(n, n))
 
 
-def band_structure(layout, n):
-    """Boolean (n, n) structure in the packed order of the band entries a
-    build writes: the kept tangent entries, the channel block, the diagonal
-    and the wall slots' columns."""
-    flat = np.zeros(layout.bins)
-    for positions in (layout.pos, layout.chan, layout.diag, layout.wall_cols):
-        flat[positions] = 1.0
-    band = flat[:n * layout.ldab].reshape(n, layout.ldab).T
-    return band_to_dense(band, layout) != 0.0
+def azimuthal_rows(n_az):
+    """The real Fourier rows of the chord solver's azimuthal transform, from
+    the complex exponentials: row 0 sums, then the orthonormal cos rows of
+    modes 1 to n_az // 2 (the Nyquist mode's scaled by sqrt(1 / n_az), the
+    others by sqrt(2 / n_az)), then the orthonormal sin rows of modes 1 to (n_az - 1) // 2.  Returns (rows,
+    the mode of each row)."""
+    half = n_az // 2
+    modes = np.concatenate([np.arange(half + 1),
+                            np.arange(1, (n_az + 1) // 2)])
+    phase = np.exp(2j * np.pi * np.outer(modes, np.arange(n_az)) / n_az)
+    rows = np.where(np.arange(n_az)[:, None] <= half, phase.real, phase.imag)
+    norm = np.where(modes == 0, 1.0,
+                    np.sqrt(np.where(2 * modes == n_az, 1.0, 2.0) / n_az))
+    return rows * norm[:, None], modes
 
 
-def csc_jacobian_oracle(sim, x, x_old, s_old):
+def azimuthal_lines(sim):
+    """(n_az, the (axial, thickness) line of each free solid unknown, its
+    azimuthal node, the number of lines): packed unknown p is dof (i, j,
+    k) in dof order, k over the nk free thickness nodes, on line i nk + k."""
+    nfree, nf = sim._nfree, sim._nf
+    n_az = sim.heat.domain.azimuthal.n_nodes if sim.coupled else 1
+    nk = nfree // (nf * n_az)
+    i, rest = np.divmod(np.arange(nfree), n_az * nk)
+    j, k = np.divmod(rest, nk) if nk else (rest, rest)
+    return n_az, i * nk + k, j, nf * nk
+
+
+def mode_transform(sim, fourier=None):
+    """The sparse (n, n) matrix T that takes the stepper's packed vector to
+    the chord solver's mode band order: the free solid entropy of every
+    azimuthal line to its `azimuthal_rows` values (row c of line l at
+    c lines + l), the channel unchanged, then the band's permutation
+    `order`.  The band holds T J T^T, J the chord matrix in the packed
+    order, and the chord solve is T^T B^-1 T.  `fourier` replaces the
+    Fourier rows."""
+    n, nfree = sim.chord.n, sim._nfree
+    n_az, line, j, lines = azimuthal_lines(sim)
+    if fourier is None:
+        fourier = azimuthal_rows(n_az)[0]
+    rows = np.concatenate([(np.arange(n_az)[:, None] * lines + line).ravel(),
+                           np.arange(nfree, n)])
+    cols = np.concatenate([np.tile(np.arange(nfree), n_az),
+                           np.arange(nfree, n)])
+    vals = np.concatenate([fourier[:, j].ravel(), np.ones(n - nfree)])
+    transformed = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return transformed[sim.chord.layout.order]
+
+
+def mode_pattern_oracle(sim):
+    """The structural pattern (n, n) of the mode band, in its order, from
+    the packed pattern `jacobian_pattern_oracle`: every mode holds the
+    pattern of the free solid collapsed along the azimuth (a line reaches
+    another if any of their dofs do), and mode 0 also the channel, which
+    reaches and is reached by the lines as their dofs are.  A CSR matrix
+    of booleans."""
+    n, nfree = sim.chord.n, sim._nfree
+    n_az, line, _, lines = azimuthal_lines(sim)
+    packed = jacobian_pattern_oracle(sim).astype(float)
+    collapse = sp.block_diag([
+        sp.csr_matrix((np.ones(nfree), (line, np.arange(nfree))),
+                      shape=(lines, nfree)),
+        sp.identity(n - nfree)])
+    mode0 = sp.coo_matrix(collapse @ packed @ collapse.T)
+    solid = sp.coo_matrix(mode0.tocsr()[:lines, :lines])
+    at0 = np.concatenate([np.arange(lines), np.arange(nfree, n)])
+    rows = [at0[mode0.row]] + [c * lines + solid.row for c in range(1, n_az)]
+    cols = [at0[mode0.col]] + [c * lines + solid.col for c in range(1, n_az)]
+    rank = sim.chord.layout.rank
+    rows, cols = (rank[np.concatenate(ix)] for ix in (rows, cols))
+    return sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
+                         shape=(n, n))
+
+
+def csc_jacobian_oracle(sim, x, x_old, s_old, average=False):
     """The midpoint Jacobian at x of the step of `sim` from x_old (solid
     entropy s_old), at the port fields of `midpoint_residual_oracle`
     there, as a CSC matrix in the packed order, composed with sparse blocks
@@ -327,6 +390,12 @@ def csc_jacobian_oracle(sim, x, x_old, s_old):
         heat, free = sim.heat, sim._free
         n_solid = heat.n_dofs
         local = heat.loads_tangent(s_mid)
+        if average:  # each cell block the mean over its azimuthal ring
+            dom = heat.domain
+            rings = local.reshape(8, 8, dom.axial.n_cells, -1,
+                                  dom.thickness.n_cells)
+            local = np.broadcast_to(rings.mean(axis=3, keepdims=True),
+                                    rings.shape).reshape(local.shape)
         gather = heat._gather
         dloads = sp.csr_matrix(
             (local.ravel(),

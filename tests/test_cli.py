@@ -52,13 +52,13 @@ def fail_step_1(monkeypatch, failure):
 
 @pytest.fixture
 def singular_band(monkeypatch):
-    """Every Jacobian band with a zero column: each build has a zero
-    pivot."""
+    """Every Jacobian band with a zero column, mode 0 of the azimuthal line
+    of packed unknown 0: each build has a zero pivot."""
     build = ChordSolver.band
 
     def singular(solver, *args):
         band = build(solver, *args)
-        band[:, solver.layout.rank[0]] = 0.0
+        band[:, solver.layout.rank[solver.layout.az_major[0, 0]]] = 0.0
         return band
 
     monkeypatch.setattr(ChordSolver, "band", singular)
@@ -365,7 +365,8 @@ class TestSimulateCommand:
         assert code == 1
         assert "last ledger row: 0.0," in err
         assert "error: step 1: implicit midpoint step failed: singular " \
-            "Jacobian: zero pivot at unknown 0 (solid entropy[" in err
+            "Jacobian: zero pivot at unknown 0 (solid entropy[1]), " \
+            "azimuthal mode 0" in err
         # the ledger so far, the header and the initial row, is on disk
         ledger = out_dir / "hot-wall-cooldown_ledger.csv"
         assert f"partial ledger: {ledger}" in err

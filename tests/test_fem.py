@@ -401,6 +401,9 @@ class TestEmbedPair:
         assert np.abs(new.m_chi @ y - c).max() <= 1e-13 * np.abs(c).max()
         for got, old in zip((new.integrate(u), new.line_load(b)), before):
             assert np.abs(got - 1.5 * old).max() <= 1e-13 * np.abs(old).max()
+        # m_psi is assembled from the dense m_az the copy holds
+        doubled = dataclasses.replace(ops, m_az=2 * ops.m_az).m_psi
+        assert np.array_equal(doubled.toarray(), 2 * ops.m_psi.toarray())
 
     def test_integrate_is_the_mass_consistent_block(self):
         surface = small_surface(n_ax=3, n_az=4)
@@ -487,6 +490,7 @@ class TestAssemblyOracle:
         d_psi.sort_indices()
         assert_same_csr(ops.m_chi, m_chi)
         assert_same_csr(assemble_mass(ops.surface.eta), m_az)
+        assert ops.m_az.tobytes() == m_az.toarray().tobytes()
         assert_same_csr(ops.m_psi, scipy_kron([m_chi, m_az]))
         assert_same_csr(ops.d_chi, d_chi)
         assert_same_csr(ops.d_psi, d_psi)
@@ -565,8 +569,8 @@ class TestAssemblyOracle:
         assert got.tobytes() == want.tobytes()
 
     def test_construction_makes_one_csr_matrix(self, monkeypatch):
-        # a run's construction assembles the azimuthal mass m_az and no
-        # other sparse matrix: each pays scipy's format checks
+        # a run's construction assembles no sparse matrix, each of which
+        # pays scipy's format checks: the azimuthal mass m_az is dense
         made = []
         init = sp.csr_matrix.__init__
 
@@ -580,7 +584,8 @@ class TestAssemblyOracle:
         setup = build_scenario(cfg.scenario, problem.heat, problem.fluid,
                                cfg.scenario_params)
         make_simulation(problem, cfg, setup)
-        assert len(made) == 1 and made[0] is problem.ops.m_az
+        assert made == []
+        assert isinstance(problem.ops.m_az, np.ndarray)
 
     def test_problems_share_no_operator_array(self):
         # each construction assembles its own operators: nothing is cached
