@@ -12,17 +12,12 @@ for nodal bases.  Both are array operators of CouplingOperators:
 `integrate`, and `embed` with its transpose `embed_t`, the pair the stepper
 applies.  The functions here wrap them for typed fields and check them.
 Verification routines draw seeded random fields in cache-sized blocks of
-trials and report the worst residual of all blocks instead of raising.  One
-worker thread per check draws the blocks, up to two ahead of the block the
-check is computing on; it alone touches the generators and draws in the same
-order, so every report is bitwise what a draw on the calling thread gives.
+trials, on the calling thread, and report the worst residual of all blocks
+instead of raising.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,51 +158,16 @@ def _field_blocks(check: str, seed: int, trials: int, *sizes: int):
     (n, block) per n in `sizes`, drawn trial-major from its own child of
     the check's stream, so trial t's fields depend on neither the block
     size nor `trials`.  A last single trial joins the block before it: a
-    one-column stack takes numpy's vector paths, which round differently.
-
-    A worker thread draws the blocks in order while the caller computes on
-    the one yielded, at most two blocks ahead (numpy fills without the
-    GIL).  Its exception reaches the caller; closing the generator stops
-    and joins it, so callers close it (`contextlib.closing`) rather than
-    leave it to the garbage collector."""
+    one-column stack takes numpy's vector paths, which round differently."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     seqs = np.random.SeedSequence([seed, _STREAMS[check]]).spawn(len(sizes))
     rngs = [np.random.default_rng(seq) for seq in seqs]
     block = max(2, _BLOCK_BYTES // (8 * max(sizes)))
     bounds = [*range(0, max(trials - 1, 1), block), trials]
-    ready = queue.Queue(maxsize=2)
-    closed = threading.Event()
-
-    def draw():
-        # once `closed` is set this puts at most the block in hand and the
-        # end marker, which the drained queue holds without blocking.  Any
-        # failure goes to the caller, who raises it: the caller waits for a
-        # block, the end marker or an exception
-        try:
-            for start, stop in zip(bounds, bounds[1:]):
-                if closed.is_set():
-                    return
-                ready.put([np.ascontiguousarray(
-                    rng.standard_normal((stop - start, n)).T)
-                    for rng, n in zip(rngs, sizes)])
-            ready.put(None)
-        except BaseException as exc:
-            ready.put(exc)
-
-    worker = threading.Thread(target=draw, name=f"phmix-{check}-fields",
-                              daemon=True)
-    worker.start()
-    try:
-        while (stacks := ready.get()) is not None:
-            if isinstance(stacks, BaseException):
-                raise stacks
-            yield stacks
-    finally:
-        closed.set()
-        while not ready.empty():
-            ready.get_nowait()
-        worker.join()
+    for start, stop in zip(bounds, bounds[1:]):
+        yield [np.ascontiguousarray(rng.standard_normal((stop - start, n)).T)
+               for rng, n in zip(rngs, sizes)]
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,9 +190,8 @@ def check_adjointness(ops: CouplingOperators, trials: int = 100,
         fnorm = np.sqrt(_dots(f, mf))
         vnorm = np.sqrt(_dots(v, mv))
         return np.max(np.abs(lhs - rhs) / (1.0 + fnorm * vnorm))
-    with closing(_field_blocks("adjointness", seed, trials, ops.n_psi,
-                               ops.n_chi)) as blocks:
-        worst = float(np.max([residual(*stacks) for stacks in blocks]))
+    blocks = _field_blocks("adjointness", seed, trials, ops.n_psi, ops.n_chi)
+    worst = float(np.max([residual(*stacks) for stacks in blocks]))
     return VerificationReport(
         name="adjointness", passed=bool(worst <= STRUCT_TOL),
         max_residual=worst, tolerance=STRUCT_TOL, trials=trials, seed=seed)
@@ -263,9 +222,8 @@ def check_dirac_pairing(ops: CouplingOperators, trials: int = 100,
         scale = 1.0 + np.sqrt(pair(m, e1, e2)) * np.sqrt(pair(mp, e1p, e2p))
         return np.max(np.abs(bracket) / scale)
     n1, n2 = ops.n_chi, ops.n_psi
-    with closing(_field_blocks("dirac_pairing", seed, trials,
-                               n1, n2, n1, n2)) as blocks:
-        worst = float(np.max([residual(*stacks) for stacks in blocks]))
+    blocks = _field_blocks("dirac_pairing", seed, trials, n1, n2, n1, n2)
+    worst = float(np.max([residual(*stacks) for stacks in blocks]))
     return VerificationReport(
         name="dirac_pairing", passed=bool(worst <= STRUCT_TOL),
         max_residual=worst, tolerance=STRUCT_TOL, trials=trials, seed=seed)
@@ -288,10 +246,9 @@ def operator_norm_bound_check(ops: CouplingOperators, trials: int = 100,
         rhs_c = measure2 * _dots(uc, ops.m_psi @ uc)
         return np.max(lhs - rhs), \
             np.max(np.abs(lhs_c - rhs_c) / np.maximum(rhs_c, 1e-300))
-    with closing(_field_blocks("operator_norm_bound", seed, trials,
-                               ops.n_psi, ops.n_chi)) as blocks:
-        worst, eq_gap = map(float, np.max([residuals(*b) for b in blocks],
-                                          axis=0))
+    blocks = _field_blocks("operator_norm_bound", seed, trials, ops.n_psi,
+                           ops.n_chi)
+    worst, eq_gap = map(float, np.max([residuals(*b) for b in blocks], axis=0))
     passed = worst <= STRUCT_TOL and eq_gap <= QUAD_REL_TOL
     return VerificationReport(
         name="operator_norm_bound", passed=bool(passed),

@@ -380,24 +380,13 @@ class TestFieldBlocks:
                 assert stack.tobytes() == \
                     np.ascontiguousarray(full[:, start:stop]).tobytes()
 
-    def test_closed_generator_leaves_no_thread(self, monkeypatch):
-        ops = make_ops(n_ax=6, n_az=5)
-        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 2)
-        fresh = check_adjointness(make_ops(n_ax=6, n_az=5), 200, 0).lines()
-        before = threading.active_count()
-        blocks = dirac._field_blocks("adjointness", 0, 200, ops.n_psi,
-                                     ops.n_chi)
-        next(blocks)  # the worker fills the queue while this block waits
-        blocks.close()
-        assert threading.active_count() == before
-        assert check_adjointness(ops, 200, 0).lines() == fresh
-
     @pytest.mark.parametrize("check", CHECKS)
     def test_raising_check_leaves_no_thread(self, monkeypatch, check):
+        # a check that raises part way through its blocks leaves nothing
+        # behind that changes a later report
         ops = make_ops(n_ax=6, n_az=5)
         fresh = check(make_ops(n_ax=6, n_az=5), 200, 4).lines()
         monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 2)
-        before = threading.active_count()
         with monkeypatch.context() as patch:
             def failing(self, u):
                 raise RuntimeError("integrate failed")
@@ -405,11 +394,11 @@ class TestFieldBlocks:
             # the kept traceback holds the check's frame and its generator
             with pytest.raises(RuntimeError, match="integrate failed") as kept:
                 check(ops, 200, 4)
-            assert threading.active_count() == before
         monkeypatch.undo()
         assert check(ops, 200, 4).lines() == fresh
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        # a draw that fails in a later block reaches the check's caller
         default_rng = np.random.default_rng
 
         class FailingOnSecondDraw:
@@ -425,25 +414,13 @@ class TestFieldBlocks:
         ops = make_ops(n_ax=6, n_az=5)
         monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 2)
         monkeypatch.setattr(np.random, "default_rng", FailingOnSecondDraw)
-        before = threading.active_count()
-        errors = []
-
-        def run():
-            try:
-                check_adjointness(ops, 200, 4)
-            except RuntimeError as exc:
-                errors.append(exc)
-        caller = threading.Thread(target=run, daemon=True)
-        caller.start()
-        caller.join(timeout=30)
-        assert not caller.is_alive(), "the check hung on a failed draw"
-        assert [str(exc) for exc in errors] == ["second draw failed"]
-        assert threading.active_count() == before
+        with pytest.raises(RuntimeError, match="second draw failed"):
+            check_adjointness(ops, 200, 4)
 
     def test_concurrent_checks_match_sequential(self, monkeypatch):
-        # more callers than cores, each with its own worker, switching
-        # threads often: a block lost, repeated or reordered on the way
-        # through a queue changes some report
+        # more callers than cores, switching threads often: the checks
+        # share no state between calls, so each caller's reports are the
+        # sequential ones
         ops = make_ops(n_ax=6, n_az=5)
         monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 3)
         expected = self.reports(ops, 100)
@@ -464,16 +441,25 @@ class TestFieldBlocks:
         assert results == [expected] * len(callers)
 
     @pytest.mark.parametrize("check", CHECKS)
-    def test_no_trials_starts_no_thread(self, monkeypatch, check):
+    def test_check_starts_no_thread(self, monkeypatch, check):
+        # each check draws its blocks on the calling thread: with threads
+        # forbidden, 200 trials in blocks of 7 give the report of the
+        # default block size, and no trials is an error
+        ops = make_ops(n_ax=16, n_az=8)
+        default = check(ops, 200, 4).lines()
+
         def no_thread(*args, **kwargs):
-            raise AssertionError("a worker thread was started")
-        monkeypatch.setattr(dirac.threading, "Thread", no_thread)
+            raise AssertionError("a thread was started")
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 7)
+        assert check(ops, 200, 4).lines() == default
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            check(make_ops(), 0, 0)
+            check(ops, 0, 0)
 
     def test_memory_independent_of_trials(self):
         # one (n_psi, 2000) stack at 48x24 is 18.8 MB; the blocks keep the
-        # check's peak to a few of their 256 KiB stacks
+        # check's peak to the one block in flight, whose largest stacks
+        # take 256 KiB each
         ops = make_ops(n_ax=48, n_az=24)
         ops.integrate(np.zeros(ops.n_psi))  # factor m_chi outside the trace
         tracemalloc.start()

@@ -568,7 +568,7 @@ class TestAssemblyOracle:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    def test_construction_makes_one_csr_matrix(self, monkeypatch):
+    def test_construction_makes_no_csr_matrix(self, monkeypatch):
         # a run's construction assembles no sparse matrix, each of which
         # pays scipy's format checks: the azimuthal mass m_az is dense
         made = []
