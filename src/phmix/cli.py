@@ -2,11 +2,13 @@
 
 Subcommands, each with only the options it reads:
 
-    phmix verify [--config FILE] [--seed N] [--trials N]
+    phmix verify [--config FILE] [--seed N]
     phmix simulate [--config FILE] [--output DIR]
     phmix convergence [--config FILE] [--output DIR]
 
-verify runs the structural checks (exit 0/1); simulate runs a scenario,
+verify runs the structural checks, exact identities between the
+assembled coupling blocks (exit 0/1); its --seed is validated as the
+config's seed is, and no check reads it.  simulate runs a scenario,
 writes the ledger and snapshots, and fails when a step fails a run gate
 (`driver.run_gate_failures`); convergence runs the step-halving and
 azimuthal refinement study, and a refinement gap above its bound fails it.
@@ -32,17 +34,6 @@ from .errors import PhmixError, StepFailureError
 from .simulate import build_scenario
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}")
-    return value
-
-
 def _load(args, seed: int | None = None) -> RunConfig:
     """The --config file (or the defaults), with --seed when given."""
     cfg = load_config(args.config) if args.config else default_config()
@@ -63,11 +54,11 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reports = [
-        check_adjointness(ops, args.trials, cfg.seed),
-        operator_norm_bound_check(ops, args.trials, cfg.seed),
-        check_dirac_pairing(ops, args.trials, cfg.seed),
+        check_adjointness(ops),
+        operator_norm_bound_check(ops),
+        check_dirac_pairing(ops),
         check_transpose_identity(ops),
-        check_power_balance(ops, args.trials, cfg.seed),
+        check_power_balance(ops),
     ]
     for rep in reports:
         print("\n".join(rep.lines()))
@@ -167,10 +158,8 @@ def cmd_convergence(args) -> int:
 _OPTIONS = {
     "--config": dict(help="JSON config file (defaults built in)"),
     "--output": dict(default="out", help="output directory (default out)"),
-    "--seed": dict(type=int, help="seed override"),
-    "--trials": dict(type=_positive_int, default=200,
-                     help="random trials for each verification check "
-                          "(default 200)"),
+    "--seed": dict(type=int, help="seed override, validated (>= 0); no "
+                                  "check reads it"),
 }
 
 
@@ -184,7 +173,7 @@ def main(argv=None) -> int:
     for name, fn, desc, options in (
             ("verify", cmd_verify,
              "run the structural checks (adjointness, norm bound, pairing, "
-             "transpose, power balance)", ("--config", "--seed", "--trials")),
+             "transpose, power balance)", ("--config", "--seed")),
             ("simulate", cmd_simulate,
              "integrate a scenario and write ledger + snapshots",
              ("--config", "--output")),

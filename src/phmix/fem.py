@@ -309,8 +309,8 @@ class CouplingOperators:
     `integrate` the mass-consistent fiber integral m_chi^-1 d_chi.  On the
     tensor-product wall B = m_psi^-1 d_psi and d_chi m_psi^-1 = B^T, so B^T
     takes surface loads to line loads.  All three take one field (dofs,) or
-    a column stack of them (dofs, trials), so sparse products take the
-    stack as it is, without a transposed copy.
+    a column stack of them (dofs, k), so sparse products take the stack as
+    it is, without a transposed copy.
 
     The blocks, the factorizations and `line_load`'s weights are cached
     properties: `dataclasses.replace` with new factors starts without

@@ -69,23 +69,23 @@ def cooldown_runs():
 
 def test_criterion_1_adjointness(ops16):
     t0 = time.perf_counter()
-    rep = check_adjointness(ops16, trials=1000, seed=0)
+    rep = check_adjointness(ops16)
     elapsed = time.perf_counter() - t0
     report(1, "adjointness of the operator pair",
            rep.passed and rep.max_residual <= 1e-11,
-           f"max residual {rep.max_residual:.2e} <= 1e-11 over 1000 trials "
-           f"on a 16x16 surface mesh", elapsed, 5.0)
+           f"max |B' m_psi - d_chi| / max |d_chi| {rep.max_residual:.2e} "
+           f"<= {rep.tolerance:.1e} on a 16x16 surface mesh", elapsed, 5.0)
 
 
 def test_criterion_2_operator_norm_bound(ops16):
     t0 = time.perf_counter()
-    rep = operator_norm_bound_check(ops16, trials=1000, seed=1)
+    rep = operator_norm_bound_check(ops16)
     elapsed = time.perf_counter() - t0
     report(2, "integration operator norm bound",
            rep.passed,
-           f"max bound violation {rep.max_residual:.2e} <= 1e-11, equality "
-           f"gap {rep.details['equality_rel_gap_constant_fields']} <= 1e-10",
-           elapsed, 5.0)
+           f"bound excess {rep.max_residual:.2e}, equality gap "
+           f"{rep.details['equality_rel_gap_constant_fields']} <= "
+           f"{rep.tolerance:.1e}", elapsed, 5.0)
 
 
 def test_criterion_3_dirac_isotropy():
@@ -93,12 +93,12 @@ def test_criterion_3_dirac_isotropy():
     # the dimension of the effort-flow space
     t0 = time.perf_counter()
     ops = gamma_ops(4, 6)
-    rep = check_dirac_pairing(ops, trials=1000, seed=2)
+    rep = check_dirac_pairing(ops)
     elapsed = time.perf_counter() - t0
     report(3, "Dirac isotropy",
            rep.passed and rep.max_residual <= 1e-11,
-           f"max pairing {rep.max_residual:.2e} <= 1e-11 over 1000 pairs "
-           f"on a 4x6 mesh", elapsed, 5.0)
+           f"max |m_psi B - d_chi'| / max |d_chi| {rep.max_residual:.2e} "
+           f"<= {rep.tolerance:.1e} on a 4x6 mesh", elapsed, 5.0)
 
 
 def test_criterion_4_transpose_identity():
@@ -119,12 +119,12 @@ def test_criterion_4_transpose_identity():
 
 def test_criterion_5_discrete_power_balance(ops16):
     t0 = time.perf_counter()
-    rep = check_power_balance(ops16, trials=1000, seed=3)
+    rep = check_power_balance(ops16)
     elapsed = time.perf_counter() - t0
     report(5, "discrete coupling power balance",
            rep.passed and rep.max_residual <= 1e-11,
-           f"max |p_heat + p_fluid| / scale {rep.max_residual:.2e} <= 1e-11 "
-           f"over 1000 resolved port sets", elapsed, 5.0)
+           f"max |m_psi B - d_psi| / max |d_chi| {rep.max_residual:.2e} "
+           f"<= {rep.tolerance:.1e}", elapsed, 5.0)
 
 
 def test_criterion_6_coupled_energy_drift(cooldown_runs):

@@ -211,8 +211,7 @@ class TestConfig:
 
 class TestVerifyCommand:
     def test_default_config_passes(self, capsys, tmp_path):
-        code = cli.main(["verify", "--trials", "25",
-                         "--config", write_cfg(tmp_path, TINY)])
+        code = cli.main(["verify", "--config", write_cfg(tmp_path, TINY)])
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("status: PASS") == 5
@@ -220,9 +219,9 @@ class TestVerifyCommand:
 
     def test_reproducible_output(self, capsys, tmp_path):
         cfg = write_cfg(tmp_path, TINY)
-        cli.main(["verify", "--trials", "40", "--seed", "7", "--config", cfg])
+        cli.main(["verify", "--seed", "7", "--config", cfg])
         first = capsys.readouterr().out
-        cli.main(["verify", "--trials", "40", "--seed", "7", "--config", cfg])
+        cli.main(["verify", "--seed", "7", "--config", cfg])
         second = capsys.readouterr().out
         assert first == second
 
@@ -232,20 +231,13 @@ class TestVerifyCommand:
         assert code == 2
         assert "n_fluid" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_trials_below_one_exit_2(self, capsys, trials):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--trials", trials])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: phmix verify")
-        assert "--trials: expected an integer >= 1" in err
-
     @pytest.mark.parametrize("argv", [
         ["simulate", "--trials", "5"], ["simulate", "--seed", "3"],
-        ["convergence", "--trials", "5"], ["verify", "--output", "x"]])
+        ["convergence", "--trials", "5"], ["verify", "--output", "x"],
+        ["verify", "--trials", "5"]])
     def test_option_of_another_command_exit_2(self, capsys, argv):
-        # each command takes only the options it reads
+        # each command takes only the options it reads, and no command
+        # takes --trials
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
@@ -259,21 +251,68 @@ class TestVerifyCommand:
         # config check names it first, for the flag and the file alike
         argv = ["--seed", "-1"] if via == "flag" else \
             ["--config", write_cfg(tmp_path, {"seed": -1})]
-        code = cli.main(["verify", "--trials", "5", *argv])
+        code = cli.main(["verify", *argv])
         assert code == 2
         assert capsys.readouterr().err == \
             "error: seed must be >= 0, got -1\n"
 
     def test_failed_check_exit_1(self, capsys, monkeypatch, tmp_path):
         broken = VerificationReport(name="adjointness", passed=False,
-                                    max_residual=1.0, tolerance=1e-11,
-                                    trials=1)
+                                    max_residual=1.0, tolerance=1e-11)
         monkeypatch.setattr(cli, "check_adjointness",
                             lambda *a, **k: broken)
-        code = cli.main(["verify", "--trials", "5",
-                         "--config", write_cfg(tmp_path, TINY)])
+        code = cli.main(["verify", "--config", write_cfg(tmp_path, TINY)])
         assert code == 1
         assert "verify: FAIL" in capsys.readouterr().out
+
+    # One entry of the default 16x8 wall scaled by 1 + 1e-10.  Each identity
+    # of the blocks is exact, so each perturbation fails it by at least
+    # 4e-12 of the largest entry, far above round-off.
+    @staticmethod
+    def verify_perturbed(monkeypatch, capsys, perturb):
+        build = driver.build_checked_coupling
+        monkeypatch.setattr(cli, "build_checked_coupling",
+                            lambda cfg: perturb(build(cfg)))
+        code = cli.main(["verify"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "\nverify: FAIL (" in out
+        return out
+
+    def test_perturbed_coupling_entry_fails(self, monkeypatch, capsys):
+        # d_chi's entry (i, (i, 1)) and its mirror in d_psi: the transpose
+        # identity still holds bit for bit
+        def perturb(ops):
+            i = ops.n_chi // 2
+            j = i * ops.surface.eta.n_dofs + 1
+            d_chi, d_psi = ops.d_chi.copy(), ops.d_psi.copy()
+            d_chi[i, j] *= 1 + 1e-10
+            d_psi[j, i] *= 1 + 1e-10
+            ops.d_chi, ops.d_psi = d_chi, d_psi
+            return ops
+        out = self.verify_perturbed(monkeypatch, capsys, perturb)
+        assert "bitwise_equal: True" in out
+
+    def test_perturbed_surface_mass_entry_fails(self, monkeypatch, capsys):
+        # the smallest kind of entry of m_psi: an axial and azimuthal
+        # neighbour pair, (h / 6) (h_az / 6)
+        def perturb(ops):
+            n_az = ops.surface.eta.n_dofs
+            r = (ops.n_chi // 2) * n_az
+            m_psi = ops.m_psi.copy()
+            m_psi[r, r + n_az + 1] *= 1 + 1e-10
+            ops.m_psi = m_psi
+            return ops
+        self.verify_perturbed(monkeypatch, capsys, perturb)
+
+    def test_perturbed_hat_integral_fails(self, monkeypatch, capsys):
+        # one azimuthal hat integral, with d_chi and d_psi (and line_load's
+        # weights) assembled again from it
+        def perturb(ops):
+            eta = ops.eta_integrals.copy()
+            eta[1] *= 1 + 1e-10
+            return dataclasses.replace(ops, eta_integrals=eta)
+        self.verify_perturbed(monkeypatch, capsys, perturb)
 
 
 class TestSimulateCommand:

@@ -3,11 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from phmix import coupling, dirac, fem
+from phmix import fem
 from phmix.coupling import check_power_balance, check_transpose_identity, \
     continuous_interconnect, resolve_ports
-from phmix.dirac import LineField, SurfaceField, check_adjointness, \
-    check_dirac_pairing, operator_norm_bound_check
+from phmix.dirac import LineField, SurfaceField
 from phmix.errors import MeshCompatibilityError
 from phmix.fem import LineBasis, SurfaceBasis, assemble_coupling
 from phmix.geometry import IntervalMesh, TensorBoundary, build_solid_domain
@@ -186,15 +185,17 @@ class TestChecks:
         assert rep.passed and rep.max_residual == 0.0
 
     def test_power_balance_report(self):
-        rep = check_power_balance(make_ops(), trials=50, seed=4)
+        rep = check_power_balance(make_ops())
         assert rep.passed
 
     def test_power_balance_fails_on_non_adjoint_pair(self):
-        # integrating 1 % too much leaves 1 % of the port power uncancelled
+        # a 1 % too large d_psi breaks the relation m_psi u = d_psi y that
+        # the embedding realises, and leaves 1 % of the port power
+        # uncancelled
         ops = make_ops()
         bad = dataclasses.replace(ops)
-        bad.d_chi = 1.01 * ops.d_chi
-        rep = check_power_balance(bad, trials=50, seed=4)
+        bad.d_psi = 1.01 * ops.d_psi
+        rep = check_power_balance(bad)
         assert not rep.passed
         assert rep.max_residual > 1e3 * rep.tolerance
 
@@ -229,28 +230,6 @@ class TestChecks:
         rep = check_transpose_identity(bad)
         assert not rep.passed
         assert rep.max_residual == np.inf
-
-    def test_checks_draw_their_own_fields(self, monkeypatch):
-        # one seed gives each randomized check its own stream and each of
-        # the check's stacks a child of it, so no two stacks share a value
-        ops = make_ops()
-        blocks = dirac._field_blocks
-        stacks = []
-
-        def recording(*args):
-            for block in blocks(*args):
-                stacks.extend(block)
-                yield block
-
-        monkeypatch.setattr(dirac, "_field_blocks", recording)
-        monkeypatch.setattr(coupling, "_field_blocks", recording)
-        for check in (check_adjointness, operator_norm_bound_check,
-                      check_dirac_pairing, check_power_balance):
-            assert check(ops, trials=3, seed=5).passed
-        assert len(stacks) == 2 + 2 + 4 + 2
-        for i in range(len(stacks)):
-            for j in range(i):
-                assert not np.isin(stacks[i], stacks[j]).any()
 
     def test_block_map_skew_adjoint_in_mass_inner_products(self):
         ops = make_ops(n_ax=3, n_az=3)

@@ -1,20 +1,16 @@
 import dataclasses
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phmix import dirac
-from phmix.coupling import check_power_balance
+from phmix.coupling import check_power_balance, check_transpose_identity
 from phmix.dirac import LineField, SurfaceField, check_adjointness, \
     check_dirac_pairing, embed, integrate_out, j_matrix, \
     operator_norm_bound_check
 from phmix.errors import MeshCompatibilityError
-from phmix.fem import CouplingOperators, LineBasis, SurfaceBasis, \
-    assemble_coupling
+from phmix.fem import LineBasis, SurfaceBasis, assemble_coupling
 from phmix.geometry import IntervalMesh, TensorBoundary
 
 import oracles
@@ -195,18 +191,18 @@ class TestAdjointness:
         assert lhs == pytest.approx(1.0, rel=1e-13)
         assert rhs == pytest.approx(1.0, rel=1e-13)
 
-    def test_randomized_check_passes(self):
+    def test_exact_check_passes(self):
         ops = make_ops(n_ax=6, n_az=5, circumference=3.0)
-        report = check_adjointness(ops, trials=100, seed=3)
+        report = check_adjointness(ops)
         assert report.passed
-        assert report.max_residual <= 1e-11
+        assert report.max_residual <= report.tolerance <= 1e-13
 
     def test_non_adjoint_pair_fails(self):
         # integrating 1 % too much breaks <f, embed v> = <integrate f, v>
         ops = make_ops(n_ax=6, n_az=5, circumference=3.0)
         bad = dataclasses.replace(ops)
         bad.d_chi = 1.01 * ops.d_chi
-        report = check_adjointness(bad, trials=100, seed=3)
+        report = check_adjointness(bad)
         assert not report.passed
         assert report.max_residual > 1e3 * report.tolerance
 
@@ -221,16 +217,16 @@ class TestAdjointness:
 
     def test_report_is_reproducible(self):
         ops = make_ops()
-        a = check_adjointness(ops, trials=50, seed=9)
-        b = check_adjointness(ops, trials=50, seed=9)
-        assert a.max_residual == b.max_residual
+        a = check_adjointness(ops)
+        b = check_adjointness(make_ops())
+        assert a.lines() == b.lines()
 
     def test_report_lines_format(self):
-        ops = make_ops()
-        report = check_adjointness(ops, trials=5, seed=0)
+        report = check_adjointness(make_ops())
         lines = report.lines()
-        assert lines[0] == "check: adjointness"
-        assert all(": " in line for line in lines)
+        assert [line.split(": ")[0] for line in lines] == \
+            ["check", "status", "max_residual", "tolerance"]
+        assert lines[:2] == ["check: adjointness", "status: PASS"]
 
 
 class TestDiracPairing:
@@ -244,9 +240,9 @@ class TestDiracPairing:
                        + e2.values @ (ops.m_psi @ f2.values))
         assert abs(bracket) <= 1e-11
 
-    def test_randomized_check_passes(self):
+    def test_exact_check_passes(self):
         ops = make_ops(n_ax=3, n_az=4)
-        report = check_dirac_pairing(ops, trials=100, seed=5)
+        report = check_dirac_pairing(ops)
         assert report.passed
 
     def test_non_adjoint_pair_fails(self):
@@ -254,7 +250,7 @@ class TestDiracPairing:
         ops = make_ops(n_ax=3, n_az=4)
         bad = dataclasses.replace(ops)
         bad.d_chi = 1.01 * ops.d_chi
-        report = check_dirac_pairing(bad, trials=100, seed=5)
+        report = check_dirac_pairing(bad)
         assert not report.passed
         assert report.max_residual > 1e3 * report.tolerance
 
@@ -303,172 +299,42 @@ class TestNormBound:
         rhs = 2.0 * u.values @ (ops.m_psi @ u.values)
         assert lhs < 0.5 * rhs
 
-    def test_randomized_check_passes(self):
+    def test_exact_check_passes(self):
         ops = make_ops(n_ax=5, n_az=6, circumference=1.7)
-        report = operator_norm_bound_check(ops, trials=100, seed=8)
+        report = operator_norm_bound_check(ops)
         assert report.passed
 
     def test_non_adjoint_pair_fails(self):
-        # integrating 1 % too much scales the integrated norm of an
+        # integrating 1 % too much (every hat integral, and the blocks and
+        # weights built from them) scales the integrated norm of an
         # azimuthally constant field by 1.0201, off the equality case
         ops = make_ops(n_ax=5, n_az=6, circumference=1.7)
-        bad = dataclasses.replace(ops)
-        bad.d_chi = 1.01 * ops.d_chi
-        report = operator_norm_bound_check(bad, trials=100, seed=8)
+        bad = dataclasses.replace(ops, eta_integrals=1.01 * ops.eta_integrals)
+        report = operator_norm_bound_check(bad)
         assert not report.passed
+        gap = float(report.details["equality_rel_gap_constant_fields"])
+        assert gap == pytest.approx(0.0201, rel=1e-6)
+        assert report.max_residual == pytest.approx(gap, rel=1e-6)
         gap = float(report.details["equality_rel_gap_constant_fields"])
         assert gap == pytest.approx(0.0201, rel=1e-6)
 
 
-class TestFieldBlocks:
-    CHECKS = (check_adjointness, operator_norm_bound_check,
-              check_dirac_pairing, check_power_balance)
-
-    def reports(self, ops, trials, seed=4):
-        return [(rep.max_residual, rep.lines())
-                for rep in (check(ops, trials, seed) for check in self.CHECKS)]
-
-    @pytest.mark.parametrize("trials,block", [
-        (200, 2), (200, 7), (200, 30), (201, 50)])
-    def test_reports_independent_of_block_size(self, monkeypatch, trials,
-                                               block):
-        # at 16x8 the default block holds 240 trials; with `block` trials
-        # per block 200 trials end in a remainder of 2, 4 or 20, and the
-        # one-trial remainder of 201 folds into the block before it
-        ops = make_ops(n_ax=16, n_az=8)
-        default = self.reports(ops, trials)
-        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * block)
-        assert self.reports(ops, trials) == default
-
-    def test_fields_of_fewer_trials_are_a_prefix(self, monkeypatch):
-        ops = make_ops(n_ax=6, n_az=5)
-        sizes = (ops.n_chi, ops.n_psi, ops.n_chi, ops.n_psi)
-
-        def fields(trials):
-            blocks = dirac._field_blocks("dirac_pairing", 3, trials, *sizes)
-            return [np.hstack(stacks) for stacks in zip(*blocks)]
-
-        many = fields(50)
-        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 4)
-        for k in (1, 2, 9, 50):
-            for few, full in zip(fields(k), many):
-                assert np.array_equal(few, full[:, :k])
-
-    @pytest.mark.parametrize("trials,block", [
-        (200, 2), (200, 7), (200, 30), (201, 50)])
-    def test_blocks_match_an_oracle_draw(self, monkeypatch, trials, block):
-        # the oracle draws each whole stack trial-major from its child of
-        # the check's stream in one call, on this thread, and cuts it at
-        # the block bounds, folding a last single trial into the block
-        # before it
-        ops = make_ops(n_ax=6, n_az=5)
-        sizes = (ops.n_chi, ops.n_psi, ops.n_chi, ops.n_psi)
-        children = np.random.SeedSequence(
-            [3, dirac._STREAMS["dirac_pairing"]]).spawn(len(sizes))
-        whole = [np.random.default_rng(child).standard_normal((trials, n)).T
-                 for child, n in zip(children, sizes)]
-        starts = list(range(0, trials, block))
-        if trials - starts[-1] == 1:
-            starts.pop()
-        bounds = [*starts, trials]
-        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * block)
-        blocks = list(dirac._field_blocks("dirac_pairing", 3, trials, *sizes))
-        assert len(blocks) == len(starts)
-        for stacks, start, stop in zip(blocks, bounds, bounds[1:]):
-            for stack, full in zip(stacks, whole):
-                assert stack.flags.c_contiguous
-                assert stack.tobytes() == \
-                    np.ascontiguousarray(full[:, start:stop]).tobytes()
-
-    @pytest.mark.parametrize("check", CHECKS)
-    def test_raising_check_leaves_no_thread(self, monkeypatch, check):
-        # a check that raises part way through its blocks leaves nothing
-        # behind that changes a later report
-        ops = make_ops(n_ax=6, n_az=5)
-        fresh = check(make_ops(n_ax=6, n_az=5), 200, 4).lines()
-        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 2)
-        with monkeypatch.context() as patch:
-            def failing(self, u):
-                raise RuntimeError("integrate failed")
-            patch.setattr(CouplingOperators, "integrate", failing)
-            # the kept traceback holds the check's frame and its generator
-            with pytest.raises(RuntimeError, match="integrate failed") as kept:
-                check(ops, 200, 4)
-        monkeypatch.undo()
-        assert check(ops, 200, 4).lines() == fresh
-
-    def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        # a draw that fails in a later block reaches the check's caller
-        default_rng = np.random.default_rng
-
-        class FailingOnSecondDraw:
-            def __init__(self, seq):
-                self.rng, self.draws = default_rng(seq), 0
-
-            def standard_normal(self, shape):
-                self.draws += 1
-                if self.draws == 2:
-                    raise RuntimeError("second draw failed")
-                return self.rng.standard_normal(shape)
-
-        ops = make_ops(n_ax=6, n_az=5)
-        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 2)
-        monkeypatch.setattr(np.random, "default_rng", FailingOnSecondDraw)
-        with pytest.raises(RuntimeError, match="second draw failed"):
-            check_adjointness(ops, 200, 4)
-
-    def test_concurrent_checks_match_sequential(self, monkeypatch):
-        # more callers than cores, switching threads often: the checks
-        # share no state between calls, so each caller's reports are the
-        # sequential ones
-        ops = make_ops(n_ax=6, n_az=5)
-        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 3)
-        expected = self.reports(ops, 100)
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(
-                target=lambda: results.append(self.reports(ops, 100)),
-                daemon=True) for _ in range(6)]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
-        assert results == [expected] * len(callers)
-
-    @pytest.mark.parametrize("check", CHECKS)
-    def test_check_starts_no_thread(self, monkeypatch, check):
-        # each check draws its blocks on the calling thread: with threads
-        # forbidden, 200 trials in blocks of 7 give the report of the
-        # default block size, and no trials is an error
-        ops = make_ops(n_ax=16, n_az=8)
-        default = check(ops, 200, 4).lines()
-
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started")
-        monkeypatch.setattr(threading, "Thread", no_thread)
-        monkeypatch.setattr(dirac, "_BLOCK_BYTES", 8 * ops.n_psi * 7)
-        assert check(ops, 200, 4).lines() == default
-        with pytest.raises(ValueError, match="trials must be >= 1"):
-            check(ops, 0, 0)
-
-    def test_memory_independent_of_trials(self):
-        # one (n_psi, 2000) stack at 48x24 is 18.8 MB; the blocks keep the
-        # check's peak to the one block in flight, whose largest stacks
-        # take 256 KiB each
-        ops = make_ops(n_ax=48, n_az=24)
-        ops.integrate(np.zeros(ops.n_psi))  # factor m_chi outside the trace
-        tracemalloc.start()
-        try:
-            assert check_dirac_pairing(ops, trials=2000, seed=0).passed
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+def test_checks_make_no_dense_block():
+    # every residual is formed sparse: at 48x24 the five checks together
+    # peak below one dense n_psi x n_chi array (0.48 MB)
+    ops = make_ops(n_ax=48, n_az=24)
+    for block in ("m_chi", "m_psi", "d_chi", "d_psi", "_az_weights"):
+        getattr(ops, block)  # assembled outside the trace
+    checks = (check_adjointness, operator_norm_bound_check,
+              check_dirac_pairing, check_transpose_identity,
+              check_power_balance)
+    tracemalloc.start()
+    try:
+        assert all(check(ops).passed for check in checks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * ops.n_psi * ops.n_chi
 
 
 def test_tensor_input_integral_independent_of_azimuthal_mesh():
