@@ -13,6 +13,8 @@ resolve_ports applies `CouplingOperators.embed` and `integrate`.  The
 stepper does not call it: its residual applies `embed` and its transpose
 `embed_t` in load form.  The checks here compare the assembled blocks
 exactly: d_psi against the transpose of d_chi, and m_psi B against d_psi.
+They read d_chi' (in CSR) and m_psi B as `dirac.check_dirac_pairing`
+formed them, so one verify pass forms each once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dirac import LineField, SurfaceField, VerificationReport, \
-    _check_line, _check_surface, _embedding, _identity_report
+    _check_line, _check_surface, _identity_report, _max_difference
 from .fem import CouplingOperators
 
 
@@ -57,14 +59,15 @@ def continuous_interconnect(v_field: SurfaceField, y_field: LineField,
 
 def check_transpose_identity(ops: CouplingOperators) -> VerificationReport:
     """Verify d_psi equals the transpose of d_chi entry-for-entry, exactly."""
-    a = ops.d_psi.tocsr().sorted_indices()
-    b = ops.d_chi.transpose().tocsr().sorted_indices()
+    # a sorted copy only of a block whose indices are not sorted already
+    a, b = (m if m.has_sorted_indices else m.sorted_indices()
+            for m in (ops.d_psi.tocsr(), ops._d_chi_t))
     same = a.shape == b.shape \
         and np.array_equal(a.indptr, b.indptr) \
         and np.array_equal(a.indices, b.indices) \
         and np.array_equal(a.data, b.data)
     # blocks of different shapes have no entrywise difference to take
-    worst = 0.0 if same else (float(abs(a - b).max())
+    worst = 0.0 if same else (_max_difference(a, b)
                               if a.shape == b.shape else np.inf)
     return VerificationReport(
         name="transpose_identity", passed=bool(same), max_residual=worst,
@@ -76,5 +79,5 @@ def check_power_balance(ops: CouplingOperators) -> VerificationReport:
     realises, u = B y: m_psi B - d_psi must vanish.  With d_psi = d_chi'
     (`check_transpose_identity`) the two port powers then cancel for every
     pair of port outputs."""
-    b = _embedding(ops)
-    return _identity_report("power_balance", ops, ops.m_psi @ b - ops.d_psi)
+    return _identity_report("power_balance", ops, ops._m_psi_embedding,
+                            ops.d_psi)

@@ -314,7 +314,11 @@ class CouplingOperators:
 
     The blocks, the factorizations and `line_load`'s weights are cached
     properties: `dataclasses.replace` with new factors starts without
-    them, and a block set on an instance overrides its assembly.
+    them, and a block set on an instance overrides its assembly.  So are
+    the products the structural checks share, each formed from the blocks
+    on the first check's read: B as a CSR matrix, m_psi B, d_chi' in CSR
+    and max|d_chi|.  A block set on an instance after a check has read
+    them is not seen by them; set it on a `dataclasses.replace` copy.
     """
 
     surface: SurfaceBasis
@@ -378,6 +382,32 @@ class CouplingOperators:
         return _kron([self.m_chi, sp.csr_matrix(
             (self.eta_integrals, np.zeros(n_az, dtype=np.intp),
              np.arange(n_az + 1)), shape=(n_az, 1))])
+
+    @cached_property
+    def _embedding(self) -> sp.csr_matrix:
+        """B (n_psi, n_chi) in CSR: one unit entry per surface dof, in the
+        line column that `embed` replicates into it, so the checks read the
+        embedding the stepper applies."""
+        cols = self.embed(np.arange(self.n_chi))
+        return sp.csr_matrix(
+            (np.ones(self.n_psi), cols, np.arange(self.n_psi + 1)),
+            shape=(self.n_psi, self.n_chi))
+
+    @cached_property
+    def _m_psi_embedding(self) -> sp.csr_matrix:
+        """m_psi B, its indices sorted like those of the blocks it is
+        compared with."""
+        product = self.m_psi @ self._embedding
+        product.sort_indices()
+        return product
+
+    @cached_property
+    def _d_chi_t(self) -> sp.csr_matrix:
+        return self.d_chi.T.tocsr()
+
+    @cached_property
+    def _d_chi_max(self) -> float:
+        return float(np.abs(self.d_chi.data).max())
 
     @cached_property
     def _az_weights(self) -> np.ndarray:

@@ -4,8 +4,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from phmix import cli, driver, simulate
+from phmix import cli, driver, fem, simulate
 from phmix.chord import ChordSolver
 from phmix.config import config_from_dict, config_to_dict, default_config, \
     load_config
@@ -264,6 +265,30 @@ class TestVerifyCommand:
         code = cli.main(["verify", "--config", write_cfg(tmp_path, TINY)])
         assert code == 1
         assert "verify: FAIL" in capsys.readouterr().out
+
+    def test_one_pass_forms_each_product_once(self, monkeypatch, capsys):
+        # B is the one product of `embed` in a verify pass, and m_psi B the
+        # one sparse product of an (n_psi, n_psi) and an (n_psi, n_chi)
+        # matrix: the checks share each, formed once
+        g = default_config().geometry
+        n_chi, n_psi = g.n_ax + 1, (g.n_ax + 1) * g.n_az
+        calls = {"B": 0, "m_psi B": 0}
+        embed, matmul = fem.CouplingOperators.embed, sp.csr_matrix.__matmul__
+
+        def counted_embed(ops, y):
+            calls["B"] += 1
+            return embed(ops, y)
+
+        def counted_matmul(a, b):
+            if a.shape == (n_psi, n_psi) and b.shape == (n_psi, n_chi):
+                calls["m_psi B"] += 1
+            return matmul(a, b)
+
+        monkeypatch.setattr(fem.CouplingOperators, "embed", counted_embed)
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted_matmul)
+        assert cli.main(["verify"]) == 0
+        assert capsys.readouterr().out.endswith("verify: PASS\n")
+        assert calls == {"B": 1, "m_psi B": 1}
 
     # One entry of the default 16x8 wall scaled by 1 + 1e-10.  Each identity
     # of the blocks is exact, so each perturbation fails it by at least

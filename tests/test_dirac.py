@@ -1,13 +1,16 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+from phmix import cli
 from phmix.coupling import check_power_balance, check_transpose_identity
-from phmix.dirac import LineField, SurfaceField, check_adjointness, \
-    check_dirac_pairing, embed, integrate_out, j_matrix, \
+from phmix.dirac import LineField, SurfaceField, _max_difference, \
+    check_adjointness, check_dirac_pairing, embed, integrate_out, j_matrix, \
     operator_norm_bound_check
 from phmix.errors import MeshCompatibilityError
 from phmix.fem import LineBasis, SurfaceBasis, assemble_coupling
@@ -319,22 +322,68 @@ class TestNormBound:
         assert gap == pytest.approx(0.0201, rel=1e-6)
 
 
-def test_checks_make_no_dense_block():
-    # every residual is formed sparse: at 48x24 the five checks together
-    # peak below one dense n_psi x n_chi array (0.48 MB)
-    ops = make_ops(n_ax=48, n_az=24)
-    for block in ("m_chi", "m_psi", "d_chi", "d_psi", "_az_weights"):
-        getattr(ops, block)  # assembled outside the trace
-    checks = (check_adjointness, operator_norm_bound_check,
-              check_dirac_pairing, check_transpose_identity,
-              check_power_balance)
+CHECKS = (check_adjointness, operator_norm_bound_check, check_dirac_pairing,
+          check_transpose_identity, check_power_balance)
+
+
+@pytest.mark.parametrize("block, readers", [
+    ("m_psi", {"adjointness", "dirac_pairing", "power_balance"}),
+    ("d_chi", {"adjointness", "dirac_pairing", "transpose_identity"}),
+    ("d_psi", {"transpose_identity", "power_balance"})])
+def test_products_belong_to_one_instance(block, readers):
+    # the products the checks share are formed on the instance they read:
+    # a copy with one block 1e-10 off fails the checks that read it, and
+    # the original, whose products were formed first, still passes them all
+    ops = make_ops(n_ax=6, n_az=5, circumference=3.0)
+    assert all(check(ops).passed for check in CHECKS)
+    bad = dataclasses.replace(ops)
+    setattr(bad, block, (1 + 1e-10) * getattr(ops, block))
+    assert {rep.name for rep in (check(bad) for check in CHECKS)
+            if not rep.passed} == readers
+    assert all(check(ops).passed for check in CHECKS)
+
+
+def test_max_difference_is_the_sparse_difference():
+    # entry by entry on one canonical pattern, the sparse difference on any
+    # other pair: both read max|a - b| of the sparse difference
+    rng = np.random.default_rng(3)
+    a = sp.random(12, 9, density=0.4, format="csr", random_state=rng)
+    more = a + sp.random(12, 9, density=0.2, format="csr", random_state=rng)
+    backwards = np.concatenate([np.arange(lo, hi)[::-1] for lo, hi
+                                in zip(a.indptr[:-1], a.indptr[1:])])
+    unsorted = sp.csr_matrix((a.data[backwards], a.indices[backwards],
+                              a.indptr), shape=a.shape)
+    nudged = a.copy()
+    nudged.data[4] += 0.25
+    assert not unsorted.has_sorted_indices
+    for x, y in ((a, a), (a, nudged), (a, more), (more, a), (a, unsorted),
+                 (unsorted, nudged), (a, sp.csr_matrix(a.shape))):
+        diff = abs(x - y)
+        expected = float(diff.max()) if diff.nnz else 0.0
+        assert _max_difference(x, y) == expected
+    assert _max_difference(unsorted, nudged) == pytest.approx(0.25)
+    assert _max_difference(a, unsorted) == 0.0
+
+
+def test_checks_make_no_dense_block(tmp_path, capsys):
+    # every block, product and residual is sparse: a whole `phmix verify`
+    # pass at 48x24 peaks below one dense n_psi x n_chi array (0.46 MB).  A
+    # first pass runs untraced, so that lazily imported modules don't count
+    path = tmp_path / "verify-large.json"
+    path.write_text(json.dumps(
+        {"geometry": {"n_ax": 48, "n_az": 24, "n_th": 4, "n_fluid": 48}}))
+    argv = ["verify", "--config", str(path)]
+    assert cli.main(argv) == 0
     tracemalloc.start()
     try:
-        assert all(check(ops).passed for check in checks)
+        code = cli.main(argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * ops.n_psi * ops.n_chi
+    assert code == 0
+    assert capsys.readouterr().out.count("verify: PASS") == 2
+    n_chi, n_psi = 49, 49 * 24
+    assert peak < 8 * n_psi * n_chi
 
 
 def test_tensor_input_integral_independent_of_azimuthal_mesh():
